@@ -8,7 +8,7 @@
 use fading_core::algo::{Dls, GreedyRate, Ldp, Rle};
 use fading_core::{Problem, Scheduler};
 use fading_net::{TopologyGenerator, UniformGenerator};
-use fading_sim::{simulate_queueing_with_policy, QueueConfig, ServicePolicy};
+use fading_sim::{ChurnConfig, ChurnEngine, ServicePolicy};
 
 fn main() {
     let cli = fading_bench::Cli::parse();
@@ -30,38 +30,37 @@ fn main() {
         print!(" {:>12}", format!("p={l}"));
     }
     println!();
-    let p = Problem::paper(UniformGenerator::paper(n).generate(17), 3.0);
+    let geometry = UniformGenerator::paper(n);
+    let p = Problem::paper(geometry.generate(17), 3.0);
+    // One queueing run: the engine over a fixed population (no link
+    // arrivals, lifetimes that never end).
+    let mean_backlog = |algo: &dyn Scheduler, load: f64, policy: ServicePolicy| {
+        let cfg = ChurnConfig {
+            slots,
+            link_arrival_rate: 0.0,
+            mean_lifetime: f64::INFINITY,
+            packet_prob: load,
+            seed: 5,
+        };
+        ChurnEngine::new(p.clone(), geometry, cfg)
+            .run(algo, policy)
+            .mean_backlog
+    };
     for algo in &algos {
         print!("{:<12}", algo.name());
         for &load in &loads {
-            let r = simulate_queueing_with_policy(
-                &p,
-                algo.as_ref(),
-                &QueueConfig {
-                    arrival_prob: load,
-                    slots,
-                    seed: 5,
-                },
-                ServicePolicy::PlainRates,
-            );
-            print!(" {:>12.1}", r.mean_backlog);
+            let backlog = mean_backlog(algo.as_ref(), load, ServicePolicy::PlainRates);
+            print!(" {backlog:>12.1}");
         }
         println!();
     }
     // Backpressure variant of the strongest scheduler.
     print!("{:<12}", "Greedy+MaxW");
     for &load in &loads {
-        let r = simulate_queueing_with_policy(
-            &p,
-            &GreedyRate,
-            &QueueConfig {
-                arrival_prob: load,
-                slots,
-                seed: 5,
-            },
-            ServicePolicy::MaxWeight,
+        print!(
+            " {:>12.1}",
+            mean_backlog(&GreedyRate, load, ServicePolicy::MaxWeight)
         );
-        print!(" {:>12.1}", r.mean_backlog);
     }
     println!();
     println!();

@@ -1,10 +1,7 @@
 //! Programmatic bench runner behind `fading bench-report`.
 //!
-//! The vendored criterion is a stub without statistics or persistence,
-//! so the ledger does not scrape `target/criterion` — it re-exposes
-//! the same workloads the criterion suites (`benches/algorithms.rs`,
-//! `benches/substrate.rs`) drive as programmatic entry points, times
-//! them with a median-of-samples harness, and adds the probes the
+//! The ledger drives each workload as a programmatic entry point,
+//! times it with a median-of-samples harness, and adds the probes the
 //! ad-hoc gates used to hard-code: warm/fresh ratios and ctx churn
 //! (from `tests/engine_gate.rs`) and steady-state allocation counts
 //! (from `crates/core/tests/zero_alloc.rs`, via
@@ -221,9 +218,7 @@ pub fn fingerprint() -> MachineFingerprint {
     MachineFingerprint::current()
 }
 
-/// Fresh and warm scheduling benches on the paper workload — the
-/// programmatic twin of the criterion `schedule` / `ldp_schedule` /
-/// `rle_schedule` groups.
+/// Fresh and warm scheduling benches on the paper workload.
 fn schedule_benches(rec: &mut Recorder) {
     const PANEL: [&str; 3] = ["ldp", "rle", "greedy"];
     for &n in &FAMILY_SIZES {
@@ -266,14 +261,14 @@ fn schedule_benches(rec: &mut Recorder) {
     }
 }
 
-/// Substrate hot paths — the programmatic twin of the criterion
-/// `interference_build` / `interference_row_sum` /
-/// `residual_construction` / `queueing` groups (sizes trimmed to keep
-/// a full report under the CI wall guard).
+/// Substrate hot paths: interference build and row sums, the row-sum
+/// kernel, residual construction, one slot's channel realization and a
+/// short queueing run (sizes trimmed to keep a full report under the CI
+/// wall guard).
 fn substrate_benches(rec: &mut Recorder) {
     let params = fading_channel::ChannelParams::paper_defaults();
-    // Paper-density instance scaled to `n` links, as in the criterion
-    // substrate suite: side grows as √(n/300).
+    // Paper-density instance scaled to `n` links: side grows as
+    // √(n/300).
     let scaled = |n: usize| UniformGenerator {
         side: 500.0 * (n as f64 / 300.0).sqrt(),
         n,
@@ -405,18 +400,27 @@ fn substrate_benches(rec: &mut Recorder) {
     }
 
     if rec.wants("queueing/greedy/100x50") {
-        let problem = Problem::paper(UniformGenerator::paper(100).generate(8), 3.0);
+        let geometry = UniformGenerator::paper(100);
+        let problem = Problem::paper(geometry.generate(8), 3.0);
+        let cfg = fixed_population(0.05, 50, 1);
         rec.time("queueing/greedy/100x50", || {
-            black_box(fading_sim::simulate_queueing(
-                &problem,
-                &GreedyRate,
-                &fading_sim::QueueConfig {
-                    arrival_prob: 0.05,
-                    slots: 50,
-                    seed: 1,
-                },
-            ));
+            black_box(
+                fading_sim::ChurnEngine::new(problem.clone(), geometry, cfg)
+                    .run(&GreedyRate, fading_sim::ServicePolicy::PlainRates),
+            );
         });
+    }
+}
+
+/// The queueing model as an engine config: a fixed population (no link
+/// arrivals, lifetimes that never end) under Bernoulli packet arrivals.
+fn fixed_population(packet_prob: f64, slots: u64, seed: u64) -> fading_sim::ChurnConfig {
+    fading_sim::ChurnConfig {
+        slots,
+        link_arrival_rate: 0.0,
+        mean_lifetime: f64::INFINITY,
+        packet_prob,
+        seed,
     }
 }
 
@@ -702,10 +706,9 @@ fn mutate_batch_benches(rec: &mut Recorder) {
 
 /// Sustained-churn slot latency at n = 100 000 on the sparse substrate
 /// (α = 4, the large-N smoke geometry): the transactional mutate path
-/// — one `MutationBatch` committed per slot — plus the stamp-keyed
-/// backlog sub-problem cache are what keep a slot affordable at this
-/// scale; the per-slot restrict-from-scratch it replaced was `O(n)` in
-/// the full population every slot. Arrival rate 200 × mean lifetime
+/// — one `MutationBatch` committed per slot — is what keeps a slot
+/// affordable at this scale, while the per-slot restrict touches only
+/// the backlogged links. Arrival rate 200 × mean lifetime
 /// 500 holds the population at the 100 000 equilibrium, and the light
 /// packet load keeps the backlog (and so the scheduled sub-problem)
 /// stationary, so every timed step sees the same regime. The derived
@@ -901,39 +904,32 @@ fn smoke_large_n(rec: &mut Recorder) -> Result<(), String> {
     Ok(())
 }
 
-/// The restrict-based queueing loop at n = 2000 × 200 slots under
-/// MaxWeight (see `docs/residual.md`), with packet conservation.
+/// The queueing loop (the engine over a fixed population) at n = 2000
+/// × 200 slots under MaxWeight (see `docs/residual.md`), with packet
+/// conservation.
 fn smoke_queueing(rec: &mut Recorder) -> Result<(), String> {
     if !rec.wants("smoke.queueing.wall_s") {
         return Ok(());
     }
     let n = 2000usize;
+    let geometry = density_scaled(n);
     let problem = Problem::builder(
-        density_scaled(n).generate(20170715),
+        geometry.generate(20170715),
         fading_channel::ChannelParams::paper_defaults(),
     )
     .backend(BackendChoice::Dense)
     .build();
-    let cfg = fading_sim::QueueConfig {
-        arrival_prob: 0.2,
-        slots: 200,
-        seed: 3,
-    };
     let started = Instant::now();
-    let result = fading_sim::simulate_queueing_with_policy(
-        &problem,
-        &GreedyRate,
-        &cfg,
-        fading_sim::ServicePolicy::MaxWeight,
-    );
+    let result = fading_sim::ChurnEngine::new(problem, geometry, fixed_population(0.2, 200, 3))
+        .run(&GreedyRate, fading_sim::ServicePolicy::MaxWeight);
     let wall_s = started.elapsed().as_secs_f64();
-    if result.delivered == 0 {
+    if result.packets_delivered == 0 {
         return Err("queueing smoke: nothing delivered in 200 slots at n = 2000".into());
     }
-    if result.arrived != result.delivered + result.final_backlog {
+    if !result.conserves_packets() {
         return Err(format!(
             "queueing smoke: packet conservation violated ({} arrived, {} delivered, {} queued)",
-            result.arrived, result.delivered, result.final_backlog
+            result.packets_arrived, result.packets_delivered, result.final_backlog
         ));
     }
     rec.derived("smoke.queueing.wall_s", MetricKind::Seconds, wall_s);

@@ -46,8 +46,8 @@ pub enum MetricKind {
 
 /// One measured or derived metric.
 ///
-/// Timing benches use `group/bench/param` ids mirroring the criterion
-/// naming (`schedule/rle/1000`); derived probes use dotted metric ids
+/// Timing benches use `group/bench/param` ids
+/// (`schedule/rle/1000`); derived probes use dotted metric ids
 /// matching the `fading-obs` convention (`engine.rle.warm_ratio`).
 /// Gate thresholds in `bench-gates.toml` are keyed by these ids.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -1,6 +1,5 @@
 //! The engine's performance contract, asserted as a release-mode gate
-//! (the vendored criterion is a stub without statistics, so the gate
-//! times directly):
+//! that times directly:
 //!
 //! * steady-state `schedule_in` with a warm [`SchedCtx`] beats fresh
 //!   `schedule()` for RLE and LDP at n = 1000;

@@ -5,7 +5,7 @@
 //! candidate order, alive bitmaps, per-receiver debit ledgers, a
 //! spatial index over senders, grid cells and color buckets. Building
 //! those from scratch per call is pure overhead when the Monte-Carlo
-//! runner, queueing simulator, and multislot loop invoke the scheduler
+//! runner, online engine, and multislot loop invoke the scheduler
 //! thousands of times on near-identical instances. A [`SchedCtx`] owns
 //! all of it with buffer reuse: after one warm-up call at a given size,
 //! steady-state [`crate::Scheduler::schedule_in`] calls for RLE and LDP
@@ -86,8 +86,8 @@ pub struct SchedCtx {
     /// per *transaction*, not once per link — a whole
     /// [`crate::MutationBatch`] committed by [`crate::Problem::apply`]
     /// is a single bump — so a slot's worth of churn costs every
-    /// stamp-keyed memo (this one, `grid_stamp`, the engine's backlog
-    /// sub-problem cache) exactly one invalidation.
+    /// stamp-keyed memo (this one, `grid_stamp`, the engine's reused
+    /// backlog restriction) exactly one invalidation.
     order_stamp: u64,
     /// Sort keys that produced `order` — the memo witness (the
     /// fallback when the stamp misses, e.g. across clones or rebuilt

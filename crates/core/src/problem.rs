@@ -152,61 +152,6 @@ impl Problem {
         }
     }
 
-    /// Builds an instance with an explicit interference backend.
-    ///
-    /// # Panics
-    /// Panics if `epsilon` is outside `(0, 1)`.
-    #[deprecated(note = "use Problem::builder(links, params).epsilon(…).backend(…).build()")]
-    pub fn with_backend(
-        links: LinkSet,
-        params: ChannelParams,
-        epsilon: f64,
-        backend: BackendChoice,
-    ) -> Self {
-        Self::build(links, params, epsilon, None, backend)
-    }
-
-    /// Builds an instance with per-link transmit power scales
-    /// (`scale_i × P` for sender `i`) — the power-control extension.
-    /// Theorem 3.1 generalizes exactly, so every factor-based algorithm
-    /// and checker works unchanged on the generalized factors.
-    ///
-    /// # Panics
-    /// Panics on length mismatch, non-positive scales, or `epsilon`
-    /// outside `(0, 1)`.
-    #[deprecated(note = "use Problem::builder(links, params).epsilon(…).power_scales(…).build()")]
-    pub fn with_power_scales(
-        links: LinkSet,
-        params: ChannelParams,
-        epsilon: f64,
-        power_scales: Vec<f64>,
-    ) -> Self {
-        Self::build(
-            links,
-            params,
-            epsilon,
-            Some(power_scales),
-            BackendChoice::Dense,
-        )
-    }
-
-    /// Power scales and a backend choice together.
-    ///
-    /// # Panics
-    /// As `Problem::with_power_scales`.
-    #[deprecated(
-        note = "use Problem::builder(links, params).epsilon(…).power_scales(…).backend(…).build()"
-    )]
-    pub fn with_power_scales_and_backend(
-        links: LinkSet,
-        params: ChannelParams,
-        epsilon: f64,
-        power_scales: Vec<f64>,
-        backend: BackendChoice,
-    ) -> Self {
-        Self::build(links, params, epsilon, Some(power_scales), backend)
-    }
-
     fn build(
         links: LinkSet,
         params: ChannelParams,
@@ -280,21 +225,6 @@ impl Problem {
             position_index: None,
         };
         (sub, mapping)
-    }
-
-    /// A problem with the same links and interference state but new
-    /// per-link rates (e.g. MaxWeight queue-length weights).
-    /// Interference factors depend only on geometry and powers — never
-    /// on rates — so no interference state is recomputed or copied
-    /// beyond a clone.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or a non-positive/non-finite rate.
-    pub fn with_link_rates(&self, rates: &[f64]) -> Problem {
-        let mut out = self.clone();
-        out.links = self.links.with_rates(rates);
-        out.stamp = next_stamp();
-        out
     }
 
     /// Appends links to the live instance in place — the inverse of
@@ -408,12 +338,10 @@ impl Problem {
         Ok(receipt)
     }
 
-    /// Overwrites the per-link rates in place — the allocation-free
-    /// mutation counterpart of [`with_link_rates`](Self::with_link_rates)
-    /// for engines that reuse one sub-problem across slots (MaxWeight
-    /// refreshes queue-length weights every slot). Factors depend only
-    /// on geometry and powers, so no interference state is touched; the
-    /// stamp moves because content changed.
+    /// Overwrites the per-link rates in place, e.g. with MaxWeight
+    /// queue-length weights each slot. Factors depend only on geometry
+    /// and powers, so no interference state is touched; the stamp moves
+    /// because content changed.
     ///
     /// # Panics
     /// Panics on length mismatch or a non-positive/non-finite rate.
@@ -726,9 +654,7 @@ impl Problem {
 pub const PAPER_EPSILON: f64 = 0.01;
 
 /// Builder for [`Problem`] — the single construction path for every
-/// non-default option, replacing the retired `with_backend` /
-/// `with_power_scales` / `with_power_scales_and_backend` constructor
-/// matrix.
+/// non-default option.
 ///
 /// ```
 /// use fading_core::{BackendChoice, Problem};

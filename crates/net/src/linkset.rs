@@ -177,30 +177,9 @@ impl LinkSet {
         self.links.iter().map(|l| l.receiver).collect()
     }
 
-    /// The same links with new rates (id order). Geometry is untouched,
-    /// so validation reduces to the rate checks.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or a non-positive/non-finite rate.
-    pub fn with_rates(&self, rates: &[f64]) -> LinkSet {
-        assert_eq!(rates.len(), self.links.len(), "rate vector length mismatch");
-        let links = self
-            .links
-            .iter()
-            .zip(rates)
-            .map(|(l, &rate)| Link::new(l.id, l.sender, l.receiver, rate))
-            .collect();
-        Self {
-            region: self.region,
-            links,
-        }
-    }
-
-    /// Overwrites every rate in place (id order) — the allocation-free
-    /// counterpart of [`with_rates`](Self::with_rates) for loops that
-    /// refresh weights every slot (e.g. MaxWeight queue lengths over a
-    /// reused sub-problem). Geometry is untouched, so validation
-    /// reduces to the rate checks.
+    /// Overwrites every rate in place (id order), for loops that
+    /// refresh weights every slot (e.g. MaxWeight queue lengths).
+    /// Geometry is untouched, so validation reduces to the rate checks.
     ///
     /// # Panics
     /// Panics on length mismatch or a non-positive/non-finite rate.

@@ -1,23 +1,23 @@
-//! The online scheduling engine: a slot loop under link churn.
+//! The online scheduling engine: the per-slot loop of the queueing
+//! model, under optional link churn.
 //!
-//! The queueing simulator ([`crate::queueing`]) serves packets on a
-//! *fixed* link population; real networks see links join and leave
-//! ("millions of users joining and leaving", ROADMAP north star). A
-//! [`ChurnEngine`] runs that regime on a live, incrementally mutated
+//! A [`ChurnEngine`] runs the loop on a live, incrementally mutated
 //! [`Problem`]: Poisson link arrivals, exponential link lifetimes,
 //! Bernoulli packet arrivals on the live links, per-slot scheduling of
 //! the backlogged sub-instance under a [`ServicePolicy`], and Rayleigh
 //! channel realizations deciding delivery — all seeded and
-//! deterministic. Each slot's topology changes are one transaction: the
-//! engine queues departures and arrivals into a [`MutationBatch`] and
-//! commits it with a single [`Problem::apply`] (one envelope
-//! reconciliation, one spatial-index patch pass — never a rebuild),
-//! with a [`LinkIdMap`] keeping stable external handles across the
-//! dense renumbering. The backlog-active sub-instance is cached and
-//! patched incrementally across slots ([`SubCache`] internally) instead
-//! of being restricted from scratch. See `docs/online.md`.
+//! deterministic. A fixed population (the plain queueing model over a
+//! caller's instance) is the same engine with `link_arrival_rate: 0.0`
+//! and `mean_lifetime: f64::INFINITY`. Each slot's topology changes are
+//! one transaction: the engine queues departures and arrivals into a
+//! [`MutationBatch`] and commits it with a single [`Problem::apply`]
+//! (one envelope reconciliation, one spatial-index patch pass — never a
+//! rebuild), with a [`LinkIdMap`] keeping stable external handles
+//! across the dense renumbering. Each busy slot schedules
+//! [`Problem::restrict`] of the live problem to the backlog, reused
+//! only while neither the problem nor the backlog moved. See
+//! `docs/online.md`.
 
-use crate::queueing::ServicePolicy;
 use crate::slot::simulate_slot;
 use fading_core::{
     LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem, SchedCtx, Scheduler,
@@ -28,7 +28,7 @@ use fading_obs::{FlightConfig, FlightRecorder, Histogram, SlotRecord, SlotSeries
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -55,6 +55,18 @@ impl ChurnConfig {
     pub fn equilibrium_population(&self) -> f64 {
         self.link_arrival_rate * self.mean_lifetime
     }
+}
+
+/// How per-slot service decisions weigh the backlog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ServicePolicy {
+    /// Schedule the backlogged sub-instance with the links' own rates
+    /// (the paper's objective applied per slot).
+    PlainRates,
+    /// MaxWeight / backpressure: rate of each backlogged link is its
+    /// queue length, so the scheduler chases the longest queues — the
+    /// classic throughput-optimal policy of Tassiulas–Ephremides.
+    MaxWeight,
 }
 
 /// What one [`ChurnEngine::step`] did.
@@ -139,7 +151,9 @@ impl ChurnResult {
     }
 }
 
-/// Per-link engine state, keyed by the link's stable external handle.
+/// Per-link engine state, indexed by dense id: `Problem::apply`'s
+/// renumbering (descending `swap_remove`s, then appends) is mirrored on
+/// the `Vec`, as [`LinkIdMap`] mirrors it on the external handles.
 #[derive(Debug)]
 struct LinkState {
     /// FIFO of packet arrival slots.
@@ -323,8 +337,7 @@ impl ChurnTelemetry {
 
 /// Declarative telemetry selection for [`ChurnEngine::arm`]: choose a
 /// slot series, a flight recorder, both, or neither (bare phase
-/// attribution) and arm the whole bundle in one call. Replaces the
-/// `arm_series` / `arm_flight` / `arm_phases` trio.
+/// attribution) and arm the whole bundle in one call.
 ///
 /// ```ignore
 /// engine.arm(
@@ -364,35 +377,15 @@ impl TelemetryConfig {
     }
 }
 
-/// The cached backlog-active sub-problem, reused across slots.
-///
-/// `Problem::restrict` from scratch is `O(k·degree)` in the member
-/// count every slot; under churn the backlog set barely moves slot to
-/// slot, so the engine keeps the restricted sub-problem alive and
-/// patches it with a [`MutationBatch`] of exactly the links that
-/// entered or left the backlog (falling back to a full restrict when
-/// the diff exceeds half the membership). Soundness: a member link's
-/// geometry is immutable while it lives, engine external ids are never
-/// reused, and a restriction depends only on its members — so equality
-/// of the member-ext set means the cached sub-problem is still exact,
-/// regardless of what other links churned (the cache is stamp-keyed
-/// only to observe *whether* the main problem moved, not to rebuild).
+/// One slot's backlogged sub-problem: [`Problem::restrict`] of the
+/// live problem to the backlog, kept so the next slot can reuse it.
 #[derive(Debug)]
-struct SubCache {
-    /// The restricted sub-instance, patched in place.
+struct Restriction {
     sub: Problem,
-    /// Mirror of the sub's dense renumbering (sub-external ↔ sub-dense).
-    map: LinkIdMap,
-    /// Sub-external id → engine-external id.
-    main_of: HashMap<u64, u64>,
-    /// Engine-external id → sub-external id (the membership set).
-    sub_of: HashMap<u64, u64>,
-    /// Reusable per-slot patch transaction.
-    batch: MutationBatch,
-    /// Engine-external ids of the batch's queued adds, in slot order.
-    pending: Vec<u64>,
-    /// Main-problem stamp the cache was last synced against.
-    synced: u64,
+    /// `sub id → live dense id`; equal to the backlog it was cut from.
+    mapping: Vec<LinkId>,
+    /// The live problem's [`stamp`](Problem::stamp) when it was cut.
+    parent_stamp: u64,
 }
 
 /// A long-running scheduling engine over a live, churning instance.
@@ -405,7 +398,7 @@ struct SubCache {
 pub struct ChurnEngine {
     problem: Problem,
     map: LinkIdMap,
-    states: HashMap<u64, LinkState>,
+    states: Vec<LinkState>,
     geometry: UniformGenerator,
     cfg: ChurnConfig,
     /// Topology stream: arrival counts, positions, lifetimes.
@@ -417,12 +410,12 @@ pub struct ChurnEngine {
     slot: u64,
     // scratch buffers reused across slots
     batch: MutationBatch,
+    departing: Vec<LinkId>,
     arrival_departs: Vec<u64>,
     backlogged: Vec<LinkId>,
-    desired: HashSet<u64>,
     rates: Vec<f64>,
-    /// Cached backlog-active sub-problem (see [`SubCache`]).
-    sub: Option<SubCache>,
+    /// The last busy slot's restriction (see [`Restriction`]).
+    sub: Option<Restriction>,
     /// Live telemetry (slot series / flight recorder / phase
     /// attribution); `None` keeps the hot loop on the untimed path.
     telemetry: Option<Box<ChurnTelemetry>>,
@@ -460,16 +453,12 @@ impl ChurnEngine {
         let mut churn_rng = seeded_rng(split_seed(cfg.seed, 0));
         let packet_rng = seeded_rng(split_seed(cfg.seed, 1));
         let map = LinkIdMap::with_len(n0);
-        let mut states = HashMap::with_capacity(n0 * 2);
-        for ext in 0..n0 as u64 {
-            states.insert(
-                ext,
-                LinkState {
-                    queue: VecDeque::new(),
-                    departs_at: exponential_departure(0, cfg.mean_lifetime, &mut churn_rng),
-                },
-            );
-        }
+        let states = (0..n0)
+            .map(|_| LinkState {
+                queue: VecDeque::new(),
+                departs_at: exponential_departure(0, cfg.mean_lifetime, &mut churn_rng),
+            })
+            .collect();
         let mut ctx = SchedCtx::new();
         ctx.prepare(n0);
         Self {
@@ -483,9 +472,9 @@ impl ChurnEngine {
             ctx,
             slot: 0,
             batch: MutationBatch::new(),
+            departing: Vec::new(),
             arrival_departs: Vec::new(),
             backlogged: Vec::new(),
-            desired: HashSet::new(),
             rates: Vec::new(),
             sub: None,
             telemetry: None,
@@ -518,25 +507,6 @@ impl ChurnEngine {
                 postmortem: None,
             });
         }
-    }
-
-    /// Arms the slot-series recorder.
-    #[deprecated(note = "use `arm(TelemetryConfig::new().series(series))`")]
-    pub fn arm_series(&mut self, series: SlotSeries) {
-        self.arm(TelemetryConfig::new().series(series));
-    }
-
-    /// Arms the flight recorder.
-    #[deprecated(note = "use `arm(TelemetryConfig::new().flight(cfg, out_dir))`")]
-    pub fn arm_flight(&mut self, cfg: FlightConfig, out_dir: Option<PathBuf>) {
-        self.arm(TelemetryConfig::new().flight(cfg, out_dir));
-    }
-
-    /// Arms the timed path (phase attribution + histograms) without a
-    /// series or flight recorder — the minimal telemetry footprint.
-    #[deprecated(note = "use `arm(TelemetryConfig::new())`")]
-    pub fn arm_phases(&mut self) {
-        self.arm(TelemetryConfig::new());
     }
 
     /// The armed telemetry, if any.
@@ -598,14 +568,16 @@ impl ChurnEngine {
         // geometry sampled exactly like the seed generator's (sender
         // uniform in the region, length U[lo, hi], uniform direction).
         self.batch.clear();
+        self.departing.clear();
         self.arrival_departs.clear();
-        for dense in 0..self.map.len() as u32 {
-            let ext = self.map.external(LinkId(dense));
-            if self.states[&ext].departs_at <= t {
-                self.batch.remove(ext);
+        for (dense, state) in self.states.iter().enumerate() {
+            if state.departs_at <= t {
+                let dense = LinkId(dense as u32);
+                self.batch.remove(self.map.external(dense));
+                self.departing.push(dense);
             }
         }
-        let link_departures = self.batch.removes().len() as u32;
+        let link_departures = self.departing.len() as u32;
         let arrivals = poisson(self.cfg.link_arrival_rate, &mut self.churn_rng);
         for _ in 0..arrivals {
             let departs_at = exponential_departure(t, self.cfg.mean_lifetime, &mut self.churn_rng);
@@ -622,9 +594,9 @@ impl ChurnEngine {
         // adversarial seeds; resample exactly the rejected slot.
         if !self.batch.is_empty() {
             let mut tries = 0;
-            let receipt = loop {
+            loop {
                 match self.problem.apply(&self.batch, &mut self.map) {
-                    Ok(receipt) => break receipt,
+                    Ok(_) => break,
                     Err(MutationError::InvalidAdd { slot, .. }) => {
                         tries += 1;
                         assert!(tries < 100, "could not place an arriving link");
@@ -633,20 +605,17 @@ impl ChurnEngine {
                     }
                     Err(e) => unreachable!("engine removes only live externals: {e}"),
                 }
-            };
-            for ext in &receipt.removed {
-                let state = self.states.remove(ext).expect("state tracks map");
-                abandoned += state.queue.len() as u64;
             }
-            for (i, &ext) in receipt.added.iter().enumerate() {
-                self.states.insert(
-                    ext,
-                    LinkState {
-                        queue: VecDeque::new(),
-                        departs_at: self.arrival_departs[i],
-                    },
-                );
+            // `departing` is ascending, so reversed it is apply's order.
+            for dense in self.departing.iter().rev() {
+                abandoned += self.states.swap_remove(dense.index()).queue.len() as u64;
             }
+            self.states
+                .extend(self.arrival_departs.iter().map(|&departs_at| LinkState {
+                    queue: VecDeque::new(),
+                    departs_at,
+                }));
+            debug_assert_eq!(self.states.len(), self.map.len());
             if link_departures > 0 {
                 fading_obs::counter!("sim.churn.link_departures").add(link_departures as u64);
             }
@@ -658,24 +627,18 @@ impl ChurnEngine {
 
         // Packet arrivals on the live population, dense order.
         let mut packets_arrived = 0u32;
-        for dense in 0..self.map.len() as u32 {
+        for state in &mut self.states {
             if self.packet_rng.gen::<f64>() < self.cfg.packet_prob {
-                let ext = self.map.external(LinkId(dense));
-                self.states
-                    .get_mut(&ext)
-                    .expect("state tracks map")
-                    .queue
-                    .push_back(t);
+                state.queue.push_back(t);
                 packets_arrived += 1;
             }
         }
 
         // Schedule the backlogged sub-instance and realize the channel.
         self.backlogged.clear();
-        for dense in 0..self.map.len() as u32 {
-            let ext = self.map.external(LinkId(dense));
-            if !self.states[&ext].queue.is_empty() {
-                self.backlogged.push(LinkId(dense));
+        for (dense, state) in self.states.iter().enumerate() {
+            if !state.queue.is_empty() {
+                self.backlogged.push(LinkId(dense as u32));
             }
         }
         timer.lap(PH_ENVELOPE);
@@ -687,6 +650,11 @@ impl ChurnEngine {
         if !self.backlogged.is_empty() {
             if capture {
                 fading_obs::set_tracing(true);
+            }
+            // Bracket the scheduler's trace block (which uses residual
+            // ids) with the slot number, backlog, and parent-id links.
+            let tracing = fading_obs::tracing_enabled();
+            if tracing {
                 fading_obs::trace::publish(vec![TraceEvent::SlotStart {
                     slot: t,
                     backlog: backlogged_count,
@@ -694,50 +662,34 @@ impl ChurnEngine {
             }
             self.sync_sub(policy);
             timer.lap(PH_RESTRICT);
-            let cache = self.sub.as_ref().expect("sync_sub always leaves a cache");
-            let schedule = scheduler.schedule_in(&cache.sub, &mut self.ctx);
+            let r = self.sub.as_ref().expect("sync_sub fills the restriction");
+            let schedule = scheduler.schedule_in(&r.sub, &mut self.ctx);
             timer.lap(PH_SCHEDULE);
             scheduled = schedule.len() as u32;
             let mut channel_rng = seeded_rng(split_seed(self.cfg.seed, t + 2));
-            let outcome = simulate_slot(&cache.sub, &schedule, &mut channel_rng);
+            let outcome = simulate_slot(&r.sub, &schedule, &mut channel_rng);
             for sub_id in outcome.successes {
-                let ext = cache.main_of[&cache.map.external(sub_id)];
-                if self
-                    .states
-                    .get_mut(&ext)
-                    .expect("live")
-                    .queue
-                    .pop_front()
-                    .is_some()
-                {
+                let dense = r.mapping[sub_id.index()];
+                if self.states[dense.index()].queue.pop_front().is_some() {
                     delivered += 1;
                 }
             }
-            if capture {
+            if tracing {
                 fading_obs::trace::publish(vec![TraceEvent::SlotEnd {
                     slot: t,
-                    links: schedule
-                        .iter()
-                        .map(|id| {
-                            let ext = cache.main_of[&cache.map.external(id)];
-                            self.map.dense(ext).expect("scheduled links are live").0
-                        })
-                        .collect(),
+                    links: schedule.iter().map(|id| r.mapping[id.index()].0).collect(),
                 }]);
+            }
+            if capture {
                 trace_events = fading_obs::take_trace().events;
                 fading_obs::set_tracing(false);
-                sub_for_flight = Some(cache.sub.clone());
+                sub_for_flight = Some(r.sub.clone());
             }
             self.ctx.recycle(schedule);
             timer.lap(PH_SERVICE);
         }
 
-        let backlog: u64 = self
-            .map
-            .externals()
-            .iter()
-            .map(|ext| self.states[ext].queue.len() as u64)
-            .sum();
+        let backlog: u64 = self.states.iter().map(|s| s.queue.len() as u64).sum();
         timer.lap(PH_ENVELOPE);
         self.slot = t + 1;
         let out = ChurnSlot {
@@ -777,121 +729,39 @@ impl ChurnEngine {
         out
     }
 
-    /// Brings the cached backlog-active sub-problem in sync with
-    /// `self.backlogged`: patches it with exactly the links that
-    /// entered or left the backlog since last slot (one transactional
-    /// [`Problem::apply`] on the sub-instance), or restricts from
-    /// scratch when there is no cache yet or the membership diff
-    /// exceeds half the cached size. Afterwards the sub's rates carry
-    /// this slot's scheduling weights (queue lengths under MaxWeight,
-    /// the links' own rates otherwise), set in place.
+    /// Points `self.sub` at the restriction of the live problem to
+    /// `self.backlogged` and sets its rates to this slot's scheduling
+    /// weights (queue lengths under MaxWeight, the links' own rates
+    /// otherwise), in place. The previous restriction is reused when
+    /// neither the live problem (its stamp) nor the backlog moved since
+    /// it was cut — at deep overload every link stays backlogged.
     fn sync_sub(&mut self, policy: ServicePolicy) {
-        self.desired.clear();
-        for dense in &self.backlogged {
-            self.desired.insert(self.map.external(*dense));
-        }
-        // Diff the desired membership against the cache. Links whose
-        // geometry the cache copied are immutable while alive and
-        // external ids are never reused, so an unchanged member needs
-        // no work no matter how much the main problem churned around
-        // it; the diff IS the validity check. The main problem's stamp
-        // only classifies the outcome for telemetry: an empty diff at
-        // an unchanged stamp is a bit-identical reuse.
-        let rebuild = match self.sub.as_mut() {
-            None => true,
-            Some(cache) => {
-                cache.batch.clear();
-                cache.pending.clear();
-                for (ext, sub_ext) in &cache.sub_of {
-                    if !self.desired.contains(ext) {
-                        cache.batch.remove(*sub_ext);
-                    }
-                }
-                for dense in &self.backlogged {
-                    let ext = self.map.external(*dense);
-                    if !cache.sub_of.contains_key(&ext) {
-                        let link = self.problem.links().link(*dense);
-                        cache.batch.add(
-                            LinkSpec::new(link.sender, link.receiver)
-                                .with_rate(link.rate)
-                                .with_power_scale(self.problem.power_scale(*dense)),
-                        );
-                        cache.pending.push(ext);
-                    }
-                }
-                if 2 * cache.batch.len() > cache.map.len().max(1) {
-                    true
-                } else {
-                    if cache.batch.is_empty() {
-                        let tag = if cache.synced == self.problem.stamp() {
-                            "sim.churn.sub.reuses"
-                        } else {
-                            "sim.churn.sub.holds"
-                        };
-                        fading_obs::counter(tag).add(1);
-                    } else {
-                        let receipt = cache
-                            .sub
-                            .apply(&cache.batch, &mut cache.map)
-                            .expect("sub patches copy live links");
-                        for sub_ext in &receipt.removed {
-                            let ext = cache.main_of.remove(sub_ext).expect("membership mirrored");
-                            cache.sub_of.remove(&ext);
-                        }
-                        for (i, &sub_ext) in receipt.added.iter().enumerate() {
-                            cache.main_of.insert(sub_ext, cache.pending[i]);
-                            cache.sub_of.insert(cache.pending[i], sub_ext);
-                        }
-                        fading_obs::counter!("sim.churn.sub.patches").add(1);
-                    }
-                    cache.synced = self.problem.stamp();
-                    false
-                }
-            }
-        };
-        if rebuild {
+        let stamp = self.problem.stamp();
+        let reusable = self
+            .sub
+            .as_ref()
+            .is_some_and(|r| r.parent_stamp == stamp && r.mapping == self.backlogged);
+        if reusable {
+            fading_obs::counter!("sim.churn.sub.reuses").incr();
+        } else {
             let (sub, mapping) = self.problem.restrict(&self.backlogged);
-            let k = mapping.len();
-            let mut main_of = HashMap::with_capacity(2 * k);
-            let mut sub_of = HashMap::with_capacity(2 * k);
-            for (i, orig) in mapping.iter().enumerate() {
-                let ext = self.map.external(*orig);
-                main_of.insert(i as u64, ext);
-                sub_of.insert(ext, i as u64);
-            }
-            let batch = self
-                .sub
-                .take()
-                .map(|c| {
-                    let mut b = c.batch;
-                    b.clear();
-                    b
-                })
-                .unwrap_or_default();
-            self.sub = Some(SubCache {
+            self.sub = Some(Restriction {
                 sub,
-                map: LinkIdMap::with_len(k),
-                main_of,
-                sub_of,
-                batch,
-                pending: Vec::new(),
-                synced: self.problem.stamp(),
+                mapping,
+                parent_stamp: stamp,
             });
-            fading_obs::counter!("sim.churn.sub.rebuilds").add(1);
+            fading_obs::counter!("sim.churn.sub.rebuilds").incr();
         }
-        let cache = self.sub.as_mut().expect("cache just synced");
+        let r = self.sub.as_mut().expect("restriction just synced");
         self.rates.clear();
-        for dense in 0..cache.map.len() as u32 {
-            let ext = cache.main_of[&cache.map.external(LinkId(dense))];
-            self.rates.push(match policy {
-                ServicePolicy::MaxWeight => (self.states[&ext].queue.len() as f64).max(1e-9),
-                _ => {
-                    let main = self.map.dense(ext).expect("member is live");
-                    self.problem.links().link(main).rate
+        self.rates
+            .extend(r.mapping.iter().map(|&dense| match policy {
+                ServicePolicy::MaxWeight => {
+                    (self.states[dense.index()].queue.len() as f64).max(1e-9)
                 }
-            });
-        }
-        cache.sub.update_link_rates(&self.rates);
+                ServicePolicy::PlainRates => self.problem.rate(dense),
+            }));
+        r.sub.update_link_rates(&self.rates);
     }
 
     /// The telemetry tail of one slot: series, histograms, anomaly
@@ -1147,10 +1017,16 @@ fn poisson(lambda: f64, rng: &mut StdRng) -> u32 {
 
 /// First slot at which a link arriving at `t` is gone: an exponential
 /// lifetime with the given mean, floored at one full slot of life.
+/// Saturates at `u64::MAX` (never departs) for a lifetime past the
+/// clock's range, including every draw of an infinite mean (whose
+/// `u = 0` draw is `∞ · 0 = NaN`).
 fn exponential_departure(t: u64, mean: f64, rng: &mut StdRng) -> u64 {
     let u: f64 = rng.gen();
-    let life = -mean * (1.0 - u).ln();
-    t + 1 + life.floor() as u64
+    let life = (-mean * (1.0 - u).ln()).floor();
+    if life.is_nan() || life >= u64::MAX as f64 {
+        return u64::MAX;
+    }
+    (t + 1).saturating_add(life as u64)
 }
 
 #[cfg(test)]
@@ -1180,6 +1056,27 @@ mod tests {
 
     fn engine(c: ChurnConfig) -> ChurnEngine {
         engine_sized(40, c)
+    }
+
+    fn problem(n: usize, seed: u64) -> Problem {
+        Problem::paper(UniformGenerator::paper(n).generate(seed), 3.0)
+    }
+
+    /// The queueing model: a fixed population (no link arrivals, no
+    /// departures) under Bernoulli(`packet_prob`) packet arrivals.
+    fn fixed(problem: Problem, packet_prob: f64, slots: u64) -> ChurnEngine {
+        let geometry = UniformGenerator::paper(problem.len());
+        ChurnEngine::new(
+            problem,
+            geometry,
+            ChurnConfig {
+                slots,
+                link_arrival_rate: 0.0,
+                mean_lifetime: f64::INFINITY,
+                packet_prob,
+                seed: 42,
+            },
+        )
     }
 
     #[test]
@@ -1239,81 +1136,139 @@ mod tests {
     }
 
     #[test]
-    fn sub_cache_mirrors_the_backlogged_restriction() {
-        // The incrementally patched sub-problem must stay an exact
-        // restriction: same membership as this slot's backlog, each
-        // member's geometry identical to its live counterpart, and the
-        // whole sub bit-equivalent to a fresh build over its own links
-        // (rates included — MaxWeight rewrites them in place each
-        // slot, so the weights ride along into the rebuild).
-        let mut e = engine(cfg(150));
-        let mut patched_slots = 0;
-        for _ in 0..150 {
+    fn deep_overload_reuses_the_restriction() {
+        // Every link draws a packet every slot on a fixed population, so
+        // after the first busy slot neither the live problem nor the
+        // backlog moves and every later slot must reuse the restriction.
+        // The reused sub-problem must equal a fresh restrict of the same
+        // backlog, rates included (MaxWeight rewrites them in place).
+        let reuses = fading_obs::counter("sim.churn.sub.reuses");
+        let before = reuses.value();
+        let mut e = fixed(problem(40, 12), 1.0, 50);
+        for _ in 0..50 {
             e.step(&GreedyRate, ServicePolicy::MaxWeight);
-            if e.backlogged.is_empty() {
-                continue;
-            }
-            let cache = e.sub.as_ref().expect("backlog scheduled ⇒ cache");
-            patched_slots += 1;
-            assert_eq!(cache.sub.len(), e.backlogged.len());
-            assert_eq!(cache.map.len(), cache.sub.len());
-            assert_eq!(cache.main_of.len(), cache.sub.len());
-            let mut want: Vec<u64> = e.backlogged.iter().map(|d| e.map.external(*d)).collect();
-            let mut got: Vec<u64> = cache.sub_of.keys().copied().collect();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(want, got, "cache membership drifted from the backlog");
-            for dense in 0..cache.sub.len() as u32 {
-                let sub_link = cache.sub.links().link(LinkId(dense));
-                let ext = cache.main_of[&cache.map.external(LinkId(dense))];
-                let main_link = e.problem.links().link(e.map.dense(ext).expect("live"));
-                assert_eq!(sub_link.sender, main_link.sender);
-                assert_eq!(sub_link.receiver, main_link.receiver);
-            }
-            let p = &cache.sub;
-            let rebuilt = Problem::builder(
-                fading_net::LinkSet::new(*p.links().region(), p.links().links().to_vec()),
-                *p.params(),
-            )
-            .epsilon(p.epsilon())
-            .backend(p.backend_choice())
-            .build();
-            assert_eq!(p, &rebuilt, "patched sub-problem diverged from rebuild");
+            let r = e.sub.as_ref().expect("every slot is busy");
+            let (mut fresh, mapping) = e.problem.restrict(&e.backlogged);
+            assert_eq!(mapping, r.mapping);
+            fresh.update_link_rates(&e.rates);
+            assert_eq!(fresh, r.sub, "reused restriction diverged from a fresh one");
         }
-        assert!(patched_slots > 50, "backlog was almost always empty");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_arm_shims_still_arm() {
-        let mut e = engine(cfg(10));
-        e.arm_phases();
-        assert!(e.telemetry().is_some());
-        e.arm_series(SlotSeries::in_memory(fading_obs::SeriesConfig::default()));
-        e.arm_flight(FlightConfig::default(), None);
-        for _ in 0..10 {
-            e.step(&GreedyRate, ServicePolicy::MaxWeight);
-        }
-        let tel = e.take_telemetry().expect("armed");
-        assert!(tel.series().is_some());
-        assert_eq!(tel.series().unwrap().recorded(), 10);
-        assert_eq!(tel.health(), "ok");
+        assert!(
+            reuses.value() - before >= 40,
+            "expected ≥40 reused slots, got {}",
+            reuses.value() - before
+        );
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = engine(cfg(120)).run(&GreedyRate, ServicePolicy::MaxWeight);
-        let b = engine(cfg(120)).run(&GreedyRate, ServicePolicy::MaxWeight);
         // slots_per_sec is wall-clock; everything else must match.
-        assert_eq!(
-            (a.links_arrived, a.links_departed, a.packets_arrived),
-            (b.links_arrived, b.links_departed, b.packets_arrived)
+        let runs = || {
+            [engine(cfg(120)), fixed(problem(60, 5), 0.02, 200)].map(|mut e| {
+                let mut r = e.run(&GreedyRate, ServicePolicy::MaxWeight);
+                r.slots_per_sec = 0.0;
+                r
+            })
+        };
+        assert_eq!(runs(), runs());
+    }
+
+    #[test]
+    fn infinite_and_huge_lifetimes_never_depart() {
+        for mean_lifetime in [f64::INFINITY, 1e300] {
+            let mut e = engine_sized(
+                30,
+                ChurnConfig {
+                    slots: 60,
+                    link_arrival_rate: 1.0,
+                    mean_lifetime,
+                    packet_prob: 0.1,
+                    seed: 3,
+                },
+            );
+            let mut arrived = 0;
+            for _ in 0..60 {
+                let slot = e.step(&GreedyRate, ServicePolicy::PlainRates);
+                assert_eq!(slot.link_departures, 0, "mean lifetime {mean_lifetime}");
+                arrived += slot.link_arrivals as usize;
+            }
+            assert_eq!(e.population(), 30 + arrived);
+        }
+    }
+
+    #[test]
+    fn fixed_population_conserves_packets_under_both_policies() {
+        for (seed, p, policy) in [
+            (1, 0.05, ServicePolicy::PlainRates),
+            (7, 0.06, ServicePolicy::MaxWeight),
+        ] {
+            let r = fixed(problem(80, seed), p, 400).run(&GreedyRate, policy);
+            assert!(r.conserves_packets(), "{r:?}");
+            assert_eq!(
+                (r.links_arrived, r.links_departed, r.packets_abandoned),
+                (0, 0, 0)
+            );
+            assert_eq!(r.final_population, 80);
+        }
+    }
+
+    #[test]
+    fn light_load_stays_small() {
+        // 100 links × 0.001 arrivals/slot = 0.1 packets/slot offered;
+        // GreedyRate serves ~40/slot — queues must stay tiny. By
+        // Little's law a mean backlog under 0.5 is a mean delay under
+        // 5 slots.
+        let r = fixed(problem(100, 2), 0.001, 1500).run(&GreedyRate, ServicePolicy::PlainRates);
+        assert!(r.packets_arrived > 50, "sanity: some packets arrived");
+        assert!(
+            r.final_backlog <= 3,
+            "light load left {} packets queued",
+            r.final_backlog
         );
-        assert_eq!(
-            (a.packets_delivered, a.packets_abandoned, a.final_backlog),
-            (b.packets_delivered, b.packets_abandoned, b.final_backlog)
+        assert!(r.mean_backlog < 0.5, "mean backlog {}", r.mean_backlog);
+        assert!((r.delivered_per_slot() - r.packets_delivered as f64 / 1500.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn overload_grows_the_backlog() {
+        // 1 arrival/slot/link ≫ service capacity: backlog ≈ linear in t.
+        let r = fixed(problem(100, 3), 1.0, 300).run(&Rle::new(), ServicePolicy::PlainRates);
+        assert!(
+            r.final_backlog > r.packets_arrived / 2,
+            "overload should leave most packets queued ({} of {})",
+            r.final_backlog,
+            r.packets_arrived
         );
-        assert_eq!(a.final_population, b.final_population);
+        assert!(r.max_backlog >= r.final_backlog / 2);
+    }
+
+    #[test]
+    fn greedy_sustains_more_load_than_rle() {
+        let run =
+            |s: &dyn Scheduler| fixed(problem(100, 4), 0.08, 600).run(s, ServicePolicy::PlainRates);
+        let greedy = run(&GreedyRate);
+        let rle = run(&Rle::new());
+        assert!(
+            greedy.mean_backlog < rle.mean_backlog,
+            "greedy backlog {} vs RLE {}",
+            greedy.mean_backlog,
+            rle.mean_backlog
+        );
+    }
+
+    #[test]
+    fn maxweight_does_not_collapse_throughput() {
+        let run = |policy| fixed(problem(100, 8), 0.12, 800).run(&GreedyRate, policy);
+        let plain = run(ServicePolicy::PlainRates);
+        let mw = run(ServicePolicy::MaxWeight);
+        // Same arrivals either way (same seed stream).
+        assert_eq!(plain.packets_arrived, mw.packets_arrived);
+        assert!(
+            mw.packets_delivered as f64 >= 0.8 * plain.packets_delivered as f64,
+            "backpressure should not collapse throughput ({} vs {})",
+            mw.packets_delivered,
+            plain.packets_delivered
+        );
     }
 
     #[test]

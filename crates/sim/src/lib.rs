@@ -8,6 +8,8 @@
 //! * [`batch`] — pooled scheduling workspaces so sweep workers reuse
 //!   warm scratch arenas instead of allocating per instance;
 //! * [`slot`] — one channel realization of a schedule;
+//! * [`churn`] — the per-slot queueing loop over a live instance, with
+//!   optional link arrivals and departures;
 //! * [`monte_carlo`] — many independent realizations in parallel
 //!   (rayon), reduced into exact mergeable statistics;
 //! * [`config`] — the paper's experiment configuration (500×500 field,
@@ -21,7 +23,6 @@ pub mod churn;
 pub mod config;
 pub mod convergence;
 pub mod monte_carlo;
-pub mod queueing;
 pub mod results;
 pub mod robustness;
 pub mod runner;
@@ -30,14 +31,11 @@ pub mod slot;
 pub use batch::BatchRunner;
 pub use churn::{
     stability_frontier, ChurnConfig, ChurnEngine, ChurnResult, ChurnSlot, ChurnTelemetry,
-    TelemetryConfig,
+    ServicePolicy, TelemetryConfig,
 };
 pub use config::ExperimentConfig;
 pub use convergence::{convergence_trace, trials_for_ci, TracePoint};
 pub use monte_carlo::{simulate_many, MonteCarloStats};
-pub use queueing::{
-    simulate_queueing, simulate_queueing_with_policy, QueueConfig, QueueResult, ServicePolicy,
-};
 pub use results::{ResultRow, ResultTable};
 pub use robustness::{
     burstiness, drift_reliability, simulate_many_nakagami, simulate_many_shadowed, sinr_histogram,

@@ -1,6 +1,6 @@
 //! Regression: residual sub-problems must keep the parent's per-link
 //! power scales (and backend). Before `Problem::restrict`, the
-//! multi-slot loop and the queueing simulator rebuilt residual
+//! multi-slot loop and the queueing loop rebuilt residual
 //! instances with `Problem::new`, silently reverting a powered instance
 //! to uniform power — slots that are infeasible under the true powers
 //! looked feasible, and vice versa.
@@ -15,8 +15,8 @@ use fading_core::algo::GreedyRate;
 use fading_core::feasibility::is_feasible;
 use fading_core::{multislot, Problem, Schedule};
 use fading_geom::{Point2, Rect};
-use fading_net::{Link, LinkId, LinkSet};
-use fading_sim::queueing::{simulate_queueing_with_policy, QueueConfig, ServicePolicy};
+use fading_net::{Link, LinkId, LinkSet, UniformGenerator};
+use fading_sim::{ChurnConfig, ChurnEngine, ChurnResult, ServicePolicy};
 
 /// Two parallel length-5 links, 50 apart. Cross factors under uniform
 /// power are `ln(1 + (5/50.2…)³) ≈ 1e-3 < γ_ε`; with sender 0 at 1000×
@@ -86,6 +86,22 @@ fn multislot_respects_parent_power_scales() {
     assert_eq!(ms.total_links(), 2);
 }
 
+const SLOTS: u64 = 120;
+
+/// Queues on a fixed population: both links draw a packet every slot,
+/// and no link arrives or departs.
+fn queue(problem: Problem, policy: ServicePolicy) -> ChurnResult {
+    let cfg = ChurnConfig {
+        slots: SLOTS,
+        link_arrival_rate: 0.0,
+        mean_lifetime: f64::INFINITY,
+        packet_prob: 1.0,
+        seed: 9,
+    };
+    // The geometry only shapes arriving links, and none arrive.
+    ChurnEngine::new(problem, UniformGenerator::paper(2), cfg).run(&GreedyRate, policy)
+}
+
 /// Queueing on the same instance, both service policies: with the true
 /// powers at most one of the two links can be served per slot, and a
 /// noise-free singleton always succeeds, so deliveries are exactly one
@@ -93,20 +109,14 @@ fn multislot_respects_parent_power_scales() {
 /// slot) because the uniform-power sub-instance saw no conflict.
 #[test]
 fn queueing_respects_parent_power_scales() {
-    let cfg = QueueConfig {
-        arrival_prob: 1.0,
-        slots: 120,
-        seed: 9,
-    };
     for policy in [ServicePolicy::PlainRates, ServicePolicy::MaxWeight] {
-        let r = simulate_queueing_with_policy(&powered(), &GreedyRate, &cfg, policy);
-        assert_eq!(r.arrived, 2 * cfg.slots, "deterministic arrivals");
+        let r = queue(powered(), policy);
+        assert_eq!(r.packets_arrived, 2 * SLOTS, "deterministic arrivals");
         assert_eq!(
-            r.delivered, cfg.slots,
+            r.packets_delivered, SLOTS,
             "{policy:?}: exactly one conflicting link can deliver per slot"
         );
-        assert_eq!(r.slots, cfg.slots);
-        assert!((r.throughput() - 1.0).abs() < 1e-12);
+        assert!((r.delivered_per_slot() - 1.0).abs() < 1e-12);
     }
 }
 
@@ -115,12 +125,7 @@ fn queueing_respects_parent_power_scales() {
 /// from some other property of the geometry.
 #[test]
 fn uniform_twin_serves_both_links_every_slot() {
-    let cfg = QueueConfig {
-        arrival_prob: 1.0,
-        slots: 120,
-        seed: 9,
-    };
-    let r = simulate_queueing_with_policy(&uniform(), &GreedyRate, &cfg, ServicePolicy::PlainRates);
-    assert_eq!(r.delivered, 2 * cfg.slots);
+    let r = queue(uniform(), ServicePolicy::PlainRates);
+    assert_eq!(r.packets_delivered, 2 * SLOTS);
     assert_eq!(r.final_backlog, 0);
 }

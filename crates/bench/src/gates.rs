@@ -4,9 +4,8 @@
 //! One config file at the repo root declares every perf threshold the
 //! repo enforces — the per-metric relative noise bands for the
 //! `fading bench-report --check` trajectory diff *and* the absolute
-//! `[max]` ceilings / `[min]` floors the engine gate
-//! (`tests/engine_gate.rs`) and the release smokes
-//! (`bench-report --smoke`) assert — so a gate is a row in the
+//! `[max]` ceilings / `[min]` floors the engine probes and the release
+//! smokes (`bench-report --smoke`) assert — so a gate is a row in the
 //! ledger, not a constant buried in a test.
 //!
 //! The parser is a deliberate hand-rolled subset of TOML (the build is

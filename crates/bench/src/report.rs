@@ -1,11 +1,10 @@
 //! Programmatic bench runner behind `fading bench-report`.
 //!
 //! The ledger drives each workload as a programmatic entry point,
-//! times it with a median-of-samples harness, and adds the probes the
-//! ad-hoc gates used to hard-code: warm/fresh ratios and ctx churn
-//! (from `tests/engine_gate.rs`) and steady-state allocation counts
-//! (from `crates/core/tests/zero_alloc.rs`, via
-//! [`crate::alloc::CountingAlloc`] when the binary installs it).
+//! times it with a median-of-samples harness, and adds the engine
+//! contract probes: warm/fresh ratios and ctx churn, and steady-state
+//! allocation counts (the `crates/core/tests/zero_alloc.rs` contract,
+//! via [`crate::alloc::CountingAlloc`] when the binary installs it).
 //!
 //! `--quick` changes *sampling only* (fewer samples per bench, same
 //! per-sample batch budget), never the workload set, so quick and full
@@ -435,10 +434,11 @@ fn density_scaled(n: usize) -> UniformGenerator {
     }
 }
 
-/// The online-engine mutate benches: single-link `add_links` /
-/// `remove_links` cycles against the from-scratch rebuild they
-/// replace, at n = 10 000 on the sparse backend (α = 4, the large-N
-/// smoke config — the dense matrix at this size would be 800 MB).
+/// The online-engine mutate benches: single-link add / remove cycles
+/// (one-element `Problem::apply` batches) against the from-scratch
+/// rebuild they replace, at n = 10 000 on the sparse backend (α = 4,
+/// the large-N smoke config — the dense matrix at this size would be
+/// 800 MB).
 /// `mutate.vs_rebuild.ratio` is the headline contract, gated by a
 /// `[max]` ceiling of 0.1 in `bench-gates.toml`: a single-link patch
 /// must stay ≥ 10× cheaper than rebuilding. (The transactional batch
@@ -478,20 +478,26 @@ fn mutate_benches(rec: &mut Recorder) {
         let rounds = rec.samples * 40;
         let mut add_ns = Vec::with_capacity(rounds);
         let mut remove_ns = Vec::with_capacity(rounds);
-        for i in 0..4 {
-            // Warm-up cycles (first mutation on a fresh build also
-            // pays the one-time envelope reconcile).
-            let ids = problem.add_links(&[spec_at(i)]).expect("interior spec");
-            problem.remove_links(&ids);
-        }
-        for i in 0..rounds {
-            let spec = spec_at(i);
+        let mut map = LinkIdMap::with_len(problem.len());
+        let (mut add, mut remove) = (MutationBatch::new(), MutationBatch::new());
+        // Rounds 0..4 are warm-up cycles (the first mutation on a fresh
+        // build also pays the one-time envelope reconcile).
+        for i in 0..rounds + 4 {
+            add.clear();
+            add.add(spec_at(i));
             let start = Instant::now();
-            let ids = problem.add_links(&[spec]).expect("interior spec");
-            add_ns.push(start.elapsed().as_nanos() as f64);
+            let receipt = problem.apply(&add, &mut map).expect("interior spec");
+            let added_ns = start.elapsed().as_nanos() as f64;
+            remove.clear();
+            remove.remove(receipt.added[0]);
             let start = Instant::now();
-            problem.remove_links(&ids);
-            remove_ns.push(start.elapsed().as_nanos() as f64);
+            problem
+                .apply(&remove, &mut map)
+                .expect("just-added external");
+            if i >= 4 {
+                add_ns.push(added_ns);
+                remove_ns.push(start.elapsed().as_nanos() as f64);
+            }
         }
         rec.timed(&add_id, summarize(add_ns));
         rec.timed(&remove_id, summarize(remove_ns));
@@ -616,7 +622,7 @@ fn churn_benches(rec: &mut Recorder) {
 
 /// The transactional mutate contract at the churn scale: one
 /// `Problem::apply` of a 64-add `MutationBatch` versus the same 64
-/// links pushed one `add_links` call at a time, at n = 100 000 on the
+/// links pushed as 64 one-link batches, at n = 100 000 on the
 /// sparse substrate (α = 4, the sustained-churn geometry). At this n a
 /// single add is dominated by the per-commit `O(n)` terms — the
 /// envelope reconcile scan and the exactness sweep — while the
@@ -665,6 +671,7 @@ fn mutate_batch_benches(rec: &mut Recorder) {
     let rounds = rec.samples * 4;
     let mut batch_ns = Vec::with_capacity(rounds);
     let mut seq_ns = Vec::with_capacity(rounds);
+    let (mut one, mut undo) = (MutationBatch::new(), MutationBatch::new());
     for round in 0..=rounds {
         let mut batch = MutationBatch::new();
         for i in 0..K {
@@ -676,7 +683,7 @@ fn mutate_batch_benches(rec: &mut Recorder) {
         if round > 0 {
             batch_ns.push(elapsed);
         }
-        let mut undo = MutationBatch::new();
+        undo.clear();
         for &ext in &receipt.added {
             undo.remove(ext);
         }
@@ -684,16 +691,21 @@ fn mutate_batch_benches(rec: &mut Recorder) {
             .apply(&undo, &mut map)
             .expect("just-added externals");
 
-        let mut dense = Vec::with_capacity(K);
+        undo.clear();
         let start = Instant::now();
         for i in 0..K {
-            dense.extend(problem.add_links(&[spec_at(i)]).expect("interior spec"));
+            one.clear();
+            one.add(spec_at(i));
+            let receipt = problem.apply(&one, &mut map).expect("interior spec");
+            undo.remove(receipt.added[0]);
         }
         let elapsed = start.elapsed().as_nanos() as f64;
         if round > 0 {
             seq_ns.push(elapsed);
         }
-        problem.remove_links(&dense);
+        problem
+            .apply(&undo, &mut map)
+            .expect("just-added externals");
     }
     rec.timed(&batch_id, summarize(batch_ns));
     rec.timed(&seq_id, summarize(seq_ns));
@@ -750,9 +762,9 @@ fn churn_large_benches(rec: &mut Recorder) {
     }
 }
 
-/// The engine-contract probes the ad-hoc gates used to hard-code:
-/// warm/fresh ratio and ctx churn per scheduler (`engine_gate.rs`) and
-/// steady-state allocations per warm call (`zero_alloc.rs`). The
+/// The engine-contract probes: warm/fresh ratio and ctx churn per
+/// scheduler and steady-state allocations per warm call (the
+/// `zero_alloc.rs` contract), gated by `bench-gates.toml` `[max]`. The
 /// ratios divide this run's own `schedule*/…/1000` medians, so they
 /// are only emitted when those benches ran (filters can exclude them).
 fn engine_probes(rec: &mut Recorder) {

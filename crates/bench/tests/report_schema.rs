@@ -5,8 +5,11 @@
 //!   committed repo-root ledger entries;
 //! * the reader is forward compatible — a version-1 report with extra
 //!   unknown fields (written by a future, additive schema revision)
-//!   still deserializes.
+//!   still deserializes;
+//! * the repo-root `bench-gates.toml` declares every engine ceiling
+//!   `bench-report --check` enforces.
 
+use fading_bench::gates::GateConfig;
 use fading_bench::schema::{
     latest_report_path, BenchReport, MachineFingerprint, MetricKind, MetricRecord,
     BENCH_SCHEMA_VERSION,
@@ -114,4 +117,26 @@ fn fingerprint_is_stable_within_a_process() {
     assert_eq!(MachineFingerprint::current(), MachineFingerprint::current());
     let desc = MachineFingerprint::current().describe();
     assert!(desc.contains("cores"), "{desc}");
+}
+
+/// The gate file must declare every engine ceiling `bench-report
+/// --check` enforces on the `engine.*` probe rows — checked in debug
+/// too, so a renamed or missing ceiling fails the test suite instead of
+/// silently leaving the probe ungated.
+#[test]
+fn gate_config_declares_the_engine_ceilings() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-gates.toml");
+    let config = GateConfig::load(&path).expect("repo-root bench-gates.toml must parse");
+    for algo in ["rle", "ldp"] {
+        for probe in ["warm_ratio", "ctx_churn_frac"] {
+            let id = format!("engine.{algo}.{probe}");
+            let ceiling = config
+                .max_for(&id)
+                .unwrap_or_else(|| panic!("bench-gates.toml [max] is missing {id:?}"));
+            assert!(
+                ceiling > 0.0 && ceiling < 1.0,
+                "{id}: ceiling {ceiling} out of (0, 1)"
+            );
+        }
+    }
 }

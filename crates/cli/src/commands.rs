@@ -377,18 +377,42 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
     Ok(id.build(0))
 }
 
+/// The uniform deployment geometry `generate` and `churn` both take
+/// from `--side/--len-lo/--len-hi`, rejected with a message unless the
+/// side is finite and positive and `0 < len-lo <= len-hi` are finite —
+/// anything else panics in the generator or never finishes placing
+/// links.
+fn uniform_geometry(args: &Args, n: usize, rates: RateModel) -> Result<UniformGenerator, String> {
+    let side: f64 = args.get_or("side", 500.0)?;
+    let len_lo: f64 = args.get_or("len-lo", 5.0)?;
+    let len_hi: f64 = args.get_or("len-hi", 20.0)?;
+    if !(side.is_finite() && side > 0.0) {
+        return Err(format!("--side must be finite and > 0, got {side}"));
+    }
+    if !(len_lo > 0.0 && len_lo <= len_hi && len_hi.is_finite()) {
+        return Err(format!(
+            "--len-lo and --len-hi must be finite with 0 < len-lo <= len-hi, got {len_lo} and {len_hi}"
+        ));
+    }
+    Ok(UniformGenerator {
+        side,
+        n,
+        len_lo,
+        len_hi,
+        rates,
+    })
+}
+
 fn generate(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
     let n: usize = args.get_or("n", 0)?;
     if n == 0 {
         return Err("--n must be a positive link count".into());
     }
-    let gen = UniformGenerator {
-        side: args.get_or("side", 500.0)?,
-        n,
-        len_lo: args.get_or("len-lo", 5.0)?,
-        len_hi: args.get_or("len-hi", 20.0)?,
-        rates: RateModel::Fixed(args.get_or("rate", 1.0)?),
-    };
+    let rate: f64 = args.get_or("rate", 1.0)?;
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!("--rate must be finite and > 0, got {rate}"));
+    }
+    let gen = uniform_geometry(args, n, RateModel::Fixed(rate))?;
     let links = gen.generate(args.get_or("seed", 0)?);
     let path = args.require("out")?;
     io::save(&links, Path::new(path)).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -543,13 +567,7 @@ fn churn(
     if n == 0 {
         return Err("--n must be a positive seed population".into());
     }
-    let geometry = UniformGenerator {
-        side: args.get_or("side", 500.0)?,
-        n,
-        len_lo: args.get_or("len-lo", 5.0)?,
-        len_hi: args.get_or("len-hi", 20.0)?,
-        rates: RateModel::Fixed(1.0),
-    };
+    let geometry = uniform_geometry(args, n, RateModel::Fixed(1.0))?;
     let seed: u64 = args.get_or("seed", 0)?;
     let problem = build_problem(args, geometry.generate(seed))?;
     let scheduler = scheduler_by_name(args.get("algo").unwrap_or("greedy"))?;
@@ -882,6 +900,56 @@ mod tests {
         assert!(err.contains("mutually exclusive"), "{err}");
         let err = run_line("churn --frontier 0.1 --series-out s.jsonl").unwrap_err();
         assert!(err.contains("--frontier"), "{err}");
+        // Geometry the generator cannot honour is a message, not a
+        // panic or an endless placement loop.
+        for knobs in BAD_GEOMETRY {
+            let err = geometry_error(&format!("churn --n 5 --slots 2 {knobs}"));
+            assert!(
+                err.contains("--side") || err.contains("--len-lo"),
+                "{knobs}: {err}"
+            );
+        }
+        for knobs in ["--len-lo 0", "--side 0", "--len-lo 30 --len-hi 20"] {
+            assert!(run_line(&format!("churn --n 5 --slots 2 {knobs}")).is_err());
+        }
+    }
+
+    /// `--side/--len-lo/--len-hi` values the geometry helper rejects.
+    const BAD_GEOMETRY: [&str; 9] = [
+        "--len-lo 0",
+        "--len-lo -1",
+        "--side 0",
+        "--side nan",
+        "--side -5",
+        "--side inf",
+        "--len-hi inf",
+        "--len-lo nan",
+        "--len-lo 30 --len-hi 20",
+    ];
+
+    /// The geometry helper's verdict on a command line, called directly
+    /// so a regression fails here instead of hanging in the generator.
+    fn geometry_error(line: &str) -> String {
+        let args = parse(line.split_whitespace().map(String::from)).unwrap();
+        uniform_geometry(&args, 5, RateModel::Fixed(1.0)).unwrap_err()
+    }
+
+    #[test]
+    fn generate_rejects_bad_knobs() {
+        let inst = tmp("bad_knobs.json");
+        for knobs in BAD_GEOMETRY {
+            geometry_error(&format!("generate --n 5 --out {inst} {knobs}"));
+        }
+        for knobs in ["--len-lo 0", "--side nan", "--rate 0", "--rate inf"] {
+            let err = run_line(&format!("generate --n 5 --out {inst} {knobs}")).unwrap_err();
+            assert!(err.contains("must be"), "{knobs}: {err}");
+        }
+        assert!(uniform_geometry(
+            &parse(["generate".to_string()]).unwrap(),
+            5,
+            RateModel::Fixed(1.0)
+        )
+        .is_ok());
     }
 
     #[test]

@@ -260,39 +260,15 @@ impl InterferenceMatrix {
         (2 * n as u64 + (m - n) as u64) * (m - n) as u64
     }
 
-    /// Removes link `k` in place with `Vec::swap_remove` semantics: row
-    /// and column `n−1` move into slot `k`, matching
-    /// [`LinkSet::swap_remove`]'s renumbering. No factor is recomputed —
-    /// surviving entries are moved bit-for-bit, so the result equals a
-    /// fresh build over the mutated link set.
-    ///
-    /// # Panics
-    /// Panics if `k` is out of bounds.
-    pub fn swap_remove(&mut self, k: usize) {
-        let n = self.n;
-        assert!(k < n, "link index out of bounds");
-        let m = n - 1;
-        // Column n−1 → column k (row n−1's own entry lands on the new
-        // diagonal as the old zero diagonal entry).
-        for r in 0..n {
-            self.data[r * n + k] = self.data[r * n + m];
-        }
-        // Row n−1 → row k, columns already remapped.
-        self.data.copy_within(m * n..m * n + m, k * n);
-        // Compact to the narrower stride and drop the tail.
-        for r in 1..m {
-            self.data.copy_within(r * n..r * n + m, r * m);
-        }
-        self.data.truncate(m * m);
-        self.n = m;
-    }
-
-    /// Removes a strictly-descending batch of links, each with the same
-    /// `Vec::swap_remove` semantics as [`swap_remove`](Self::swap_remove)
-    /// — but every move is performed in the original stride with only
-    /// the logical size shrinking, and the matrix is compacted to the
-    /// final narrower stride **once**. A batch of `r` removals costs
-    /// one `O(n²)` compaction total instead of `r` of them.
+    /// Removes a strictly-descending batch of links in place, each with
+    /// `Vec::swap_remove` semantics: row and column `n−1` move into slot
+    /// `k`, matching [`LinkSet::swap_remove`]'s renumbering. No factor
+    /// is recomputed — surviving entries are moved bit-for-bit, so the
+    /// result equals a fresh build over the mutated link set. Every
+    /// move is performed in the original stride with only the logical
+    /// size shrinking, and the matrix is compacted to the final
+    /// narrower stride **once**: a batch of `r` removals costs one
+    /// `O(n²)` compaction total instead of `r` of them.
     ///
     /// # Panics
     /// Panics if `ids` is not strictly descending or out of bounds.
@@ -758,15 +734,15 @@ mod tests {
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let mut links = UniformGenerator::paper(40).generate(9);
         let mut m = InterferenceMatrix::build(&links, &channel);
-        // Interior, tail, and repeated removals.
-        for k in [7usize, 38, 0, 20] {
-            m.swap_remove(k);
-            links.swap_remove(LinkId(k as u32));
+        // Interior, tail, and repeated one-link removals.
+        for k in [7u32, 38, 0, 20] {
+            m.swap_remove_batch(&[LinkId(k)]);
+            links.swap_remove(LinkId(k));
             assert_eq!(m, InterferenceMatrix::build(&links, &channel), "k={k}");
         }
         // Drain to empty.
         while !m.is_empty() {
-            m.swap_remove(m.len() - 1);
+            m.swap_remove_batch(&[LinkId(m.len() as u32 - 1)]);
         }
         assert!(m.is_empty());
     }
@@ -776,11 +752,12 @@ mod tests {
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let links = UniformGenerator::paper(40).generate(9);
         let built = InterferenceMatrix::build(&links, &channel);
-        // Interior, tail, and head in one batch (descending).
+        // Interior, tail, and head in one batch (descending), against
+        // the same removals as a chain of one-link batches.
         let ids = [LinkId(38), LinkId(20), LinkId(7), LinkId(0)];
         let mut sequential = built.clone();
         for &id in &ids {
-            sequential.swap_remove(id.index());
+            sequential.swap_remove_batch(&[id]);
         }
         let mut batched = built.clone();
         batched.swap_remove_batch(&ids);

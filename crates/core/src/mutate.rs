@@ -1,18 +1,16 @@
 //! Incremental topology mutation support types (see `docs/online.md`).
 //!
-//! [`crate::Problem::add_links`] / [`crate::Problem::remove_links`]
-//! patch a live instance in place, but they renumber: dense `LinkId`s
-//! must stay contiguous (`0..n`), so removal uses `swap_remove`
-//! semantics and the tail link takes the vacated id. A long-running
-//! engine (the churn simulator, an external controller) needs handles
-//! that *survive* that renumbering — [`LinkIdMap`] provides them by
-//! mirroring every mutation the problem performs.
-//!
-//! [`MutationBatch`] is the transactional surface over both: typed
-//! adds ([`LinkSpec`]) plus removes by *external* id, validated
-//! atomically and committed by [`crate::Problem::apply`] with one
-//! envelope reconciliation and one spatial-index patch pass for the
-//! whole batch — the per-slot entry point of the churn engine.
+//! [`crate::Problem::apply`] is the one way to change a live instance:
+//! it commits a [`MutationBatch`] — typed adds ([`LinkSpec`]) plus
+//! removes by *external* id — validated atomically, with one envelope
+//! reconciliation and one spatial-index patch pass for the whole
+//! batch. It patches the instance in place, but it renumbers: dense
+//! `LinkId`s must stay contiguous (`0..n`), so removal uses
+//! `swap_remove` semantics and the tail link takes the vacated id. A
+//! long-running engine (the churn simulator, an external controller)
+//! needs handles that *survive* that renumbering — [`LinkIdMap`]
+//! provides them by mirroring every mutation the problem performs.
+//! A single-link change is a one-element batch.
 
 use fading_geom::Point2;
 use fading_net::{LinkId, ValidationError};
@@ -190,8 +188,8 @@ impl std::error::Error for MutationError {
 /// matrices are addressed by. The map stays consistent by *mirroring*
 /// the problem's mutations: call [`on_add`](Self::on_add) once per
 /// appended link and [`on_swap_remove`](Self::on_swap_remove) once per
-/// removed dense id, in the exact order the problem applied them
-/// ([`crate::Problem::remove_links`] returns that order).
+/// removed dense id, in the exact order the problem applied them —
+/// which [`crate::Problem::apply`] does itself.
 ///
 /// ```
 /// use fading_core::LinkIdMap;
@@ -233,8 +231,8 @@ impl LinkIdMap {
     }
 
     /// Registers one appended link (dense id = previous `len`) and
-    /// returns its external handle. Mirror of one
-    /// [`crate::Problem::add_links`] element, applied in spec order.
+    /// returns its external handle. Mirror of one added
+    /// [`crate::Problem::apply`] element, applied in spec order.
     pub fn on_add(&mut self) -> u64 {
         let ext = self.next_ext;
         self.next_ext += 1;
@@ -246,8 +244,8 @@ impl LinkIdMap {
 
     /// Registers the removal of dense id `dense` with swap-remove
     /// semantics (the tail link takes its id), returning the removed
-    /// link's external handle. Mirror of one
-    /// [`crate::Problem::remove_links`] step.
+    /// link's external handle. Mirror of one removal step of
+    /// [`crate::Problem::apply`] (descending dense id).
     ///
     /// # Panics
     /// Panics if `dense` is out of range.

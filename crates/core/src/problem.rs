@@ -5,7 +5,7 @@ use crate::mutate::{BatchReceipt, LinkIdMap, LinkSpec, MutationBatch, MutationEr
 use crate::sparse::{SparseConfig, SparseInterference};
 use fading_channel::{ChannelParams, DeterministicSinr, RayleighChannel};
 use fading_math::gamma_eps;
-use fading_net::{position_key, LinkId, LinkSet, ValidationError};
+use fading_net::{position_key, validate_link, LinkId, LinkSet, ValidationError};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,8 +101,6 @@ pub struct Problem {
     /// Content-snapshot identity: a process-globally unique value
     /// assigned at construction and replaced by every mutation — one
     /// stamp per committed transaction ([`apply`](Self::apply) /
-    /// [`add_links`](Self::add_links) /
-    /// [`remove_links`](Self::remove_links) /
     /// [`update_link_rates`](Self::update_link_rates)), not per link.
     /// Equal stamps imply bit-identical content (clones share their
     /// source's stamp), so [`crate::SchedCtx`] memoization can skip its
@@ -227,73 +225,32 @@ impl Problem {
         (sub, mapping)
     }
 
-    /// Appends links to the live instance in place — the inverse of
-    /// [`Problem::restrict`] and the online engine's arrival path (see
-    /// `docs/online.md`). New links take dense ids `n..n+k` in spec
-    /// order. The interference state is *patched*, not rebuilt: the
-    /// dense matrix is relaid in place and only the new rows/columns
-    /// are evaluated; the sparse CSR gets the new links' rows/columns
-    /// via spatial-hash gathers plus an envelope reconcile, with
-    /// certified cuts only ever re-derived by the build formula (so
-    /// truncation bounds stay true and verdicts never flip). The
-    /// mutated instance is bit-identical (`PartialEq`) to a from-scratch
-    /// build over the final link set (`tests/mutate_equivalence.rs`).
-    ///
-    /// On a validation error (duplicate position, bad rate, non-finite
-    /// coordinate, bad power scale) nothing is changed.
-    pub fn add_links(&mut self, specs: &[LinkSpec]) -> Result<Vec<LinkId>, ValidationError> {
-        let _span = fading_obs::span!("problem.mutate.add");
-        self.validate_adds(specs, &[]).map_err(|e| match e {
-            MutationError::InvalidAdd { source, .. } => source,
-            MutationError::UnknownExternal(_) => unreachable!("add_links removes nothing"),
-        })?;
-        let n0 = self.links.len();
-        self.commit_batch(&[], specs);
-        fading_obs::counter!("problem.mutate.add.calls").incr();
-        fading_obs::counter!("problem.mutate.add.links").add(specs.len() as u64);
-        Ok((n0..self.links.len()).map(|i| LinkId(i as u32)).collect())
-    }
-
-    /// Removes links from the live instance in place — the online
-    /// engine's departure path. Ids are processed in descending order
-    /// after deduplication (so earlier removals cannot renumber later
-    /// victims); each removal has `Vec::swap_remove` semantics — the
-    /// current tail link takes the vacated id. Returns the dense ids in
-    /// the order actually applied, so a [`crate::LinkIdMap`] can mirror
-    /// the renumbering step by step.
-    ///
-    /// The interference state is patched in place (dense: one batched
-    /// column/row gather; sparse: targeted row edits plus one deferred
-    /// envelope reconcile) and is bit-identical to a from-scratch build
-    /// over the surviving links.
-    ///
-    /// # Panics
-    /// Panics if any id is out of range.
-    pub fn remove_links(&mut self, ids: &[LinkId]) -> Vec<LinkId> {
-        let _span = fading_obs::span!("problem.mutate.remove");
-        let mut order: Vec<LinkId> = ids.to_vec();
-        order.sort_unstable_by(|a, b| b.cmp(a));
-        order.dedup();
-        assert!(
-            order.first().is_none_or(|id| id.index() < self.links.len()),
-            "remove_links: id out of range"
-        );
-        self.commit_batch(&order, &[]);
-        fading_obs::counter!("problem.mutate.remove.calls").incr();
-        fading_obs::counter!("problem.mutate.remove.links").add(order.len() as u64);
-        order
-    }
-
     /// Applies a whole [`MutationBatch`] transactionally — removals by
     /// external id, adds by [`LinkSpec`] — committing with **one**
     /// envelope reconciliation and **one** spatial-index patch pass for
-    /// the entire batch (the per-slot entry point of the churn engine;
-    /// cost model in `docs/online.md`). The map is kept in sync and the
-    /// receipt reports the external handles involved.
+    /// the entire batch. This is the only way to change a live
+    /// instance, and the online engine's per-slot arrival and
+    /// departure path (cost model in `docs/online.md`). The map is kept
+    /// in sync and the receipt reports the external handles involved.
     ///
-    /// Validation is atomic: on any error neither the problem nor the
-    /// map changes. An empty batch is a no-op and does not move the
-    /// [`stamp`](Self::stamp).
+    /// Removals are applied in descending dense id after deduplication
+    /// (so earlier removals cannot renumber later victims), each with
+    /// `Vec::swap_remove` semantics: the current tail link takes the
+    /// vacated id. New links then take dense ids `n..n+k` in spec
+    /// order. The interference state is *patched*, not rebuilt: the
+    /// dense matrix moves surviving entries bit-for-bit and evaluates
+    /// only the new rows/columns; the sparse CSR gets targeted row
+    /// edits, the new links' rows/columns via spatial-hash gathers, and
+    /// one envelope reconcile, with certified cuts only ever re-derived
+    /// by the build formula (so truncation bounds stay true and
+    /// verdicts never flip). The mutated instance is bit-identical
+    /// (`PartialEq`) to a from-scratch build over the final link set
+    /// (`tests/mutate_equivalence.rs`).
+    ///
+    /// Validation is atomic: on any error (unknown external id,
+    /// duplicate position, bad rate, non-finite coordinate, bad power
+    /// scale) neither the problem nor the map changes. An empty batch
+    /// is a no-op and does not move the [`stamp`](Self::stamp).
     ///
     /// # Panics
     /// Panics if `map` does not mirror this problem (length mismatch).
@@ -428,22 +385,7 @@ impl Problem {
         for (slot, spec) in specs.iter().enumerate() {
             let id = LinkId((base + slot) as u32);
             let invalid = |source| MutationError::InvalidAdd { slot, source };
-            if !(spec.sender.x.is_finite()
-                && spec.sender.y.is_finite()
-                && spec.receiver.x.is_finite()
-                && spec.receiver.y.is_finite())
-            {
-                return Err(invalid(E::NonFiniteCoordinate(id)));
-            }
-            if spec.sender.distance_sq(&spec.receiver) == 0.0 {
-                return Err(invalid(E::ZeroLengthLink(id)));
-            }
-            if !(spec.rate.is_finite() && spec.rate > 0.0) {
-                return Err(invalid(E::BadRate {
-                    id,
-                    rate: spec.rate,
-                }));
-            }
+            validate_link(id, spec.sender, spec.receiver, spec.rate).map_err(invalid)?;
             if !(spec.power_scale.is_finite() && spec.power_scale > 0.0) {
                 return Err(invalid(E::BadPowerScale {
                     id,
@@ -510,8 +452,7 @@ impl Problem {
                 index.receivers.insert(position_key(&spec.receiver));
             }
             self.links
-                .append_prechecked(spec.sender, spec.receiver, spec.rate)
-                .expect("specs are validated before commit");
+                .append_prechecked(spec.sender, spec.receiver, spec.rate);
         }
         if let Some(p) = &mut self.power_scales {
             p.extend(adds.iter().map(|s| s.power_scale));
@@ -524,10 +465,7 @@ impl Problem {
                     fading_obs::counter!("problem.mutate.dense_cells").add(cells);
                 }
             }
-            InterferenceBackend::Sparse(s) => {
-                s.apply_batch(removes, adds)
-                    .expect("specs are validated before commit");
-            }
+            InterferenceBackend::Sparse(s) => s.apply_batch(removes, adds),
         }
         self.stamp = next_stamp();
     }

@@ -38,7 +38,7 @@ use crate::mutate::LinkSpec;
 use fading_channel::RayleighChannel;
 use fading_geom::{Point2, SpatialHash};
 use fading_math::zeta;
-use fading_net::{LinkId, LinkSet, ValidationError};
+use fading_net::{LinkId, LinkSet};
 use rayon::prelude::*;
 
 /// Truncation policy for [`SparseInterference`].
@@ -114,7 +114,7 @@ pub struct SparseInterference {
     /// reserved extent of `row_cap[i]` slots. Extents never overlap;
     /// a fresh build packs them tight (`cap == len`), and in-place
     /// mutation grows rows by relocating full ones to the arena tail
-    /// (doubling their capacity) — see [`add_link`](Self::add_link).
+    /// (doubling their capacity) — see [`row_insert`](Self::row_insert).
     row_start: Vec<usize>,
     row_len: Vec<u32>,
     row_cap: Vec<u32>,
@@ -649,150 +649,18 @@ impl SparseInterference {
     /// same bits: `γ_th · (1/1) · x` left-associates to `γ_th · x`
     /// (the unscaled formula), and the truncation ratio
     /// `max_scale / p[j]` is `1/1 = 1`, the uniform default. Called by
-    /// `Problem::add_links` when the first non-uniform link arrives.
+    /// `Problem::apply` when the first non-uniform link arrives.
     pub(crate) fn materialize_powers(&mut self) {
         if self.powers.is_none() {
             self.powers = Some(vec![1.0; self.n]);
         }
     }
 
-    /// Checks a batch of specs against the store's power discipline:
-    /// every scale must be positive finite, and a non-unit scale needs
-    /// a materialized per-link profile to extend (callers convert a
-    /// uniform store first — see
-    /// [`materialize_powers`](Self::materialize_powers)). `base` is the
-    /// dense id the first spec would take, used for error reporting.
-    fn validate_specs(&self, specs: &[LinkSpec], base: usize) -> Result<(), ValidationError> {
-        for (slot, spec) in specs.iter().enumerate() {
-            if !(spec.power_scale.is_finite() && spec.power_scale > 0.0) {
-                return Err(ValidationError::BadPowerScale {
-                    id: LinkId((base + slot) as u32),
-                    scale: spec.power_scale,
-                });
-            }
-            if self.powers.is_none() && spec.power_scale != 1.0 {
-                return Err(ValidationError::PowerProfileMismatch {
-                    scale: spec.power_scale,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends a link in place: the new link takes index `len()`. Cost
-    /// model (`docs/online.md`): one `O(N)` envelope scan, one hash
-    /// query for the new receiver's in-neighborhood, one inverse hash
-    /// query for the new sender's row, plus `O(degree)` factor
-    /// evaluations — versus the full `O(N·k)` transcendental rebuild.
-    /// For several mutations at once,
-    /// [`apply_batch`](Self::apply_batch) amortizes the `O(N)` terms
-    /// over the whole batch.
-    ///
-    /// The spec's `power_scale` extends the store's profile when one is
-    /// active; on a uniform store a non-unit scale is rejected with
-    /// [`ValidationError::PowerProfileMismatch`].
-    pub fn add_link(&mut self, spec: &LinkSpec) -> Result<(), ValidationError> {
-        self.validate_specs(std::slice::from_ref(spec), self.n)?;
-        let (sender, receiver) = (spec.sender, spec.receiver);
-        let length = sender.distance(&receiver);
-        let t = self.n;
-        self.senders.push(sender);
-        self.receivers.push(receiver);
-        self.lengths.push(length);
-        if let Some(p) = &mut self.powers {
-            p.push(spec.power_scale);
-        }
-        self.n = t + 1;
-        // Reconcile existing radii against the grown envelope *before*
-        // wiring the new link, so its row/column are gathered under the
-        // final radii. The new sender is not yet in the hash, so any
-        // annulus edits touch only old pairs.
-        self.refresh_envelope();
-        let ratio = self.powers.as_ref().map_or(1.0, |p| self.max_scale / p[t]);
-        let (r, c) = truncation_for(&self.channel, length, ratio, self.tau, self.diameter);
-        self.radius.push(r);
-        self.cut.push(c);
-        self.max_radius = self.max_radius.max(r);
-        // Column t: old senders within the new receiver's radius. The
-        // new receiver id is the maximum, so each insert lands at its
-        // row's tail. The reusable scratch keeps the warm mutation path
-        // allocation-free.
-        let mut col = std::mem::take(&mut self.scratch);
-        col.clear();
-        self.sender_hash
-            .for_each_in_radius(&receiver, r, |i| col.push(i));
-        for i in col.drain(..) {
-            let f = pair_factor(
-                &self.channel,
-                &self.senders,
-                &self.receivers,
-                &self.lengths,
-                self.powers.as_deref(),
-                i as usize,
-                t,
-            );
-            self.row_insert(i as usize, t as u32, f);
-        }
-        // Row t: receivers whose radius ball covers the new sender —
-        // the inverse query, answered by the receiver hash at the
-        // conservative `max_radius` bound and filtered with the exact
-        // `d² ≤ r²` predicate (the same one the fresh build's hash
-        // gather applies), then sorted so the CSR row invariant holds.
-        col.clear();
-        self.receiver_hash
-            .for_each_in_radius(&sender, self.max_radius, |j| {
-                let ju = j as usize;
-                if sender.distance_sq(&self.receivers[ju]) <= self.radius[ju] * self.radius[ju] {
-                    col.push(j);
-                }
-            });
-        col.sort_unstable();
-        let lo = self.arena_receivers.len();
-        for j in col.drain(..) {
-            let f = pair_factor(
-                &self.channel,
-                &self.senders,
-                &self.receivers,
-                &self.lengths,
-                self.powers.as_deref(),
-                t,
-                j as usize,
-            );
-            self.arena_receivers.push(j);
-            self.arena_factors.push(f);
-        }
-        self.scratch = col;
-        self.row_start.push(lo);
-        let len = (self.arena_receivers.len() - lo) as u32;
-        self.row_len.push(len);
-        self.row_cap.push(len);
-        self.sender_hash.insert(sender);
-        self.receiver_hash.insert(receiver);
-        self.exact = self.cut.iter().all(|&c| c == 0.0);
-        self.maybe_compact();
-        Ok(())
-    }
-
-    /// Removes link `k` in place with `Vec::swap_remove` semantics (the
-    /// link at `len()−1` takes index `k`), mirroring
-    /// [`LinkSet::swap_remove`]. Touches only the rows that actually
-    /// store the removed receiver or the renumbered one — `O(k)` row
-    /// edits plus the `O(N)` envelope scan.
-    ///
-    /// # Panics
-    /// Panics if `k` is out of bounds.
-    pub fn swap_remove_link(&mut self, k: usize) {
-        self.remove_one(k);
-        // Bbox or max power scale may have shrunk; pull every radius
-        // back to the fresh-build formula.
-        self.refresh_envelope();
-        self.exact = self.cut.iter().all(|&c| c == 0.0);
-        self.maybe_compact();
-    }
-
-    /// The row/column edits of one swap-remove, with the envelope
-    /// reconcile, exactness flag, and compaction deferred to the
-    /// caller. Sound to chain: the membership invariant references the
+    /// The row/column edits of one swap-remove (the link at `len()−1`
+    /// takes index `k`, mirroring [`LinkSet::swap_remove`]), touching
+    /// only the rows that store the removed receiver or the renumbered
+    /// one. The envelope reconcile, exactness flag, and compaction are
+    /// deferred to [`apply_batch`](Self::apply_batch). Sound to chain: the membership invariant references the
     /// *current* `radius` array, which removal never changes for
     /// surviving receivers — only the final reconcile pulls the array
     /// back to the fresh-build formula.
@@ -851,33 +719,27 @@ impl SparseInterference {
     /// Applies a whole transaction — removals (dense ids, strictly
     /// descending) then appended links (taking ids `n..n+k` in spec
     /// order) — with **one** envelope reconciliation and **one**
-    /// compaction check for the entire batch.
+    /// compaction check for the entire batch. The one mutation routine
+    /// of the store; `Problem::apply` calls it after validating the
+    /// batch and materializing a power profile for any non-unit scale.
     ///
-    /// Equivalent to the matching sequence of
-    /// [`swap_remove_link`](Self::swap_remove_link) /
-    /// [`add_link`](Self::add_link) calls, and hence to a fresh build
-    /// over the final link set: every intermediate state still
-    /// satisfies the membership invariant *with respect to the current
-    /// `radius` array*, stored factors are pure per-pair values
-    /// independent of wiring order, and the final reconcile pulls the
-    /// array back to the fresh-build formula once. Each new link's row
-    /// and column are local hash queries (see
+    /// The result equals a fresh build over the final link set (and so
+    /// any other split of the same mutations into batches): every
+    /// intermediate state still satisfies the membership invariant
+    /// *with respect to the current `radius` array*, stored factors are
+    /// pure per-pair values independent of wiring order, and the final
+    /// reconcile pulls the array back to the fresh-build formula once.
+    /// Each new link's row and column are local hash queries (see
     /// [`wire_new_links`](Self::wire_new_links)), so a `k`-link batch
     /// costs `O(N + k·degree)` — the `O(N)` envelope scan paid once for
     /// the whole transaction, however the batch is spread over the
     /// region — instead of `k` separate `O(N)` passes.
     ///
-    /// On a validation error nothing changes.
-    ///
     /// # Panics
     /// Panics if `removes` is not strictly descending or out of range.
-    pub fn apply_batch(
-        &mut self,
-        removes: &[LinkId],
-        adds: &[LinkSpec],
-    ) -> Result<(), ValidationError> {
+    pub(crate) fn apply_batch(&mut self, removes: &[LinkId], adds: &[LinkSpec]) {
         if removes.is_empty() && adds.is_empty() {
-            return Ok(());
+            return;
         }
         assert!(
             removes.windows(2).all(|w| w[0] > w[1]),
@@ -886,7 +748,10 @@ impl SparseInterference {
         if let Some(&first) = removes.first() {
             assert!(first.index() < self.n, "link index out of bounds");
         }
-        self.validate_specs(adds, self.n - removes.len())?;
+        debug_assert!(
+            self.powers.is_some() || adds.iter().all(|s| s.power_scale == 1.0),
+            "a non-unit power scale needs a materialized profile"
+        );
         let _span = fading_obs::span!("core.sparse.apply_batch");
         for &id in removes {
             self.remove_one(id.index());
@@ -924,7 +789,6 @@ impl SparseInterference {
         }
         self.exact = self.cut.iter().all(|&c| c == 0.0);
         self.maybe_compact();
-        Ok(())
     }
 
     /// Wires rows and columns for links `n0..n`, whose geometry, radii,
@@ -1488,14 +1352,14 @@ mod tests {
             );
             for t in 60..90 {
                 let l = full.link(LinkId(t));
-                s.add_link(&LinkSpec::new(l.sender, l.receiver)).unwrap();
+                s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
                 if t % 9 == 0 || t == 89 {
                     assert_eq!(s, rebuild_of(&s), "rtol {rtol} after add {t}");
                 }
             }
             // Interleave removals (interior, tail, repeated) with adds.
-            for k in [3usize, 88, 0, 40, 40] {
-                s.swap_remove_link(k);
+            for k in [3u32, 88, 0, 40, 40] {
+                s.apply_batch(&[LinkId(k)], &[]);
                 assert_eq!(s, rebuild_of(&s), "rtol {rtol} after remove {k}");
             }
         }
@@ -1521,10 +1385,12 @@ mod tests {
         assert!(!InterferenceModel::is_exact(&s), "0.5·γ_ε must truncate");
         let extra = UniformGenerator::paper(80).generate(19);
         let l = extra.link(LinkId(75));
-        s.add_link(&LinkSpec::new(l.sender, l.receiver).with_power_scale(4.0))
-            .unwrap();
+        s.apply_batch(
+            &[],
+            &[LinkSpec::new(l.sender, l.receiver).with_power_scale(4.0)],
+        );
         assert_eq!(s, rebuild_of(&s), "after high-power add");
-        s.swap_remove_link(70);
+        s.apply_batch(&[LinkId(70)], &[]);
         assert_eq!(s, rebuild_of(&s), "after high-power remove");
     }
 
@@ -1544,7 +1410,7 @@ mod tests {
         let keep: Vec<LinkId> = (0..60).map(LinkId).collect();
         let mut sub = parent.restrict(&keep);
         let l = links.link(LinkId(72));
-        sub.add_link(&LinkSpec::new(l.sender, l.receiver)).unwrap();
+        sub.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
         assert_eq!(sub, rebuild_of(&sub));
     }
 
@@ -1555,12 +1421,12 @@ mod tests {
         let mut s =
             SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default());
         while !s.is_empty() {
-            s.swap_remove_link(s.len() / 2);
+            s.apply_batch(&[LinkId(s.len() as u32 / 2)], &[]);
         }
         assert!(s.is_empty());
         for i in 0..25 {
             let l = links.link(LinkId(i));
-            s.add_link(&LinkSpec::new(l.sender, l.receiver)).unwrap();
+            s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
         }
         assert_eq!(s, rebuild_of(&s));
         assert!(InterferenceModel::stored_factors(&s) > 0);
@@ -1569,9 +1435,10 @@ mod tests {
     #[test]
     fn batch_matches_sequential_and_fresh_build() {
         // apply_batch defers the envelope reconcile and compaction to
-        // commit time; the result must still be bit-identical to the
-        // per-mutation path (and hence the fresh build). k = 50 > 32
-        // also exercises the transient-hash row gather.
+        // the end of the batch; the result must still be bit-identical
+        // to a chain of one-mutation batches (and hence the fresh
+        // build). k = 50 > 32 also exercises the transient-hash row
+        // gather.
         for rtol in [SparseConfig::DEFAULT_TAIL_RTOL, 0.5] {
             let full = UniformGenerator::paper(90).generate(29);
             let channel = RayleighChannel::new(ChannelParams::paper_defaults());
@@ -1594,44 +1461,27 @@ mod tests {
                 .collect();
             let mut sequential = built.clone();
             for &k in &removes {
-                sequential.swap_remove_link(k.index());
+                sequential.apply_batch(&[k], &[]);
             }
             for spec in &specs {
-                sequential.add_link(spec).unwrap();
+                sequential.apply_batch(&[], std::slice::from_ref(spec));
             }
             let mut batched = built.clone();
-            batched.apply_batch(&removes, &specs).unwrap();
+            batched.apply_batch(&removes, &specs);
             assert_eq!(batched, sequential, "rtol {rtol}");
             assert_eq!(batched, rebuild_of(&batched), "rtol {rtol} vs fresh");
         }
     }
 
     #[test]
-    fn empty_batch_is_a_no_op_and_errors_leave_the_store_untouched() {
+    fn empty_batch_is_a_no_op() {
         let links = UniformGenerator::paper(30).generate(31);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let built =
             SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default());
         let mut s = built.clone();
-        s.apply_batch(&[], &[]).unwrap();
+        s.apply_batch(&[], &[]);
         assert_eq!(s, built, "empty batch must not touch the store");
-        // A non-unit power scale on a uniform store is a typed error,
-        // not a panic, and rejects the whole batch atomically.
-        let extra = UniformGenerator::paper(40).generate(32);
-        let l = extra.link(LinkId(35));
-        let bad = LinkSpec::new(l.sender, l.receiver).with_power_scale(2.0);
-        assert_eq!(
-            s.apply_batch(&[LinkId(3)], &[bad]),
-            Err(ValidationError::PowerProfileMismatch { scale: 2.0 })
-        );
-        assert!(matches!(
-            s.add_link(&LinkSpec::new(l.sender, l.receiver).with_power_scale(f64::NAN)),
-            Err(ValidationError::BadPowerScale {
-                id: LinkId(30),
-                scale,
-            }) if scale.is_nan()
-        ));
-        assert_eq!(s, built, "rejected batches must not touch the store");
     }
 
     #[test]
@@ -1686,7 +1536,7 @@ mod tests {
     fn empty_powers_do_not_poison_the_envelope() {
         // A zero-link store with an explicit (empty) power profile used
         // to set max_scale = f64::MIN via the fold identity; the first
-        // add_link then reconciled against garbage. Envelope values must
+        // add then reconciled against garbage. Envelope values must
         // match the uniform-power empty store exactly.
         assert_eq!(max_power_scale(Some(&[])), 1.0);
         assert_eq!(max_power_scale(None), 1.0);
@@ -1705,8 +1555,8 @@ mod tests {
         let links = UniformGenerator::paper(6).generate(23);
         for i in 0..6 {
             let l = links.link(LinkId(i));
-            s.add_link(&LinkSpec::new(l.sender, l.receiver).with_power_scale(1.0 + i as f64 * 0.5))
-                .unwrap();
+            let spec = LinkSpec::new(l.sender, l.receiver).with_power_scale(1.0 + i as f64 * 0.5);
+            s.apply_batch(&[], &[spec]);
         }
         assert_eq!(s, rebuild_of(&s));
     }

@@ -3,11 +3,12 @@
 //! be well-defined on both interference backends, for every registered
 //! scheduler. Regression tests for the empty-row panic family in the
 //! sparse CSR builder (`row_start.last().unwrap()` on n = 0 rows and
-//! the restrict/add_links paths).
+//! the restrict/apply paths).
 
 use fading_channel::ChannelParams;
-use fading_core::mutate::LinkSpec;
-use fading_core::{AlgoId, BackendChoice, Problem, SparseConfig};
+use fading_core::{
+    AlgoId, BackendChoice, LinkIdMap, LinkSpec, MutationBatch, Problem, SparseConfig,
+};
 use fading_geom::{Point2, Rect};
 use fading_net::{LinkId, LinkSet, TopologyGenerator, UniformGenerator};
 
@@ -16,6 +17,15 @@ fn empty_problem(backend: BackendChoice) -> Problem {
     Problem::builder(links, ChannelParams::paper_defaults())
         .backend(backend)
         .build()
+}
+
+/// A batch adding `specs`, in order.
+fn add_batch(specs: &[LinkSpec]) -> MutationBatch {
+    let mut batch = MutationBatch::new();
+    for &spec in specs {
+        batch.add(spec);
+    }
+    batch
 }
 
 fn backends() -> [BackendChoice; 2] {
@@ -52,10 +62,14 @@ fn restrict_to_nothing_yields_a_working_empty_problem() {
         }
         // The restricted-empty instance accepts arrivals again.
         let mut sub = sub;
-        let ids = sub
-            .add_links(&[LinkSpec::new(Point2::new(1.0, 1.0), Point2::new(2.0, 1.0))])
+        let mut map = LinkIdMap::new();
+        let receipt = sub
+            .apply(
+                &add_batch(&[LinkSpec::new(Point2::new(1.0, 1.0), Point2::new(2.0, 1.0))]),
+                &mut map,
+            )
             .unwrap();
-        assert_eq!(ids, vec![LinkId(0)]);
+        assert_eq!(map.dense(receipt.added[0]), Some(LinkId(0)));
         assert_eq!(sub.len(), 1);
     }
 }
@@ -70,7 +84,9 @@ fn growing_from_empty_matches_a_batch_build() {
             .iter()
             .map(|l| LinkSpec::new(l.sender, l.receiver))
             .collect();
-        grown.add_links(&specs).unwrap();
+        grown
+            .apply(&add_batch(&specs), &mut LinkIdMap::new())
+            .unwrap();
         let batch = Problem::builder(seeds, ChannelParams::paper_defaults())
             .backend(backend)
             .build();
@@ -94,15 +110,22 @@ fn removing_every_link_leaves_a_usable_instance() {
         let mut p = Problem::builder(links, ChannelParams::paper_defaults())
             .backend(backend)
             .build();
-        let all: Vec<LinkId> = p.links().ids().collect();
-        p.remove_links(&all);
+        let mut map = LinkIdMap::with_len(p.len());
+        let mut all = MutationBatch::new();
+        for &ext in map.externals() {
+            all.remove(ext);
+        }
+        p.apply(&all, &mut map).unwrap();
         assert_eq!(p.len(), 0);
         for algo in AlgoId::ALL {
             assert!(algo.build(1).schedule(&p).is_empty());
         }
         // And it accepts arrivals after hitting empty.
-        p.add_links(&[LinkSpec::new(Point2::new(3.0, 3.0), Point2::new(4.5, 3.0))])
-            .unwrap();
+        p.apply(
+            &add_batch(&[LinkSpec::new(Point2::new(3.0, 3.0), Point2::new(4.5, 3.0))]),
+            &mut map,
+        )
+        .unwrap();
         assert_eq!(p.len(), 1);
         let s = AlgoId::Rle.build(1).schedule(&p);
         assert_eq!(s.len(), 1);
@@ -122,7 +145,12 @@ fn removing_no_links_is_a_no_op_mutation() {
             .flat_map(|i| p.links().ids().map(move |j| (i, j)))
             .map(|(i, j)| p.factor(i, j).to_bits())
             .collect();
-        assert!(p.remove_links(&[]).is_empty());
+        let stamp = p.stamp();
+        let receipt = p
+            .apply(&MutationBatch::new(), &mut LinkIdMap::with_len(p.len()))
+            .unwrap();
+        assert!(receipt.removed.is_empty());
+        assert_eq!(p.stamp(), stamp);
         let after: Vec<u64> = p
             .links()
             .ids()

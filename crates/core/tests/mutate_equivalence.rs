@@ -1,9 +1,9 @@
 //! Mutation substrate equivalence (the online-engine contract, see
 //! `docs/online.md`).
 //!
-//! `Problem::add_links` / `Problem::remove_links` patch a live
-//! instance's interference state in place — dense matrix relayout,
-//! sparse CSR row edits plus an envelope reconcile. These properties
+//! `Problem::apply` patches a live instance's interference state in
+//! place — dense matrix relayout, sparse CSR row edits plus an
+//! envelope reconcile. These properties
 //! pin that a mutated instance is *indistinguishable* from a
 //! from-scratch build over the final link set: `PartialEq` (which
 //! compares every stored factor bit-for-bit), schedules from a warm
@@ -54,6 +54,22 @@ fn rebuild(p: &Problem) -> Problem {
     }
 }
 
+/// A batch adding one link.
+fn add_batch(spec: LinkSpec) -> MutationBatch {
+    let mut batch = MutationBatch::new();
+    batch.add(spec);
+    batch
+}
+
+/// A batch removing the given external ids.
+fn remove_batch(exts: &[u64]) -> MutationBatch {
+    let mut batch = MutationBatch::new();
+    for &ext in exts {
+        batch.remove(ext);
+    }
+    batch
+}
+
 /// One mutation op decoded from proptest payload: `(kind, x, y, w)`.
 /// kind 0/1 → add a link (sender from `(x, y)`, receiver nudged by a
 /// `w`-derived offset), kind 2 → remove a `w`-derived victim. Kind 1
@@ -62,12 +78,13 @@ fn rebuild(p: &Problem) -> Problem {
 /// without power control.
 type Op = (u8, f64, f64, f64);
 
-fn apply(problem: &mut Problem, op: Op, tag: usize) {
+fn apply_op(problem: &mut Problem, map: &mut LinkIdMap, op: Op, tag: usize) {
     let (kind, x, y, w) = op;
     match kind {
         2 if problem.len() > 1 => {
             let victim = LinkId((w.to_bits() % problem.len() as u64) as u32);
-            problem.remove_links(&[victim]);
+            let removal = remove_batch(&[map.external(victim)]);
+            problem.apply(&removal, map).expect("live victim");
         }
         2 => {} // never empty the instance
         _ => {
@@ -85,7 +102,7 @@ fn apply(problem: &mut Problem, op: Op, tag: usize) {
             };
             // Coincident positions are rejected with the instance
             // unchanged — a legal no-op for this property.
-            let _ = problem.add_links(&[spec]);
+            let _ = problem.apply(&add_batch(spec), map);
         }
     }
 }
@@ -117,6 +134,7 @@ proptest! {
             BackendChoice::Dense
         };
         let mut problem = initial(n, seed, ALPHAS[alpha_idx], backend, powered_bit == 1);
+        let mut map = LinkIdMap::with_len(n);
         let mut ctx = SchedCtx::new();
         let schedulers: [&dyn Scheduler; 3] = [&Rle::new(), &Ldp::new(), &GreedyRate];
         // Warm the ctx memos on the pre-mutation instance so stale
@@ -124,7 +142,7 @@ proptest! {
         schedulers[0].schedule_in(&problem, &mut ctx);
 
         for (tag, &op) in ops.iter().enumerate() {
-            apply(&mut problem, op, tag);
+            apply_op(&mut problem, &mut map, op, tag);
             let rebuilt = rebuild(&problem);
             prop_assert_eq!(&problem, &rebuilt, "state diverged after op {}", tag);
             // Rotate one scheduler per op (all three at the end).
@@ -167,9 +185,11 @@ proptest! {
         let mut sparse = Problem::builder(links, params)
             .backend(BackendChoice::Sparse(SparseConfig { tail_rtol: TAIL_RTOLS[rtol_idx] }))
             .build();
+        let mut dense_map = LinkIdMap::with_len(n);
+        let mut sparse_map = LinkIdMap::with_len(n);
         for (tag, &op) in ops.iter().enumerate() {
-            apply(&mut dense, op, tag);
-            apply(&mut sparse, op, tag);
+            apply_op(&mut dense, &mut dense_map, op, tag);
+            apply_op(&mut sparse, &mut sparse_map, op, tag);
             prop_assert_eq!(dense.links(), sparse.links());
             // Every pairwise factor is exact under both backends.
             for a in dense.links().ids() {
@@ -195,7 +215,8 @@ proptest! {
     /// The transactional path: a whole `MutationBatch` committed by
     /// `Problem::apply` (one envelope reconciliation, one spatial-index
     /// patch pass) lands bit-identically on the same state as applying
-    /// the same mutations one call at a time — and both equal a
+    /// the same mutations as a chain of one-element batches — and both
+    /// equal a
     /// from-scratch build. Batches mix adds (uniform and powered),
     /// removals by external id, duplicate removals, and empty batches,
     /// across both backends and both truncation policies.
@@ -271,16 +292,13 @@ proptest! {
                 prop_assert_ne!(batched.stamp(), stamp_before, "commit must move the stamp");
             }
             // Sequential mirror: the same removals in the order the
-            // batch applied them, one call each, then adds one by one.
+            // batch applied them, one batch each, then adds one by one.
             for &ext in &receipt.removed {
-                let dense = seq_map.dense(ext).expect("live on the sequential side");
-                for id in seq.remove_links(&[dense]) {
-                    seq_map.on_swap_remove(id);
-                }
+                seq.apply(&remove_batch(&[ext]), &mut seq_map)
+                    .expect("live on the sequential side");
             }
-            for spec in batch.adds() {
-                seq.add_links(std::slice::from_ref(spec)).unwrap();
-                seq_map.on_add();
+            for &spec in batch.adds() {
+                seq.apply(&add_batch(spec), &mut seq_map).unwrap();
             }
             prop_assert_eq!(&batched, &seq, "batch != sequential");
             prop_assert_eq!(&bat_map, &seq_map, "maps diverged");
@@ -346,48 +364,71 @@ fn transactional_batch_contract() {
     ));
     assert_eq!(p, snapshot, "rejected batch must be a no-op");
 
-    // The former power-profile panic is now a typed error.
+    // A bad power scale is a typed error that leaves problem and map
+    // untouched.
+    let map_snapshot = map.clone();
+    let bad =
+        LinkSpec::new(Point2::new(9_000.0, 1.0), Point2::new(9_002.0, 1.0)).with_power_scale(-1.0);
     assert!(matches!(
-        p.add_links(&[
-            LinkSpec::new(Point2::new(9_000.0, 1.0), Point2::new(9_002.0, 1.0))
-                .with_power_scale(-1.0),
-        ]),
-        Err(ValidationError::BadPowerScale { .. })
+        p.apply(&add_batch(bad), &mut map),
+        Err(MutationError::InvalidAdd {
+            slot: 0,
+            source: ValidationError::BadPowerScale { .. },
+        })
     ));
     assert_eq!(p, snapshot);
+    assert_eq!(map, map_snapshot);
 }
 
-/// Batch semantics and error atomicity: ids come back in spec order,
-/// a mid-batch validation error leaves the instance untouched, and
-/// `remove_links` reports the descending order it applied.
+/// Batch semantics and error atomicity: new links take dense ids in
+/// spec order, a mid-batch validation error leaves the instance
+/// untouched, and duplicate removals collapse and apply in descending
+/// dense order.
 #[test]
 fn batch_api_contract() {
     let mut p = Problem::paper(UniformGenerator::paper(6).generate(9), 3.0);
+    let mut map = LinkIdMap::with_len(6);
     let before = p.clone();
     let stamp_before = p.stamp();
 
-    let specs = [
-        LinkSpec::new(Point2::new(10.0, 10.0), Point2::new(12.0, 10.0)),
-        LinkSpec::new(Point2::new(20.0, 10.0), Point2::new(22.0, 10.0)).with_rate(2.0),
-    ];
-    let ids = p.add_links(&specs).unwrap();
-    assert_eq!(ids, vec![LinkId(6), LinkId(7)]);
+    let mut batch = MutationBatch::new();
+    batch
+        .add(LinkSpec::new(
+            Point2::new(10.0, 10.0),
+            Point2::new(12.0, 10.0),
+        ))
+        .add(LinkSpec::new(Point2::new(20.0, 10.0), Point2::new(22.0, 10.0)).with_rate(2.0));
+    let receipt = p.apply(&batch, &mut map).unwrap();
+    assert_eq!(receipt.added, vec![6, 7]);
+    assert_eq!(map.dense(6), Some(LinkId(6)));
+    assert_eq!(map.dense(7), Some(LinkId(7)));
     assert_eq!(p.len(), 8);
     assert_ne!(p.stamp(), stamp_before, "mutation must move the stamp");
     assert_eq!(p.rate(LinkId(7)), 2.0);
 
     // Second spec duplicates the first's sender: nothing is applied.
-    let bad = [
-        LinkSpec::new(Point2::new(30.0, 10.0), Point2::new(32.0, 10.0)),
-        LinkSpec::new(Point2::new(30.0, 10.0), Point2::new(34.0, 10.0)),
-    ];
+    let mut bad = MutationBatch::new();
+    bad.add(LinkSpec::new(
+        Point2::new(30.0, 10.0),
+        Point2::new(32.0, 10.0),
+    ))
+    .add(LinkSpec::new(
+        Point2::new(30.0, 10.0),
+        Point2::new(34.0, 10.0),
+    ));
     let snapshot = p.clone();
-    assert!(p.add_links(&bad).is_err());
+    assert!(matches!(
+        p.apply(&bad, &mut map),
+        Err(MutationError::InvalidAdd {
+            slot: 1,
+            source: ValidationError::DuplicateSender(LinkId(8), LinkId(9)),
+        })
+    ));
     assert_eq!(p, snapshot, "failed batch must be a no-op");
 
-    // Duplicate ids are applied once, in descending order.
-    let order = p.remove_links(&[LinkId(7), LinkId(6), LinkId(7)]);
-    assert_eq!(order, vec![LinkId(7), LinkId(6)]);
+    // Duplicate ids are applied once, in descending dense order.
+    let receipt = p.apply(&remove_batch(&[6, 7, 6]), &mut map).unwrap();
+    assert_eq!(receipt.removed, vec![7, 6]);
     assert_eq!(p, before, "add then remove must round-trip");
 }
 
@@ -404,12 +445,16 @@ fn power_profile_materialization_is_exact() {
             .backend(backend)
             .build();
         let uniform = p.clone();
+        let mut map = LinkIdMap::with_len(12);
         assert!(p.power_scales().is_none());
-        let ids = p
-            .add_links(&[
-                LinkSpec::new(Point2::new(500.0, 500.0), Point2::new(503.0, 500.0))
-                    .with_power_scale(2.5),
-            ])
+        let receipt = p
+            .apply(
+                &add_batch(
+                    LinkSpec::new(Point2::new(500.0, 500.0), Point2::new(503.0, 500.0))
+                        .with_power_scale(2.5),
+                ),
+                &mut map,
+            )
             .unwrap();
         let scales = p.power_scales().expect("profile must materialize");
         assert_eq!(scales.len(), 13);
@@ -426,7 +471,7 @@ fn power_profile_materialization_is_exact() {
         }
         // And the whole state still equals a from-scratch powered build.
         assert_eq!(p, rebuild(&p));
-        p.remove_links(&ids);
+        p.apply(&remove_batch(&receipt.added), &mut map).unwrap();
         assert_eq!(
             p.power_scales(),
             Some(vec![1.0; 12].as_slice()),

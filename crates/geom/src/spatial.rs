@@ -28,6 +28,11 @@ pub(crate) const TILE_SIZE: usize = 16_384;
 /// tile scheduling, not one global switch.
 const GRID_PARALLEL_MIN: usize = 65_536;
 
+/// Widest cell span a [`SpatialHash::for_each_in_radius`] query walks
+/// as a `(2·span + 1)²` cell box — about 4·10⁹ cells, far past any
+/// radius a real instance asks for.
+const MAX_CELL_SPAN: i64 = 1 << 15;
+
 /// A static spatial hash over indexed points.
 ///
 /// Equality is structural (same cell size, buckets, and points) — used
@@ -208,12 +213,26 @@ impl SpatialHash {
     }
 
     /// Calls `f` for each point index within `radius` of `center`.
+    ///
+    /// A radius wider than [`MAX_CELL_SPAN`] cells (astronomical
+    /// coordinates, an infinite radius) scans the points in index order
+    /// instead of a cell box that would take hours or overflow the
+    /// cell keys; saturating key arithmetic keeps every box query
+    /// covering the cells it must.
     pub fn for_each_in_radius<F: FnMut(u32)>(&self, center: &Point2, radius: f64, mut f: F) {
         let r_sq = radius * radius;
         let span = (radius / self.cell).ceil() as i64;
+        if span > MAX_CELL_SPAN {
+            for (i, p) in self.points.iter().enumerate() {
+                if p.distance_sq(center) <= r_sq {
+                    f(i as u32);
+                }
+            }
+            return;
+        }
         let (ca, cb) = Self::key(center, self.cell);
-        for a in (ca - span)..=(ca + span) {
-            for b in (cb - span)..=(cb + span) {
+        for a in ca.saturating_sub(span)..=ca.saturating_add(span) {
+            for b in cb.saturating_sub(span)..=cb.saturating_add(span) {
                 if let Some(bucket) = self.buckets.get(&(a, b)) {
                     for &i in bucket {
                         if self.points[i as usize].distance_sq(center) <= r_sq {
@@ -555,6 +574,22 @@ mod tests {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn astronomical_radii_and_centers_neither_overflow_nor_hang() {
+        let mut pts = random_points(50, 5);
+        pts.push(Point2::new(-f64::MAX, 1e300));
+        let hash = SpatialHash::build(&pts, 2.0);
+        let all: Vec<u32> = (0..pts.len() as u32).collect();
+        assert_eq!(hash.query_radius(&Point2::origin(), f64::INFINITY), all);
+        // A near-saturated center key with a box-sized span.
+        let far = Point2::new(f64::MAX, f64::MAX);
+        assert!(hash.query_radius(&far, 10.0).is_empty());
+        let c = Point2::new(50.0, 50.0);
+        let mut wide = hash.query_radius(&c, 1e12);
+        wide.sort_unstable();
+        assert_eq!(wide, brute_force_radius(&pts, &c, 1e12));
     }
 
     /// Schedulers require the reusable grid to visit candidates in the

@@ -47,14 +47,6 @@ pub enum ValidationError {
         /// The scale it carried.
         scale: f64,
     },
-    /// A scaled-power link reached a store without a per-link power
-    /// profile: the store and the link must agree on whether power
-    /// control is active (callers materialize the profile first; see
-    /// `fading-core`'s `Problem::apply`).
-    PowerProfileMismatch {
-        /// The non-unit power scale that had no profile to extend.
-        scale: f64,
-    },
 }
 
 impl std::fmt::Display for ValidationError {
@@ -86,12 +78,6 @@ impl std::fmt::Display for ValidationError {
             }
             ValidationError::BadPowerScale { id, scale } => {
                 write!(f, "link {id} has invalid power scale {scale}")
-            }
-            ValidationError::PowerProfileMismatch { scale } => {
-                write!(
-                    f,
-                    "power scale {scale} reached a store without a power profile"
-                )
             }
         }
     }

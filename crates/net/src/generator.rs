@@ -104,8 +104,15 @@ impl UniformGenerator {
 
 impl TopologyGenerator for UniformGenerator {
     fn generate(&self, seed: u64) -> LinkSet {
+        // Non-finite or non-positive geometry would otherwise panic
+        // deep in sampling or never finish placing links.
         assert!(
-            self.len_lo > 0.0 && self.len_hi >= self.len_lo,
+            self.side.is_finite() && self.side > 0.0,
+            "region side must be finite and positive, got {}",
+            self.side
+        );
+        assert!(
+            self.len_lo > 0.0 && self.len_hi >= self.len_lo && self.len_hi.is_finite(),
             "invalid length range"
         );
         self.rates.validate();
@@ -467,6 +474,26 @@ mod tests {
             spacing: 10.0,
             link_length: 6.0,
             rates: RateModel::Fixed(1.0),
+        }
+        .generate(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "region side must be finite and positive")]
+    fn uniform_rejects_a_negative_side() {
+        UniformGenerator {
+            side: -5.0,
+            ..UniformGenerator::paper(5)
+        }
+        .generate(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid length range")]
+    fn uniform_rejects_an_infinite_length() {
+        UniformGenerator {
+            len_hi: f64::INFINITY,
+            ..UniformGenerator::paper(5)
         }
         .generate(0);
     }

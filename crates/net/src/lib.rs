@@ -26,7 +26,7 @@ pub use generator::{
     ClusteredGenerator, GridGenerator, LinearGenerator, PoissonGenerator, RateModel,
     TopologyGenerator, UniformGenerator,
 };
-pub use link::{Link, LinkId};
+pub use link::{validate_link, Link, LinkId};
 pub use linkset::{position_key, LinkSet};
 pub use mobility::RandomWaypoint;
 pub use stats::{instance_stats, InstanceStats};

@@ -1,5 +1,6 @@
 //! Transmission links.
 
+use crate::error::ValidationError;
 use fading_geom::Point2;
 use serde::{Deserialize, Serialize};
 
@@ -35,21 +36,43 @@ pub struct Link {
     pub rate: f64,
 }
 
+/// The per-link checks every way into a link set runs — [`Link::new`],
+/// [`crate::LinkSet::try_new`], and `fading-core`'s batch mutations:
+/// finite coordinates, nonzero length, and a finite positive rate, in
+/// that order. `id` only labels the error.
+pub fn validate_link(
+    id: LinkId,
+    sender: Point2,
+    receiver: Point2,
+    rate: f64,
+) -> Result<(), ValidationError> {
+    if !(sender.x.is_finite()
+        && sender.y.is_finite()
+        && receiver.x.is_finite()
+        && receiver.y.is_finite())
+    {
+        return Err(ValidationError::NonFiniteCoordinate(id));
+    }
+    if sender.distance_sq(&receiver) == 0.0 {
+        return Err(ValidationError::ZeroLengthLink(id));
+    }
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(ValidationError::BadRate { id, rate });
+    }
+    Ok(())
+}
+
 impl Link {
     /// Creates a link, validating geometry and rate.
     ///
     /// # Panics
-    /// Panics if sender and receiver coincide or the rate is not
-    /// finite and positive.
+    /// Panics if [`validate_link`] rejects it: a non-finite coordinate,
+    /// coinciding sender and receiver, or a rate that is not finite and
+    /// positive.
     pub fn new(id: LinkId, sender: Point2, receiver: Point2, rate: f64) -> Self {
-        assert!(
-            sender.distance_sq(&receiver) > 0.0,
-            "link {id} has zero length (sender == receiver)"
-        );
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "link {id} rate must be finite and positive, got {rate}"
-        );
+        if let Err(e) = validate_link(id, sender, receiver, rate) {
+            panic!("invalid link: {e}");
+        }
         Self {
             id,
             sender,
@@ -93,8 +116,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rate must be finite and positive")]
+    #[should_panic(expected = "invalid rate")]
     fn rejects_zero_rate() {
         Link::new(LinkId(0), Point2::origin(), Point2::new(1.0, 0.0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate")]
+    fn rejects_non_finite_coordinates() {
+        Link::new(LinkId(0), Point2::origin(), Point2::new(f64::NAN, 0.0), 1.0);
     }
 }

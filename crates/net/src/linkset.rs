@@ -1,6 +1,6 @@
 //! Sets of links — the scheduling instance.
 
-use crate::link::{Link, LinkId};
+use crate::link::{validate_link, Link, LinkId};
 use fading_geom::{Point2, Rect};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -64,24 +64,9 @@ impl LinkSet {
                     found: l.id,
                 });
             }
-            if !(l.sender.x.is_finite()
-                && l.sender.y.is_finite()
-                && l.receiver.x.is_finite()
-                && l.receiver.y.is_finite())
-            {
-                return Err(E::NonFiniteCoordinate(l.id));
-            }
             // Links deserialized from external files bypass Link::new's
             // checks; re-validate them here.
-            if l.sender.distance_sq(&l.receiver) == 0.0 {
-                return Err(E::ZeroLengthLink(l.id));
-            }
-            if !(l.rate.is_finite() && l.rate > 0.0) {
-                return Err(E::BadRate {
-                    id: l.id,
-                    rate: l.rate,
-                });
-            }
+            validate_link(l.id, l.sender, l.receiver, l.rate)?;
         }
         let mut senders: HashMap<(u64, u64), LinkId> = HashMap::with_capacity(links.len());
         let mut receivers: HashMap<(u64, u64), LinkId> = HashMap::with_capacity(links.len());
@@ -195,94 +180,23 @@ impl LinkSet {
         }
     }
 
-    /// Appends a link whose positions the caller has *already* checked
-    /// for uniqueness against every stored sender/receiver (e.g. via
-    /// the position index `fading-core`'s mutation batches maintain).
-    /// Runs the same scalar checks as [`append`](Self::append) —
-    /// capacity, finite coordinates, nonzero length, positive rate —
-    /// but skips the `O(N)` duplicate-position scan, so a `k`-link
-    /// batch costs `O(k)` instead of `O(kN)`.
+    /// Appends a link under id `len()`. A plain push: the caller has
+    /// *already* run [`validate_link`] and checked capacity and the
+    /// uniqueness of both positions against every stored
+    /// sender/receiver (e.g. via the position index `fading-core`'s
+    /// mutation batches maintain), so a `k`-link batch costs `O(k)`.
     ///
-    /// Appending a duplicate position through this method violates the
-    /// set's invariant (two links sharing a sender/receiver); it is the
-    /// caller's contract to prevent that.
-    pub fn append_prechecked(
-        &mut self,
-        sender: Point2,
-        receiver: Point2,
-        rate: f64,
-    ) -> Result<LinkId, crate::error::ValidationError> {
-        use crate::error::ValidationError as E;
-        if self.links.len() >= u32::MAX as usize {
-            return Err(E::CapacityExceeded {
-                requested: self.links.len() + 1,
-            });
-        }
+    /// Appending an invalid link through this method violates the set's
+    /// invariants; it is the caller's contract to prevent that.
+    pub fn append_prechecked(&mut self, sender: Point2, receiver: Point2, rate: f64) {
         let id = LinkId(self.links.len() as u32);
-        if !(sender.x.is_finite()
-            && sender.y.is_finite()
-            && receiver.x.is_finite()
-            && receiver.y.is_finite())
-        {
-            return Err(E::NonFiniteCoordinate(id));
-        }
-        if sender.distance_sq(&receiver) == 0.0 {
-            return Err(E::ZeroLengthLink(id));
-        }
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(E::BadRate { id, rate });
-        }
-        self.links.push(Link::new(id, sender, receiver, rate));
-        Ok(id)
-    }
-
-    /// Appends a link in place and returns its id (`len() - 1` after
-    /// the call). The caller supplies sender/receiver/rate; the id is
-    /// assigned here so the dense `id == index` invariant cannot be
-    /// violated. Runs the same per-link checks as [`try_new`]
-    /// (finite coordinates, nonzero length, positive rate) plus an
-    /// `O(N)` duplicate-position scan against existing links.
-    ///
-    /// Incremental counterpart of rebuilding via [`new`](Self::new)
-    /// over the extended link vector.
-    pub fn append(
-        &mut self,
-        sender: Point2,
-        receiver: Point2,
-        rate: f64,
-    ) -> Result<LinkId, crate::error::ValidationError> {
-        use crate::error::ValidationError as E;
-        // Appending at len == u32::MAX would wrap the new id to 0.
-        if self.links.len() >= u32::MAX as usize {
-            return Err(E::CapacityExceeded {
-                requested: self.links.len() + 1,
-            });
-        }
-        let id = LinkId(self.links.len() as u32);
-        if !(sender.x.is_finite()
-            && sender.y.is_finite()
-            && receiver.x.is_finite()
-            && receiver.y.is_finite())
-        {
-            return Err(E::NonFiniteCoordinate(id));
-        }
-        if sender.distance_sq(&receiver) == 0.0 {
-            return Err(E::ZeroLengthLink(id));
-        }
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(E::BadRate { id, rate });
-        }
-        let (ks, kr) = (position_key(&sender), position_key(&receiver));
-        for l in &self.links {
-            if position_key(&l.sender) == ks {
-                return Err(E::DuplicateSender(l.id, id));
-            }
-            if position_key(&l.receiver) == kr {
-                return Err(E::DuplicateReceiver(l.id, id));
-            }
-        }
-        self.links.push(Link::new(id, sender, receiver, rate));
-        Ok(id)
+        debug_assert!(validate_link(id, sender, receiver, rate).is_ok());
+        self.links.push(Link {
+            id,
+            sender,
+            receiver,
+            rate,
+        });
     }
 
     /// Removes link `id` in place with `Vec::swap_remove` semantics:
@@ -391,31 +305,6 @@ mod tests {
         assert_eq!(map, vec![LinkId(2), LinkId(0)]);
         assert_eq!(sub.link(LinkId(0)).sender, Point2::new(20.0, 0.0));
         assert_eq!(sub.link(LinkId(1)).sender, Point2::new(0.0, 0.0));
-    }
-
-    #[test]
-    fn append_validates_and_numbers() {
-        use crate::error::ValidationError;
-        let mut ls = mk(&[((0.0, 0.0), (1.0, 0.0)), ((10.0, 0.0), (11.0, 0.0))]);
-        let id = ls
-            .append(Point2::new(20.0, 0.0), Point2::new(21.0, 0.0), 2.0)
-            .unwrap();
-        assert_eq!(id, LinkId(2));
-        assert_eq!(ls.len(), 3);
-        assert_eq!(ls.link(id).rate, 2.0);
-        // Duplicate sender position is rejected, set unchanged.
-        assert_eq!(
-            ls.append(Point2::origin(), Point2::new(5.0, 5.0), 1.0),
-            Err(ValidationError::DuplicateSender(LinkId(0), LinkId(3)))
-        );
-        assert_eq!(ls.len(), 3);
-        assert!(matches!(
-            ls.append(Point2::new(7.0, 7.0), Point2::new(7.0, 7.0), 1.0),
-            Err(ValidationError::ZeroLengthLink(_))
-        ));
-        // The appended set is exactly what a batch build produces.
-        let rebuilt = LinkSet::new(*ls.region(), ls.links().to_vec());
-        assert_eq!(ls, rebuilt);
     }
 
     #[test]

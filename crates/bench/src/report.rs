@@ -18,6 +18,7 @@ use fading_core::{
 };
 use fading_geom::Point2;
 use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
+use rand::Rng;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -395,6 +396,29 @@ fn substrate_benches(rec: &mut Recorder) {
         let mut rng = fading_math::seeded_rng(3);
         rec.time("simulate_slot/rle/300", move || {
             black_box(fading_sim::simulate_slot(&problem, &schedule, &mut rng));
+        });
+    }
+
+    // The Monte-Carlo batch behind every figure cell: 1000 trials of
+    // the same RLE schedule, mean gains tabulated once per call.
+    if rec.wants("monte_carlo/rle/300x1000") {
+        let problem = Problem::paper(UniformGenerator::paper(300).generate(1), 3.0);
+        let schedule = Rle::new().schedule(&problem);
+        rec.time("monte_carlo/rle/300x1000", || {
+            black_box(fading_sim::simulate_many(&problem, &schedule, 1000, 5));
+        });
+    }
+
+    // The uniforms under every Rayleigh draw: one `StdRng` refill (four
+    // ChaCha12 blocks) covers 32 f64s, so 4096 draws take 128 refills.
+    if rec.wants("rng/stdrng/f64x4096") {
+        let mut rng = fading_math::seeded_rng(11);
+        rec.time("rng/stdrng/f64x4096", move || {
+            let mut acc = 0.0;
+            for _ in 0..4096 {
+                acc += rng.gen::<f64>();
+            }
+            black_box(acc);
         });
     }
 

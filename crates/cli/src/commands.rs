@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use fading_core::{BackendChoice, FeasibilityReport, Problem, Schedule, Scheduler};
-use fading_net::{instance_stats, io, RateModel, TopologyGenerator, UniformGenerator};
+use fading_net::{instance_stats, io, RateModel, UniformGenerator};
 use fading_sim::simulate_many;
 use std::path::Path;
 
@@ -413,7 +413,9 @@ fn generate(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
         return Err(format!("--rate must be finite and > 0, got {rate}"));
     }
     let gen = uniform_geometry(args, n, RateModel::Fixed(rate))?;
-    let links = gen.generate(args.get_or("seed", 0)?);
+    let links = gen
+        .try_generate(args.get_or("seed", 0)?)
+        .map_err(|e| e.to_string())?;
     let path = args.require("out")?;
     io::save(&links, Path::new(path)).map_err(|e| format!("cannot write {path}: {e}"))?;
     writeln!(out, "wrote {} links to {path}", links.len()).map_err(|e| e.to_string())
@@ -569,7 +571,8 @@ fn churn(
     }
     let geometry = uniform_geometry(args, n, RateModel::Fixed(1.0))?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let problem = build_problem(args, geometry.generate(seed))?;
+    let links = geometry.try_generate(seed).map_err(|e| e.to_string())?;
+    let problem = build_problem(args, links)?;
     let scheduler = scheduler_by_name(args.get("algo").unwrap_or("greedy"))?;
     let policy = match args.get("policy").unwrap_or("maxweight") {
         "maxweight" => fading_sim::ServicePolicy::MaxWeight,
@@ -950,6 +953,13 @@ mod tests {
             RateModel::Fixed(1.0)
         )
         .is_ok());
+        // A valid side too small to hold five distinct links is a
+        // message, not an endless placement loop.
+        for cmd in ["generate --n 5 --out {inst}", "churn --n 5 --slots 1"] {
+            let line = format!("{} --side 5e-324", cmd.replace("{inst}", &inst));
+            let err = run_line(&line).unwrap_err();
+            assert!(err.contains("cannot place 5 links"), "{line}: {err}");
+        }
     }
 
     #[test]

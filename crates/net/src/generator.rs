@@ -102,8 +102,46 @@ impl UniformGenerator {
     }
 }
 
-impl TopologyGenerator for UniformGenerator {
-    fn generate(&self, seed: u64) -> LinkSet {
+/// Consecutive rejected placements after which
+/// [`UniformGenerator::try_generate`] gives up. A duplicate position is
+/// measure-zero in any region with room for the links, so this only
+/// trips when the region holds fewer distinct positions than links
+/// (e.g. a subnormal `side`).
+pub const MAX_PLACEMENT_RETRIES: u32 = 1000;
+
+/// Why a generator could not place its links.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CrowdedRegion {
+    /// Links placed before giving up.
+    pub placed: usize,
+    /// Links requested.
+    pub n: usize,
+    /// The region side.
+    pub side: f64,
+}
+
+impl std::fmt::Display for CrowdedRegion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cannot place {} links with distinct senders and receivers in a {}×{} region: \
+             {MAX_PLACEMENT_RETRIES} placements in a row collided after {} links",
+            self.n, self.side, self.side, self.placed
+        )
+    }
+}
+
+impl std::error::Error for CrowdedRegion {}
+
+impl UniformGenerator {
+    /// [`TopologyGenerator::generate`], but a region too small to hold
+    /// `n` distinct senders and receivers is an error instead of an
+    /// endless placement loop.
+    ///
+    /// # Panics
+    /// Panics on a non-finite or non-positive side or an invalid length
+    /// or rate range.
+    pub fn try_generate(&self, seed: u64) -> Result<LinkSet, CrowdedRegion> {
         // Non-finite or non-positive geometry would otherwise panic
         // deep in sampling or never finish placing links.
         assert!(
@@ -124,6 +162,7 @@ impl TopologyGenerator for UniformGenerator {
         // draws 10⁵ links through this loop.
         let mut senders: HashSet<(u64, u64)> = HashSet::with_capacity(self.n);
         let mut receivers: HashSet<(u64, u64)> = HashSet::with_capacity(self.n);
+        let mut retries = 0;
         while links.len() < self.n {
             let s = Point2::new(rng.gen_range(0.0..self.side), rng.gen_range(0.0..self.side));
             let d = rng.gen_range(self.len_lo..=self.len_hi);
@@ -132,14 +171,32 @@ impl TopologyGenerator for UniformGenerator {
             // Enforce the model's uniqueness assumptions; duplicates are
             // measure-zero but a seed could hit one.
             if senders.contains(&position_key(&s)) || receivers.contains(&position_key(&r)) {
+                retries += 1;
+                if retries == MAX_PLACEMENT_RETRIES {
+                    return Err(CrowdedRegion {
+                        placed: links.len(),
+                        n: self.n,
+                        side: self.side,
+                    });
+                }
                 continue;
             }
+            retries = 0;
             let id = LinkId(links.len() as u32);
             links.push(Link::new(id, s, r, self.rates.sample(&mut rng, d)));
             senders.insert(position_key(&s));
             receivers.insert(position_key(&r));
         }
-        LinkSet::new(region, links)
+        Ok(LinkSet::new(region, links))
+    }
+}
+
+impl TopologyGenerator for UniformGenerator {
+    /// # Panics
+    /// Panics where [`UniformGenerator::try_generate`] does, and with
+    /// its message where it returns an error.
+    fn generate(&self, seed: u64) -> LinkSet {
+        self.try_generate(seed).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -486,6 +543,21 @@ mod tests {
             ..UniformGenerator::paper(5)
         }
         .generate(0);
+    }
+
+    #[test]
+    fn uniform_gives_up_on_a_region_with_too_few_positions() {
+        // A subnormal side admits only a handful of distinct senders.
+        let gen = UniformGenerator {
+            side: 5e-324,
+            ..UniformGenerator::paper(5)
+        };
+        let err = gen.try_generate(0).unwrap_err();
+        assert!(err.placed < 5 && err.n == 5, "{err:?}");
+        assert!(err.to_string().contains("cannot place 5 links"), "{err}");
+        // Room to spare: the bound never trips, and `generate` agrees.
+        let roomy = UniformGenerator::paper(200);
+        assert_eq!(roomy.try_generate(3).unwrap(), roomy.generate(3));
     }
 
     #[test]

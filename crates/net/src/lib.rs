@@ -23,8 +23,8 @@ pub mod stats;
 pub use diversity::{diversity_exponents, length_diversity};
 pub use error::ValidationError;
 pub use generator::{
-    ClusteredGenerator, GridGenerator, LinearGenerator, PoissonGenerator, RateModel,
-    TopologyGenerator, UniformGenerator,
+    ClusteredGenerator, CrowdedRegion, GridGenerator, LinearGenerator, PoissonGenerator, RateModel,
+    TopologyGenerator, UniformGenerator, MAX_PLACEMENT_RETRIES,
 };
 pub use link::{validate_link, Link, LinkId};
 pub use linkset::{position_key, LinkSet};

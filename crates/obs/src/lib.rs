@@ -68,8 +68,8 @@ pub use progress::{progress_enabled, set_progress, Progress};
 pub use span::{reset_spans, span_snapshot, Span, SpanNode};
 pub use timeseries::{SeriesConfig, SlotRecord, SlotSeries};
 pub use trace::{
-    set_trace_capacity, set_tracing, take_trace, tracing_enabled, ElimCause, Trace, TraceEvent,
-    TraceScope,
+    set_trace_capacity, set_tracing, take_trace, tracing_enabled, ElimCause, ThreadCapture, Trace,
+    TraceEvent, TraceScope,
 };
 
 /// Returns a `&'static Counter` for `$name`, resolving the registry

@@ -12,6 +12,10 @@
 //!   parallel invocations never interleave);
 //! * a global ring buffer collects blocks when tracing is enabled
 //!   ([`set_tracing`]) and is drained with [`take_trace`];
+//! * a [`ThreadCapture`] instead collects only the blocks its own
+//!   thread publishes, so a capture window (the churn engine's flight
+//!   recorder traces one slot at a time) never picks up a block that
+//!   another thread scheduled meanwhile;
 //! * a [`Trace`] round-trips losslessly through JSONL (`serde_json`
 //!   prints `f64` in shortest-round-trip form, so replayed ledgers are
 //!   bit-exact).
@@ -25,9 +29,11 @@
 //! see `docs/tracing.md` for the record schema and soundness argument.
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Why a link was removed from consideration.
@@ -128,6 +134,38 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
+/// Live [`ThreadCapture`]s across all threads: while it is zero, the
+/// disabled gate stays a single relaxed load. `Relaxed` suffices: it
+/// publishes no data, a thread always sees its own increments, and a
+/// stale count on another thread only makes it check its own, empty,
+/// capture slot.
+static THREAD_CAPTURES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's capture buffer while a [`ThreadCapture`] is open.
+    static CAPTURE: RefCell<Option<Vec<TraceEvent>>> = const { RefCell::new(None) };
+}
+
+/// Whether the calling thread has a [`ThreadCapture`] open.
+fn capturing() -> bool {
+    THREAD_CAPTURES.load(Ordering::Relaxed) > 0 && CAPTURE.with(|c| c.borrow().is_some())
+}
+
+/// Moves `block` into this thread's capture buffer, if one is open;
+/// otherwise hands it back for the global ring.
+fn capture_block<I: IntoIterator<Item = TraceEvent>>(block: I) -> Option<I> {
+    if THREAD_CAPTURES.load(Ordering::Relaxed) == 0 {
+        return Some(block);
+    }
+    CAPTURE.with(|c| match c.borrow_mut().as_mut() {
+        Some(buf) => {
+            buf.extend(block);
+            None
+        }
+        None => Some(block),
+    })
+}
+
 struct TraceBuf {
     events: VecDeque<TraceEvent>,
     dropped: u64,
@@ -151,9 +189,10 @@ pub fn set_tracing(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether trace collection is currently enabled.
+/// Whether trace collection is currently enabled for the calling
+/// thread: globally, or by a [`ThreadCapture`] the thread holds.
 pub fn tracing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) || capturing()
 }
 
 /// Caps the ring buffer at `capacity` records (oldest records are
@@ -170,10 +209,16 @@ pub fn set_trace_capacity(capacity: usize) {
 
 /// Appends one block of records atomically (no interleaving with other
 /// threads' blocks). No-op when the block is empty.
+///
+/// A block published by a thread holding a [`ThreadCapture`] goes to
+/// that capture instead of the ring.
 pub fn publish(block: Vec<TraceEvent>) {
     if block.is_empty() {
         return;
     }
+    let Some(block) = capture_block(block) else {
+        return;
+    };
     let mut b = buf().lock().unwrap();
     b.events.extend(block);
     while b.events.len() > b.capacity {
@@ -190,8 +235,11 @@ pub fn publish_from(block: &mut Vec<TraceEvent>) {
     if block.is_empty() {
         return;
     }
+    let Some(block) = capture_block(block.drain(..)) else {
+        return;
+    };
     let mut b = buf().lock().unwrap();
-    b.events.extend(block.drain(..));
+    b.events.extend(block);
     while b.events.len() > b.capacity {
         b.events.pop_front();
         b.dropped += 1;
@@ -201,7 +249,11 @@ pub fn publish_from(block: &mut Vec<TraceEvent>) {
 /// Whether the ring already holds `capacity` records. Once saturated,
 /// publishing only evicts older records and the trace is no longer
 /// replayable, so emitters may skip building blocks entirely.
+/// A thread capture never saturates.
 pub fn ring_saturated() -> bool {
+    if capturing() {
+        return false;
+    }
     let b = buf().lock().unwrap();
     b.events.len() >= b.capacity
 }
@@ -213,6 +265,56 @@ pub fn take_trace() -> Trace {
     Trace {
         events: b.events.drain(..).collect(),
         dropped: std::mem::take(&mut b.dropped),
+    }
+}
+
+/// Traces the calling thread, and only it, until [`finish`]: every
+/// block this thread publishes meanwhile lands in the capture instead
+/// of the global ring, and blocks other threads publish never do.
+/// Tracing is enabled for this thread while the capture is open, even
+/// if it is globally off.
+///
+/// [`finish`]: Self::finish
+pub struct ThreadCapture {
+    /// Tied to the thread whose buffer it owns.
+    _thread: PhantomData<*const ()>,
+}
+
+impl ThreadCapture {
+    /// Opens a capture on the calling thread.
+    ///
+    /// # Panics
+    /// Panics if the thread already holds one.
+    pub fn begin() -> Self {
+        CAPTURE.with(|c| {
+            let mut c = c.borrow_mut();
+            assert!(c.is_none(), "thread capture already open");
+            *c = Some(Vec::new());
+        });
+        THREAD_CAPTURES.fetch_add(1, Ordering::Relaxed);
+        Self {
+            _thread: PhantomData,
+        }
+    }
+
+    /// Closes the capture and returns its records. When global
+    /// tracing is on, they are also published to the ring, so a
+    /// process-wide trace stays complete.
+    pub fn finish(self) -> Trace {
+        let events = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
+        // `Drop` closes the (now empty) capture.
+        drop(self);
+        if ENABLED.load(Ordering::Relaxed) {
+            publish(events.clone());
+        }
+        Trace { events, dropped: 0 }
+    }
+}
+
+impl Drop for ThreadCapture {
+    fn drop(&mut self) {
+        CAPTURE.with(|c| c.borrow_mut().take());
+        THREAD_CAPTURES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -436,6 +538,62 @@ mod tests {
         assert_eq!(trace.events, sample_block());
         assert!(trace.is_complete());
         assert_eq!(trace.blocks().len(), 1);
+    }
+
+    #[test]
+    fn thread_capture_sees_only_its_own_thread() {
+        let _guard = lock();
+        set_tracing(false);
+        take_trace();
+        let capture = ThreadCapture::begin();
+        assert!(tracing_enabled());
+        // Another thread scheduling meanwhile is neither traced nor
+        // captured.
+        std::thread::spawn(|| {
+            assert!(!tracing_enabled());
+            publish(vec![TraceEvent::Pick { link: 99 }]);
+        })
+        .join()
+        .unwrap();
+        let mut scope = TraceScope::begin();
+        assert!(scope.active());
+        for e in sample_block() {
+            scope.push(e);
+        }
+        scope.finish();
+        let mut scratch = vec![TraceEvent::Pick { link: 7 }];
+        publish_from(&mut scratch);
+        assert!(scratch.is_empty());
+        let trace = capture.finish();
+        let mut want = sample_block();
+        want.push(TraceEvent::Pick { link: 7 });
+        assert_eq!(trace.events, want);
+        assert!(!tracing_enabled());
+        // The other thread's block went to the ring; the capture's did
+        // not, because global tracing is off.
+        assert_eq!(take_trace().events, vec![TraceEvent::Pick { link: 99 }]);
+    }
+
+    #[test]
+    fn thread_capture_republishes_under_global_tracing() {
+        let _guard = lock();
+        set_tracing(true);
+        take_trace();
+        let capture = ThreadCapture::begin();
+        publish(sample_block());
+        assert_eq!(capture.finish().events, sample_block());
+        set_tracing(false);
+        assert_eq!(take_trace().events, sample_block());
+    }
+
+    #[test]
+    fn dropped_capture_closes_cleanly() {
+        let _guard = lock();
+        set_tracing(false);
+        drop(ThreadCapture::begin());
+        assert!(!tracing_enabled());
+        // A fresh capture may open on the same thread.
+        assert!(ThreadCapture::begin().finish().events.is_empty());
     }
 
     #[test]

@@ -368,9 +368,10 @@ impl TelemetryConfig {
     /// Attaches a flight recorder. `out_dir` is where the post-mortem
     /// bundle lands when the anomaly detector fires (`None` detects
     /// but never dumps). When `cfg.capture_trace` is on the engine runs
-    /// its scheduler traced each slot, so don't combine with an
-    /// external `--trace-out` drain: the flight recorder owns the
-    /// global trace ring.
+    /// its scheduler traced each slot through a
+    /// [`fading_obs::ThreadCapture`]: only the stepping thread's blocks
+    /// are captured, and under global tracing (`--trace-out`) they
+    /// still reach the global ring too.
     pub fn flight(mut self, cfg: FlightConfig, out_dir: Option<PathBuf>) -> Self {
         self.flight = Some((cfg, out_dir));
         self
@@ -551,8 +552,8 @@ impl ChurnEngine {
     ) -> ChurnSlot {
         let _span = fading_obs::span!("sim.churn.slot");
         let armed = self.telemetry.is_some();
-        // Trace capture (flight recorder only): the engine owns the
-        // global trace ring for the duration of the slot.
+        // Trace capture (flight recorder only): the slot's scheduling
+        // is traced on this thread alone, whatever other threads do.
         let capture = self
             .telemetry
             .as_ref()
@@ -648,9 +649,7 @@ impl ChurnEngine {
         let mut sub_for_flight: Option<Problem> = None;
         let mut trace_events: Vec<TraceEvent> = Vec::new();
         if !self.backlogged.is_empty() {
-            if capture {
-                fading_obs::set_tracing(true);
-            }
+            let thread_capture = capture.then(fading_obs::ThreadCapture::begin);
             // Bracket the scheduler's trace block (which uses residual
             // ids) with the slot number, backlog, and parent-id links.
             let tracing = fading_obs::tracing_enabled();
@@ -680,9 +679,8 @@ impl ChurnEngine {
                     links: schedule.iter().map(|id| r.mapping[id.index()].0).collect(),
                 }]);
             }
-            if capture {
-                trace_events = fading_obs::take_trace().events;
-                fading_obs::set_tracing(false);
+            if let Some(c) = thread_capture {
+                trace_events = c.finish().events;
                 sub_for_flight = Some(r.sub.clone());
             }
             self.ctx.recycle(schedule);
@@ -1403,10 +1401,8 @@ mod tests {
         // slot) so backlog grows strictly; the flight recorder must
         // fire QueueGrowth, dump the bundle, and the replay half of the
         // bundle must replay cleanly against the saved sub-instance.
-        // The engine owns the global trace ring while capturing; this
-        // is the only test in the binary that traces.
-        fading_obs::set_tracing(false);
-        let _ = fading_obs::take_trace();
+        // Capture is scoped to this test's thread, so tests scheduling
+        // in parallel cannot enter the replayed trace.
         let dir = std::env::temp_dir().join(format!("churn_flight_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let mut e = engine_sized(

@@ -4,8 +4,11 @@
 //! prior question — *how many trials are enough?* — by tracking the
 //! running mean/CI as trials accumulate and finding the trial count at
 //! which the CI half-width first drops below a target.
+//!
+//! Like `simulate_many`, a trace computes the schedule's mean gains
+//! once into a `GainTable` and draws every trial from it.
 
-use crate::slot::simulate_slot;
+use crate::slot::GainTable;
 use fading_core::{Problem, Schedule};
 use fading_math::{ci95_half_width, seeded_rng, split_seed, OnlineStats};
 use serde::{Deserialize, Serialize};
@@ -42,9 +45,12 @@ pub fn convergence_trace(
     let mut stats = OnlineStats::new();
     let mut out = Vec::with_capacity(checkpoints.len());
     let mut next = 0usize;
+    let table = GainTable::new(problem, schedule);
     for t in 0..total {
         let mut rng = seeded_rng(split_seed(base_seed, t));
-        stats.push(simulate_slot(problem, schedule, &mut rng).failed_count() as f64);
+        let mut failed = 0usize;
+        table.realize(&mut rng, |_, o| failed += usize::from(!o.success));
+        stats.push(failed as f64);
         if t + 1 == checkpoints[next] {
             out.push(TracePoint {
                 trials: t + 1,

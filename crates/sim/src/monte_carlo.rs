@@ -4,8 +4,14 @@
 //! stream derived from `(base_seed, trial_index)` via SplitMix, so the
 //! result is bit-identical regardless of thread count. Per-thread
 //! partials are Welford accumulators merged exactly (Chan's update).
+//!
+//! The schedule's `|S|×|S|` mean gains are computed once, before the
+//! first trial, into a `GainTable` (see [`crate::slot`]); every trial
+//! and every worker draws from that one table, so a trial costs only
+//! its `|S|²` exponential draws. Schedules past 2048 links stream
+//! their rows in each trial instead, to bound the table's memory.
 
-use crate::slot::simulate_slot;
+use crate::slot::GainTable;
 use fading_core::{Problem, Schedule};
 use fading_math::{seeded_rng, split_seed, OnlineStats, Summary};
 use rayon::prelude::*;
@@ -50,10 +56,19 @@ pub fn simulate_many(
     base_seed: u64,
 ) -> MonteCarloStats {
     assert!(trials > 0, "at least one trial is required");
+    let table = GainTable::new(problem, schedule);
     let one = |t: u64| -> (f64, f64) {
         let mut rng = seeded_rng(split_seed(base_seed, t));
-        let out = simulate_slot(problem, schedule, &mut rng);
-        (out.failed_count() as f64, out.delivered_rate)
+        let mut failed = 0usize;
+        let mut delivered_rate = 0.0;
+        table.realize(&mut rng, |j, o| {
+            if o.success {
+                delivered_rate += problem.rate(j);
+            } else {
+                failed += 1;
+            }
+        });
+        (failed as f64, delivered_rate)
     };
     let (failed, throughput) = if trials >= PARALLEL_TRIALS_THRESHOLD {
         (0..trials)

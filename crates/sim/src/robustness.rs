@@ -13,6 +13,7 @@
 //! * [`sinr_histogram`] — the realized SINR distribution of a schedule.
 
 use crate::monte_carlo::MonteCarloStats;
+use crate::slot::GainTable;
 use fading_channel::{sinr_of, NakagamiChannel, ShadowedRayleigh};
 use fading_core::{FeasibilityReport, Problem, Schedule};
 use fading_math::{seeded_rng, split_seed, Histogram, OnlineStats};
@@ -274,13 +275,14 @@ pub fn sinr_histogram(
     hi_db: f64,
 ) -> Histogram {
     let mut hist = Histogram::new(lo_db, hi_db, bins);
+    let table = GainTable::new(problem, schedule);
     for t in 0..trials {
         let mut rng = seeded_rng(split_seed(seed, t));
-        for (_, sinr) in crate::slot::realized_sinrs(problem, schedule, &mut rng) {
-            if sinr.is_finite() && sinr > 0.0 {
-                hist.record(10.0 * sinr.log10());
+        table.realize(&mut rng, |_, o| {
+            if o.sinr.is_finite() && o.sinr > 0.0 {
+                hist.record(10.0 * o.sinr.log10());
             }
-        }
+        });
     }
     hist
 }

@@ -6,13 +6,36 @@
 //! Eq. (5)), then test the realized SINR against `γ_th` (Eq. (7)–(8)).
 //!
 //! Every draw is scaled by the problem's per-link power scale. The
-//! queueing and multi-slot loops hand this function *residual*
+//! queueing and multi-slot loops hand this module *residual*
 //! sub-problems built by `Problem::restrict`, which slices the parent's
-//! power scales along with its interference state — so
-//! `sample_gain_scaled` sees the true transmit powers here even though
-//! the sub-instance was renumbered (see `docs/residual.md`).
+//! power scales along with its interference state — so the mean gains
+//! carry the true transmit powers here even though the sub-instance was
+//! renumbered (see `docs/residual.md`).
+//!
+//! **Where mean gains are computed.** A realization is one kernel,
+//! `realize`, that reads each receiver's row of mean gains
+//! `P·d_ij^{−α}·scale_i` (schedule order; the diagonal entry is the
+//! desired signal over `d_jj`) and draws the signal, then the
+//! interferers, from one RNG. The rows come from one of two places:
+//!
+//! * `GainTable` computes all `|S|×|S|` means once per (problem,
+//!   schedule). Many-trial callers — `simulate_many`,
+//!   `convergence_trace`, `sinr_histogram` — build one and run every
+//!   trial from it, so no trial pays for a `powf` or a square root.
+//!   Past 2048 scheduled links the table would exceed 32 MiB, and each
+//!   trial streams its rows instead.
+//! * [`simulate_slot`] and [`realized_sinrs`] realize a schedule once,
+//!   so they fill one scratch row per receiver as they go and never
+//!   allocate a `|S|²` table (the engine's busy slots schedule hundreds
+//!   of links).
+//!
+//! Both feed the same draws, in the same order, through the same
+//! `KahanSum` in `sinr_of`, so every outcome is bit-identical whichever
+//! source is used.
 
+use fading_channel::{sinr_of, SinrOutcome};
 use fading_core::{Problem, Schedule};
+use fading_math::Exponential;
 use fading_net::LinkId;
 use rand::Rng;
 
@@ -40,75 +63,209 @@ pub fn simulate_slot<R: Rng + ?Sized>(
     schedule: &Schedule,
     rng: &mut R,
 ) -> SlotOutcome {
-    let channel = problem.channel();
-    let links = problem.links();
-    let mut successes = Vec::new();
-    let mut failures = Vec::new();
-    let mut delivered_rate = 0.0;
-    for j in schedule.iter() {
-        let signal = channel.sample_gain_scaled(rng, links.length(j), problem.power_scale(j));
-        let interference = schedule.iter().filter(|&i| i != j).map(|i| {
-            channel.sample_gain_scaled(
-                rng,
-                links.sender_receiver_distance(i, j),
-                problem.power_scale(i),
-            )
-        });
-        let outcome = fading_channel::sinr_of(problem.params(), signal, interference);
-        if outcome.success {
-            successes.push(j);
-            delivered_rate += problem.rate(j);
+    let mut out = SlotOutcome {
+        successes: Vec::new(),
+        failures: Vec::new(),
+        delivered_rate: 0.0,
+    };
+    let mut rows = StreamRows::new(problem, schedule.ids());
+    realize(problem, schedule.ids(), &mut rows, rng, |j, o| {
+        if o.success {
+            out.successes.push(j);
+            out.delivered_rate += problem.rate(j);
         } else {
-            failures.push(j);
+            out.failures.push(j);
         }
-    }
-    // |S| draws per scheduled link (its signal plus |S|−1 interferers),
-    // batched into one increment per slot so the Monte-Carlo hot loop
-    // never touches the registry per draw.
-    let s = schedule.len() as u64;
-    fading_obs::counter!("channel.rayleigh.draws").add(s * s);
-    SlotOutcome {
-        successes,
-        failures,
-        delivered_rate,
-    }
+    });
+    out
 }
 
-/// One realization's SINR per scheduled link (schedule order). Used by
-/// the SINR-distribution experiment; kept separate from
-/// [`simulate_slot`] so the Monte-Carlo hot path avoids the extra
-/// allocation.
+/// One realization's SINR per scheduled link (schedule order).
 pub fn realized_sinrs<R: Rng + ?Sized>(
     problem: &Problem,
     schedule: &Schedule,
     rng: &mut R,
 ) -> Vec<(LinkId, f64)> {
-    let channel = problem.channel();
-    let links = problem.links();
-    schedule
-        .iter()
-        .map(|j| {
-            let signal = channel.sample_gain_scaled(rng, links.length(j), problem.power_scale(j));
-            let interference = schedule.iter().filter(|&i| i != j).map(|i| {
-                channel.sample_gain_scaled(
-                    rng,
-                    links.sender_receiver_distance(i, j),
-                    problem.power_scale(i),
-                )
+    let mut out = Vec::with_capacity(schedule.len());
+    let mut rows = StreamRows::new(problem, schedule.ids());
+    realize(problem, schedule.ids(), &mut rows, rng, |j, o| {
+        out.push((j, o.sinr))
+    });
+    out
+}
+
+/// A source of per-receiver mean-gain rows for [`realize`].
+trait GainRows {
+    /// Receiver `ids[j]`'s row: one exponential per scheduled sender,
+    /// in schedule order; entry `j` is the desired signal.
+    fn row(&mut self, j: usize) -> &[Exponential];
+}
+
+/// Most entries a [`GainTable`] allocates: 2^22 (32 MiB), i.e.
+/// schedules of up to 2048 links. A larger schedule (a user's instance
+/// file can hold one) streams its rows in every trial instead, keeping
+/// memory at `|S|` entries like [`simulate_slot`].
+const MAX_TABLE_ENTRIES: usize = 1 << 22;
+
+/// The `|S|×|S|` mean gains of one (problem, schedule) pair, row-major
+/// by receiver, computed once and shared by every trial (and every
+/// rayon worker) that realizes the schedule.
+pub(crate) struct GainTable<'a> {
+    problem: &'a Problem,
+    ids: &'a [LinkId],
+    /// `None` past [`MAX_TABLE_ENTRIES`]: each trial streams its rows.
+    gains: Option<Vec<Exponential>>,
+}
+
+impl<'a> GainTable<'a> {
+    /// Tabulates every scheduled (sender, receiver) pair's mean gain.
+    pub(crate) fn new(problem: &'a Problem, schedule: &'a Schedule) -> Self {
+        Self::with_cap(problem, schedule, MAX_TABLE_ENTRIES)
+    }
+
+    fn with_cap(problem: &'a Problem, schedule: &'a Schedule, max_entries: usize) -> Self {
+        let ids = schedule.ids();
+        let k = ids.len();
+        let gains = k
+            .checked_mul(k)
+            .filter(|&entries| entries <= max_entries)
+            .map(|entries| {
+                let mut gains = Vec::with_capacity(entries);
+                for j in 0..k {
+                    gains.extend(gain_row(problem, ids, j));
+                }
+                gains
             });
-            (
-                j,
-                fading_channel::sinr_of(problem.params(), signal, interference).sinr,
-            )
-        })
-        .collect()
+        Self {
+            problem,
+            ids,
+            gains,
+        }
+    }
+
+    /// Runs one realization, reporting each receiver's outcome in
+    /// schedule order.
+    pub(crate) fn realize<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        each: impl FnMut(LinkId, SinrOutcome),
+    ) {
+        match &self.gains {
+            Some(gains) => {
+                let mut rows = TableRows {
+                    k: self.ids.len(),
+                    gains,
+                };
+                realize(self.problem, self.ids, &mut rows, rng, each);
+            }
+            None => {
+                let mut rows = StreamRows::new(self.problem, self.ids);
+                realize(self.problem, self.ids, &mut rows, rng, each);
+            }
+        }
+    }
+}
+
+/// Rows read out of a tabulated `|S|×|S|` slice.
+struct TableRows<'t> {
+    k: usize,
+    gains: &'t [Exponential],
+}
+
+impl GainRows for TableRows<'_> {
+    #[inline]
+    fn row(&mut self, j: usize) -> &[Exponential] {
+        &self.gains[j * self.k..(j + 1) * self.k]
+    }
+}
+
+/// One scratch row, refilled for each receiver: a single realization
+/// costs the same mean-gain work as tabulating and allocates `|S|`
+/// entries instead of `|S|²`.
+struct StreamRows<'a> {
+    problem: &'a Problem,
+    ids: &'a [LinkId],
+    row: Vec<Exponential>,
+}
+
+impl<'a> StreamRows<'a> {
+    fn new(problem: &'a Problem, ids: &'a [LinkId]) -> Self {
+        Self {
+            problem,
+            ids,
+            row: Vec::with_capacity(ids.len()),
+        }
+    }
+}
+
+impl GainRows for StreamRows<'_> {
+    #[inline]
+    fn row(&mut self, j: usize) -> &[Exponential] {
+        self.row.clear();
+        self.row.extend(gain_row(self.problem, self.ids, j));
+        &self.row
+    }
+}
+
+/// Receiver `ids[j]`'s mean gains `P·d_ij^{−α}·scale_i` from every
+/// scheduled sender `i`, in schedule order, as the exponentials the
+/// realization draws from (the diagonal uses the link length `d_jj`).
+fn gain_row<'a>(
+    problem: &'a Problem,
+    ids: &'a [LinkId],
+    j: usize,
+) -> impl Iterator<Item = Exponential> + 'a {
+    let params = problem.params();
+    let links = problem.links();
+    let rx = ids[j];
+    ids.iter().enumerate().map(move |(i, &tx)| {
+        let d = if i == j {
+            links.length(rx)
+        } else {
+            links.sender_receiver_distance(tx, rx)
+        };
+        let scale = problem.power_scale(tx);
+        debug_assert!(scale > 0.0, "power scale must be positive");
+        Exponential::with_mean(params.mean_gain(d) * scale)
+    })
+}
+
+/// The Rayleigh realization kernel: for each scheduled receiver in
+/// schedule order, draw its signal and then its interferers (schedule
+/// order, skipping itself) from `rng`, and hand `each` the realized
+/// SINR outcome.
+fn realize<R: Rng + ?Sized>(
+    problem: &Problem,
+    ids: &[LinkId],
+    rows: &mut impl GainRows,
+    rng: &mut R,
+    mut each: impl FnMut(LinkId, SinrOutcome),
+) {
+    let params = problem.params();
+    for (j, &rx) in ids.iter().enumerate() {
+        let row = rows.row(j);
+        let signal = row[j].sample(rng);
+        let interference = row[..j]
+            .iter()
+            .chain(&row[j + 1..])
+            .map(|gain| gain.sample(rng));
+        each(rx, sinr_of(params, signal, interference));
+    }
+    // |S| draws per scheduled link (its signal plus |S|−1 interferers),
+    // batched into one increment per slot so the Monte-Carlo hot loop
+    // never touches the registry per draw.
+    let s = ids.len() as u64;
+    fading_obs::counter!("channel.rayleigh.draws").add(s * s);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fading_channel::ChannelParams;
     use fading_math::seeded_rng;
-    use fading_net::{TopologyGenerator, UniformGenerator};
+    use fading_net::{RateModel, TopologyGenerator, UniformGenerator};
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
 
     fn problem(n: usize, seed: u64) -> Problem {
         Problem::paper(UniformGenerator::paper(n).generate(seed), 3.0)
@@ -157,6 +314,165 @@ mod tests {
         let mut rng = seeded_rng(3);
         let out = simulate_slot(&p, &s, &mut rng);
         assert!(out.failed_count() > 0);
+    }
+
+    /// The streaming `simulate_slot` as it stood before the shared
+    /// kernel: each draw recomputes its mean gain through
+    /// `sample_gain_scaled`. The oracle the kernel must match bit for bit.
+    fn oracle_slot<R: Rng + ?Sized>(
+        problem: &Problem,
+        schedule: &Schedule,
+        rng: &mut R,
+    ) -> SlotOutcome {
+        let channel = problem.channel();
+        let links = problem.links();
+        let mut successes = Vec::new();
+        let mut failures = Vec::new();
+        let mut delivered_rate = 0.0;
+        for j in schedule.iter() {
+            let signal = channel.sample_gain_scaled(rng, links.length(j), problem.power_scale(j));
+            let interference = schedule.iter().filter(|&i| i != j).map(|i| {
+                channel.sample_gain_scaled(
+                    rng,
+                    links.sender_receiver_distance(i, j),
+                    problem.power_scale(i),
+                )
+            });
+            let outcome = fading_channel::sinr_of(problem.params(), signal, interference);
+            if outcome.success {
+                successes.push(j);
+                delivered_rate += problem.rate(j);
+            } else {
+                failures.push(j);
+            }
+        }
+        SlotOutcome {
+            successes,
+            failures,
+            delivered_rate,
+        }
+    }
+
+    /// `realized_sinrs` as it stood before the shared kernel.
+    fn oracle_sinrs<R: Rng + ?Sized>(
+        problem: &Problem,
+        schedule: &Schedule,
+        rng: &mut R,
+    ) -> Vec<(LinkId, f64)> {
+        let channel = problem.channel();
+        let links = problem.links();
+        schedule
+            .iter()
+            .map(|j| {
+                let signal =
+                    channel.sample_gain_scaled(rng, links.length(j), problem.power_scale(j));
+                let interference = schedule.iter().filter(|&i| i != j).map(|i| {
+                    channel.sample_gain_scaled(
+                        rng,
+                        links.sender_receiver_distance(i, j),
+                        problem.power_scale(i),
+                    )
+                });
+                (
+                    j,
+                    fading_channel::sinr_of(problem.params(), signal, interference).sinr,
+                )
+            })
+            .collect()
+    }
+
+    /// SINRs compared by bits: a one-ulp drift in any mean gain or
+    /// draw shows here even when no success flips.
+    fn sinr_bits(sinrs: &[(LinkId, f64)]) -> Vec<(LinkId, u64)> {
+        sinrs.iter().map(|&(j, x)| (j, x.to_bits())).collect()
+    }
+
+    /// A [`GainTable`] realization collected into a `SlotOutcome`;
+    /// `max_entries = 0` forces the streaming fallback.
+    fn table_slot<R: Rng + ?Sized>(
+        problem: &Problem,
+        schedule: &Schedule,
+        max_entries: usize,
+        rng: &mut R,
+    ) -> SlotOutcome {
+        let mut out = SlotOutcome {
+            successes: Vec::new(),
+            failures: Vec::new(),
+            delivered_rate: 0.0,
+        };
+        GainTable::with_cap(problem, schedule, max_entries).realize(rng, |j, o| {
+            if o.success {
+                out.successes.push(j);
+                out.delivered_rate += problem.rate(j);
+            } else {
+                out.failures.push(j);
+            }
+        });
+        out
+    }
+
+    /// Asserts outcome equality with the delivered rate compared by
+    /// bits, not by `==`.
+    fn assert_same(a: &SlotOutcome, b: &SlotOutcome) {
+        assert_eq!(a.successes, b.successes);
+        assert_eq!(a.failures, b.failures);
+        assert_eq!(a.delivered_rate.to_bits(), b.delivered_rate.to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn kernel_matches_the_streaming_oracle(
+            alpha_ix in 0usize..5,
+            seed in 0u64..1_000_000,
+            scales in proptest::collection::vec(0.25f64..4.0, 1..8),
+            rng_seed in 0u64..1_000_000,
+        ) {
+            // Both `powf` exponents (2.5, 3.5, 4.5) and the integer ones.
+            let alpha = [2.5, 3.0, 3.5, 4.0, 4.5][alpha_ix];
+            let gen = UniformGenerator {
+                rates: RateModel::Uniform { lo: 0.5, hi: 3.0 },
+                ..UniformGenerator::paper(80)
+            };
+            let links = gen.generate(seed);
+            let n = links.len();
+            let p = Problem::builder(links, ChannelParams::with_alpha(alpha))
+                .power_scales(scales.iter().copied().cycle().take(n).collect())
+                .build();
+            let mut ids: Vec<LinkId> = p.links().ids().collect();
+            ids.shuffle(&mut seeded_rng(seed ^ 0x5eed));
+            // Every |S| from 0 to 60; schedules need not be feasible.
+            for k in 0..=60 {
+                let s = Schedule::from_ids(ids[..k].iter().copied());
+                let rng_seed = rng_seed + k as u64;
+                let want = oracle_slot(&p, &s, &mut seeded_rng(rng_seed));
+                assert_same(&simulate_slot(&p, &s, &mut seeded_rng(rng_seed)), &want);
+                for cap in [MAX_TABLE_ENTRIES, 0] {
+                    assert_same(&table_slot(&p, &s, cap, &mut seeded_rng(rng_seed)), &want);
+                }
+                let want = sinr_bits(&oracle_sinrs(&p, &s, &mut seeded_rng(rng_seed)));
+                let streamed = realized_sinrs(&p, &s, &mut seeded_rng(rng_seed));
+                prop_assert_eq!(sinr_bits(&streamed), want.clone());
+                let mut tabulated = Vec::new();
+                GainTable::new(&p, &s)
+                    .realize(&mut seeded_rng(rng_seed), |j, o| tabulated.push((j, o.sinr)));
+                prop_assert_eq!(sinr_bits(&tabulated), want);
+                // Consecutive slots off one stream: both paths consume
+                // exactly the oracle's draws.
+                let mut a = seeded_rng(rng_seed);
+                let mut b = seeded_rng(rng_seed);
+                let mut c = seeded_rng(rng_seed);
+                for _ in 0..3 {
+                    let want = oracle_slot(&p, &s, &mut a);
+                    assert_same(&simulate_slot(&p, &s, &mut b), &want);
+                    assert_same(&table_slot(&p, &s, MAX_TABLE_ENTRIES, &mut c), &want);
+                }
+                let next = a.gen::<u64>();
+                prop_assert_eq!(next, b.gen::<u64>());
+                prop_assert_eq!(next, c.gen::<u64>());
+            }
+        }
     }
 
     #[test]

@@ -750,10 +750,28 @@ fn mutate_batch_benches(rec: &mut Recorder) {
 /// stationary, so every timed step sees the same regime. The derived
 /// `churn.slots_per_sec.100k` carries a `[min]` floor in
 /// `bench-gates.toml` — the sustained-churn contract at n = 10^5.
+///
+/// The same slots split commit into its sub-phases:
+/// `churn.commit_share.<phase>.100k` is each `problem.apply.<phase>`
+/// histogram's time over every slot the timing ran, divided by the sum
+/// of all seven. A slot here outlasts the 25 ms calibration target, so
+/// the timing runs only the engine's first ~9 (`--quick`) or ~23 slots
+/// after the build, well before its arena first compacts (~slot 180);
+/// the compaction share reads 0 unless a change makes it compact that
+/// early.
 fn churn_large_benches(rec: &mut Recorder) {
     const N: usize = 100_000;
     let slot_id = format!("churn_slot/maxweight/{N}");
-    if !rec.wants(&slot_id) && !rec.wants("churn.slots_per_sec.100k") {
+    let share_ids = fading_core::sparse::APPLY_HISTOGRAMS.map(|h| {
+        let phase = h
+            .strip_prefix("problem.apply.")
+            .expect("problem.apply.* name");
+        format!("churn.commit_share.{phase}.100k")
+    });
+    if !rec.wants(&slot_id)
+        && !rec.wants("churn.slots_per_sec.100k")
+        && !share_ids.iter().any(|id| rec.wants(id))
+    {
         return;
     }
     let gen = density_scaled(N);
@@ -771,18 +789,30 @@ fn churn_large_benches(rec: &mut Recorder) {
         seed: 7,
     };
     let mut engine = fading_sim::ChurnEngine::new(problem, gen, cfg);
-    rec.time(&slot_id, move || {
+    let apply_ns = || {
+        let snap = fading_obs::snapshot();
+        fading_core::sparse::APPLY_HISTOGRAMS.map(|h| snap.histograms.get(h).map_or(0.0, |s| s.sum))
+    };
+    let before = apply_ns();
+    let slot = measure_ns(rec.samples, rec.target, || {
         black_box(engine.step(&GreedyRate, fading_sim::ServicePolicy::MaxWeight));
     });
-    if let Some(slot_ns) = rec.value_of(&slot_id) {
-        if slot_ns > 0.0 {
-            rec.derived_dir(
-                "churn.slots_per_sec.100k",
-                MetricKind::Rate,
-                1e9 / slot_ns,
-                false,
-            );
+    let spent: Vec<f64> = apply_ns().iter().zip(&before).map(|(a, b)| a - b).collect();
+    let total: f64 = spent.iter().sum();
+    if total > 0.0 {
+        for (id, ns) in share_ids.iter().zip(spent) {
+            rec.derived(id, MetricKind::Ratio, ns / total);
         }
+    }
+    let slot_ns = slot.median_ns;
+    rec.timed(&slot_id, slot);
+    if slot_ns > 0.0 {
+        rec.derived_dir(
+            "churn.slots_per_sec.100k",
+            MetricKind::Rate,
+            1e9 / slot_ns,
+            false,
+        );
     }
 }
 

@@ -39,6 +39,7 @@ use fading_channel::RayleighChannel;
 use fading_geom::{Point2, SpatialHash};
 use fading_math::zeta;
 use fading_net::{LinkId, LinkSet};
+use fading_obs::PhaseTimer;
 use rayon::prelude::*;
 
 /// Truncation policy for [`SparseInterference`].
@@ -659,12 +660,14 @@ impl SparseInterference {
     /// The row/column edits of one swap-remove (the link at `len()−1`
     /// takes index `k`, mirroring [`LinkSet::swap_remove`]), touching
     /// only the rows that store the removed receiver or the renumbered
-    /// one. The envelope reconcile, exactness flag, and compaction are
-    /// deferred to [`apply_batch`](Self::apply_batch). Sound to chain: the membership invariant references the
-    /// *current* `radius` array, which removal never changes for
-    /// surviving receivers — only the final reconcile pulls the array
-    /// back to the fresh-build formula.
-    fn remove_one(&mut self, k: usize) {
+    /// one. [`apply_batch`](Self::apply_batch) does the envelope
+    /// reconcile, exactness flag, and compaction once per batch.
+    ///
+    /// Removals can be chained this way because the membership
+    /// invariant refers to the *current* `radius` array, and removal
+    /// never changes a surviving receiver's radius. Only the final
+    /// reconcile pulls the array back to the fresh-build formula.
+    fn remove_one(&mut self, k: usize, laps: &mut PhaseTimer<APPLY_PHASES>) {
         assert!(k < self.n, "link index out of bounds");
         let last = self.n - 1;
         // Drop column k: by the invariant, exactly the senders within
@@ -681,6 +684,7 @@ impl SparseInterference {
         for i in col.drain(..) {
             self.row_remove(i as usize, k as u32);
         }
+        laps.lap(ApplyPhase::ColDrop as usize);
         // Row k dies with its extent.
         self.dead += self.row_cap[k] as usize;
         // Rename receiver `last` → `k` wherever it is stored. It is the
@@ -699,6 +703,7 @@ impl SparseInterference {
                 self.row_rename_tail(i as usize, last as u32, k as u32);
             }
         }
+        laps.lap(ApplyPhase::TailRename as usize);
         self.scratch = col;
         self.row_start.swap_remove(k);
         self.row_len.swap_remove(k);
@@ -714,6 +719,7 @@ impl SparseInterference {
         self.sender_hash.swap_remove(k as u32);
         self.receiver_hash.swap_remove(k as u32);
         self.n = last;
+        laps.lap(ApplyPhase::SwapRemove as usize);
     }
 
     /// Applies a whole transaction — removals (dense ids, strictly
@@ -735,6 +741,11 @@ impl SparseInterference {
     /// the whole transaction, however the batch is spread over the
     /// region — instead of `k` separate `O(N)` passes.
     ///
+    /// Each sub-phase's time in the batch is recorded once per batch as
+    /// a `problem.apply.<phase>` histogram (see [`ApplyPhase`]); the
+    /// clock is read per removal, per add and per phase, never per row
+    /// edit.
+    ///
     /// # Panics
     /// Panics if `removes` is not strictly descending or out of range.
     pub(crate) fn apply_batch(&mut self, removes: &[LinkId], adds: &[LinkSpec]) {
@@ -753,8 +764,9 @@ impl SparseInterference {
             "a non-unit power scale needs a materialized profile"
         );
         let _span = fading_obs::span!("core.sparse.apply_batch");
+        let mut laps = PhaseTimer::<APPLY_PHASES>::start(true);
         for &id in removes {
-            self.remove_one(id.index());
+            self.remove_one(id.index(), &mut laps);
         }
         let n0 = self.n;
         // Push all new geometry and powers, then reconcile the envelope
@@ -784,11 +796,19 @@ impl SparseInterference {
             self.cut.push(c);
             self.max_radius = self.max_radius.max(r);
         }
-        if n0 < self.n {
-            self.wire_new_links(n0);
-        }
+        // Wiring leaves every cut as it is, so the flag is final here.
         self.exact = self.cut.iter().all(|&c| c == 0.0);
-        self.maybe_compact();
+        laps.lap(ApplyPhase::Reconcile as usize);
+        if n0 < self.n {
+            self.wire_new_links(n0, &mut laps);
+        }
+        if self.maybe_compact() {
+            laps.lap(ApplyPhase::Compact as usize);
+        }
+        // Every phase once per batch, zeros included.
+        for (hist, &ns) in apply_hists().iter().zip(laps.phase_ns()) {
+            hist.record(ns as f64);
+        }
     }
 
     /// Wires rows and columns for links `n0..n`, whose geometry, radii,
@@ -804,7 +824,7 @@ impl SparseInterference {
     /// `O(k · degree)` instead of the `O(k · N)` per-link receiver
     /// scans (or an `O(N)`-per-batch sweep that degenerates to visiting
     /// every link once the batch's bounding circle covers the region).
-    fn wire_new_links(&mut self, n0: usize) {
+    fn wire_new_links(&mut self, n0: usize, laps: &mut PhaseTimer<APPLY_PHASES>) {
         let mut col = std::mem::take(&mut self.scratch);
         let mut hits: Vec<u32> = Vec::with_capacity(64);
         for t in n0..self.n {
@@ -828,6 +848,7 @@ impl SparseInterference {
                 );
                 self.row_insert(i as usize, t as u32, f);
             }
+            laps.lap(ApplyPhase::ColWire as usize);
             // Row t: receivers (old plus earlier new) whose radius ball
             // contains the new sender — the inverse query, answered by
             // the receiver hash at the conservative `max_radius` bound
@@ -866,6 +887,7 @@ impl SparseInterference {
             self.row_cap.push(len);
             self.sender_hash.insert(sender);
             self.receiver_hash.insert(receiver);
+            laps.lap(ApplyPhase::RowWire as usize);
         }
         self.scratch = col;
     }
@@ -956,7 +978,14 @@ impl SparseInterference {
         }
         let lo = self.row_start[i];
         let len = self.row_len[i] as usize;
-        let at = lo + self.arena_receivers[lo..lo + len].partition_point(|&x| x < j);
+        let row = &self.arena_receivers[lo..lo + len];
+        // A new link's id is the store maximum, so every column-wire
+        // insert is an append; only reconcile inserts need the seek.
+        let at = lo
+            + match row.last() {
+                Some(&last) if last >= j => seek(row, j, self.n),
+                _ => len,
+            };
         debug_assert!(
             at == lo + len || self.arena_receivers[at] != j,
             "duplicate entry"
@@ -972,7 +1001,7 @@ impl SparseInterference {
     fn row_remove(&mut self, i: usize, j: u32) {
         let lo = self.row_start[i];
         let len = self.row_len[i] as usize;
-        let at = lo + self.arena_receivers[lo..lo + len].partition_point(|&x| x < j);
+        let at = lo + seek(&self.arena_receivers[lo..lo + len], j, self.n);
         debug_assert_eq!(self.arena_receivers.get(at), Some(&j), "missing entry");
         self.arena_receivers.copy_within(at + 1..lo + len, at);
         self.arena_factors.copy_within(at + 1..lo + len, at);
@@ -990,7 +1019,7 @@ impl SparseInterference {
             "tail must be the max id"
         );
         let f = self.arena_factors[lo + len - 1];
-        let at = lo + self.arena_receivers[lo..lo + len - 1].partition_point(|&x| x < new);
+        let at = lo + seek(&self.arena_receivers[lo..lo + len - 1], new, self.n);
         self.arena_receivers.copy_within(at..lo + len - 1, at + 1);
         self.arena_factors.copy_within(at..lo + len - 1, at + 1);
         self.arena_receivers[at] = new;
@@ -1016,10 +1045,10 @@ impl SparseInterference {
 
     /// Repacks the arena once more than half of it is dead — amortized
     /// `O(stored)` across many mutations, never on the per-mutation hot
-    /// path for healthy stores.
-    fn maybe_compact(&mut self) {
+    /// path for healthy stores. Returns whether it repacked.
+    fn maybe_compact(&mut self) -> bool {
         if self.dead == 0 || self.dead * 2 <= self.arena_receivers.len() {
-            return;
+            return false;
         }
         fading_obs::counter("core.sparse.compactions").incr();
         let live: usize = self.row_len.iter().map(|&l| l as usize).sum();
@@ -1036,6 +1065,7 @@ impl SparseInterference {
         self.arena_receivers = recv;
         self.arena_factors = fact;
         self.dead = 0;
+        true
     }
 }
 
@@ -1067,6 +1097,56 @@ impl InterferenceModel for SparseInterference {
     fn stored_factors(&self) -> u64 {
         self.row_len.iter().map(|&l| l as u64).sum()
     }
+}
+
+/// The timed sub-phases of [`SparseInterference::apply_batch`]. Each
+/// has a `problem.apply.<name>` histogram of nanoseconds per batch
+/// (see `docs/telemetry.md`).
+enum ApplyPhase {
+    /// Removing each departing receiver from the rows that store it.
+    ColDrop,
+    /// Renaming the last id to the removed one in the rows that store
+    /// it.
+    TailRename,
+    /// The per-link vector and hash swap-removes.
+    SwapRemove,
+    /// Pushing new geometry, the envelope reconcile, the new links'
+    /// radii and cuts, and the exactness flag.
+    Reconcile,
+    /// Inserting each new receiver into the rows of its senders.
+    ColWire,
+    /// Building each new link's row and hashing its endpoints.
+    RowWire,
+    /// Repacking the arena (only batches that compacted charge it).
+    Compact,
+}
+
+const APPLY_PHASES: usize = 7;
+
+/// The `problem.apply.<phase>` histograms the sparse commit records
+/// once per batch, in the order its phases first run: nanoseconds
+/// spent per batch in column drop, tail rename, swap-removes, envelope
+/// reconcile, column wire, row wire and compaction.
+pub const APPLY_HISTOGRAMS: [&str; APPLY_PHASES] = [
+    "problem.apply.col_drop",
+    "problem.apply.tail_rename",
+    "problem.apply.swap_remove",
+    "problem.apply.reconcile",
+    "problem.apply.col_wire",
+    "problem.apply.row_wire",
+    "problem.apply.compact",
+];
+
+/// The histograms, registered on first use so a batch never takes the
+/// registry lock.
+fn apply_hists() -> &'static [fading_obs::Histogram; APPLY_PHASES] {
+    static HISTS: std::sync::OnceLock<[fading_obs::Histogram; APPLY_PHASES]> =
+        std::sync::OnceLock::new();
+    HISTS.get_or_init(|| {
+        // 100 ns to 10 s in decades.
+        let bounds = [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
+        std::array::from_fn(|i| fading_obs::histogram(APPLY_HISTOGRAMS[i], &bounds))
+    })
 }
 
 /// `f_{i,j}` from geometry — the single code path both the stored build
@@ -1140,6 +1220,62 @@ fn grown_row_cap(cap: u32, len: u32, n: usize) -> u32 {
     let max_useful = (n.saturating_sub(1) as u64).max(len as u64 + 1);
     let grown = (cap as u64 * 2).max(4).min(max_useful);
     u32::try_from(grown).expect("sparse row capacity exceeds the u32 arena index space")
+}
+
+/// The position of the first entry `≥ j` in `row`, a sorted,
+/// duplicate-free run of ids below `n`: exactly
+/// `row.partition_point(|&x| x < j)`. Dense ids carry no spatial
+/// order, so a row's ids spread evenly over `0..n` and the first probe
+/// at `len · j / n` lands within a few entries of the answer; a gallop
+/// from there brackets it and a bisection finishes inside the bracket.
+/// On the cold rows of a large arena that is about one cache miss where
+/// a plain bisection pays `log₂ len` dependent ones. Clustered ids only
+/// cost a longer gallop (`O(log distance)` probes): the result is exact
+/// for any `j` and `n`, and only the speed relies on the spread.
+fn seek(row: &[u32], j: u32, n: usize) -> usize {
+    let len = row.len();
+    if len == 0 {
+        return 0;
+    }
+    let guess = ((len as u64).saturating_mul(j as u64) / (n as u64).max(1)).min(len as u64 - 1);
+    let guess = guess as usize;
+    // Bracket the answer in `lo..=hi` by doubling steps away from the
+    // guess.
+    let (mut lo, mut hi);
+    if row[guess] < j {
+        lo = guess + 1;
+        let mut step = 1;
+        loop {
+            let probe = lo + step - 1;
+            if probe >= len {
+                hi = len;
+                break;
+            }
+            if row[probe] >= j {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+            step *= 2;
+        }
+    } else {
+        hi = guess;
+        let mut step = 1;
+        loop {
+            if hi < step {
+                lo = 0;
+                break;
+            }
+            let probe = hi - step;
+            if row[probe] < j {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+    }
+    lo + row[lo..hi].partition_point(|&x| x < j)
 }
 
 /// Diameter of the bounding box of all senders and receivers — an upper
@@ -1570,6 +1706,74 @@ mod tests {
             sparse.for_each_out(i, &mut |j, f| walked.push((j.0, f)));
             let zipped: Vec<(u32, f64)> = recv.iter().copied().zip(fact.iter().copied()).collect();
             assert_eq!(zipped, walked);
+        }
+    }
+
+    /// `seek` against `partition_point` at every entry, its
+    /// neighbours, both ends of the `u32` range and one free probe.
+    fn assert_seek_matches(row: &[u32], n: usize, free: u32) {
+        let mut probes = vec![0, 1, u32::MAX - 1, u32::MAX, free];
+        for &x in row {
+            probes.extend([x.wrapping_sub(1), x, x.wrapping_add(1)]);
+        }
+        for j in probes {
+            assert_eq!(
+                seek(row, j, n),
+                row.partition_point(|&x| x < j),
+                "j = {j}, n = {n}, row = {row:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn seek_handles_the_corner_rows() {
+        assert_seek_matches(&[], 1, 0);
+        assert_seek_matches(&[], 0, 7);
+        assert_seek_matches(&[0], 1, 0);
+        assert_seek_matches(&[5], 10, 9);
+        assert_seek_matches(&[0, 1, 2, 3, 4], 5, 2);
+        assert_seek_matches(&[u32::MAX - 1, u32::MAX], 1 << 32, 3);
+        // Every id clustered at the far end from the first probe.
+        assert_seek_matches(&[99_990, 99_991, 99_995, 99_999], 100_000, 4);
+        assert_seek_matches(&[0, 1, 2, 3], 100_000, 99_999);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The interpolated seek is `partition_point` on any sorted,
+        /// duplicate-free row, whatever the spread of its ids: uniform
+        /// over `0..n`, one dense run, a cluster at either end (the
+        /// gallop's worst case), ids near `u32::MAX`, `n = 1`, and an
+        /// `n` unrelated to the ids.
+        #[test]
+        fn seek_matches_partition_point(
+            shape in 0usize..6,
+            raw in proptest::collection::vec(0u32..u32::MAX, 0..300),
+            n in 1u64..(1u64 << 32) + 1,
+            free in 0u32..u32::MAX,
+        ) {
+            let len = raw.len() as u64;
+            let (mut row, n): (Vec<u32>, u64) = match shape {
+                0 => (raw.iter().map(|&x| (x as u64 % n) as u32).collect(), n),
+                1 => {
+                    let base = raw.first().map_or(0, |&x| x as u64 % n);
+                    let end = (base + len).min(u32::MAX as u64 + 1);
+                    ((base..end).map(|x| x as u32).collect(), n.max(end))
+                }
+                2 => {
+                    // A window of width 4·len at the low or high end.
+                    let width = (4 * len).max(1).min(n);
+                    let lo = if free % 2 == 0 { 0 } else { n - width };
+                    (raw.iter().map(|&x| (lo + x as u64 % width) as u32).collect(), n)
+                }
+                3 => (raw.iter().map(|&x| u32::MAX - x % 4096).collect(), 1 << 32),
+                4 => (raw.iter().take(1).map(|_| 0).collect(), 1),
+                _ => (raw.iter().map(|&x| x % 1_000_000).collect(), n % 100 + 1),
+            };
+            row.sort_unstable();
+            row.dedup();
+            assert_seek_matches(&row, n as usize, free);
         }
     }
 

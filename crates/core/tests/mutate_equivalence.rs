@@ -19,7 +19,7 @@ use fading_core::{
     SchedCtx, Scheduler, SparseConfig,
 };
 use fading_geom::Point2;
-use fading_net::{LinkId, LinkSet, TopologyGenerator, UniformGenerator, ValidationError};
+use fading_net::{Link, LinkId, LinkSet, TopologyGenerator, UniformGenerator, ValidationError};
 use proptest::prelude::*;
 
 const ALPHAS: [f64; 3] = [2.5, 3.0, 4.0];
@@ -304,6 +304,56 @@ proptest! {
             prop_assert_eq!(&bat_map, &seq_map, "maps diverged");
             let rebuilt = rebuild(&batched);
             prop_assert_eq!(&batched, &rebuilt, "batch != rebuild");
+        }
+    }
+}
+
+/// The paper instance with its links renumbered in order of sender x.
+/// A sparse row then holds a band of neighbouring ids instead of ids
+/// spread evenly over `0..n`, the layout where the CSR's interpolated
+/// row seek lands furthest from its first probe.
+fn x_sorted(n: usize, seed: u64) -> LinkSet {
+    let generated = UniformGenerator::paper(n).generate(seed);
+    let mut links = generated.links().to_vec();
+    links.sort_by(|a, b| a.sender.x.total_cmp(&b.sender.x));
+    let links = links
+        .iter()
+        .enumerate()
+        .map(|(i, l)| Link::new(LinkId(i as u32), l.sender, l.receiver, l.rate))
+        .collect();
+    LinkSet::new(*generated.region(), links)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Mutate ≡ rebuild on both backends when link ids follow sender x,
+    /// so every row's ids are clustered. Removals rename the
+    /// right-most link into the hole and adds take the top ids, which
+    /// keeps the rows clustered but no longer sorted by x.
+    #[test]
+    fn x_sorted_ids_mutate_equals_rebuild(
+        n in 24usize..96,
+        seed in 0u64..5_000,
+        alpha_idx in 0usize..3,
+        rtol_idx in 0usize..2,
+        ops in proptest::collection::vec(
+            (0u8..3, 0.0f64..998.0, 0.0f64..998.0, 0.0f64..100.0),
+            1..16,
+        ),
+    ) {
+        let links = x_sorted(n, seed);
+        let params = ChannelParams::with_alpha(ALPHAS[alpha_idx]);
+        for backend in [
+            BackendChoice::Dense,
+            BackendChoice::Sparse(SparseConfig { tail_rtol: TAIL_RTOLS[rtol_idx] }),
+        ] {
+            let mut problem = Problem::builder(links.clone(), params).backend(backend).build();
+            let mut map = LinkIdMap::with_len(n);
+            for (tag, &op) in ops.iter().enumerate() {
+                apply_op(&mut problem, &mut map, op, tag);
+                prop_assert_eq!(&problem, &rebuild(&problem), "{:?} diverged after op {}", backend, tag);
+            }
         }
     }
 }

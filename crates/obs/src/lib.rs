@@ -48,6 +48,7 @@ pub mod flight;
 pub mod hash;
 pub mod manifest;
 pub mod metrics;
+pub mod phase;
 pub mod progress;
 pub mod span;
 pub mod timeseries;
@@ -64,6 +65,7 @@ pub use metrics::{
     counter, gauge, histogram, reset_metrics, snapshot, Counter, Gauge, Histogram,
     HistogramSnapshot, MetricsSnapshot,
 };
+pub use phase::PhaseTimer;
 pub use progress::{progress_enabled, set_progress, Progress};
 pub use span::{reset_spans, span_snapshot, Span, SpanNode};
 pub use timeseries::{SeriesConfig, SlotRecord, SlotSeries};

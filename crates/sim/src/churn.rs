@@ -24,14 +24,15 @@ use fading_core::{
 };
 use fading_math::{seeded_rng, split_seed, OnlineStats};
 use fading_net::{LinkId, UniformGenerator};
-use fading_obs::{FlightConfig, FlightRecorder, Histogram, SlotRecord, SlotSeries, TraceEvent};
+use fading_obs::{
+    FlightConfig, FlightRecorder, Histogram, PhaseTimer, SlotRecord, SlotSeries, TraceEvent,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Configuration of a churn run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -194,44 +195,6 @@ const PHASE_HIST_NAMES: [&str; PHASES] = [
 /// decades, fine enough to separate the `O(N)` walks from the
 /// scheduler at any instance size the engine runs.
 const PHASE_HIST_BOUNDS: [f64; 8] = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
-
-/// Segment stopwatch for phase attribution. `lap(phase)` charges the
-/// time since the previous lap to `phase`; segments of the same phase
-/// (the dense walks appear three times per slot) accumulate. When
-/// disarmed the laps are branch-only — no clock reads.
-struct PhaseTimer {
-    on: bool,
-    started: Instant,
-    mark: Instant,
-    acc: [u64; PHASES],
-}
-
-impl PhaseTimer {
-    fn start(on: bool) -> Self {
-        let now = Instant::now();
-        Self {
-            on,
-            started: now,
-            mark: now,
-            acc: [0; PHASES],
-        }
-    }
-
-    #[inline]
-    fn lap(&mut self, phase: usize) {
-        if self.on {
-            let now = Instant::now();
-            self.acc[phase] += (now - self.mark).as_nanos() as u64;
-            self.mark = now;
-        }
-    }
-
-    /// Whole-slot wall time so far — measured independently of the
-    /// laps, so the phase sum can be audited against it.
-    fn total_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-}
 
 /// The flight-recorder side of the engine's telemetry: the obs-layer
 /// black box plus the engine-owned pieces it cannot know about — the
@@ -559,7 +522,7 @@ impl ChurnEngine {
             .as_ref()
             .and_then(|t| t.flight.as_ref())
             .is_some_and(|f| f.rec.wants_trace());
-        let mut timer = PhaseTimer::start(armed);
+        let mut timer = PhaseTimer::<PHASES>::start(armed);
         let t = self.slot;
         let mut abandoned = 0u64;
 
@@ -714,12 +677,12 @@ impl ChurnEngine {
                 delivered: delivered as u64,
                 abandoned,
                 backlog,
-                mutate_ns: timer.acc[PH_MUTATE],
-                commit_ns: timer.acc[PH_COMMIT],
-                envelope_ns: timer.acc[PH_ENVELOPE],
-                restrict_ns: timer.acc[PH_RESTRICT],
-                schedule_ns: timer.acc[PH_SCHEDULE],
-                service_ns: timer.acc[PH_SERVICE],
+                mutate_ns: timer.phase_ns()[PH_MUTATE],
+                commit_ns: timer.phase_ns()[PH_COMMIT],
+                envelope_ns: timer.phase_ns()[PH_ENVELOPE],
+                restrict_ns: timer.phase_ns()[PH_RESTRICT],
+                schedule_ns: timer.phase_ns()[PH_SCHEDULE],
+                service_ns: timer.phase_ns()[PH_SERVICE],
                 slot_ns: timer.total_ns(),
             };
             self.finish_slot_telemetry(rec, trace_events, sub_for_flight);

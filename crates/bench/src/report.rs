@@ -14,12 +14,14 @@
 use crate::schema::{BenchReport, MachineFingerprint, MetricKind, MetricRecord};
 use fading_core::algo::{GreedyRate, Ldp, Rle};
 use fading_core::{
-    BackendChoice, LinkIdMap, LinkSpec, MutationBatch, Problem, SchedCtx, Scheduler, SparseConfig,
+    BackendChoice, LinkIdMap, LinkSpec, MutationBatch, Problem, SchedCtx, Scheduler, Scope,
+    SparseConfig,
 };
 use fading_geom::Point2;
-use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
+use fading_net::{RateModel, TopologyGenerator, UniformGenerator};
 use rand::Rng;
 use std::hint::black_box;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// How a report run samples its workloads.
@@ -200,6 +202,11 @@ pub fn run_report(opts: &ReportOptions) -> Result<BenchReport, String> {
         churn_large_benches(&mut rec);
         engine_probes(&mut rec);
         scaling_exponents(&mut rec);
+        if rec.wants("code.rust_loc") {
+            let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+            let lines = rust_loc(&root)?;
+            rec.derived("code.rust_loc", MetricKind::Lines, lines as f64);
+        }
     }
 
     fading_obs::gauge("bench.report.metrics").set(rec.metrics.len() as f64);
@@ -210,6 +217,44 @@ pub fn run_report(opts: &ReportOptions) -> Result<BenchReport, String> {
         });
     }
     BenchReport::new(crate::schema::today_utc(), rec.metrics)
+}
+
+/// Code size, the `code.rust_loc` row: the lines of every
+/// `crates/*/src/**/*.rs` and `src/**/*.rs` file under `root`, each
+/// counted up to its first `#[cfg(test)]` line. Vendored crates live in
+/// `vendor/` and are not counted; tests, benches and examples live
+/// outside `src/`.
+pub fn rust_loc(root: &Path) -> Result<u64, String> {
+    let mut dirs = vec![root.join("src")];
+    let crates = root.join("crates");
+    let entries =
+        std::fs::read_dir(&crates).map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
+        dirs.push(entry.path().join("src"));
+    }
+    let mut lines = 0;
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue; // a crate without `src/`, or a root without one
+        };
+        for entry in entries {
+            let path = entry
+                .map_err(|e| format!("cannot list {}: {e}", dir.display()))?
+                .path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                lines += text
+                    .lines()
+                    .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+                    .count() as u64;
+            }
+        }
+    }
+    Ok(lines)
 }
 
 /// The fingerprint a report generated here would carry (re-exported
@@ -253,7 +298,7 @@ fn schedule_benches(rec: &mut Recorder) {
                 let mut ctx = SchedCtx::with_capacity(n);
                 let problem = &problem;
                 rec.time(&format!("schedule_warm/{name}/{n}"), move || {
-                    let s = black_box(scheduler.schedule_in(problem, &mut ctx));
+                    let s = black_box(scheduler.schedule_in(problem, Scope::all(), &mut ctx));
                     ctx.recycle(s);
                 });
             }
@@ -262,9 +307,8 @@ fn schedule_benches(rec: &mut Recorder) {
 }
 
 /// Substrate hot paths: interference build and row sums, the row-sum
-/// kernel, residual construction, one slot's channel realization and a
-/// short queueing run (sizes trimmed to keep a full report under the CI
-/// wall guard).
+/// kernel, one slot's channel realization and a short queueing run
+/// (sizes trimmed to keep a full report under the CI wall guard).
 fn substrate_benches(rec: &mut Recorder) {
     let params = fading_channel::ChannelParams::paper_defaults();
     // Paper-density instance scaled to `n` links: side grows as
@@ -363,30 +407,6 @@ fn substrate_benches(rec: &mut Recorder) {
                     rec.derived_dir("row_sum_kernel.speedup", MetricKind::Ratio, s / v, false);
                 }
             }
-        }
-    }
-
-    {
-        let n = 1000usize;
-        if rec.wants(&format!("residual/restrict/{n}"))
-            || rec.wants(&format!("residual/rebuild/{n}"))
-        {
-            let links = scaled(n).generate(11);
-            let keep: Vec<LinkId> = links.ids().step_by(2).collect();
-            let dense = Problem::builder(links, params)
-                .backend(BackendChoice::Dense)
-                .build();
-            rec.time(&format!("residual/restrict/{n}"), || {
-                black_box(dense.restrict(&keep));
-            });
-            rec.time(&format!("residual/rebuild/{n}"), || {
-                let (sub_links, _) = dense.links().restrict(&keep);
-                black_box(
-                    Problem::builder(sub_links, params)
-                        .backend(BackendChoice::Dense)
-                        .build(),
-                );
-            });
         }
     }
 
@@ -743,10 +763,10 @@ fn mutate_batch_benches(rec: &mut Recorder) {
 /// Sustained-churn slot latency at n = 100 000 on the sparse substrate
 /// (α = 4, the large-N smoke geometry): the transactional mutate path
 /// — one `MutationBatch` committed per slot — is what keeps a slot
-/// affordable at this scale, while the per-slot restrict touches only
-/// the backlogged links. Arrival rate 200 × mean lifetime
-/// 500 holds the population at the 100 000 equilibrium, and the light
-/// packet load keeps the backlog (and so the scheduled sub-problem)
+/// affordable at this scale, while scheduling touches only the
+/// backlogged links (the slot's scope). Arrival rate 200 × mean
+/// lifetime 500 holds the population at the 100 000 equilibrium, and
+/// the light packet load keeps the backlog (and so the scope)
 /// stationary, so every timed step sees the same regime. The derived
 /// `churn.slots_per_sec.100k` carries a `[min]` floor in
 /// `bench-gates.toml` — the sustained-churn contract at n = 10^5.
@@ -873,13 +893,13 @@ fn engine_probes(rec: &mut Recorder) {
             }
             let mut ctx = SchedCtx::with_capacity(n);
             for _ in 0..3 {
-                let s = scheduler.schedule_in(&problem, &mut ctx);
+                let s = scheduler.schedule_in(&problem, Scope::all(), &mut ctx);
                 ctx.recycle(s);
             }
             const CALLS: u64 = 10;
             let before = crate::alloc::allocations();
             for _ in 0..CALLS {
-                let s = black_box(scheduler.schedule_in(&problem, &mut ctx));
+                let s = black_box(scheduler.schedule_in(&problem, Scope::all(), &mut ctx));
                 ctx.recycle(s);
             }
             let per_call = (crate::alloc::allocations() - before) as f64 / CALLS as f64;
@@ -1102,7 +1122,7 @@ fn smoke_churn(rec: &mut Recorder) -> Result<(), String> {
 }
 
 /// Sustained churn at n = 100 000: the transactional per-slot mutate
-/// path and the cached backlog restriction, end-to-end through the
+/// path and backlog-scoped scheduling, end-to-end through the
 /// engine for 50 slots on the sparse substrate. Functional invariants
 /// (churn actually happened, packets conserved) are hard errors; the
 /// wall clock lands as `smoke.churn_100k.wall_s` with a `[max]`
@@ -1291,6 +1311,28 @@ mod tests {
             ]
         );
         assert_eq!(report.schema_version, crate::schema::BENCH_SCHEMA_VERSION);
+    }
+
+    #[test]
+    fn rust_loc_counts_source_lines_up_to_the_test_module() {
+        let root = std::env::temp_dir().join(format!("rust_loc_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/a/src/lib.rs",
+            "fn a() {}\n\n#[cfg(test)]\nmod tests {}\n",
+        );
+        write("crates/a/src/deep/m.rs", "fn m() {}\n");
+        write("crates/a/tests/t.rs", "fn t() {}\n");
+        write("crates/b/Cargo.toml", "");
+        write("src/main.rs", "fn main() {}\n// end\n");
+        write("vendor/v/src/lib.rs", "fn v() {}\n");
+        assert_eq!(rust_loc(&root).unwrap(), 2 + 1 + 2);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub enum MetricKind {
     /// Operations per second (sustained churn slots/sec); the one kind
     /// where higher is better, gated by a `[min]` floor.
     Rate,
+    /// Source lines (`code.rust_loc`), gated by a `[max]` ceiling.
+    Lines,
 }
 
 /// One measured or derived metric.

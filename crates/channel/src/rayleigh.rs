@@ -119,15 +119,6 @@ impl RayleighChannel {
                 .map(|d_ij| self.interference_factor(d_ij, d_jj)),
         )
     }
-
-    /// Corollary 3.1: whether receiver `j` can be *informed* with error
-    /// probability at most `ε`, i.e. `Σ f_{i,j} ≤ γ_ε`.
-    pub fn is_informed<I>(&self, d_jj: f64, interferer_distances: I, gamma_eps: f64) -> bool
-    where
-        I: IntoIterator<Item = f64>,
-    {
-        self.sum_interference(d_jj, interferer_distances) <= gamma_eps
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +197,7 @@ mod tests {
         // With N₀ ignored (Eq. (8)), SINR is infinite without interferers.
         let c = chan();
         assert_eq!(c.success_probability(10.0, std::iter::empty()), 1.0);
-        assert!(c.is_informed(10.0, std::iter::empty(), gamma_eps(0.01)));
+        assert_eq!(c.sum_interference(10.0, std::iter::empty()), 0.0);
     }
 
     #[test]
@@ -237,15 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn is_informed_threshold_is_sharp() {
+    fn corollary_3_1_threshold_is_sharp() {
         let c = chan();
         let g = gamma_eps(0.01);
         // Find an interferer distance where the factor equals γ_ε exactly:
         // ln(1 + (d_jj/d)^3) = g  →  d = d_jj / (e^g − 1)^{1/3}.
         let d_jj = 5.0;
         let d_crit = d_jj / (g.exp() - 1.0).powf(1.0 / 3.0);
-        assert!(c.is_informed(d_jj, [d_crit * 1.0001], g));
-        assert!(!c.is_informed(d_jj, [d_crit * 0.9999], g));
+        assert!(c.sum_interference(d_jj, [d_crit * 1.0001]) <= g);
+        assert!(c.sum_interference(d_jj, [d_crit * 0.9999]) > g);
     }
 
     proptest! {

@@ -288,7 +288,8 @@ USAGE:
                   which keeps the last --flight-slots slots + their
                   decision traces and dumps a replayable post-mortem
                   bundle into the directory when an anomaly fires
-                  (mutually exclusive with --trace-out); --watch turns
+                  (its capture is per-thread, so --trace-out still
+                  records every slot); --watch turns
                   the progress line into a live slots/sec + phase-split
                   + health view (see docs/telemetry.md)
   fading bench-report [--out <BENCH_date.json>] [--dir <repo-root>]
@@ -618,13 +619,6 @@ fn churn(
     if flight_slots == 0 {
         return Err("--flight-slots must be >= 1".into());
     }
-    if flight_out.is_some() && args.get("trace-out").is_some() {
-        return Err(
-            "--flight-out and --trace-out are mutually exclusive: the flight \
-             recorder owns the decision-trace ring while it captures"
-                .into(),
-        );
-    }
     if watch {
         // The watch view is the progress line with a live phase split
         // and health state; it implies --progress.
@@ -899,8 +893,6 @@ mod tests {
         // Telemetry knobs validate too.
         assert!(run_line("churn --series-cadence 0").is_err());
         assert!(run_line("churn --flight-slots 0").is_err());
-        let err = run_line("churn --flight-out d --trace-out t.jsonl").unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
         let err = run_line("churn --frontier 0.1 --series-out s.jsonl").unwrap_err();
         assert!(err.contains("--frontier"), "{err}");
         // Geometry the generator cannot honour is a message, not a
@@ -1039,6 +1031,41 @@ mod tests {
             .collect();
         assert!(bundle.len() >= 3, "bundle files hashed into the manifest");
         assert!(bundle.iter().all(|a| a.sha256.len() == 64));
+    }
+
+    #[test]
+    fn churn_flight_out_and_trace_out_run_together() {
+        // The flight recorder captures on the stepping thread only, so
+        // a global --trace-out in the same run still gets every slot
+        // and the bundle's replay half still replays.
+        let dir = std::env::temp_dir().join("fading_cli_flight_traced");
+        let _ = std::fs::remove_dir_all(&dir);
+        let trace = tmp("churn_flight_traced.jsonl");
+        let out = run_line(&format!(
+            "churn --n 25 --slots 150 --seed 2 --packet-prob 1.0 --lifetime 80 \
+             --alpha 3 --eps 0.01 --flight-out {} --trace-out {trace}",
+            dir.display()
+        ))
+        .unwrap();
+        assert!(out.contains("post-mortem bundle at"), "{out}");
+        let written =
+            fading_obs::Trace::from_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        assert!(written
+            .events
+            .iter()
+            .any(|e| matches!(e, fading_obs::TraceEvent::SlotStart { .. })));
+        let replay = fading_obs::Trace::from_jsonl(
+            &std::fs::read_to_string(dir.join("replay_trace.jsonl")).unwrap(),
+        )
+        .unwrap();
+        let links = fading_net::io::load(&dir.join("replay_instance.json")).unwrap();
+        let problem =
+            fading_core::Problem::builder(links, fading_channel::ChannelParams::with_alpha(3.0))
+                .epsilon(0.01)
+                .build();
+        let certs = fading_core::certify::replay_trace(&problem, &replay)
+            .expect("the bundle's trace replays on its instance");
+        assert!(!certs.is_empty());
     }
 
     #[test]

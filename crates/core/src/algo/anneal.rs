@@ -13,9 +13,11 @@
 //!
 //! [`LocalSearch`]: crate::algo::LocalSearch
 
+use crate::ctx::SchedCtx;
 use crate::feasibility::within_budget;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_math::seeded_rng;
 use fading_net::LinkId;
@@ -46,28 +48,35 @@ impl Anneal {
     }
 }
 
-/// Internal mutable state: selection bitmap + per-receiver factor sums.
+/// Internal mutable state: selection bitmap + per-receiver factor sums
+/// (indexed by live id; only the candidates' entries are read).
 struct State<'p> {
     problem: &'p Problem,
+    scope: Scope<'p>,
     selected: Vec<bool>,
     sums: Vec<f64>,
     utility: f64,
 }
 
 impl<'p> State<'p> {
-    fn new(problem: &'p Problem) -> Self {
+    fn new(problem: &'p Problem, scope: Scope<'p>) -> Self {
         Self {
             problem,
+            scope,
             selected: vec![false; problem.len()],
             sums: vec![0.0; problem.len()],
             utility: 0.0,
         }
     }
 
+    fn weight(&self, id: LinkId) -> f64 {
+        self.scope.weight(self.problem, id)
+    }
+
     fn insert(&mut self, id: LinkId) {
         debug_assert!(!self.selected[id.index()]);
         self.selected[id.index()] = true;
-        self.utility += self.problem.rate(id);
+        self.utility += self.weight(id);
         if let Some(row) = self.problem.factors().dense_row(id) {
             for (sum, f) in self.sums.iter_mut().zip(row) {
                 *sum += f;
@@ -83,7 +92,7 @@ impl<'p> State<'p> {
     fn remove(&mut self, id: LinkId) {
         debug_assert!(self.selected[id.index()]);
         self.selected[id.index()] = false;
-        self.utility -= self.problem.rate(id);
+        self.utility -= self.weight(id);
         if let Some(row) = self.problem.factors().dense_row(id) {
             for (sum, f) in self.sums.iter_mut().zip(row) {
                 *sum -= f;
@@ -103,26 +112,26 @@ impl<'p> State<'p> {
     fn feasible_with(&self, extra: Option<LinkId>) -> bool {
         let budget = self.problem.gamma_eps();
         let factors = self.problem.factors();
-        let members = self.selected.iter().filter(|&&s| s).count() + usize::from(extra.is_some());
-        (0..self.selected.len())
-            .filter(|&j| self.selected[j] || extra.is_some_and(|e| e.index() == j))
+        let members = self.members().count() + usize::from(extra.is_some());
+        self.scope
+            .ids(self.problem)
+            .filter(|&j| self.selected[j.index()] || extra == Some(j))
             .all(|j| {
-                let jid = LinkId(j as u32);
-                let mut s = self.sums[j];
+                let mut s = self.sums[j.index()];
                 if let Some(e) = extra {
-                    if e.index() != j {
-                        s += self.problem.factor(e, jid);
+                    if e != j {
+                        s += self.problem.factor(e, j);
                     }
                 }
-                within_budget(s + members as f64 * factors.tail_cut(jid), budget)
+                within_budget(s + members as f64 * factors.tail_cut(j), budget)
             })
     }
 
-    fn members(&self) -> Vec<LinkId> {
-        (0..self.selected.len() as u32)
-            .map(LinkId)
+    /// The selected candidates, ascending.
+    fn members(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.scope
+            .ids(self.problem)
             .filter(|id| self.selected[id.index()])
-            .collect()
     }
 }
 
@@ -131,40 +140,44 @@ impl Scheduler for Anneal {
         "Anneal"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut crate::ctx::SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         let _span = fading_obs::Span::enter("core.anneal.schedule");
-        let n = problem.len();
-        if n == 0 {
+        let k = scope.len(problem);
+        if k == 0 {
             return Schedule::empty();
         }
-        let mean_rate = problem.links().total_rate() / n as f64;
+        let mean_rate = scope
+            .ids(problem)
+            .map(|id| scope.weight(problem, id))
+            .sum::<f64>()
+            / k as f64;
         let mut rng = seeded_rng(self.seed);
         // Start from the greedy solution: annealing then only has to
         // improve on a strong incumbent.
-        let start = crate::algo::GreedyRate.schedule_in(problem, ctx);
-        let mut state = State::new(problem);
+        let start = crate::algo::GreedyRate.schedule_in(problem, scope, ctx);
+        let mut state = State::new(problem, scope);
         for id in start.iter() {
             state.insert(id);
         }
-        let mut best = state.members();
+        let mut best: Vec<LinkId> = state.members().collect();
         let mut best_utility = state.utility;
         let mut temp = self.t0 * mean_rate;
 
         for _ in 0..self.iterations {
-            let id = LinkId(rng.gen_range(0..n as u32));
+            let id = scope.id_at(rng.gen_range(0..k as u32) as usize);
             if state.selected[id.index()] {
                 // Drop move.
-                let delta = -problem.rate(id);
+                let delta = -state.weight(id);
                 if delta >= 0.0 || rng.gen::<f64>() < (delta / temp).exp() {
                     state.remove(id);
                 }
             } else {
-                // Insert move with greedy repair: evict lowest-rate
+                // Insert move with greedy repair: evict lowest-weight
                 // conflicting members until the insertion is feasible.
                 let mut evicted: Vec<LinkId> = Vec::new();
                 while !state.feasible_with(Some(id)) {
-                    let victim = state.members().into_iter().min_by(|&a, &b| {
-                        problem.rate(a).total_cmp(&problem.rate(b)).then(a.cmp(&b))
+                    let victim = state.members().min_by(|&a, &b| {
+                        state.weight(a).total_cmp(&state.weight(b)).then(a.cmp(&b))
                     });
                     match victim {
                         Some(v) => {
@@ -175,7 +188,7 @@ impl Scheduler for Anneal {
                     }
                 }
                 let delta =
-                    problem.rate(id) - evicted.iter().map(|&v| problem.rate(v)).sum::<f64>();
+                    state.weight(id) - evicted.iter().map(|&v| state.weight(v)).sum::<f64>();
                 if delta >= 0.0 || rng.gen::<f64>() < (delta / temp).exp() {
                     state.insert(id); // accept repaired insertion
                 } else {
@@ -187,12 +200,12 @@ impl Scheduler for Anneal {
             }
             if state.utility > best_utility && state.feasible_with(None) {
                 best_utility = state.utility;
-                best = state.members();
+                best = state.members().collect();
             }
             temp = (temp * self.cooling).max(1e-6);
         }
         let s = Schedule::from_ids(best);
-        super::emit_algo_trace("Anneal", n, true, &s, ctx);
+        super::emit_algo_trace("Anneal", k, true, &s, ctx);
         fading_obs::counter!("core.anneal.picks").add(s.len() as u64);
         s
     }

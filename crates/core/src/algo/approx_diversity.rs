@@ -15,6 +15,7 @@ use crate::constants::approx_diversity_c1;
 use crate::ctx::SchedCtx;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 
 /// The ApproxDiversity baseline scheduler.
@@ -42,9 +43,16 @@ impl Scheduler for ApproxDiversity {
         "ApproxDiversity"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         let c1 = approx_diversity_c1(problem.params(), self.c2);
-        eliminate_schedule_in(problem, c1, self.c2, ElimMetric::DeterministicRelative, ctx)
+        eliminate_schedule_in(
+            problem,
+            scope,
+            c1,
+            self.c2,
+            ElimMetric::DeterministicRelative,
+            ctx,
+        )
     }
 }
 

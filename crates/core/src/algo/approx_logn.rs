@@ -14,6 +14,7 @@ use crate::constants::approx_logn_mu;
 use crate::ctx::SchedCtx;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 
 /// The ApproxLogN baseline scheduler.
@@ -32,10 +33,11 @@ impl Scheduler for ApproxLogN {
         "ApproxLogN"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         let mu = approx_logn_mu(problem.params());
         grid_schedule_labeled_in(
             problem,
+            scope,
             ClassMode::TwoSided,
             mu,
             "core.approx_logn",

@@ -32,6 +32,7 @@
 use crate::constants::rle_c1;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_net::LinkId;
 
@@ -60,12 +61,18 @@ impl Dls {
     /// Number of synchronous rounds the protocol took on `problem`
     /// (diagnostic; re-runs the protocol).
     pub fn rounds(&self, problem: &Problem) -> usize {
-        self.run(problem).1
+        self.run(problem, Scope::all()).1
     }
 
-    fn run(&self, problem: &Problem) -> (Schedule, usize) {
+    /// The protocol among the candidates of `scope`; state and geometry
+    /// are indexed by candidate position (ascending id).
+    fn run(&self, problem: &Problem, scope: Scope<'_>) -> (Schedule, usize) {
         let links = problem.links();
-        let n = links.len();
+        let ids: Vec<LinkId> = scope.ids(problem).collect();
+        let tx: Vec<_> = ids.iter().map(|&i| links.link(i).sender).collect();
+        let rx: Vec<_> = ids.iter().map(|&i| links.link(i).receiver).collect();
+        let len: Vec<f64> = ids.iter().map(|&i| links.length(i)).collect();
+        let n = ids.len();
         if n == 0 {
             return (Schedule::empty(), 0);
         }
@@ -75,15 +82,12 @@ impl Dls {
         // Neighbor discovery: j contends with k when either sender is
         // inside the other's deletion disk scaled by the larger link.
         // Symmetric by construction.
-        let contends = |a: LinkId, b: LinkId| -> bool {
-            let scale = c1 * links.length(a).max(links.length(b));
-            let d_ab = links.link(a).sender.distance(&links.link(b).receiver);
-            let d_ba = links.link(b).sender.distance(&links.link(a).receiver);
-            d_ab < scale || d_ba < scale
+        let contends = |a: usize, b: usize| -> bool {
+            let scale = c1 * len[a].max(len[b]);
+            tx[a].distance(&rx[b]) < scale || tx[b].distance(&rx[a]) < scale
         };
         // Local dominance order: shorter link wins, ties by id.
-        let dominates =
-            |a: LinkId, b: LinkId| -> bool { (links.length(a), a) < (links.length(b), b) };
+        let dominates = |a: usize, b: usize| -> bool { (len[a], a) < (len[b], b) };
 
         let mut state = vec![State::Undecided; n];
         let mut acc = vec![0.0f64; n]; // measured interference factor
@@ -91,19 +95,17 @@ impl Dls {
         loop {
             rounds += 1;
             // Phase 1: budget-based retirement (local measurement).
-            for j in links.ids() {
-                if state[j.index()] == State::Undecided && acc[j.index()] > threshold {
-                    state[j.index()] = State::Retired;
+            for j in 0..n {
+                if state[j] == State::Undecided && acc[j] > threshold {
+                    state[j] = State::Retired;
                 }
             }
             // Phase 2: locally dominant undecided links activate.
-            let activating: Vec<LinkId> = links
-                .ids()
-                .filter(|&j| state[j.index()] == State::Undecided)
+            let activating: Vec<usize> = (0..n)
+                .filter(|&j| state[j] == State::Undecided)
                 .filter(|&j| {
-                    links
-                        .ids()
-                        .filter(|&k| k != j && state[k.index()] == State::Undecided)
+                    (0..n)
+                        .filter(|&k| k != j && state[k] == State::Undecided)
                         .all(|k| !contends(j, k) || dominates(j, k))
                 })
                 .collect();
@@ -111,25 +113,24 @@ impl Dls {
                 break;
             }
             for &i in &activating {
-                state[i.index()] = State::Active;
+                state[i] = State::Active;
             }
             // Phase 3: "clear" broadcasts — retire senders inside the
             // deletion disk of each newly active receiver, and update
             // every undecided receiver's measured interference.
             for &i in &activating {
-                let r_i = links.link(i).receiver;
-                let radius = c1 * links.length(i);
-                for j in links.ids() {
-                    if state[j.index()] != State::Undecided {
+                let (r_i, radius) = (rx[i], c1 * len[i]);
+                for j in 0..n {
+                    if state[j] != State::Undecided {
                         continue;
                     }
-                    if links.link(j).sender.distance(&r_i) < radius {
-                        state[j.index()] = State::Retired;
+                    if tx[j].distance(&r_i) < radius {
+                        state[j] = State::Retired;
                     } else {
                         // A receiver *measures* the clear broadcast, so
                         // the scalar factor is the right model — exact
                         // under every interference backend.
-                        acc[j.index()] += problem.factor(i, j);
+                        acc[j] += problem.factor(ids[i], ids[j]);
                     }
                 }
             }
@@ -137,9 +138,9 @@ impl Dls {
                 unreachable!("DLS failed to terminate within N rounds");
             }
         }
-        let mut members: Vec<LinkId> = links
-            .ids()
-            .filter(|&j| state[j.index()] == State::Active)
+        let mut members: Vec<LinkId> = (0..n)
+            .filter(|&j| state[j] == State::Active)
+            .map(|j| ids[j])
             .collect();
         // Safety valve: unlike RLE, simultaneous activations of links
         // with heterogeneous lengths lack a worst-case packing bound, so
@@ -175,10 +176,15 @@ impl Scheduler for Dls {
         "DLS"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut crate::ctx::SchedCtx) -> Schedule {
+    fn schedule_in(
+        &self,
+        problem: &Problem,
+        scope: Scope<'_>,
+        ctx: &mut crate::ctx::SchedCtx,
+    ) -> Schedule {
         let _span = fading_obs::Span::enter("core.dls.schedule");
-        let s = self.run(problem).0;
-        super::emit_algo_trace("DLS", problem.len(), true, &s, ctx);
+        let s = self.run(problem, scope).0;
+        super::emit_algo_trace("DLS", scope.len(problem), true, &s, ctx);
         fading_obs::counter!("core.dls.picks").add(s.len() as u64);
         s
     }

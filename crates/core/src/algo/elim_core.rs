@@ -12,6 +12,8 @@
 use crate::ctx::{OrderKind, SchedCtx};
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
+use fading_net::LinkId;
 use fading_obs::{ElimCause, TraceEvent, TraceScope};
 
 /// Which accumulated-interference metric drives deletions.
@@ -36,15 +38,17 @@ impl ElimMetric {
 
 /// [`eliminate_schedule_in`] with a private one-shot workspace.
 pub fn eliminate_schedule(problem: &Problem, c1: f64, c2: f64, metric: ElimMetric) -> Schedule {
-    eliminate_schedule_in(problem, c1, c2, metric, &mut SchedCtx::new())
+    eliminate_schedule_in(problem, Scope::all(), c1, c2, metric, &mut SchedCtx::new())
 }
 
-/// Runs the elimination skeleton. `c1` is the deletion-radius factor,
-/// `c2 ∈ (0,1)` the budget fraction reserved for already-picked senders.
-/// All scratch (candidate order, alive bitmap, ledgers, spatial index)
+/// Runs the elimination skeleton over the candidates of `scope`. `c1`
+/// is the deletion-radius factor, `c2 ∈ (0,1)` the budget fraction
+/// reserved for already-picked senders. All scratch (candidate order,
+/// alive bitmap, ledgers, spatial index over the candidate senders)
 /// lives in `ctx`; a warm ctx makes the whole call allocation-free.
 pub fn eliminate_schedule_in(
     problem: &Problem,
+    scope: Scope<'_>,
     c1: f64,
     c2: f64,
     metric: ElimMetric,
@@ -86,8 +90,7 @@ pub fn eliminate_schedule_in(
     let label = stats.label;
     let _span = fading_obs::Span::enter(stats.span);
     let links = problem.links();
-    let n = links.len();
-    if n == 0 {
+    if scope.len(problem) == 0 {
         return Schedule::empty();
     }
     let budget = match metric {
@@ -102,20 +105,28 @@ pub fn eliminate_schedule_in(
     // memoize across calls on bit-identical length vectors).
     if !ctx.order_is_cached(
         OrderKind::ElimLength,
-        problem.stamp(),
-        links.ids().map(|i| links.length(i)),
+        scope.stamp(problem),
+        scope
+            .ids(problem)
+            .flat_map(|i| [f64::from(i.0), links.length(i)]),
     ) {
         ctx.order.clear();
-        ctx.order.extend(links.ids());
+        ctx.order.extend(scope.ids(problem));
         ctx.order
             .sort_unstable_by(|&a, &b| links.length(a).total_cmp(&links.length(b)).then(a.cmp(&b)));
     }
 
-    // Spatial index over sender positions for the disk deletions; cell
-    // size near the typical deletion radius keeps queries local.
+    // Spatial index over the candidate senders (point `p` is candidate
+    // `scope.id_at(p)`) for the disk deletions; cell size near the
+    // typical deletion radius keeps queries local.
     ctx.senders.clear();
-    ctx.senders.extend(links.links().iter().map(|l| l.sender));
-    let typical_radius = c1 * links.min_length().unwrap_or(1.0);
+    ctx.senders
+        .extend(scope.ids(problem).map(|i| links.link(i).sender));
+    let min_length = scope
+        .ids(problem)
+        .map(|i| links.length(i))
+        .min_by(f64::total_cmp);
+    let typical_radius = c1 * min_length.unwrap_or(1.0);
     ctx.spatial.rebuild(&ctx.senders, typical_radius.max(1e-9));
 
     // The elimination loop exists twice: an untraced copy containing no
@@ -128,9 +139,11 @@ pub fn eliminate_schedule_in(
     // (FP-accumulation) order; `trace_certificates.rs` replays traced
     // runs against `schedule()` output to pin that equivalence.
     let (schedule, elim_radius, elim_budget) = if fading_obs::tracing_enabled() {
-        run_traced(problem, ctx, c1, c2, budget, threshold, metric, label)
+        run_traced(
+            problem, scope, ctx, c1, c2, budget, threshold, metric, label,
+        )
     } else {
-        run_untraced(problem, ctx, c1, threshold, metric)
+        run_untraced(problem, scope, ctx, c1, threshold, metric)
     };
     // Flushed once per schedule call: the elimination loop itself
     // stays free of shared-state writes.
@@ -147,6 +160,7 @@ pub fn eliminate_schedule_in(
 #[inline(never)]
 fn run_untraced(
     problem: &Problem,
+    scope: Scope<'_>,
     ctx: &mut SchedCtx,
     c1: f64,
     threshold: f64,
@@ -163,26 +177,32 @@ fn run_untraced(
         spatial,
         ..
     } = ctx;
+    // Bitmap and ledger are indexed by live id; only candidates start
+    // alive, and a dead receiver's ledger is never read, so only the
+    // candidates' entries need zeroing.
     alive.clear();
-    alive.resize(n, true);
-    acc.clear();
+    alive.resize(n, false);
     acc.resize(n, 0.0);
     live.clear();
-    live.extend(0..n as u32);
+    for j in scope.ids(problem) {
+        alive[j.index()] = true;
+        acc[j.index()] = 0.0;
+        live.push(j.0);
+    }
     let mut elim_radius = 0u64;
     let mut elim_budget = 0u64;
     // Two-phase dense debit (FadingFactor only): while most links are
     // still alive, the branch-free full-row kernel beats the compacted
     // walk — the row is streamed once, no `live` maintenance, and the
     // loop autovectorizes. Once survivors drop below ~25% the compacted
-    // walk wins (it skips the dead majority), so we rebuild `live` from
-    // the bitmap and switch permanently. Both forms are verdict- and
+    // walk wins (it skips the dead majority), so we switch to it
+    // permanently (a small scope starts there). Both forms are verdict- and
     // bit-identical for every surviving receiver (see
     // `crate::kernel::debit_dense`), so the schedule cannot depend on
     // where the crossover lands. DeterministicRelative keeps the
     // compacted walk throughout: its `exp_m1` per element makes full
     // rows expensive on dead entries.
-    let mut alive_count = n;
+    let mut alive_count = live.len();
     let mut compacted = metric != ElimMetric::FadingFactor;
 
     for &i in order.iter() {
@@ -196,9 +216,10 @@ fn run_untraced(
         let receiver = links.link(i).receiver;
         let radius = c1 * links.length(i);
         // Line 4: delete links whose senders are within c₁·d_ii of r_i.
-        spatial.for_each_in_radius(&receiver, radius, |j| {
-            if alive[j as usize] {
-                alive[j as usize] = false;
+        spatial.for_each_in_radius(&receiver, radius, |p| {
+            let j = scope.id_at(p as usize).index();
+            if alive[j] {
+                alive[j] = false;
                 alive_count -= 1;
                 elim_radius += 1;
             }
@@ -219,14 +240,10 @@ fn run_untraced(
             ElimMetric::DeterministicRelative => f.exp_m1(),
         };
         if let Some(row) = problem.factors().dense_row(i) {
-            if !compacted && alive_count * 4 < n {
-                // Crossover: rebuild `live` from the bitmap (ascending,
-                // exactly what successive `retain`s would have left) and
-                // stay compacted for the rest of the run.
-                live.clear();
-                live.extend((0..n as u32).filter(|&j| alive[j as usize]));
-                compacted = true;
-            }
+            // Crossover: the `retain` below leaves exactly the ascending
+            // survivors successive retains would have, so switching
+            // needs no rebuild.
+            compacted |= alive_count * 4 < n;
             if compacted {
                 live.retain(|&j| alive[j as usize]);
                 for &j in live.iter() {
@@ -275,6 +292,7 @@ fn run_untraced(
 #[allow(clippy::too_many_arguments)]
 fn run_traced(
     problem: &Problem,
+    scope: Scope<'_>,
     ctx: &mut SchedCtx,
     c1: f64,
     c2: f64,
@@ -290,14 +308,17 @@ fn run_traced(
     let mut tr = TraceScope::begin();
     tr.push(TraceEvent::ElimStart {
         scheduler: label.to_string(),
-        n: n as u32,
+        n: scope.len(problem) as u32,
         metric: metric.trace_name().to_string(),
         budget,
         threshold,
         c1,
         c2,
     });
-    let mut alive = vec![true; n];
+    let mut alive = vec![false; n];
+    for j in scope.ids(problem) {
+        alive[j.index()] = true;
+    }
     let mut acc = vec![0.0f64; n];
     let mut picked = Vec::new();
     let mut elim_radius = 0u64;
@@ -312,7 +333,8 @@ fn run_traced(
         tr.push(TraceEvent::Pick { link: i.0 });
         let receiver = links.link(i).receiver;
         let radius = c1 * links.length(i);
-        hash.for_each_in_radius(&receiver, radius, |j| {
+        hash.for_each_in_radius(&receiver, radius, |p| {
+            let j = scope.id_at(p as usize).0;
             if alive[j as usize] {
                 alive[j as usize] = false;
                 elim_radius += 1;
@@ -352,7 +374,7 @@ fn run_traced(
                 }
             };
         if let Some(row) = problem.factors().dense_row(i) {
-            for j in 0..n {
+            for j in scope.ids(problem).map(LinkId::index) {
                 if !alive[j] {
                     continue;
                 }

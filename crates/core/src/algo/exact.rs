@@ -10,10 +10,14 @@
 //! order with a remaining-utility bound and incremental feasibility;
 //! [`exhaustive`] enumerates all `2^N` subsets and exists purely as an
 //! oracle for cross-checking the pruned search on tiny instances.
+//! [`ExactBnb`] runs the same search over a scope's candidates, so its
+//! size limit bounds the candidates, not the live problem.
 
+use crate::ctx::SchedCtx;
 use crate::feasibility::InterferenceAccumulator;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_net::LinkId;
 
@@ -27,24 +31,34 @@ pub const BNB_MAX_LINKS: usize = 40;
 /// # Panics
 /// Panics if the instance has more than [`BNB_MAX_LINKS`] links.
 pub fn branch_and_bound(problem: &Problem) -> Schedule {
+    search(problem, Scope::all(), &mut Vec::new())
+}
+
+/// The optimum over the candidates of `scope` (weighted by it), with
+/// `sums` lent to the accumulator.
+///
+/// # Panics
+/// Panics if the scope has more than [`BNB_MAX_LINKS`] candidates.
+fn search(problem: &Problem, scope: Scope<'_>, sums: &mut Vec<f64>) -> Schedule {
+    let k = scope.len(problem);
     assert!(
-        problem.len() <= BNB_MAX_LINKS,
-        "branch-and-bound limited to {BNB_MAX_LINKS} links, instance has {}",
-        problem.len()
+        k <= BNB_MAX_LINKS,
+        "branch-and-bound limited to {BNB_MAX_LINKS} links, instance has {k}"
     );
-    let links = problem.links();
-    let mut order: Vec<LinkId> = links.ids().collect();
-    // High rates first so good solutions are found early and the
+    let weight = |id| scope.weight(problem, id);
+    let mut order: Vec<LinkId> = scope.ids(problem).collect();
+    // High weights first so good solutions are found early and the
     // utility bound prunes aggressively.
-    order.sort_by(|&a, &b| problem.rate(b).total_cmp(&problem.rate(a)).then(a.cmp(&b)));
-    // suffix[k] = total rate of order[k..]: the best any completion can add.
+    order.sort_by(|&a, &b| weight(b).total_cmp(&weight(a)).then(a.cmp(&b)));
+    // suffix[k] = total weight of order[k..]: the best any completion can add.
     let mut suffix = vec![0.0; order.len() + 1];
     for k in (0..order.len()).rev() {
-        suffix[k] = suffix[k + 1] + problem.rate(order[k]);
+        suffix[k] = suffix[k + 1] + weight(order[k]);
     }
 
     struct Search<'p> {
         problem: &'p Problem,
+        scope: Scope<'p>,
         order: Vec<LinkId>,
         suffix: Vec<f64>,
         budget: f64,
@@ -71,12 +85,14 @@ pub fn branch_and_bound(problem: &Problem) -> Schedule {
                 return;
             }
             let id = self.order[k];
-            // Include branch first: the rate ordering makes inclusion
+            // Include branch first: the weight ordering makes inclusion
             // the promising direction.
             if acc.addition_is_feasible(id, self.budget) {
-                let mut with = acc.clone();
-                with.select(id);
-                self.dfs(k + 1, &mut with, utility + self.problem.rate(id));
+                let undo = acc.checkpoint();
+                acc.select(id);
+                let gain = self.scope.weight(self.problem, id);
+                self.dfs(k + 1, acc, utility + gain);
+                acc.rollback(undo);
             }
             self.dfs(k + 1, acc, utility);
         }
@@ -84,6 +100,7 @@ pub fn branch_and_bound(problem: &Problem) -> Schedule {
 
     let mut search = Search {
         problem,
+        scope,
         order,
         suffix,
         budget: problem.gamma_eps(),
@@ -92,7 +109,7 @@ pub fn branch_and_bound(problem: &Problem) -> Schedule {
         nodes: 0,
         pruned: 0,
     };
-    let mut acc = InterferenceAccumulator::new(problem);
+    let mut acc = InterferenceAccumulator::new(problem, scope, sums);
     search.dfs(0, &mut acc, 0.0);
     fading_obs::counter!("core.exact.nodes").add(search.nodes);
     fading_obs::counter!("core.exact.pruned").add(search.pruned);
@@ -148,92 +165,6 @@ pub fn exhaustive(problem: &Problem) -> Schedule {
     )
 }
 
-/// Parallel branch-and-bound: identical search to
-/// [`branch_and_bound`], but the top `spawn_depth` levels of the
-/// include/exclude tree fork into rayon tasks sharing the incumbent
-/// through an atomic bound. Deterministic result value (the optimum is
-/// unique in utility; when several optima tie, the returned *set* may
-/// differ from the sequential one).
-pub fn branch_and_bound_parallel(problem: &Problem) -> Schedule {
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Mutex;
-
-    assert!(
-        problem.len() <= BNB_MAX_LINKS,
-        "branch-and-bound limited to {BNB_MAX_LINKS} links, instance has {}",
-        problem.len()
-    );
-    let links = problem.links();
-    let mut order: Vec<LinkId> = links.ids().collect();
-    order.sort_by(|&a, &b| problem.rate(b).total_cmp(&problem.rate(a)).then(a.cmp(&b)));
-    let mut suffix = vec![0.0; order.len() + 1];
-    for k in (0..order.len()).rev() {
-        suffix[k] = suffix[k + 1] + problem.rate(order[k]);
-    }
-    // The incumbent (utility, set) is updated under one mutex so the
-    // two can never disagree; the atomic copy of the utility is a
-    // lock-free *pruning bound* only (monotone, may lag the mutex by an
-    // instant, which is sound — a stale lower bound just prunes less).
-    let best_utility = AtomicU64::new(0f64.to_bits());
-    let incumbent: Mutex<(f64, Vec<LinkId>)> = Mutex::new((0.0, Vec::new()));
-
-    struct Ctx<'p> {
-        problem: &'p Problem,
-        order: Vec<LinkId>,
-        suffix: Vec<f64>,
-        budget: f64,
-        best_utility: AtomicU64,
-        incumbent: Mutex<(f64, Vec<LinkId>)>,
-        spawn_depth: usize,
-    }
-
-    fn dfs(ctx: &Ctx<'_>, k: usize, acc: &InterferenceAccumulator<'_>, utility: f64) {
-        use std::sync::atomic::Ordering;
-        if utility > f64::from_bits(ctx.best_utility.load(Ordering::Relaxed)) {
-            let mut best = ctx.incumbent.lock().expect("incumbent lock");
-            if utility > best.0 {
-                *best = (utility, acc.selected().to_vec());
-                ctx.best_utility.store(utility.to_bits(), Ordering::SeqCst);
-            }
-        }
-        let incumbent = f64::from_bits(ctx.best_utility.load(Ordering::Relaxed));
-        if k == ctx.order.len() || utility + ctx.suffix[k] <= incumbent {
-            return;
-        }
-        let id = ctx.order[k];
-        let include = || {
-            if acc.addition_is_feasible(id, ctx.budget) {
-                let mut with = acc.clone();
-                with.select(id);
-                dfs(ctx, k + 1, &with, utility + ctx.problem.rate(id));
-            }
-        };
-        let exclude = || dfs(ctx, k + 1, acc, utility);
-        if k < ctx.spawn_depth {
-            rayon::join(include, exclude);
-        } else {
-            include();
-            exclude();
-        }
-    }
-
-    let ctx = Ctx {
-        problem,
-        order,
-        suffix,
-        budget: problem.gamma_eps(),
-        best_utility,
-        incumbent,
-        // 2^6 = up to 64 concurrent subtrees — enough to saturate a
-        // workstation without flooding the scheduler.
-        spawn_depth: 6,
-    };
-    let acc = InterferenceAccumulator::new(problem);
-    dfs(&ctx, 0, &acc, 0.0);
-    let (_, set) = ctx.incumbent.into_inner().expect("incumbent lock");
-    Schedule::from_ids(set)
-}
-
 /// [`branch_and_bound`] behind the [`Scheduler`] interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExactBnb;
@@ -250,10 +181,10 @@ impl Scheduler for ExactBnb {
         "Exact(B&B)"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut crate::ctx::SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         let _span = fading_obs::Span::enter("core.exact.schedule");
-        let s = branch_and_bound(problem);
-        super::emit_algo_trace("Exact(B&B)", problem.len(), true, &s, ctx);
+        let s = search(problem, scope, &mut ctx.sums);
+        super::emit_algo_trace("Exact(B&B)", scope.len(problem), true, &s, ctx);
         fading_obs::counter!("core.exact.picks").add(s.len() as u64);
         s
     }
@@ -365,21 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bnb_matches_sequential_optimum() {
+    fn bnb_matches_exhaustive_at_twelve_links() {
         for seed in 0..6 {
             let p = small_problem(12, seed);
-            let seq = branch_and_bound(&p).utility(&p);
-            let par = branch_and_bound_parallel(&p).utility(&p);
+            let bnb = branch_and_bound(&p);
             assert!(
-                (seq - par).abs() < 1e-9,
-                "seed {seed}: sequential {seq} vs parallel {par}"
+                (bnb.utility(&p) - exhaustive(&p).utility(&p)).abs() < 1e-9,
+                "seed {seed}"
             );
-            assert!(is_feasible(&p, &branch_and_bound_parallel(&p)));
+            assert!(is_feasible(&p, &bnb));
         }
     }
 
     #[test]
-    fn parallel_bnb_handles_varied_rates() {
+    fn bnb_matches_exhaustive_with_varied_rates_at_thirteen_links() {
         let gen = UniformGenerator {
             side: 120.0,
             n: 13,
@@ -390,19 +320,10 @@ mod tests {
         for seed in 0..3 {
             let p = Problem::paper(gen.generate(seed), 3.0);
             assert!(
-                (branch_and_bound(&p).utility(&p) - branch_and_bound_parallel(&p).utility(&p))
-                    .abs()
-                    < 1e-9,
+                (branch_and_bound(&p).utility(&p) - exhaustive(&p).utility(&p)).abs() < 1e-9,
                 "seed {seed}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_bnb_empty_instance() {
-        let links = fading_net::LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
-        let p = Problem::paper(links, 3.0);
-        assert!(branch_and_bound_parallel(&p).is_empty());
     }
 
     #[test]

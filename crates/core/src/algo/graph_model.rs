@@ -24,6 +24,7 @@
 
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_net::LinkId;
 
@@ -91,19 +92,26 @@ impl Scheduler for GraphModel {
         }
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut crate::ctx::SchedCtx) -> Schedule {
+    fn schedule_in(
+        &self,
+        problem: &Problem,
+        scope: Scope<'_>,
+        ctx: &mut crate::ctx::SchedCtx,
+    ) -> Schedule {
         let _span = fading_obs::Span::enter("core.graph_model.schedule");
         let links = problem.links();
         // Same (length asc, id asc) total order as the elimination
         // schedulers, so the two share one memo slot.
         let cached = ctx.order_is_cached(
             crate::ctx::OrderKind::ElimLength,
-            problem.stamp(),
-            links.ids().map(|i| links.length(i)),
+            scope.stamp(problem),
+            scope
+                .ids(problem)
+                .flat_map(|i| [f64::from(i.0), links.length(i)]),
         );
         if !cached {
             ctx.order.clear();
-            ctx.order.extend(links.ids());
+            ctx.order.extend(scope.ids(problem));
             ctx.order.sort_unstable_by(|&a, &b| {
                 links.length(a).total_cmp(&links.length(b)).then(a.cmp(&b))
             });
@@ -117,7 +125,7 @@ impl Scheduler for GraphModel {
         let s = Schedule::from_ids(chosen);
         // Graph models ignore accumulated interference entirely — their
         // schedules carry no γ_ε guarantee, so the trace is uncertified.
-        super::emit_algo_trace(self.name(), links.len(), false, &s, ctx);
+        super::emit_algo_trace(self.name(), scope.len(problem), false, &s, ctx);
         fading_obs::counter!("core.graph_model.picks").add(s.len() as u64);
         s
     }

@@ -7,10 +7,11 @@
 //! for calibrating how much utility the guaranteed algorithms leave on
 //! the table.
 
-use crate::ctx::SchedCtx;
+use crate::ctx::{OrderKind, SchedCtx};
 use crate::feasibility::InterferenceAccumulator;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_obs::{ElimCause, TraceEvent, TraceScope};
 
@@ -30,35 +31,39 @@ impl Scheduler for GreedyRate {
         "GreedyRate"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         let _span = fading_obs::Span::enter("core.greedy.schedule");
         let links = problem.links();
-        // Highest rate first; ties by shorter length (easier to keep
+        let weight = |i| scope.weight(problem, i);
+        // Highest weight first; ties by shorter length (easier to keep
         // feasible), then id — a total order, so the unstable sort's
-        // result is unique and memoizable on the (rate, length) keys.
-        let keys = links.ids().flat_map(|i| [problem.rate(i), links.length(i)]);
-        if !ctx.order_is_cached(crate::ctx::OrderKind::GreedyRate, problem.stamp(), keys) {
+        // result is unique and memoizable on the (weight, length) keys.
+        let keys = scope
+            .ids(problem)
+            .flat_map(|i| [f64::from(i.0), weight(i), links.length(i)]);
+        if !ctx.order_is_cached(OrderKind::GreedyRate, scope.stamp(problem), keys) {
             ctx.order.clear();
-            ctx.order.extend(links.ids());
+            ctx.order.extend(scope.ids(problem));
             ctx.order.sort_unstable_by(|&a, &b| {
-                problem
-                    .rate(b)
-                    .total_cmp(&problem.rate(a))
+                weight(b)
+                    .total_cmp(&weight(a))
                     .then(links.length(a).total_cmp(&links.length(b)))
                     .then(a.cmp(&b))
             });
         }
         let budget = problem.gamma_eps();
+        let k = scope.len(problem);
         let mut tr = TraceScope::begin();
         if tr.active() {
             tr.push(TraceEvent::AlgoStart {
                 scheduler: "GreedyRate".to_string(),
-                n: links.len() as u32,
+                n: k as u32,
                 certified: true,
             });
         }
-        let mut acc = InterferenceAccumulator::new(problem);
-        for &id in &ctx.order {
+        let SchedCtx { order, sums, .. } = ctx;
+        let mut acc = InterferenceAccumulator::new(problem, scope, sums);
+        for &id in order.iter() {
             if acc.addition_is_feasible(id, budget) {
                 acc.select(id);
                 tr.push(TraceEvent::Pick { link: id.0 });
@@ -78,7 +83,7 @@ impl Scheduler for GreedyRate {
         }
         tr.finish();
         fading_obs::counter!("core.greedy.picks").add(schedule.len() as u64);
-        fading_obs::counter!("core.greedy.eliminations").add((links.len() - schedule.len()) as u64);
+        fading_obs::counter!("core.greedy.eliminations").add((k - schedule.len()) as u64);
         schedule
     }
 }

@@ -9,6 +9,7 @@
 use crate::ctx::SchedCtx;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use fading_geom::GridPartition;
 use fading_net::diversity::magnitude;
 use fading_net::LinkId;
@@ -33,25 +34,8 @@ pub enum ClassMode {
 /// square scale (`β` for LDP, `μ` for ApproxLogN); the square for the
 /// class of magnitude `h` has side `2^{h+1}·scale·δ`.
 pub fn grid_schedule(problem: &Problem, mode: ClassMode, scale: f64) -> Schedule {
-    grid_schedule_labeled(problem, mode, scale, "core.grid", true)
-}
-
-/// [`grid_schedule_labeled_in`] with a private one-shot workspace.
-pub fn grid_schedule_labeled(
-    problem: &Problem,
-    mode: ClassMode,
-    scale: f64,
-    stat_prefix: &str,
-    certified: bool,
-) -> Schedule {
-    grid_schedule_labeled_in(
-        problem,
-        mode,
-        scale,
-        stat_prefix,
-        certified,
-        &mut SchedCtx::new(),
-    )
+    let ctx = &mut SchedCtx::new();
+    grid_schedule_labeled_in(problem, Scope::all(), mode, scale, "core.grid", true, ctx)
 }
 
 /// [`grid_schedule`] with an explicit metric prefix, so callers (LDP,
@@ -61,10 +45,13 @@ pub fn grid_schedule_labeled(
 /// feasibility (LDP's β does; ApproxLogN's μ bounds only the
 /// deterministic part) — it is recorded in the decision trace and
 /// decides whether the replay verifier audits the full ledger.
-/// All scratch (class exponents, per-cell winner table, color buckets)
-/// lives in `ctx`; a warm ctx makes the untraced call allocation-free.
+/// Classes, `δ` and squares are taken over the candidates of `scope`,
+/// weighted by its weights. All scratch (class exponents, per-cell
+/// winner table, color buckets) lives in `ctx`; a warm ctx makes the
+/// untraced call allocation-free.
 pub fn grid_schedule_labeled_in(
     problem: &Problem,
+    scope: Scope<'_>,
     mode: ClassMode,
     scale: f64,
     stat_prefix: &str,
@@ -81,14 +68,16 @@ pub fn grid_schedule_labeled_in(
         None => fading_obs::Span::enter(&format!("{stat_prefix}.schedule")),
     };
     let links = problem.links();
-    let Some(delta) = links.min_length() else {
+    let candidates = || scope.ids(problem).map(|id| links.link(id));
+    let weight = |id| scope.weight(problem, id);
+    let Some(delta) = candidates().map(|l| l.length()).min_by(f64::total_cmp) else {
         return Schedule::empty();
     };
     // The whole selection phase below is a pure function of: the class
     // mode, the square scale, the grid anchor (the region's lower-left
-    // corner — all `GridPartition::new` reads), and each link's
-    // (length, receiver, rate) in id order. Verified memoization: when
-    // that witness is bit-identical to the previous call's, the cached
+    // corner — all `GridPartition::new` reads), and each candidate's
+    // (id, length, receiver, weight) in id order. Verified memoization:
+    // when that witness is bit-identical to the previous call's, the cached
     // selection in `best_ids`/`grid_best`/`grid_counts` is provably the
     // same and the classes × links scan is skipped. NaNs never compare
     // equal, so they conservatively force a recompute.
@@ -97,12 +86,12 @@ pub fn grid_schedule_labeled_in(
         ClassMode::Nested => 0.0,
         ClassMode::TwoSided => 1.0,
     };
-    let witness = links
-        .links()
-        .iter()
-        .flat_map(|l| [l.length(), l.receiver.x, l.receiver.y, l.rate]);
+    let witness = candidates().flat_map(|l| {
+        let id = f64::from(l.id.0);
+        [id, l.length(), l.receiver.x, l.receiver.y, weight(l.id)]
+    });
     if !ctx.grid_is_cached(
-        problem.stamp(),
+        scope.stamp(problem),
         [mode_key, scale, anchor.x, anchor.y],
         witness,
     ) {
@@ -110,7 +99,7 @@ pub fn grid_schedule_labeled_in(
         // inlined over the ctx buffer).
         ctx.exponents.clear();
         ctx.exponents
-            .extend(links.links().iter().map(|l| magnitude(l.length(), delta)));
+            .extend(candidates().map(|l| magnitude(l.length(), delta)));
         ctx.exponents.sort_unstable();
         ctx.exponents.dedup();
         ctx.best_ids.clear();
@@ -131,7 +120,7 @@ pub fn grid_schedule_labeled_in(
             // deterministic rather than following HashMap bucket order.
             ctx.cell_slot.clear();
             ctx.winners.clear();
-            for link in links.links() {
+            for link in candidates() {
                 let m = magnitude(link.length(), delta);
                 let in_class = match mode {
                     ClassMode::Nested => m <= h,
@@ -148,11 +137,11 @@ pub fn grid_schedule_labeled_in(
                 } else {
                     let cur = &mut ctx.winners[slot as usize].1;
                     let cur_link = links.link(*cur);
-                    // Highest rate wins; ties broken by shorter length,
-                    // then id, for determinism.
-                    let better = (link.rate, -link.length(), std::cmp::Reverse(link.id))
+                    // Highest weight wins; ties broken by shorter
+                    // length, then id, for determinism.
+                    let better = (weight(link.id), -link.length(), std::cmp::Reverse(link.id))
                         > (
-                            cur_link.rate,
+                            weight(cur_link.id),
                             -cur_link.length(),
                             std::cmp::Reverse(cur_link.id),
                         );
@@ -171,7 +160,7 @@ pub fn grid_schedule_labeled_in(
             }
             for (color, ids) in ctx.per_color.iter().enumerate() {
                 colors += 1;
-                let utility: f64 = ids.iter().map(|&id| problem.rate(id)).sum();
+                let utility: f64 = ids.iter().map(|&id| weight(id)).sum();
                 if utility > best_utility {
                     best_utility = utility;
                     best_class = h;
@@ -199,7 +188,7 @@ pub fn grid_schedule_labeled_in(
         // the untraced path keeps its single pass over the classes.
         tr.push(TraceEvent::GridStart {
             scheduler: grid_label(stat_prefix, mode).to_string(),
-            n: links.len() as u32,
+            n: scope.len(problem) as u32,
             scale,
             nested: mode == ClassMode::Nested,
             certified,
@@ -212,7 +201,7 @@ pub fn grid_schedule_labeled_in(
         let cell = 2f64.powi(best_class as i32 + 1) * scale * delta;
         let grid = GridPartition::new(links.region(), cell);
         let mut per_cell: HashMap<fading_geom::CellIndex, LinkId> = HashMap::new();
-        for link in links.links() {
+        for link in candidates() {
             let m = magnitude(link.length(), delta);
             let in_class = match mode {
                 ClassMode::Nested => m <= best_class,
@@ -226,9 +215,9 @@ pub fn grid_schedule_labeled_in(
                 .entry(cell_idx)
                 .and_modify(|cur| {
                     let cur_link = links.link(*cur);
-                    let better = (link.rate, -link.length(), std::cmp::Reverse(link.id))
+                    let better = (weight(link.id), -link.length(), std::cmp::Reverse(link.id))
                         > (
-                            cur_link.rate,
+                            weight(cur_link.id),
                             -cur_link.length(),
                             std::cmp::Reverse(cur_link.id),
                         );
@@ -238,7 +227,7 @@ pub fn grid_schedule_labeled_in(
                 })
                 .or_insert(link.id);
         }
-        for link in links.links() {
+        for link in candidates() {
             let m = magnitude(link.length(), delta);
             let in_class = match mode {
                 ClassMode::Nested => m <= best_class,
@@ -279,7 +268,7 @@ pub fn grid_schedule_labeled_in(
     // One registry flush per schedule call; the per-link loops above
     // touch no shared state.
     let picks = best.len() as u64;
-    let eliminations = (links.len() - best.len()) as u64;
+    let eliminations = (scope.len(problem) - best.len()) as u64;
     match &stats {
         Some(s) => {
             s.classes.add(classes);

@@ -14,6 +14,7 @@ use crate::constants::ldp_beta;
 use crate::ctx::SchedCtx;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 
 /// The LDP scheduler.
@@ -55,9 +56,9 @@ impl Scheduler for Ldp {
         }
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         let beta = ldp_beta(problem.params(), problem.gamma_eps());
-        grid_schedule_labeled_in(problem, self.mode, beta, "core.ldp", true, ctx)
+        grid_schedule_labeled_in(problem, scope, self.mode, beta, "core.ldp", true, ctx)
     }
 }
 

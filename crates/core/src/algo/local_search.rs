@@ -16,6 +16,7 @@
 use crate::feasibility::{within_budget, InterferenceAccumulator};
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_net::LinkId;
 
@@ -41,23 +42,30 @@ impl<S: Scheduler> LocalSearch<S> {
 
 /// Improves `schedule` in place semantics (returns the improved copy).
 pub fn improve(problem: &Problem, schedule: &Schedule, max_rounds: usize) -> Schedule {
-    let budget = problem.gamma_eps();
-    let mut members: Vec<LinkId> = schedule.iter().collect();
+    improve_in(problem, Scope::all(), schedule, max_rounds)
+}
 
-    // Rebuilds the accumulator for the current member set.
-    let rebuild = |members: &[LinkId]| {
-        let mut acc = InterferenceAccumulator::new(problem);
-        for &i in members {
-            acc.select(i);
-        }
-        acc
-    };
+/// [`improve`] with moves restricted to the candidates of `scope`,
+/// weighted by it.
+fn improve_in(
+    problem: &Problem,
+    scope: Scope<'_>,
+    schedule: &Schedule,
+    max_rounds: usize,
+) -> Schedule {
+    let budget = problem.gamma_eps();
+    let weight = |id| scope.weight(problem, id);
+    let mut members: Vec<LinkId> = schedule.iter().collect();
+    let mut sums = Vec::new();
 
     for _ in 0..max_rounds {
         let mut improved = false;
-        // Add moves.
-        let mut acc = rebuild(&members);
-        for id in problem.links().ids() {
+        // Add moves, on an accumulator of the current member set.
+        let mut acc = InterferenceAccumulator::new(problem, scope, &mut sums);
+        for &i in &members {
+            acc.select(i);
+        }
+        for id in scope.ids(problem) {
             if members.contains(&id) {
                 continue;
             }
@@ -67,17 +75,16 @@ pub fn improve(problem: &Problem, schedule: &Schedule, max_rounds: usize) -> Sch
                 improved = true;
             }
         }
-        // Swap moves: try to replace a member with a higher-rate
-        // outsider (only useful with non-uniform rates).
-        let outsiders: Vec<LinkId> = problem
-            .links()
-            .ids()
+        // Swap moves: try to replace a member with a higher-weight
+        // outsider (only useful with non-uniform weights).
+        let outsiders: Vec<LinkId> = scope
+            .ids(problem)
             .filter(|id| !members.contains(id))
             .collect();
         'swap: for k in 0..members.len() {
             let out = members[k];
             for &cand in &outsiders {
-                if problem.rate(cand) <= problem.rate(out) {
+                if weight(cand) <= weight(out) {
                     continue;
                 }
                 let mut trial: Vec<LinkId> = members.clone();
@@ -112,11 +119,16 @@ impl<S: Scheduler> Scheduler for LocalSearch<S> {
         "LocalSearch"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut crate::ctx::SchedCtx) -> Schedule {
+    fn schedule_in(
+        &self,
+        problem: &Problem,
+        scope: Scope<'_>,
+        ctx: &mut crate::ctx::SchedCtx,
+    ) -> Schedule {
         let _span = fading_obs::Span::enter("core.local_search.schedule");
-        let base = self.base.schedule_in(problem, ctx);
-        let s = improve(problem, &base, self.max_rounds);
-        super::emit_algo_trace("LocalSearch", problem.len(), true, &s, ctx);
+        let base = self.base.schedule_in(problem, scope, ctx);
+        let s = improve_in(problem, scope, &base, self.max_rounds);
+        super::emit_algo_trace("LocalSearch", scope.len(problem), true, &s, ctx);
         fading_obs::counter!("core.local_search.picks").add(s.len() as u64);
         s
     }

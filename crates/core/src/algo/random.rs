@@ -5,9 +5,11 @@
 //! guaranteed algorithm should beat it on average) and by the ablation
 //! benches as a floor.
 
+use crate::ctx::SchedCtx;
 use crate::feasibility::InterferenceAccumulator;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_math::seeded_rng;
 use fading_obs::{ElimCause, TraceEvent, TraceScope};
@@ -32,26 +34,27 @@ impl Scheduler for RandomFeasible {
         "RandomFeasible"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut crate::ctx::SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         let _span = fading_obs::Span::enter("core.random.schedule");
-        let n = problem.links().len();
+        let k = scope.len(problem);
         // Shuffled, not sorted: claim the buffer as scratch so the
         // order memo is invalidated for the next memoizing caller.
         let order = ctx.order_scratch();
         order.clear();
-        order.extend(problem.links().ids());
+        order.extend(scope.ids(problem));
         order.shuffle(&mut seeded_rng(self.seed));
         let budget = problem.gamma_eps();
         let mut tr = TraceScope::begin();
         if tr.active() {
             tr.push(TraceEvent::AlgoStart {
                 scheduler: "RandomFeasible".to_string(),
-                n: n as u32,
+                n: k as u32,
                 certified: true,
             });
         }
-        let mut acc = InterferenceAccumulator::new(problem);
-        for &id in &ctx.order {
+        let SchedCtx { order, sums, .. } = ctx;
+        let mut acc = InterferenceAccumulator::new(problem, scope, sums);
+        for &id in order.iter() {
             if acc.addition_is_feasible(id, budget) {
                 acc.select(id);
                 tr.push(TraceEvent::Pick { link: id.0 });
@@ -71,7 +74,7 @@ impl Scheduler for RandomFeasible {
         }
         tr.finish();
         fading_obs::counter!("core.random.picks").add(schedule.len() as u64);
-        fading_obs::counter!("core.random.eliminations").add((n - schedule.len()) as u64);
+        fading_obs::counter!("core.random.eliminations").add((k - schedule.len()) as u64);
         schedule
     }
 }

@@ -14,6 +14,7 @@ use crate::constants::rle_c1;
 use crate::ctx::SchedCtx;
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 
 /// The RLE scheduler.
@@ -65,9 +66,10 @@ impl Scheduler for Rle {
         "RLE"
     }
 
-    fn schedule_in(&self, problem: &Problem, ctx: &mut SchedCtx) -> Schedule {
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule {
         eliminate_schedule_in(
             problem,
+            scope,
             self.c1(problem),
             self.c2,
             ElimMetric::FadingFactor,

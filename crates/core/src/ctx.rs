@@ -16,10 +16,12 @@
 //! * A ctx carries **no semantic state** between calls — only capacity.
 //!   `schedule_in` with a dirty reused ctx is bit-identical to a fresh
 //!   `schedule()` (pinned by `tests/ctx_equivalence.rs`).
+//! * The [`crate::Scope`] is a `schedule_in` argument, never ctx
+//!   state: memo witnesses carry the candidate ids (see
+//!   [`SchedCtx::order_is_cached`]).
 //! * **Warm start**: a ctx sized for a problem of `n` links serves any
-//!   problem with at most `n` links — in particular every
-//!   [`crate::Problem::restrict`] descendant — without reallocating.
-//!   [`SchedCtx::prepare`] pre-sizes explicitly.
+//!   problem with at most `n` links, under any scope, without
+//!   reallocating. [`SchedCtx::prepare`] pre-sizes explicitly.
 //! * A ctx is `Send` but deliberately not shared: one ctx per thread
 //!   (`fading-sim`'s `BatchRunner` keeps a pool with one ctx per rayon
 //!   worker). Sharing one behind a lock would serialize the scheduler.
@@ -58,12 +60,15 @@ pub struct SchedCtx {
     pub(crate) alive: Vec<bool>,
     /// Per-receiver accumulated-interference ledger.
     pub(crate) acc: Vec<f64>,
-    /// Sender positions in id order (spatial-index input).
+    /// Candidate sender positions in id order (spatial-index input).
     pub(crate) senders: Vec<Point2>,
     /// Compacted list of still-alive candidate ids, ascending.
     pub(crate) live: Vec<u32>,
     /// Reusable spatial index over `senders`.
     pub(crate) spatial: SpatialGrid,
+    /// Per-receiver sums lent to the insertion schedulers'
+    /// [`crate::feasibility::InterferenceAccumulator`].
+    pub(crate) sums: Vec<f64>,
     // --- grid schedulers (LDP, ApproxLogN) ---
     /// Occupied cell -> slot in `winners`.
     pub(crate) cell_slot: HashMap<CellIndex, u32>,
@@ -86,8 +91,8 @@ pub struct SchedCtx {
     /// per *transaction*, not once per link — a whole
     /// [`crate::MutationBatch`] committed by [`crate::Problem::apply`]
     /// is a single bump — so a slot's worth of churn costs every
-    /// stamp-keyed memo (this one, `grid_stamp`, the engine's reused
-    /// backlog restriction) exactly one invalidation.
+    /// stamp-keyed memo (this one and `grid_stamp`) exactly one
+    /// invalidation.
     order_stamp: u64,
     /// Sort keys that produced `order` — the memo witness (the
     /// fallback when the stamp misses, e.g. across clones or rebuilt
@@ -133,8 +138,8 @@ impl SchedCtx {
     }
 
     /// Reserves every buffer for problems of up to `n` links, so
-    /// subsequent `schedule_in` calls at that size (or smaller — e.g.
-    /// `Problem::restrict` descendants) allocate nothing.
+    /// subsequent `schedule_in` calls at that size (or smaller, under
+    /// any scope) allocate nothing.
     ///
     /// Idempotent; growing an already-warm ctx only extends the
     /// shortfall.
@@ -144,14 +149,15 @@ impl SchedCtx {
         self.acc.reserve(n);
         self.senders.reserve(n);
         self.live.reserve(n);
+        self.sums.reserve(n);
         self.winners.reserve(n);
         self.best_ids.reserve(n);
         self.exponents.reserve(n);
         self.cell_slot.reserve(n);
-        self.order_keys.reserve(n);
-        self.key_scratch.reserve(n);
-        self.grid_keys.reserve(4 * n + 4);
-        self.grid_scratch.reserve(4 * n + 4);
+        self.order_keys.reserve(3 * n);
+        self.key_scratch.reserve(3 * n);
+        self.grid_keys.reserve(5 * n + 4);
+        self.grid_scratch.reserve(5 * n + 4);
         for bucket in &mut self.per_color {
             bucket.reserve(n);
         }
@@ -160,18 +166,21 @@ impl SchedCtx {
     /// Verified memoization for the candidate `order`.
     ///
     /// Returns `true` when `order` was produced by the same `kind` of
-    /// sort over bit-identical `keys` — the comparator is a pure
-    /// function of its keys and link ids, so identical inputs provably
-    /// yield the identical total order and the caller may skip the
-    /// O(n log n) re-sort. Otherwise stores `keys` as the new memo
-    /// witness and returns `false`; the caller must rebuild `order`.
+    /// sort over bit-identical `keys` — each candidate's id followed by
+    /// its sort keys, in scope order. The comparator is a pure function
+    /// of its keys and link ids, so identical inputs provably yield the
+    /// identical total order and the caller may skip the O(k log k)
+    /// re-sort. Otherwise stores `keys` as the new memo witness and
+    /// returns `false`; the caller must rebuild `order`.
     ///
-    /// Two-tier check: if `stamp` (the caller's
-    /// [`crate::Problem::stamp`]) matches the cached one, the keys are
-    /// provably bit-identical — equal stamps mean the *same content
-    /// snapshot*, and the keys are a pure function of the problem — so
-    /// the `O(n)` key extraction and compare are skipped entirely (the
-    /// mutation-epoch fast path). On a stamp miss the bit-compare
+    /// Two-tier check: if `stamp` (the caller's [`crate::Scope::stamp`],
+    /// nonzero only for the whole, unweighted problem) matches the
+    /// cached one, the keys are provably bit-identical — equal stamps
+    /// mean the *same content snapshot*, and the keys are a pure
+    /// function of the problem — so the `O(n)` key extraction and
+    /// compare are skipped entirely (the mutation-epoch fast path). Two
+    /// scopes of one problem share its stamp, so a candidate scope
+    /// always compares its witness. On a stamp miss the bit-compare
     /// fallback still catches content-identical instances with
     /// different stamps (clones mutated and reverted, independently
     /// built equals) and adopts the new stamp on a hit.
@@ -219,10 +228,10 @@ impl SchedCtx {
     /// recompute and revalidate via [`Self::grid_store`].
     ///
     /// Stamp fast path as in [`Self::order_is_cached`]: the per-link
-    /// `keys` are a pure function of the problem, so a stamp hit skips
-    /// extracting them — but the `header` (class mode, square scale,
-    /// grid anchor) is scheduler configuration, not problem content,
-    /// and is always compared.
+    /// `keys` (ids included) are a pure function of the problem and
+    /// scope, so a stamp hit skips extracting them — but the `header`
+    /// (class mode, square scale, grid anchor) is scheduler
+    /// configuration, not problem content, and is always compared.
     pub(crate) fn grid_is_cached(
         &mut self,
         stamp: u64,

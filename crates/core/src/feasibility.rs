@@ -8,6 +8,7 @@
 
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use fading_math::KahanSum;
 use fading_net::LinkId;
 
@@ -134,8 +135,8 @@ pub fn is_feasible(problem: &Problem, schedule: &Schedule) -> bool {
 }
 
 /// Incremental feasibility helper used by constructive algorithms:
-/// tracks, for every link in the instance, the accumulated interference
-/// factor from the currently selected senders.
+/// tracks, for every candidate of a [`Scope`], the accumulated
+/// interference factor from the currently selected senders.
 ///
 /// Under the dense backend the sums are exact. Under the sparse backend
 /// they accumulate *stored* factors only, so each is a lower bound with
@@ -144,31 +145,59 @@ pub fn is_feasible(problem: &Problem, schedule: &Schedule) -> bool {
 /// recomputation (in selection order, so the resolved sum is
 /// bit-identical to what the dense backend would have accumulated) —
 /// feasibility decisions never differ between backends.
-#[derive(Debug, Clone)]
-pub struct InterferenceAccumulator<'p> {
-    problem: &'p Problem,
-    sums: Vec<f64>,
+///
+/// The sums live in a caller-lent buffer (a [`crate::SchedCtx`]'s, for
+/// the schedulers): starting a selection zeroes only the candidates'
+/// entries, and entries outside the scope are never read.
+#[derive(Debug)]
+pub struct InterferenceAccumulator<'a> {
+    problem: &'a Problem,
+    scope: Scope<'a>,
+    sums: &'a mut Vec<f64>,
     selected: Vec<LinkId>,
 }
 
-impl<'p> InterferenceAccumulator<'p> {
-    /// Starts with an empty selection.
-    pub fn new(problem: &'p Problem) -> Self {
+/// A saved [`InterferenceAccumulator`] state: the selection length and
+/// every candidate's sum (see [`InterferenceAccumulator::rollback`]).
+#[derive(Debug)]
+pub struct Checkpoint {
+    selected: usize,
+    sums: Vec<f64>,
+}
+
+impl<'a> InterferenceAccumulator<'a> {
+    /// Starts with an empty selection over `scope`, using `sums` (sized
+    /// to the problem here) as the per-receiver ledger.
+    pub fn new(problem: &'a Problem, scope: Scope<'a>, sums: &'a mut Vec<f64>) -> Self {
+        sums.resize(problem.len(), 0.0);
+        for j in scope.ids(problem) {
+            sums[j.index()] = 0.0;
+        }
         Self {
             problem,
-            sums: vec![0.0; problem.len()],
+            scope,
+            sums,
             selected: Vec::new(),
         }
     }
 
-    /// Adds sender `i` to the selection, updating every receiver's sum.
+    /// Adds sender `i` to the selection, updating every candidate's sum.
     pub fn select(&mut self, i: LinkId) {
         if let Some(row) = self.problem.factors().dense_row(i) {
-            for (sum, f) in self.sums.iter_mut().zip(row) {
-                *sum += f;
+            match self.scope.list() {
+                None => {
+                    for (sum, f) in self.sums.iter_mut().zip(row) {
+                        *sum += f;
+                    }
+                }
+                Some(ids) => {
+                    for &j in ids {
+                        self.sums[j.index()] += row[j.index()];
+                    }
+                }
             }
         } else {
-            let sums = &mut self.sums;
+            let sums = &mut *self.sums;
             self.problem
                 .factors()
                 .for_each_out(i, &mut |j, f| sums[j.index()] += f);
@@ -176,7 +205,29 @@ impl<'p> InterferenceAccumulator<'p> {
         self.selected.push(i);
     }
 
-    /// Accumulated *stored* interference factor on receiver `j` from
+    /// The current state, for a later [`rollback`](Self::rollback).
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            selected: self.selected.len(),
+            sums: self
+                .scope
+                .ids(self.problem)
+                .map(|j| self.sums[j.index()])
+                .collect(),
+        }
+    }
+
+    /// Returns to `checkpoint`'s selection with every candidate's sum
+    /// restored bit for bit — what a search's undo needs, where
+    /// subtracting the factors back out would round.
+    pub fn rollback(&mut self, checkpoint: Checkpoint) {
+        self.selected.truncate(checkpoint.selected);
+        for (j, sum) in self.scope.ids(self.problem).zip(checkpoint.sums) {
+            self.sums[j.index()] = sum;
+        }
+    }
+
+    /// Accumulated *stored* interference factor on candidate `j` from
     /// the selected senders (excluding `j` itself if selected —
     /// `f_{j,j}=0`). Exact under exhaustive backends; a certified lower
     /// bound (within [`tail_on`](Self::tail_on)) under truncation.
@@ -304,7 +355,8 @@ mod tests {
         let links = UniformGenerator::paper(30).generate(7);
         let p = Problem::paper(links, 3.0);
         let chosen: Vec<LinkId> = [0u32, 5, 12, 20].iter().map(|&i| LinkId(i)).collect();
-        let mut acc = InterferenceAccumulator::new(&p);
+        let mut sums = Vec::new();
+        let mut acc = InterferenceAccumulator::new(&p, Scope::all(), &mut sums);
         for &i in &chosen {
             acc.select(i);
         }
@@ -325,7 +377,8 @@ mod tests {
         let links = UniformGenerator::paper(40).generate(8);
         let p = Problem::paper(links, 3.0);
         let budget = p.gamma_eps();
-        let mut acc = InterferenceAccumulator::new(&p);
+        let mut sums = Vec::new();
+        let mut acc = InterferenceAccumulator::new(&p, Scope::all(), &mut sums);
         let mut selected = Vec::new();
         for id in p.links().ids() {
             let fast = acc.addition_is_feasible(id, budget);
@@ -339,5 +392,30 @@ mod tests {
             }
         }
         assert!(!selected.is_empty());
+    }
+
+    #[test]
+    fn rollback_restores_the_candidate_sums_bit_for_bit() {
+        let p = Problem::paper(UniformGenerator::paper(40).generate(9), 3.0);
+        let ids: Vec<LinkId> = (0..40).step_by(3).map(LinkId).collect();
+        let scope = Scope::candidates(&ids);
+        let mut sums = vec![7.0; 40];
+        let mut acc = InterferenceAccumulator::new(&p, scope, &mut sums);
+        acc.select(LinkId(3));
+        let before: Vec<u64> = ids.iter().map(|&j| acc.sum_on(j).to_bits()).collect();
+        let cp = acc.checkpoint();
+        acc.select(LinkId(9));
+        acc.select(LinkId(27));
+        acc.rollback(cp);
+        assert_eq!(acc.selected(), &[LinkId(3)]);
+        let after: Vec<u64> = ids.iter().map(|&j| acc.sum_on(j).to_bits()).collect();
+        assert_eq!(before, after);
+        // Candidate sums equal the unscoped accumulator's.
+        let mut all_sums = Vec::new();
+        let mut all = InterferenceAccumulator::new(&p, Scope::all(), &mut all_sums);
+        all.select(LinkId(3));
+        for &j in &ids {
+            assert_eq!(all.sum_on(j).to_bits(), acc.sum_on(j).to_bits());
+        }
     }
 }

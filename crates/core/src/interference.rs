@@ -302,25 +302,6 @@ impl InterferenceMatrix {
         self.data.truncate(m * m);
         self.n = m;
     }
-
-    /// The `k×k` sub-matrix over `keep` (parent link ids, in the
-    /// sub-instance's id order): entry `(a, b)` is the parent's
-    /// `f_{keep[a], keep[b]}`, copied bit-for-bit. Factors depend only
-    /// on pairwise geometry, which restriction does not change, so the
-    /// slice equals a from-scratch rebuild of the sub-instance — minus
-    /// the `O(k²)` transcendental evaluations.
-    pub fn restrict(&self, keep: &[LinkId]) -> Self {
-        let k = keep.len();
-        let mut data = vec![0.0; k * k];
-        for (a, &i) in keep.iter().enumerate() {
-            let row = self.row(i);
-            let out = &mut data[a * k..(a + 1) * k];
-            for (b, &j) in keep.iter().enumerate() {
-                out[b] = row[j.index()];
-            }
-        }
-        Self { n: k, data }
-    }
 }
 
 impl InterferenceModel for InterferenceMatrix {
@@ -473,14 +454,6 @@ impl InterferenceBackend {
         match self {
             Self::Dense(_) => "dense",
             Self::Sparse(_) => "sparse",
-        }
-    }
-
-    /// The dense matrix, when dense.
-    pub fn as_dense(&self) -> Option<&InterferenceMatrix> {
-        match self {
-            Self::Dense(m) => Some(m),
-            Self::Sparse(_) => None,
         }
     }
 
@@ -777,7 +750,6 @@ mod tests {
         assert_eq!(backend.len(), 10);
         assert_eq!(backend.name(), "dense");
         assert!(backend.is_exact());
-        assert!(backend.as_dense().is_some());
         assert!(backend.as_sparse().is_none());
         for i in links.ids() {
             assert_eq!(backend.dense_row(i), Some(m.row(i)));

@@ -45,6 +45,7 @@ pub mod problem;
 pub mod reduction;
 pub mod registry;
 pub mod schedule;
+pub mod scope;
 pub mod sparse;
 
 pub use certify::{replay_block, replay_trace, verify_schedule, Certificate};
@@ -55,6 +56,7 @@ pub use mutate::{BatchReceipt, LinkIdMap, LinkSpec, MutationBatch, MutationError
 pub use problem::{BackendChoice, Problem, ProblemBuilder};
 pub use registry::AlgoId;
 pub use schedule::Schedule;
+pub use scope::Scope;
 pub use sparse::{SparseConfig, SparseInterference};
 
 /// A one-shot link scheduling algorithm.
@@ -65,24 +67,28 @@ pub trait Scheduler: Send + Sync {
     /// Human-readable algorithm name (used by result tables).
     fn name(&self) -> &'static str;
 
-    /// Computes a schedule for one time slot using the caller's
-    /// reusable workspace. This is the engine entry point: the ctx
-    /// carries only buffer capacity, never semantic state, so the
-    /// result is bit-identical to [`schedule`](Self::schedule)
-    /// regardless of what the ctx was previously used for (see
-    /// `docs/engine.md`).
+    /// Computes a schedule for one time slot over `scope`, using the
+    /// caller's reusable workspace. This is the engine entry point: the
+    /// ctx carries only buffer capacity, never semantic state, so the
+    /// result is bit-identical to a fresh workspace's regardless of
+    /// what the ctx was previously used for (see `docs/engine.md`).
+    ///
+    /// Only scope candidates are scheduled, weighted by the scope's
+    /// weights (or their rates). The result equals this scheduler's
+    /// schedule of a fresh build of the candidates alone, mapped back
+    /// to live ids (see `docs/residual.md`).
     ///
     /// Implementations must return schedules that are feasible *under
     /// the model the algorithm assumes* — for the fading-resistant
     /// algorithms that is Corollary 3.1; for the deterministic
     /// baselines it is the non-fading SINR test (which is the point of
     /// the comparison).
-    fn schedule_in(&self, problem: &Problem, ctx: &mut SchedCtx) -> Schedule;
+    fn schedule_in(&self, problem: &Problem, scope: Scope<'_>, ctx: &mut SchedCtx) -> Schedule;
 
-    /// Computes a schedule with a private one-shot workspace —
+    /// Schedules every link with a private one-shot workspace —
     /// convenience wrapper over [`schedule_in`](Self::schedule_in) for
     /// call sites that don't schedule in a loop.
     fn schedule(&self, problem: &Problem) -> Schedule {
-        self.schedule_in(problem, &mut SchedCtx::new())
+        self.schedule_in(problem, Scope::all(), &mut SchedCtx::new())
     }
 }

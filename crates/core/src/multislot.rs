@@ -11,6 +11,7 @@
 
 use crate::problem::Problem;
 use crate::schedule::Schedule;
+use crate::scope::Scope;
 use crate::Scheduler;
 use fading_net::LinkId;
 use std::collections::HashMap;
@@ -67,12 +68,11 @@ pub fn schedule_all<S: Scheduler + ?Sized>(problem: &Problem, scheduler: &S) -> 
 /// Schedules *all* links of `problem` using `scheduler` for each slot,
 /// driving every residual round through the caller's workspace.
 ///
-/// Each residual instance goes through [`Problem::restrict`], so the
-/// sub-problems keep the parent's power scales and interference backend
-/// and reuse its interference state instead of recomputing geometry.
-/// The ctx warm-starts across rounds for free: residual instances only
-/// shrink, so the buffers sized by the first round serve every later
-/// round without reallocating.
+/// Each round schedules the problem itself with the still-unscheduled
+/// links as the [`Scope`], so every round reads the parent's power
+/// scales, backend and stored factors, and nothing is rebuilt or
+/// copied. The candidate list only shrinks, so the buffers sized by the
+/// first round serve every later round without reallocating.
 pub fn schedule_all_in<S: Scheduler + ?Sized>(
     problem: &Problem,
     scheduler: &S,
@@ -86,18 +86,15 @@ pub fn schedule_all_in<S: Scheduler + ?Sized>(
     while !remaining.is_empty() {
         let slot_no = slots.len() as u64;
         if tracing {
-            // The slot marker brackets the scheduler's own trace block;
-            // that inner block uses the residual instance's renumbered
-            // ids, while SlotEnd reports the parent ids it commits.
+            // The slot marker brackets the scheduler's own trace block,
+            // which covers `backlog` candidates.
             fading_obs::trace::publish(vec![fading_obs::TraceEvent::SlotStart {
                 slot: slot_no,
                 backlog: remaining.len() as u32,
             }]);
         }
-        // Derive the residual instance (renumbered) and map ids back.
-        let (sub, mapping) = problem.restrict(&remaining);
-        let sub_schedule = scheduler.schedule_in(&sub, ctx);
-        let slot: Vec<LinkId> = if sub_schedule.is_empty() {
+        let mut slot = scheduler.schedule_in(problem, Scope::candidates(&remaining), ctx);
+        if slot.is_empty() {
             // Fallback: a singleton is always feasible (no interferers).
             let shortest = *remaining
                 .iter()
@@ -108,23 +105,17 @@ pub fn schedule_all_in<S: Scheduler + ?Sized>(
                         .total_cmp(&problem.links().length(b))
                 })
                 .expect("remaining is non-empty");
-            vec![shortest]
-        } else {
-            sub_schedule
-                .iter()
-                .map(|sub_id| mapping[sub_id.index()])
-                .collect()
-        };
-        // The sub-schedule's buffer feeds the next round's output.
-        ctx.recycle(sub_schedule);
-        remaining.retain(|id| !slot.contains(id));
+            ctx.recycle(slot);
+            slot = Schedule::from_ids([shortest]);
+        }
+        remaining.retain(|&id| !slot.contains(id));
         if tracing {
             fading_obs::trace::publish(vec![fading_obs::TraceEvent::SlotEnd {
                 slot: slot_no,
                 links: slot.iter().map(|id| id.0).collect(),
             }]);
         }
-        slots.push(Schedule::from_ids(slot));
+        slots.push(slot);
         let done = (n - remaining.len()) as u64;
         progress.report(
             done,

@@ -100,8 +100,8 @@ pub struct Problem {
     power_scales: Option<Vec<f64>>,
     /// Content-snapshot identity: a process-globally unique value
     /// assigned at construction and replaced by every mutation — one
-    /// stamp per committed transaction ([`apply`](Self::apply) /
-    /// [`update_link_rates`](Self::update_link_rates)), not per link.
+    /// stamp per committed transaction ([`apply`](Self::apply)), not
+    /// per link.
     /// Equal stamps imply bit-identical content (clones share their
     /// source's stamp), so [`crate::SchedCtx`] memoization can skip its
     /// `O(n)` witness compare on a stamp hit. Excluded from
@@ -181,50 +181,6 @@ impl Problem {
         }
     }
 
-    /// The sub-problem over `keep` (parent link ids), with ids
-    /// renumbered to be dense; the returned mapping gives
-    /// `sub id → parent id`.
-    ///
-    /// Everything the parent was configured with survives: channel
-    /// parameters, `ε`, the per-link power scales (sliced to `keep`),
-    /// and the interference backend. The sub-problem's interference
-    /// state is *derived* from the parent's instead of rebuilt — a
-    /// row/column slice of the dense matrix, a remapped CSR sub-view of
-    /// the sparse store (parent truncation certificates remain valid;
-    /// see [`SparseInterference::restrict`]) — so per-slot residual
-    /// scheduling costs `O(k²)` copies (dense) or `O(stored)` (sparse)
-    /// rather than a full geometry recompute.
-    pub fn restrict(&self, keep: &[LinkId]) -> (Problem, Vec<LinkId>) {
-        let _span = fading_obs::span!("problem.restrict");
-        let (links, mapping) = self.links.restrict(keep);
-        let power_scales = self
-            .power_scales
-            .as_ref()
-            .map(|p| mapping.iter().map(|id| p[id.index()]).collect::<Vec<f64>>());
-        let factors = match &self.factors {
-            InterferenceBackend::Dense(m) => InterferenceBackend::Dense(m.restrict(&mapping)),
-            InterferenceBackend::Sparse(s) => InterferenceBackend::Sparse(s.restrict(&mapping)),
-        };
-        fading_obs::counter!("problem.restrict.calls").incr();
-        fading_obs::counter!("problem.restrict.links").add(keep.len() as u64);
-        let parent_stored = self.factors.stored_factors();
-        if parent_stored > 0 {
-            fading_obs::gauge("problem.restrict.reuse_ratio")
-                .set(factors.stored_factors() as f64 / parent_stored as f64);
-        }
-        let sub = Self {
-            links,
-            channel: self.channel,
-            epsilon: self.epsilon,
-            gamma_eps: self.gamma_eps,
-            factors,
-            power_scales,
-            stamp: next_stamp(),
-            position_index: None,
-        };
-        (sub, mapping)
-    }
-
     /// Applies a whole [`MutationBatch`] transactionally — removals by
     /// external id, adds by [`LinkSpec`] — committing with **one**
     /// envelope reconciliation and **one** spatial-index patch pass for
@@ -293,18 +249,6 @@ impl Problem {
         fading_obs::counter!("problem.mutate.batch.removed").add(removes.len() as u64);
         fading_obs::counter!("problem.mutate.batch.added").add(batch.adds().len() as u64);
         Ok(receipt)
-    }
-
-    /// Overwrites the per-link rates in place, e.g. with MaxWeight
-    /// queue-length weights each slot. Factors depend only on geometry
-    /// and powers, so no interference state is touched; the stamp moves
-    /// because content changed.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or a non-positive/non-finite rate.
-    pub fn update_link_rates(&mut self, rates: &[f64]) {
-        self.links.set_rates(rates);
-        self.stamp = next_stamp();
     }
 
     /// Builds the lazy duplicate-position index if absent — one `O(N)`
@@ -483,8 +427,8 @@ impl Problem {
     /// geometry — e.g. after a mobility step), preserving `ε`, the
     /// channel parameters, the per-link power scales, and the
     /// interference backend choice. Geometry changed, so factors *are*
-    /// recomputed — this is the drifted-topology counterpart of
-    /// [`Problem::restrict`].
+    /// recomputed (a subset of an unchanged geometry needs no rebuild:
+    /// schedule it as a [`crate::Scope`]).
     ///
     /// # Panics
     /// Panics if `links` has a different link count while power scales

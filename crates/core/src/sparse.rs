@@ -356,126 +356,6 @@ impl SparseInterference {
         self.row(sender.index())
     }
 
-    /// The sub-store over `keep` (parent link ids, in the
-    /// sub-instance's id order): geometry, powers, radii, and stored
-    /// factors are sliced from the parent; CSR rows keep only entries
-    /// whose receiver survives, with both endpoints remapped to the
-    /// dense sub-ids. No factor is recomputed.
-    ///
-    /// The parent's certificates remain valid verbatim: receiver `j`'s
-    /// truncation radius and cut describe *geometry* ("any sender
-    /// beyond `R_j` contributes `< cut`"), so dropping senders can only
-    /// remove omitted factors, never add one above the cut. Receivers
-    /// whose parent cut was `0` stay exhaustive; truncated receivers
-    /// keep their (possibly now conservative) cut `τ`, which the
-    /// verdict machinery already resolves exactly on a straddle. The
-    /// per-store `exact` flag is re-validated from the sliced cuts.
-    pub fn restrict(&self, keep: &[LinkId]) -> Self {
-        let k = keep.len();
-        // Parent id → sub id, for filtering CSR entries.
-        let mut new_id = vec![u32::MAX; self.n];
-        for (a, &old) in keep.iter().enumerate() {
-            new_id[old.index()] = a as u32;
-        }
-        let senders: Vec<Point2> = keep.iter().map(|&i| self.senders[i.index()]).collect();
-        let receivers: Vec<Point2> = keep.iter().map(|&i| self.receivers[i.index()]).collect();
-        let lengths: Vec<f64> = keep.iter().map(|&i| self.lengths[i.index()]).collect();
-        let powers = self
-            .powers
-            .as_ref()
-            .map(|p| keep.iter().map(|&i| p[i.index()]).collect::<Vec<f64>>());
-        let radius: Vec<f64> = keep.iter().map(|&i| self.radius[i.index()]).collect();
-        let cut: Vec<f64> = keep.iter().map(|&i| self.cut[i.index()]).collect();
-
-        let mut row_start = Vec::with_capacity(k);
-        let mut row_len = Vec::with_capacity(k);
-        let mut arena_receivers = Vec::new();
-        let mut arena_factors = Vec::new();
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for &old in keep {
-            row_start.push(arena_receivers.len());
-            let (recv, fact) = self.row(old.index());
-            for (&r, &f) in recv.iter().zip(fact) {
-                let j = new_id[r as usize];
-                if j != u32::MAX {
-                    arena_receivers.push(j);
-                    arena_factors.push(f);
-                }
-            }
-            let lo = *row_start.last().unwrap();
-            row_len.push((arena_receivers.len() - lo) as u32);
-            // A non-monotone `keep` permutes receiver ids; re-sort the
-            // row so the sorted-by-receiver CSR invariant (which both
-            // fresh builds and in-place mutation maintain) holds for
-            // every store.
-            if !arena_receivers[lo..].is_sorted() {
-                scratch.clear();
-                scratch.extend(
-                    arena_receivers[lo..]
-                        .iter()
-                        .copied()
-                        .zip(arena_factors[lo..].iter().copied()),
-                );
-                scratch.sort_unstable_by_key(|&(r, _)| r);
-                for (slot, &(r, f)) in scratch.iter().enumerate() {
-                    arena_receivers[lo + slot] = r;
-                    arena_factors[lo + slot] = f;
-                }
-            }
-        }
-        let row_cap = row_len.clone();
-
-        // The hash cell tracks the sub-instance's typical query radius
-        // (performance only; correctness is radius-driven).
-        let mean_radius = if k == 0 {
-            1.0
-        } else {
-            radius.iter().sum::<f64>() / k as f64
-        };
-        let cell = if mean_radius.is_finite() && mean_radius > 0.0 {
-            mean_radius
-        } else {
-            1.0
-        };
-        let sender_hash = SpatialHash::build(&senders, cell);
-        let receiver_hash = SpatialHash::build(&receivers, cell);
-        // A valid bound for the *sliced* radii; the poisoned envelope
-        // below forces a full reconcile (which recomputes it exactly)
-        // before any wiring relies on it.
-        let max_radius = radius.iter().copied().fold(0.0, f64::max);
-        let exact = cut.iter().all(|&c| c == 0.0);
-
-        Self {
-            n: k,
-            channel: self.channel,
-            senders,
-            receivers,
-            lengths,
-            powers,
-            sender_hash,
-            receiver_hash,
-            row_start,
-            row_len,
-            row_cap,
-            arena_receivers,
-            arena_factors,
-            dead: 0,
-            radius,
-            cut,
-            tau: self.tau,
-            tail_rtol: self.tail_rtol,
-            exact,
-            // The sliced radii are the *parent's* formula values, not
-            // the sub-instance's. Poison the envelope so the first
-            // mutation reconciles every radius to the fresh-build
-            // formula before relying on it.
-            diameter: f64::INFINITY,
-            max_scale: f64::INFINITY,
-            max_radius,
-            scratch: Vec::new(),
-        }
-    }
-
     /// Number of links `N`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -630,7 +510,7 @@ impl SparseInterference {
     // In-place mutation.
     //
     // Invariant maintained by every operation below (and established by
-    // `build_with_powers` / `restrict`): entry `(i, j)` is stored iff
+    // `build_with_powers`): entry `(i, j)` is stored iff
     // `senders[i].distance_sq(receivers[j]) ≤ radius[j]²` and `i ≠ j`,
     // with every CSR row sorted by receiver id. Because membership is a
     // pure predicate of geometry and `radius`, and `radius` is
@@ -1528,26 +1408,6 @@ mod tests {
         assert_eq!(s, rebuild_of(&s), "after high-power add");
         s.apply_batch(&[LinkId(70)], &[]);
         assert_eq!(s, rebuild_of(&s), "after high-power remove");
-    }
-
-    #[test]
-    fn mutation_after_restrict_reconciles_sliced_radii() {
-        // Restricted stores inherit the parent's radii; the first
-        // mutation must pull them back to the sub-instance formula
-        // before extending the store.
-        let links = UniformGenerator::paper(80).generate(20);
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let parent = SparseInterference::build(
-            &links,
-            &channel,
-            gamma_eps(0.01),
-            SparseConfig { tail_rtol: 0.5 },
-        );
-        let keep: Vec<LinkId> = (0..60).map(LinkId).collect();
-        let mut sub = parent.restrict(&keep);
-        let l = links.link(LinkId(72));
-        sub.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
-        assert_eq!(sub, rebuild_of(&sub));
     }
 
     #[test]

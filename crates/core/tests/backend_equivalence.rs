@@ -12,7 +12,7 @@ use fading_channel::ChannelParams;
 use fading_core::algo::{Dls, GreedyRate, Ldp, Rle};
 use fading_core::feasibility::{is_feasible, InterferenceAccumulator};
 use fading_core::{
-    BackendChoice, InterferenceModel, Problem, Schedule, Scheduler, SparseConfig,
+    BackendChoice, InterferenceModel, Problem, Schedule, Scheduler, Scope, SparseConfig,
     SparseInterference,
 };
 use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
@@ -115,8 +115,9 @@ proptest! {
         let (dense, sparse) =
             build_pair(n, seed, ALPHAS[alpha_idx], TAIL_RTOLS[rtol_idx], powered_bit == 1);
         let budget = dense.gamma_eps();
-        let mut acc_d = InterferenceAccumulator::new(&dense);
-        let mut acc_s = InterferenceAccumulator::new(&sparse);
+        let (mut sums_d, mut sums_s) = (Vec::new(), Vec::new());
+        let mut acc_d = InterferenceAccumulator::new(&dense, Scope::all(), &mut sums_d);
+        let mut acc_s = InterferenceAccumulator::new(&sparse, Scope::all(), &mut sums_s);
         for id in dense.links().ids() {
             let admit_d = acc_d.addition_is_feasible(id, budget);
             let admit_s = acc_s.addition_is_feasible(id, budget);

@@ -5,12 +5,15 @@
 //! scheduled a different instance, of a different size, under a
 //! different backend — must be bit-identical to a fresh `schedule()`.
 //! Pinned across random topologies, path-loss exponents, both
-//! interference backends, and non-uniform power scales.
+//! interference backends, and non-uniform power scales — and across
+//! scopes: a ctx dirtied under one candidate scope (or one set of
+//! weights) of a problem must schedule another scope of the *same*
+//! problem, whose stamp it has already seen, like a fresh ctx.
 
 use fading_channel::ChannelParams;
 use fading_core::algo::{ApproxDiversity, ApproxLogN, Dls, GreedyRate, Ldp, Rle};
-use fading_core::{BackendChoice, Problem, SchedCtx, Scheduler, SparseConfig};
-use fading_net::{TopologyGenerator, UniformGenerator};
+use fading_core::{BackendChoice, Problem, SchedCtx, Scheduler, Scope, SparseConfig};
+use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
 use proptest::prelude::*;
 
 const ALPHAS: [f64; 3] = [2.5, 3.0, 4.0];
@@ -67,14 +70,57 @@ proptest! {
         let decoy = build(n + 40, seed ^ 0x9e37, ALPHAS[(alpha_i + 1) % 3], !sparse, !powered);
         for s in schedulers() {
             let mut ctx = SchedCtx::new();
-            let stale = s.schedule_in(&decoy, &mut ctx);
+            let stale = s.schedule_in(&decoy, Scope::all(), &mut ctx);
             ctx.recycle(stale);
-            let warm = s.schedule_in(&p, &mut ctx);
+            let warm = s.schedule_in(&p, Scope::all(), &mut ctx);
             let fresh = s.schedule(&p);
             prop_assert_eq!(&warm, &fresh, "{} diverged under reuse", s.name());
             // And again: the second reuse must also match.
-            let warm2 = s.schedule_in(&p, &mut ctx);
+            let warm2 = s.schedule_in(&p, Scope::all(), &mut ctx);
             prop_assert_eq!(&warm2, &fresh, "{} diverged on second reuse", s.name());
+        }
+    }
+
+    /// A ctx dirtied under scope A of a problem schedules scope B of
+    /// the same problem (same stamp) bit-identically to a fresh ctx —
+    /// for different candidate lists, for the whole problem against a
+    /// list, and for one list under two different weight vectors.
+    #[test]
+    fn scope_switch_on_one_stamp_schedules_like_a_fresh_ctx(
+        seed in 0u64..1000,
+        n in 20usize..120,
+        alpha_i in 0usize..ALPHAS.len(),
+        sparse_i in 0usize..2,
+        powered_i in 0usize..2,
+        mask_a in 1u64..u64::MAX,
+        mask_b in 1u64..u64::MAX,
+        weight_seed in 0u64..1000,
+    ) {
+        let p = build(n, seed, ALPHAS[alpha_i], sparse_i == 1, powered_i == 1);
+        let subset = |mask: u64| -> Vec<LinkId> {
+            (0..n as u32).filter(|&i| mask & (1 << (i % 64)) != 0).map(LinkId).collect()
+        };
+        let (a, b) = (subset(mask_a), subset(mask_b));
+        let weights = |salt: u64| -> Vec<f64> {
+            (0..n as u64).map(|i| 1.0 + ((i * 31 + weight_seed + salt) % 11) as f64).collect()
+        };
+        let (w1, w2) = (weights(0), weights(5));
+        let pairs = [
+            (Scope::candidates(&a), Scope::candidates(&b)),
+            (Scope::all(), Scope::candidates(&b)),
+            (Scope::candidates(&a), Scope::all()),
+            (Scope::candidates(&a).weighted(&w1), Scope::candidates(&a).weighted(&w2)),
+            (Scope::candidates(&a), Scope::candidates(&a).weighted(&w2)),
+        ];
+        for s in schedulers() {
+            for (i, &(first, second)) in pairs.iter().enumerate() {
+                let mut ctx = SchedCtx::new();
+                let stale = s.schedule_in(&p, first, &mut ctx);
+                ctx.recycle(stale);
+                let warm = s.schedule_in(&p, second, &mut ctx);
+                let fresh = s.schedule_in(&p, second, &mut SchedCtx::new());
+                prop_assert_eq!(&warm, &fresh, "{} diverged on scope pair {}", s.name(), i);
+            }
         }
     }
 }

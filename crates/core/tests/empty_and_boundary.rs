@@ -1,16 +1,17 @@
-//! Degenerate-instance hardening: zero-link problems, restriction to
-//! the empty set, and mutation down to (and back up from) empty must
-//! be well-defined on both interference backends, for every registered
-//! scheduler. Regression tests for the empty-row panic family in the
-//! sparse CSR builder (`row_start.last().unwrap()` on n = 0 rows and
-//! the restrict/apply paths).
+//! Degenerate-instance hardening: zero-link problems, empty scopes,
+//! and mutation down to (and back up from) empty must be well-defined
+//! on both interference backends, for every registered scheduler.
+//! Regression tests for the empty-row panic family in the sparse CSR
+//! builder (`row_start.last().unwrap()` on n = 0 rows and the apply
+//! path).
 
 use fading_channel::ChannelParams;
 use fading_core::{
-    AlgoId, BackendChoice, LinkIdMap, LinkSpec, MutationBatch, Problem, SparseConfig,
+    AlgoId, BackendChoice, LinkIdMap, LinkSpec, MutationBatch, Problem, SchedCtx, Scope,
+    SparseConfig,
 };
 use fading_geom::{Point2, Rect};
-use fading_net::{LinkId, LinkSet, TopologyGenerator, UniformGenerator};
+use fading_net::{LinkSet, TopologyGenerator, UniformGenerator};
 
 fn empty_problem(backend: BackendChoice) -> Problem {
     let links = LinkSet::new(Rect::square(10.0), vec![]);
@@ -48,29 +49,24 @@ fn zero_link_problem_is_schedulable_by_every_algorithm() {
 }
 
 #[test]
-fn restrict_to_nothing_yields_a_working_empty_problem() {
+fn an_empty_scope_schedules_nothing() {
     for backend in backends() {
         let links = UniformGenerator::paper(40).generate(11);
         let parent = Problem::builder(links, ChannelParams::paper_defaults())
             .backend(backend)
             .build();
-        let (sub, mapping) = parent.restrict(&[]);
-        assert_eq!(sub.len(), 0);
-        assert!(mapping.is_empty());
-        for algo in AlgoId::ALL {
-            assert!(algo.build(1).schedule(&sub).is_empty());
+        let weights = vec![1.0; 40];
+        for scope in [
+            Scope::candidates(&[]),
+            Scope::candidates(&[]).weighted(&weights),
+        ] {
+            for algo in AlgoId::ALL {
+                let s = algo
+                    .build(1)
+                    .schedule_in(&parent, scope, &mut SchedCtx::new());
+                assert!(s.is_empty(), "{algo} on an empty scope ({backend:?})");
+            }
         }
-        // The restricted-empty instance accepts arrivals again.
-        let mut sub = sub;
-        let mut map = LinkIdMap::new();
-        let receipt = sub
-            .apply(
-                &add_batch(&[LinkSpec::new(Point2::new(1.0, 1.0), Point2::new(2.0, 1.0))]),
-                &mut map,
-            )
-            .unwrap();
-        assert_eq!(map.dense(receipt.added[0]), Some(LinkId(0)));
-        assert_eq!(sub.len(), 1);
     }
 }
 

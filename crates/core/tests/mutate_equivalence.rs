@@ -16,7 +16,7 @@ use fading_core::algo::{GreedyRate, Ldp, Rle};
 use fading_core::feasibility::is_feasible;
 use fading_core::{
     BackendChoice, BatchReceipt, LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem,
-    SchedCtx, Scheduler, SparseConfig,
+    SchedCtx, Scheduler, Scope, SparseConfig,
 };
 use fading_geom::Point2;
 use fading_net::{Link, LinkId, LinkSet, TopologyGenerator, UniformGenerator, ValidationError};
@@ -139,7 +139,7 @@ proptest! {
         let schedulers: [&dyn Scheduler; 3] = [&Rle::new(), &Ldp::new(), &GreedyRate];
         // Warm the ctx memos on the pre-mutation instance so stale
         // cached state is live when the first mutation lands.
-        schedulers[0].schedule_in(&problem, &mut ctx);
+        schedulers[0].schedule_in(&problem, Scope::all(), &mut ctx);
 
         for (tag, &op) in ops.iter().enumerate() {
             apply_op(&mut problem, &mut map, op, tag);
@@ -147,7 +147,7 @@ proptest! {
             prop_assert_eq!(&problem, &rebuilt, "state diverged after op {}", tag);
             // Rotate one scheduler per op (all three at the end).
             let s = schedulers[tag % schedulers.len()];
-            let warm = s.schedule_in(&problem, &mut ctx);
+            let warm = s.schedule_in(&problem, Scope::all(), &mut ctx);
             let fresh = s.schedule(&rebuilt);
             prop_assert_eq!(&warm, &fresh, "{} diverged after op {}", s.name(), tag);
             prop_assert_eq!(
@@ -158,7 +158,7 @@ proptest! {
         }
         for s in schedulers {
             let rebuilt = rebuild(&problem);
-            let warm = s.schedule_in(&problem, &mut ctx);
+            let warm = s.schedule_in(&problem, Scope::all(), &mut ctx);
             prop_assert_eq!(&warm, &s.schedule(&rebuilt), "{} diverged at end", s.name());
         }
     }

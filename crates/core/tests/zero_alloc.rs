@@ -1,14 +1,15 @@
 //! The engine's headline guarantee, asserted literally: steady-state
 //! `schedule_in` calls with a warm [`SchedCtx`] perform **zero heap
-//! allocations** for RLE and LDP.
+//! allocations** for RLE and LDP, over the whole problem and over
+//! candidate scopes (weighted or not) alike.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this
 //! file is its own test binary with a single `#[test]` so no other
 //! test's allocations pollute the counters.
 
 use fading_core::algo::{Ldp, Rle};
-use fading_core::{BackendChoice, Problem, SchedCtx, Scheduler, SparseConfig};
-use fading_net::{TopologyGenerator, UniformGenerator};
+use fading_core::{BackendChoice, Problem, SchedCtx, Scheduler, Scope, SparseConfig};
+use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,28 +61,43 @@ fn warm_schedule_in_is_allocation_free_for_rle_and_ldp() {
         .build()
     }));
     let schedulers: [&dyn Scheduler; 2] = [&Rle::new(), &Ldp::new()];
+    // Two overlapping candidate scopes of every problem, and per-link
+    // weights (a MaxWeight slot's queue lengths), so warm calls also
+    // alternate scopes on one stamp.
+    let evens: Vec<LinkId> = (0..n as u32).step_by(2).map(LinkId).collect();
+    let thirds: Vec<LinkId> = (0..n as u32).step_by(3).map(LinkId).collect();
+    let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+    let scopes = [
+        Scope::all(),
+        Scope::candidates(&evens),
+        Scope::candidates(&thirds).weighted(&weights),
+    ];
 
     for scheduler in schedulers {
         let mut ctx = SchedCtx::new();
         // Warm-up pass: sizes every buffer and stabilizes the hash
         // tables' key sets for these instances.
         for p in &problems {
-            let s = scheduler.schedule_in(p, &mut ctx);
-            ctx.recycle(s);
+            for &scope in &scopes {
+                let s = scheduler.schedule_in(p, scope, &mut ctx);
+                ctx.recycle(s);
+            }
         }
 
         let before = allocations();
         for _round in 0..5 {
             for p in &problems {
-                let s = scheduler.schedule_in(p, &mut ctx);
-                ctx.recycle(s);
+                for &scope in &scopes {
+                    let s = scheduler.schedule_in(p, scope, &mut ctx);
+                    ctx.recycle(s);
+                }
             }
         }
         let during = allocations() - before;
         assert_eq!(
             during,
             0,
-            "{}: {during} heap allocations in 30 warm schedule_in calls",
+            "{}: {during} heap allocations in 90 warm schedule_in calls",
             scheduler.name()
         );
     }

@@ -204,14 +204,6 @@ impl SpatialHash {
         self.points.is_empty()
     }
 
-    /// Indices of all points with `distance(center, p) <= radius`.
-    pub fn query_radius(&self, center: &Point2, radius: f64) -> Vec<u32> {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let mut out = Vec::new();
-        self.for_each_in_radius(center, radius, |i| out.push(i));
-        out
-    }
-
     /// Calls `f` for each point index within `radius` of `center`.
     ///
     /// A radius wider than [`MAX_CELL_SPAN`] cells (astronomical
@@ -558,6 +550,13 @@ mod tests {
     use rand::Rng;
     use rand::SeedableRng;
 
+    /// Every index `for_each_in_radius` visits, in visit order.
+    fn in_radius(hash: &SpatialHash, center: &Point2, radius: f64) -> Vec<u32> {
+        let mut out = Vec::new();
+        hash.for_each_in_radius(center, radius, |i| out.push(i));
+        out
+    }
+
     fn random_points(n: usize, seed: u64) -> Vec<Point2> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..n)
@@ -582,12 +581,12 @@ mod tests {
         pts.push(Point2::new(-f64::MAX, 1e300));
         let hash = SpatialHash::build(&pts, 2.0);
         let all: Vec<u32> = (0..pts.len() as u32).collect();
-        assert_eq!(hash.query_radius(&Point2::origin(), f64::INFINITY), all);
+        assert_eq!(in_radius(&hash, &Point2::origin(), f64::INFINITY), all);
         // A near-saturated center key with a box-sized span.
         let far = Point2::new(f64::MAX, f64::MAX);
-        assert!(hash.query_radius(&far, 10.0).is_empty());
+        assert!(in_radius(&hash, &far, 10.0).is_empty());
         let c = Point2::new(50.0, 50.0);
-        let mut wide = hash.query_radius(&c, 1e12);
+        let mut wide = in_radius(&hash, &c, 1e12);
         wide.sort_unstable();
         assert_eq!(wide, brute_force_radius(&pts, &c, 1e12));
     }
@@ -719,7 +718,7 @@ mod tests {
         let hash = SpatialHash::build(&pts, 10.0);
         for (i, c) in random_points(50, 2).iter().enumerate() {
             let r = 1.0 + (i as f64) % 30.0;
-            let mut got = hash.query_radius(c, r);
+            let mut got = in_radius(&hash, c, r);
             got.sort_unstable();
             assert_eq!(got, brute_force_radius(&pts, c, r), "center {c:?} r {r}");
         }
@@ -733,7 +732,7 @@ mod tests {
             Point2::new(1.0, 1.0),
         ];
         let hash = SpatialHash::build(&pts, 1.0);
-        let mut got = hash.query_radius(&Point2::new(1.0, 1.0), 0.0);
+        let mut got = in_radius(&hash, &Point2::new(1.0, 1.0), 0.0);
         got.sort_unstable();
         assert_eq!(got, vec![0, 2]);
     }
@@ -742,7 +741,7 @@ mod tests {
     fn empty_index() {
         let hash = SpatialHash::build(&[], 1.0);
         assert!(hash.is_empty());
-        assert!(hash.query_radius(&Point2::origin(), 10.0).is_empty());
+        assert!(in_radius(&hash, &Point2::origin(), 10.0).is_empty());
         assert_eq!(hash.nearest(&Point2::origin()), None);
     }
 
@@ -794,7 +793,7 @@ mod tests {
             let pts = random_points(n, seed);
             let hash = SpatialHash::build(&pts, cell);
             let c = Point2::new(cx, cy);
-            let mut got = hash.query_radius(&c, r);
+            let mut got = in_radius(&hash, &c, r);
             got.sort_unstable();
             prop_assert_eq!(got, brute_force_radius(&pts, &c, r));
         }
@@ -928,7 +927,7 @@ mod tests {
                     }
                     _ => {
                         let c = Point2::new(x, y);
-                        let mut got = hash.query_radius(&c, r);
+                        let mut got = in_radius(&hash, &c, r);
                         got.sort_unstable();
                         prop_assert_eq!(got, brute_force_radius(&pts, &c, r));
                         let mut from_grid = Vec::new();

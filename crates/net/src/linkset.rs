@@ -162,24 +162,6 @@ impl LinkSet {
         self.links.iter().map(|l| l.receiver).collect()
     }
 
-    /// Overwrites every rate in place (id order), for loops that
-    /// refresh weights every slot (e.g. MaxWeight queue lengths).
-    /// Geometry is untouched, so validation reduces to the rate checks.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or a non-positive/non-finite rate.
-    pub fn set_rates(&mut self, rates: &[f64]) {
-        assert_eq!(rates.len(), self.links.len(), "rate vector length mismatch");
-        for (l, &rate) in self.links.iter_mut().zip(rates) {
-            assert!(
-                rate.is_finite() && rate > 0.0,
-                "link {} has invalid rate {rate}",
-                l.id
-            );
-            l.rate = rate;
-        }
-    }
-
     /// Appends a link under id `len()`. A plain push: the caller has
     /// *already* run [`validate_link`] and checked capacity and the
     /// uniqueness of both positions against every stored

@@ -10,12 +10,12 @@
 //!   the retained slot records (schema-versioned, stable key order);
 //! * `flight_trace.jsonl` — every retained trace event, including the
 //!   `SlotStart`/`SlotEnd` markers (forensic view, not replayable as
-//!   a whole because each slot's block is numbered in that slot's
-//!   residual sub-problem);
+//!   a whole because each slot's block is numbered by position in
+//!   that slot's candidate list);
 //! * `replay_trace.jsonl` — the most recent slot's scheduler block
 //!   with the slot markers stripped, replayable with
-//!   `certify::replay_trace` against that slot's restricted
-//!   sub-problem (the engine writes the sub-instance alongside).
+//!   `certify::replay_trace` against that slot's candidates (the
+//!   engine writes them alongside as a stand-alone instance).
 //!
 //! The detectors cover the four online failure classes: a wall-clock
 //! **stall** (one slot far slower than the running mean), **sustained

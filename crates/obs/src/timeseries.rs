@@ -65,7 +65,8 @@ pub struct SlotRecord {
     pub commit_ns: u64,
     /// Wall time in the dense `O(N)` bookkeeping walks.
     pub envelope_ns: u64,
-    /// Wall time restricting to the backlogged sub-problem.
+    /// Wall time filling the slot's scheduling weights (the name is
+    /// kept from the removed per-slot sub-problem build).
     pub restrict_ns: u64,
     /// Wall time in the scheduler proper.
     pub schedule_ns: u64,

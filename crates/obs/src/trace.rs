@@ -58,8 +58,9 @@ pub enum ElimCause {
 /// A *block* is the record sequence of one `schedule()` call: a start
 /// record, the decision sequence, and an `End` record naming the
 /// emitted schedule. Multi-slot drivers wrap blocks in
-/// `SlotStart`/`SlotEnd` markers carrying parent link ids (the block
-/// between them uses the residual sub-problem's renumbered ids).
+/// `SlotStart`/`SlotEnd` markers carrying live link ids (the block
+/// between them schedules a candidate scope of the live problem; its
+/// header's `n` is the candidate count).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// An elimination scheduler (RLE, ApproxDiversity) begins.

@@ -13,7 +13,7 @@
 //! because a [`SchedCtx`] carries *capacity only*, never semantic
 //! state (see `docs/engine.md` for the contract).
 
-use fading_core::{Problem, SchedCtx, Schedule, Scheduler};
+use fading_core::{Problem, SchedCtx, Schedule, Scheduler, Scope};
 use std::sync::Mutex;
 
 /// A shared pool of warm [`SchedCtx`] workspaces.
@@ -66,7 +66,7 @@ impl BatchRunner {
     /// the per-call arena construction once the pool is warm.
     pub fn schedule(&self, scheduler: &dyn Scheduler, problem: &Problem) -> Schedule {
         let mut ctx = self.checkout();
-        let schedule = scheduler.schedule_in(problem, &mut ctx);
+        let schedule = scheduler.schedule_in(problem, Scope::all(), &mut ctx);
         self.checkin(ctx);
         schedule
     }

@@ -4,7 +4,7 @@
 //! A [`ChurnEngine`] runs the loop on a live, incrementally mutated
 //! [`Problem`]: Poisson link arrivals, exponential link lifetimes,
 //! Bernoulli packet arrivals on the live links, per-slot scheduling of
-//! the backlogged sub-instance under a [`ServicePolicy`], and Rayleigh
+//! the backlogged links under a [`ServicePolicy`], and Rayleigh
 //! channel realizations deciding delivery — all seeded and
 //! deterministic. A fixed population (the plain queueing model over a
 //! caller's instance) is the same engine with `link_arrival_rate: 0.0`
@@ -13,17 +13,16 @@
 //! [`MutationBatch`] and commits it with a single [`Problem::apply`]
 //! (one envelope reconciliation, one spatial-index patch pass — never a
 //! rebuild), with a [`LinkIdMap`] keeping stable external handles
-//! across the dense renumbering. Each busy slot schedules
-//! [`Problem::restrict`] of the live problem to the backlog, reused
-//! only while neither the problem nor the backlog moved. See
-//! `docs/online.md`.
+//! across the dense renumbering. Each busy slot schedules the live
+//! problem itself with the backlog as the [`Scope`] (queue lengths as
+//! its weights under MaxWeight). See `docs/online.md`.
 
 use crate::slot::simulate_slot;
 use fading_core::{
-    LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem, SchedCtx, Scheduler,
+    LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem, SchedCtx, Scheduler, Scope,
 };
 use fading_math::{seeded_rng, split_seed, OnlineStats};
-use fading_net::{LinkId, UniformGenerator};
+use fading_net::{Link, LinkId, LinkSet, UniformGenerator};
 use fading_obs::{
     FlightConfig, FlightRecorder, Histogram, PhaseTimer, SlotRecord, SlotSeries, TraceEvent,
 };
@@ -61,8 +60,8 @@ impl ChurnConfig {
 /// How per-slot service decisions weigh the backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServicePolicy {
-    /// Schedule the backlogged sub-instance with the links' own rates
-    /// (the paper's objective applied per slot).
+    /// Schedule the backlogged links with their own rates (the paper's
+    /// objective applied per slot).
     PlainRates,
     /// MaxWeight / backpressure: rate of each backlogged link is its
     /// queue length, so the scheduler chases the longest queues — the
@@ -166,7 +165,8 @@ struct LinkState {
 /// Phase indices for the per-slot attribution (see [`PhaseTimer`]).
 /// `mutate` is building the slot's transaction (departure scan +
 /// arrival sampling); `commit` is [`Problem::apply`] plus the engine
-/// state bookkeeping the receipt drives.
+/// state bookkeeping the receipt drives; `restrict` keeps its name but
+/// times filling the slot's scheduling weights.
 const PH_MUTATE: usize = 0;
 const PH_COMMIT: usize = 1;
 const PH_ENVELOPE: usize = 2;
@@ -198,14 +198,15 @@ const PHASE_HIST_BOUNDS: [f64; 8] = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
 
 /// The flight-recorder side of the engine's telemetry: the obs-layer
 /// black box plus the engine-owned pieces it cannot know about — the
-/// dump directory and the last slot's restricted sub-instance (needed
-/// to make the post-mortem trace replayable).
+/// dump directory and the last busy slot's candidates (needed to make
+/// the post-mortem trace replayable).
 struct FlightBox {
     rec: FlightRecorder,
     out_dir: Option<PathBuf>,
-    /// The most recent slot's scheduled sub-problem, kept alive one
-    /// slot so a dump can write the instance its trace replays on.
-    last_sub: Option<Problem>,
+    /// The most recent busy slot's candidates as a stand-alone link set
+    /// (candidate `p` is link `p`, its slot weight as its rate): the
+    /// instance the recorded trace, renumbered the same way, replays on.
+    last_slot: Option<LinkSet>,
     /// Where the post-mortem bundle landed, once an anomaly fired.
     postmortem: Option<PathBuf>,
 }
@@ -341,17 +342,6 @@ impl TelemetryConfig {
     }
 }
 
-/// One slot's backlogged sub-problem: [`Problem::restrict`] of the
-/// live problem to the backlog, kept so the next slot can reuse it.
-#[derive(Debug)]
-struct Restriction {
-    sub: Problem,
-    /// `sub id → live dense id`; equal to the backlog it was cut from.
-    mapping: Vec<LinkId>,
-    /// The live problem's [`stamp`](Problem::stamp) when it was cut.
-    parent_stamp: u64,
-}
-
 /// A long-running scheduling engine over a live, churning instance.
 ///
 /// Owns the mutable [`Problem`], the external↔dense [`LinkIdMap`], all
@@ -376,10 +366,10 @@ pub struct ChurnEngine {
     batch: MutationBatch,
     departing: Vec<LinkId>,
     arrival_departs: Vec<u64>,
+    /// The slot's scope: backlogged links, ascending.
     backlogged: Vec<LinkId>,
-    rates: Vec<f64>,
-    /// The last busy slot's restriction (see [`Restriction`]).
-    sub: Option<Restriction>,
+    /// MaxWeight weights by live id (only backlogged entries are read).
+    weights: Vec<f64>,
     /// Live telemetry (slot series / flight recorder / phase
     /// attribution); `None` keeps the hot loop on the untimed path.
     telemetry: Option<Box<ChurnTelemetry>>,
@@ -439,8 +429,7 @@ impl ChurnEngine {
             departing: Vec::new(),
             arrival_departs: Vec::new(),
             backlogged: Vec::new(),
-            rates: Vec::new(),
-            sub: None,
+            weights: Vec::new(),
             telemetry: None,
             detail: String::new(),
         }
@@ -467,7 +456,7 @@ impl ChurnEngine {
             tel.flight = Some(FlightBox {
                 rec: FlightRecorder::new(fcfg),
                 out_dir,
-                last_sub: None,
+                last_slot: None,
                 postmortem: None,
             });
         }
@@ -506,8 +495,7 @@ impl ChurnEngine {
     }
 
     /// Advances one slot: departures → arrivals → packet arrivals →
-    /// schedule the backlogged sub-instance → channel realization →
-    /// service.
+    /// schedule the backlogged links → channel realization → service.
     pub fn step<S: Scheduler + ?Sized>(
         &mut self,
         scheduler: &S,
@@ -598,7 +586,7 @@ impl ChurnEngine {
             }
         }
 
-        // Schedule the backlogged sub-instance and realize the channel.
+        // Schedule the backlogged links and realize the channel.
         self.backlogged.clear();
         for (dense, state) in self.states.iter().enumerate() {
             if !state.queue.is_empty() {
@@ -609,12 +597,12 @@ impl ChurnEngine {
         let backlogged_count = self.backlogged.len() as u32;
         let mut scheduled = 0u32;
         let mut delivered = 0u32;
-        let mut sub_for_flight: Option<Problem> = None;
+        let mut slot_for_flight: Option<LinkSet> = None;
         let mut trace_events: Vec<TraceEvent> = Vec::new();
         if !self.backlogged.is_empty() {
             let thread_capture = capture.then(fading_obs::ThreadCapture::begin);
-            // Bracket the scheduler's trace block (which uses residual
-            // ids) with the slot number, backlog, and parent-id links.
+            // Bracket the scheduler's trace block with the slot number
+            // and backlog, and the links it committed.
             let tracing = fading_obs::tracing_enabled();
             if tracing {
                 fading_obs::trace::publish(vec![TraceEvent::SlotStart {
@@ -622,29 +610,36 @@ impl ChurnEngine {
                     backlog: backlogged_count,
                 }]);
             }
-            self.sync_sub(policy);
+            let mut scope = Scope::candidates(&self.backlogged);
+            if policy == ServicePolicy::MaxWeight {
+                self.weights.resize(self.states.len(), 0.0);
+                for &id in &self.backlogged {
+                    self.weights[id.index()] =
+                        (self.states[id.index()].queue.len() as f64).max(1e-9);
+                }
+                scope = scope.weighted(&self.weights);
+            }
             timer.lap(PH_RESTRICT);
-            let r = self.sub.as_ref().expect("sync_sub fills the restriction");
-            let schedule = scheduler.schedule_in(&r.sub, &mut self.ctx);
+            let schedule = scheduler.schedule_in(&self.problem, scope, &mut self.ctx);
             timer.lap(PH_SCHEDULE);
             scheduled = schedule.len() as u32;
             let mut channel_rng = seeded_rng(split_seed(self.cfg.seed, t + 2));
-            let outcome = simulate_slot(&r.sub, &schedule, &mut channel_rng);
-            for sub_id in outcome.successes {
-                let dense = r.mapping[sub_id.index()];
-                if self.states[dense.index()].queue.pop_front().is_some() {
+            let outcome = simulate_slot(&self.problem, &schedule, &mut channel_rng);
+            for id in outcome.successes {
+                if self.states[id.index()].queue.pop_front().is_some() {
                     delivered += 1;
                 }
             }
             if tracing {
                 fading_obs::trace::publish(vec![TraceEvent::SlotEnd {
                     slot: t,
-                    links: schedule.iter().map(|id| r.mapping[id.index()].0).collect(),
+                    links: schedule.iter().map(|id| id.0).collect(),
                 }]);
             }
             if let Some(c) = thread_capture {
                 trace_events = c.finish().events;
-                sub_for_flight = Some(r.sub.clone());
+                renumber_to_scope(&mut trace_events, &self.backlogged);
+                slot_for_flight = Some(scope_links(&self.problem, scope));
             }
             self.ctx.recycle(schedule);
             timer.lap(PH_SERVICE);
@@ -685,44 +680,9 @@ impl ChurnEngine {
                 service_ns: timer.phase_ns()[PH_SERVICE],
                 slot_ns: timer.total_ns(),
             };
-            self.finish_slot_telemetry(rec, trace_events, sub_for_flight);
+            self.finish_slot_telemetry(rec, trace_events, slot_for_flight);
         }
         out
-    }
-
-    /// Points `self.sub` at the restriction of the live problem to
-    /// `self.backlogged` and sets its rates to this slot's scheduling
-    /// weights (queue lengths under MaxWeight, the links' own rates
-    /// otherwise), in place. The previous restriction is reused when
-    /// neither the live problem (its stamp) nor the backlog moved since
-    /// it was cut — at deep overload every link stays backlogged.
-    fn sync_sub(&mut self, policy: ServicePolicy) {
-        let stamp = self.problem.stamp();
-        let reusable = self
-            .sub
-            .as_ref()
-            .is_some_and(|r| r.parent_stamp == stamp && r.mapping == self.backlogged);
-        if reusable {
-            fading_obs::counter!("sim.churn.sub.reuses").incr();
-        } else {
-            let (sub, mapping) = self.problem.restrict(&self.backlogged);
-            self.sub = Some(Restriction {
-                sub,
-                mapping,
-                parent_stamp: stamp,
-            });
-            fading_obs::counter!("sim.churn.sub.rebuilds").incr();
-        }
-        let r = self.sub.as_mut().expect("restriction just synced");
-        self.rates.clear();
-        self.rates
-            .extend(r.mapping.iter().map(|&dense| match policy {
-                ServicePolicy::MaxWeight => {
-                    (self.states[dense.index()].queue.len() as f64).max(1e-9)
-                }
-                ServicePolicy::PlainRates => self.problem.rate(dense),
-            }));
-        r.sub.update_link_rates(&self.rates);
     }
 
     /// The telemetry tail of one slot: series, histograms, anomaly
@@ -731,7 +691,7 @@ impl ChurnEngine {
         &mut self,
         rec: SlotRecord,
         trace_events: Vec<TraceEvent>,
-        sub: Option<Problem>,
+        slot_links: Option<LinkSet>,
     ) {
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
@@ -760,8 +720,8 @@ impl ChurnEngine {
                 tel.abandoned_total,
                 rec.backlog,
             ));
-            if sub.is_some() {
-                flight.last_sub = sub;
+            if slot_links.is_some() {
+                flight.last_slot = slot_links;
             }
             if let Some(anomaly) = flight.rec.observe(&rec, trace_events, conserved) {
                 tel.health = anomaly.tag();
@@ -775,7 +735,7 @@ impl ChurnEngine {
                 if let Some(dir) = flight.out_dir.clone() {
                     match flight.rec.dump(&dir, &anomaly) {
                         Ok(_paths) => {
-                            write_replay_instance(&dir, flight.last_sub.as_ref());
+                            write_replay_instance(&dir, flight.last_slot.as_ref(), &self.problem);
                             flight.postmortem = Some(dir);
                         }
                         Err(e) => eprintln!("flight recorder: dump failed: {e}"),
@@ -874,27 +834,74 @@ struct ReplayMeta {
     backend: String,
 }
 
-/// Writes the anomaly slot's restricted sub-instance next to the
-/// post-mortem bundle (`replay_instance.json` + `replay_meta.json`),
-/// so `replay_trace.jsonl` can be replayed against a faithful rebuild:
-/// `Problem::builder(load(instance), meta.params).epsilon(meta.epsilon)`
-/// (replay audits picks/eliminations/debits, which are rate-blind, so
-/// the MaxWeight rate overrides riding along in the link set are
-/// harmless). Best-effort: a failed write degrades the bundle, it
-/// doesn't kill the run.
-fn write_replay_instance(dir: &Path, sub: Option<&Problem>) {
-    let Some(sub) = sub else {
+/// Renumbers the scheduler blocks of a captured slot trace from live
+/// ids to positions in `candidates` (ascending, so the renumbering is
+/// monotone and the block is exactly the one the scheduler emits on a
+/// fresh build of the candidates). Slot markers keep live ids.
+fn renumber_to_scope(events: &mut [TraceEvent], candidates: &[LinkId]) {
+    let pos = |id: &mut u32| {
+        *id = candidates
+            .binary_search(&LinkId(*id))
+            .expect("a scoped trace names only candidates") as u32;
+    };
+    for e in events {
+        match e {
+            TraceEvent::Pick { link } | TraceEvent::Eliminate { link, by: None, .. } => pos(link),
+            TraceEvent::Eliminate {
+                link, by: Some(by), ..
+            }
+            | TraceEvent::BudgetDebit {
+                receiver: link,
+                from: by,
+                ..
+            } => {
+                pos(link);
+                pos(by);
+            }
+            TraceEvent::End { scheduled } => scheduled.iter_mut().for_each(pos),
+            // Headers, choices and slot markers name no candidate.
+            _ => {}
+        }
+    }
+}
+
+/// The scope's candidates as a stand-alone link set: candidate `p`
+/// becomes link `p`, carrying its scope weight as its rate.
+fn scope_links(problem: &Problem, scope: Scope<'_>) -> LinkSet {
+    let candidates = scope.list().expect("the engine schedules a candidate list");
+    let (sliced, _) = problem.links().restrict(candidates);
+    let links = sliced
+        .links()
+        .iter()
+        .zip(candidates)
+        .map(|(l, &id)| Link {
+            rate: scope.weight(problem, id),
+            ..*l
+        })
+        .collect();
+    LinkSet::new(*sliced.region(), links)
+}
+
+/// Writes the anomaly slot's candidates next to the post-mortem bundle
+/// (`replay_instance.json` + `replay_meta.json`), so
+/// `replay_trace.jsonl` can be replayed against a faithful rebuild:
+/// `Problem::builder(load(instance), meta.params).epsilon(meta.epsilon)`.
+/// The instance carries the slot's weights as rates, which grid replays
+/// recompute square winners from. Best-effort: a failed write degrades
+/// the bundle, it doesn't kill the run.
+fn write_replay_instance(dir: &Path, links: Option<&LinkSet>, problem: &Problem) {
+    let Some(links) = links else {
         return;
     };
     let inst = dir.join("replay_instance.json");
-    if let Err(e) = fading_net::io::save(sub.links(), &inst) {
+    if let Err(e) = fading_net::io::save(links, &inst) {
         eprintln!("flight recorder: cannot write {}: {e}", inst.display());
         return;
     }
     let meta = ReplayMeta {
-        params: *sub.params(),
-        epsilon: sub.epsilon(),
-        backend: format!("{:?}", sub.backend_choice()),
+        params: *problem.params(),
+        epsilon: problem.epsilon(),
+        backend: format!("{:?}", problem.backend_choice()),
     };
     let path = dir.join("replay_meta.json");
     match serde_json::to_string_pretty(&meta) {
@@ -1097,28 +1104,25 @@ mod tests {
     }
 
     #[test]
-    fn deep_overload_reuses_the_restriction() {
-        // Every link draws a packet every slot on a fixed population, so
-        // after the first busy slot neither the live problem nor the
-        // backlog moves and every later slot must reuse the restriction.
-        // The reused sub-problem must equal a fresh restrict of the same
-        // backlog, rates included (MaxWeight rewrites them in place).
-        let reuses = fading_obs::counter("sim.churn.sub.reuses");
-        let before = reuses.value();
+    fn deep_overload_schedules_the_weighted_backlog() {
+        // Every link draws a packet every slot on a fixed population,
+        // so the whole population is the scope and the MaxWeight
+        // weights move every slot while the problem's stamp does not.
+        // Each slot must schedule what GreedyRate schedules on a fresh
+        // build of the backlog with the queue lengths as rates.
         let mut e = fixed(problem(40, 12), 1.0, 50);
         for _ in 0..50 {
-            e.step(&GreedyRate, ServicePolicy::MaxWeight);
-            let r = e.sub.as_ref().expect("every slot is busy");
-            let (mut fresh, mapping) = e.problem.restrict(&e.backlogged);
-            assert_eq!(mapping, r.mapping);
-            fresh.update_link_rates(&e.rates);
-            assert_eq!(fresh, r.sub, "reused restriction diverged from a fresh one");
+            let slot = e.step(&GreedyRate, ServicePolicy::MaxWeight);
+            assert_eq!(e.backlogged.len(), 40);
+            let links = scope_links(
+                &e.problem,
+                Scope::candidates(&e.backlogged).weighted(&e.weights),
+            );
+            let fresh = Problem::builder(links, *e.problem.params())
+                .epsilon(e.problem.epsilon())
+                .build();
+            assert_eq!(slot.scheduled as usize, GreedyRate.schedule(&fresh).len());
         }
-        assert!(
-            reuses.value() - before >= 40,
-            "expected ≥40 reused slots, got {}",
-            reuses.value() - before
-        );
     }
 
     #[test]
@@ -1363,10 +1367,23 @@ mod tests {
         // Overload a small instance (every link draws a packet every
         // slot) so backlog grows strictly; the flight recorder must
         // fire QueueGrowth, dump the bundle, and the replay half of the
-        // bundle must replay cleanly against the saved sub-instance.
+        // bundle must replay cleanly against the saved slot instance —
+        // for a grid scheduler too, whose replay recomputes square
+        // winners from the MaxWeight weights the instance carries.
         // Capture is scoped to this test's thread, so tests scheduling
         // in parallel cannot enter the replayed trace.
-        let dir = std::env::temp_dir().join(format!("churn_flight_{}", std::process::id()));
+        let schedulers: [&dyn Scheduler; 2] = [&GreedyRate, &fading_core::algo::Ldp::new()];
+        for scheduler in schedulers {
+            postmortem_bundle_replays(scheduler);
+        }
+    }
+
+    fn postmortem_bundle_replays(scheduler: &dyn Scheduler) {
+        let dir = std::env::temp_dir().join(format!(
+            "churn_flight_{}_{}",
+            std::process::id(),
+            scheduler.name()
+        ));
         std::fs::remove_dir_all(&dir).ok();
         let mut e = engine_sized(
             20,
@@ -1390,7 +1407,7 @@ mod tests {
         ));
         let mut fired_at = None;
         for t in 0..400 {
-            e.step(&GreedyRate, ServicePolicy::MaxWeight);
+            e.step(scheduler, ServicePolicy::MaxWeight);
             if e.health() != "ok" {
                 fired_at = Some(t);
                 break;
@@ -1417,7 +1434,7 @@ mod tests {
         assert!(dir.join("flight_trace.jsonl").exists());
 
         // Acceptance: replay_trace.jsonl replays against the saved
-        // sub-instance under certify::replay_trace.
+        // slot instance under certify::replay_trace.
         let trace = fading_obs::Trace::from_jsonl(
             &std::fs::read_to_string(dir.join("replay_trace.jsonl")).unwrap(),
         )
@@ -1452,14 +1469,19 @@ mod tests {
             "sleepy"
         }
 
-        fn schedule_in(&self, problem: &Problem, ctx: &mut SchedCtx) -> fading_core::Schedule {
+        fn schedule_in(
+            &self,
+            problem: &Problem,
+            scope: Scope<'_>,
+            ctx: &mut SchedCtx,
+        ) -> fading_core::Schedule {
             let n = self
                 .calls
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             if n == 20 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
             }
-            GreedyRate.schedule_in(problem, ctx)
+            GreedyRate.schedule_in(problem, scope, ctx)
         }
     }
 
@@ -1501,7 +1523,12 @@ mod tests {
             "noop"
         }
 
-        fn schedule_in(&self, _problem: &Problem, _ctx: &mut SchedCtx) -> fading_core::Schedule {
+        fn schedule_in(
+            &self,
+            _problem: &Problem,
+            _scope: Scope<'_>,
+            _ctx: &mut SchedCtx,
+        ) -> fading_core::Schedule {
             fading_core::Schedule::empty()
         }
     }

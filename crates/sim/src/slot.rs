@@ -6,11 +6,9 @@
 //! Eq. (5)), then test the realized SINR against `γ_th` (Eq. (7)–(8)).
 //!
 //! Every draw is scaled by the problem's per-link power scale. The
-//! queueing and multi-slot loops hand this module *residual*
-//! sub-problems built by `Problem::restrict`, which slices the parent's
-//! power scales along with its interference state — so the mean gains
-//! carry the true transmit powers here even though the sub-instance was
-//! renumbered (see `docs/residual.md`).
+//! online engine hands this module the live problem and a schedule of
+//! its backlogged links, so the mean gains carry the true transmit
+//! powers (see `docs/residual.md`).
 //!
 //! **Where mean gains are computed.** A realization is one kernel,
 //! `realize`, that reads each receiver's row of mean gains

@@ -6,10 +6,11 @@
 //! m ∈ {0.5, 0.75, 1, 2, 4}: milder fading (m > 1) keeps the ε target,
 //! more severe fading (m < 1) breaks it.
 
+use fading_channel::NakagamiChannel;
 use fading_core::algo::{ApproxLogN, Ldp, Rle};
 use fading_core::{Problem, Scheduler};
 use fading_net::{TopologyGenerator, UniformGenerator};
-use fading_sim::robustness::simulate_many_nakagami;
+use fading_sim::simulate_many_under;
 
 fn main() {
     let cli = fading_bench::Cli::parse();
@@ -38,7 +39,8 @@ fn main() {
             let s = algo.schedule(&p);
             scheduled += s.len() as f64;
             for (k, &m) in ms.iter().enumerate() {
-                failures[k] += simulate_many_nakagami(&p, &s, m, trials, seed).failed.mean;
+                let law = NakagamiChannel::new(*p.params(), m);
+                failures[k] += simulate_many_under(&p, &s, &law, trials, seed).failed.mean;
             }
         }
         print!("{:<12} {:>7.1}", algo.name(), scheduled / instances as f64);

@@ -4,10 +4,11 @@
 //! paper's model; this experiment measures how quickly the 1 − ε
 //! guarantee of LDP/RLE erodes as σ grows.
 
+use fading_channel::ShadowedRayleigh;
 use fading_core::algo::{Ldp, Rle};
 use fading_core::{Problem, Scheduler};
 use fading_net::{TopologyGenerator, UniformGenerator};
-use fading_sim::robustness::simulate_many_shadowed;
+use fading_sim::simulate_many_under;
 
 fn main() {
     let cli = fading_bench::Cli::parse();
@@ -30,9 +31,8 @@ fn main() {
             let s = algo.schedule(&p);
             scheduled += s.len() as f64;
             for (k, &sigma) in sigmas.iter().enumerate() {
-                failures[k] += simulate_many_shadowed(&p, &s, sigma, trials, seed)
-                    .failed
-                    .mean;
+                let law = ShadowedRayleigh::new(*p.params(), sigma);
+                failures[k] += simulate_many_under(&p, &s, &law, trials, seed).failed.mean;
             }
         }
         print!("{:<12} {:>7.1}", algo.name(), scheduled / instances as f64);

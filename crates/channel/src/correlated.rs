@@ -18,6 +18,7 @@
 //! are unchanged, but failures *cluster*, which is what ARQ and
 //! higher-layer recovery actually feel.
 
+use crate::gaussian;
 use crate::params::ChannelParams;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -85,13 +86,6 @@ impl CorrelatedGain {
     pub fn mean_power(&self) -> f64 {
         self.mean_power
     }
-}
-
-/// Standard normal via Box–Muller.
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]

@@ -5,12 +5,14 @@
 //! Rayleigh model exactly (Gamma(1, θ) is exponential), `m > 1` models
 //! milder fading (strong line-of-sight), `1/2 ≤ m < 1` more severe
 //! fading. The paper's closed form (Theorem 3.1) holds only for
-//! `m = 1`; this module provides exact sampling plus Monte-Carlo
-//! estimation of success probabilities, so the extension experiments
-//! can measure how Rayleigh-designed schedules (LDP/RLE) hold up when
-//! the real channel is not exactly Rayleigh.
+//! `m = 1`; this module provides exact sampling as a [`FadingLaw`], so
+//! the Monte-Carlo driver can measure how Rayleigh-designed schedules
+//! (LDP/RLE) hold up when the real channel is not exactly Rayleigh.
 
+use crate::gaussian;
+use crate::law::FadingLaw;
 use crate::params::ChannelParams;
+use fading_math::Exponential;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -35,42 +37,17 @@ impl NakagamiChannel {
         );
         Self { params, m }
     }
+}
 
-    /// Samples the instantaneous received power at distance `d`:
+impl FadingLaw for NakagamiChannel {
+    type Realization = ();
+
+    fn begin<R: Rng + ?Sized>(&self, _: usize, _: &mut R) {}
+
     /// `Gamma(shape = m, scale = mean/m)`.
-    pub fn sample_gain<R: Rng + ?Sized>(&self, rng: &mut R, d: f64) -> f64 {
-        let mean = self.params.mean_gain(d);
-        sample_gamma(rng, self.m, mean / self.m)
-    }
-
-    /// Monte-Carlo estimate of `Pr(X_j ≥ γ_th)` for a link of length
-    /// `d_jj` under interferers at distances `interferer_distances`.
-    pub fn estimate_success_probability<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        d_jj: f64,
-        interferer_distances: &[f64],
-        trials: u32,
-    ) -> f64 {
-        assert!(trials > 0, "at least one trial");
-        let mut ok = 0u32;
-        for _ in 0..trials {
-            let signal = self.sample_gain(rng, d_jj);
-            let interference: f64 = interferer_distances
-                .iter()
-                .map(|&d| self.sample_gain(rng, d))
-                .sum();
-            let denom = self.params.noise + interference;
-            let success = if denom == 0.0 {
-                true
-            } else {
-                signal / denom >= self.params.gamma_th
-            };
-            if success {
-                ok += 1;
-            }
-        }
-        ok as f64 / trials as f64
+    #[inline]
+    fn draw<R: Rng + ?Sized>(&self, _: &(), mean: &Exponential, _: usize, rng: &mut R) -> f64 {
+        sample_gamma(rng, self.m, mean.mean() / self.m)
     }
 }
 
@@ -90,10 +67,7 @@ pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64
     let d = shape - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        // Standard normal via Box–Muller.
-        let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        let z = gaussian(rng);
         let v = (1.0 + c * z).powi(3);
         if v <= 0.0 {
             continue;
@@ -108,7 +82,6 @@ pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rayleigh::RayleighChannel;
     use fading_math::{seeded_rng, OnlineStats};
 
     #[test]
@@ -138,78 +111,33 @@ mod tests {
     fn m_equal_one_is_rayleigh() {
         // Gain distribution at m=1 must match the exponential model:
         // compare empirical CDF at a few points.
-        let params = ChannelParams::paper_defaults();
-        let nak = NakagamiChannel::new(params, 1.0);
-        let ray = RayleighChannel::new(params);
+        let nak = NakagamiChannel::new(ChannelParams::paper_defaults(), 1.0);
+        let mean = Exponential::with_mean(0.4);
         let mut rng = seeded_rng(2);
-        let d = 7.0;
         let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| nak.sample_gain(&mut rng, d)).collect();
-        let mean = params.mean_gain(d);
-        for &x in &[0.5 * mean, mean, 2.0 * mean] {
+        let samples: Vec<f64> = (0..n).map(|_| nak.draw(&(), &mean, 0, &mut rng)).collect();
+        for &x in &[0.2, 0.4, 0.8] {
             let emp = samples.iter().filter(|&&g| g <= x).count() as f64 / n as f64;
-            let analytic = 1.0 - (-x / mean).exp();
+            let analytic = mean.cdf(x);
             assert!(
                 (emp - analytic).abs() < 0.01,
                 "CDF at {x}: {emp} vs {analytic}"
             );
         }
-        // And the success probability agrees with Theorem 3.1.
-        let interferers = [20.0, 35.0];
-        let closed = ray.success_probability(d, interferers.iter().copied());
-        let est = nak.estimate_success_probability(&mut rng, d, &interferers, 100_000);
-        assert!(
-            (est - closed).abs() < 0.01,
-            "Nakagami(1) {est} vs Rayleigh closed form {closed}"
-        );
-    }
-
-    #[test]
-    fn larger_m_means_milder_fading() {
-        // With a healthy mean-SINR margin, success probability should
-        // increase with m (less variance around the mean).
-        let params = ChannelParams::paper_defaults();
-        let mut rng = seeded_rng(3);
-        let d = 5.0;
-        let interferers = [18.0, 40.0];
-        let p_half = NakagamiChannel::new(params, 0.5).estimate_success_probability(
-            &mut rng,
-            d,
-            &interferers,
-            60_000,
-        );
-        let p_one = NakagamiChannel::new(params, 1.0).estimate_success_probability(
-            &mut rng,
-            d,
-            &interferers,
-            60_000,
-        );
-        let p_four = NakagamiChannel::new(params, 4.0).estimate_success_probability(
-            &mut rng,
-            d,
-            &interferers,
-            60_000,
-        );
-        assert!(
-            p_half < p_one && p_one < p_four,
-            "m=0.5:{p_half} m=1:{p_one} m=4:{p_four}"
-        );
     }
 
     #[test]
     fn gains_are_positive_and_mean_preserving() {
-        let params = ChannelParams::paper_defaults();
-        let nak = NakagamiChannel::new(params, 2.5);
+        let nak = NakagamiChannel::new(ChannelParams::paper_defaults(), 2.5);
+        let mean = Exponential::with_mean(1e-3);
         let mut rng = seeded_rng(4);
-        let d = 10.0;
         let mut stats = OnlineStats::new();
         for _ in 0..50_000 {
-            let g = nak.sample_gain(&mut rng, d);
+            let g = nak.draw(&(), &mean, 1, &mut rng);
             assert!(g > 0.0 && g.is_finite());
             stats.push(g);
         }
-        let mean = params.mean_gain(d);
-        assert!((stats.mean() - mean).abs() < 0.03 * mean);
+        assert!((stats.mean() - mean.mean()).abs() < 0.03 * mean.mean());
     }
 
     #[test]

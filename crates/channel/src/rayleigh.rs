@@ -8,6 +8,7 @@
 //! link `j` meets its `1 − ε` reliability target iff
 //! `Σ_{i ∈ P\{j}} f_{i,j} ≤ γ_ε = ln(1/(1−ε))`.
 
+use crate::law::FadingLaw;
 use crate::params::ChannelParams;
 use fading_math::{Exponential, KahanSum};
 use rand::Rng;
@@ -118,6 +119,22 @@ impl RayleighChannel {
                 .into_iter()
                 .map(|d_ij| self.interference_factor(d_ij, d_jj)),
         )
+    }
+}
+
+impl FadingLaw for RayleighChannel {
+    type Realization = ();
+
+    /// Counts the realization's `k²` draws in one increment, so the
+    /// Monte-Carlo hot loop never touches the registry per draw.
+    fn begin<R: Rng + ?Sized>(&self, k: usize, _: &mut R) {
+        fading_obs::counter!("channel.rayleigh.draws").add((k * k) as u64);
+    }
+
+    /// `Exp(mean)` (Eq. (5)).
+    #[inline]
+    fn draw<R: Rng + ?Sized>(&self, _: &(), mean: &Exponential, _: usize, rng: &mut R) -> f64 {
+        mean.sample(rng)
     }
 }
 

@@ -9,10 +9,12 @@
 //!
 //! The composed channel draws, per (sender, receiver) pair, a shadowing
 //! factor that is *fixed for a realization lifetime* (shadowing is
-//! quasi-static) and a fresh Rayleigh gain per slot.
+//! quasi-static) and a fresh Rayleigh gain per slot. This is the
+//! log-normal model of Halldórsson–Tonoyan's shadowing analysis.
 
+use crate::gaussian;
+use crate::law::FadingLaw;
 use crate::params::ChannelParams;
-use crate::rayleigh::RayleighChannel;
 use fading_math::Exponential;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -45,21 +47,7 @@ impl ShadowedRayleigh {
             return 1.0;
         }
         fading_obs::counter!("channel.shadowing.draws").incr();
-        let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        10f64.powf(self.sigma_db * z / 10.0)
-    }
-
-    /// Samples an instantaneous gain at distance `d` given a previously
-    /// drawn `shadow_factor` for this pair.
-    pub fn sample_gain<R: Rng + ?Sized>(&self, rng: &mut R, d: f64, shadow_factor: f64) -> f64 {
-        Exponential::with_mean(self.params.mean_gain(d) * shadow_factor).sample(rng)
-    }
-
-    /// The underlying no-shadowing Rayleigh channel.
-    pub fn rayleigh(&self) -> RayleighChannel {
-        RayleighChannel::new(self.params)
+        10f64.powf(self.sigma_db * gaussian(rng) / 10.0)
     }
 
     /// Mean of the shadowing factor, `exp((σ·ln10/10)²/2)` — shadowing
@@ -68,6 +56,28 @@ impl ShadowedRayleigh {
     pub fn shadow_mean(&self) -> f64 {
         let s = self.sigma_db * std::f64::consts::LN_10 / 10.0;
         (s * s / 2.0).exp()
+    }
+}
+
+impl FadingLaw for ShadowedRayleigh {
+    /// The `k²` shadowing factors `s_ij`, drawn sender-major before
+    /// any gain.
+    type Realization = Vec<f64>;
+
+    fn begin<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<f64> {
+        (0..k * k).map(|_| self.sample_shadow_factor(rng)).collect()
+    }
+
+    /// `Exp(mean·s_ij)`.
+    #[inline]
+    fn draw<R: Rng + ?Sized>(
+        &self,
+        s: &Vec<f64>,
+        mean: &Exponential,
+        pair: usize,
+        rng: &mut R,
+    ) -> f64 {
+        Exponential::with_mean(mean.mean() * s[pair]).sample(rng)
     }
 }
 
@@ -83,14 +93,16 @@ mod tests {
         let mut rng = seeded_rng(1);
         assert_eq!(sh.sample_shadow_factor(&mut rng), 1.0);
         assert_eq!(sh.shadow_mean(), 1.0);
-        // Gains with factor 1 have the Rayleigh mean.
-        let d = 6.0;
-        let mut stats = OnlineStats::new();
-        for _ in 0..100_000 {
-            stats.push(sh.sample_gain(&mut rng, d, 1.0));
+        // Zero σ draws no RNG: every factor is 1 and each gain is the
+        // Rayleigh draw off the same stream.
+        let field = sh.begin(3, &mut rng);
+        assert_eq!(field, vec![1.0; 9]);
+        let mean = Exponential::with_mean(params.mean_gain(6.0));
+        let mut twin = rng.clone();
+        for _ in 0..1000 {
+            let g = sh.draw(&field, &mean, 7, &mut rng);
+            assert_eq!(g.to_bits(), mean.sample(&mut twin).to_bits());
         }
-        let mean = params.mean_gain(d);
-        assert!((stats.mean() - mean).abs() < 0.02 * mean);
     }
 
     #[test]
@@ -133,13 +145,14 @@ mod tests {
         let params = ChannelParams::paper_defaults();
         let sh = ShadowedRayleigh::new(params, 6.0);
         let mut rng = seeded_rng(4);
-        let d = 10.0;
-        let factor = 3.0;
+        let mean = Exponential::with_mean(params.mean_gain(10.0));
+        // Pair 2 (sender 1 at receiver 0 of 2 links) carries factor 3.
+        let field = vec![1.0, 1.0, 3.0, 1.0];
         let mut stats = OnlineStats::new();
         for _ in 0..100_000 {
-            stats.push(sh.sample_gain(&mut rng, d, factor));
+            stats.push(sh.draw(&field, &mean, 2, &mut rng));
         }
-        let expect = params.mean_gain(d) * factor;
+        let expect = mean.mean() * 3.0;
         assert!((stats.mean() - expect).abs() < 0.02 * expect);
     }
 

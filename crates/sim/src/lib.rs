@@ -7,11 +7,13 @@
 //!
 //! * [`batch`] — pooled scheduling workspaces so sweep workers reuse
 //!   warm scratch arenas instead of allocating per instance;
-//! * [`slot`] — one channel realization of a schedule;
+//! * [`slot`] — one channel realization of a schedule, generic over the
+//!   fading law;
 //! * [`churn`] — the per-slot queueing loop over a live instance, with
 //!   optional link arrivals and departures;
 //! * [`monte_carlo`] — many independent realizations in parallel
-//!   (rayon), reduced into exact mergeable statistics;
+//!   (rayon), reduced in trial order so no statistic depends on the
+//!   thread count;
 //! * [`config`] — the paper's experiment configuration (500×500 field,
 //!   link lengths U\[5,20\], ε = 0.01, γ_th = 1, λ = 1) plus sweep grids;
 //! * [`runner`] — the Fig. 5/Fig. 6 sweeps over `N` and `α` for any set
@@ -35,11 +37,8 @@ pub use churn::{
 };
 pub use config::ExperimentConfig;
 pub use convergence::{convergence_trace, trials_for_ci, TracePoint};
-pub use monte_carlo::{simulate_many, MonteCarloStats};
+pub use monte_carlo::{simulate_many, simulate_many_under, MonteCarloStats};
 pub use results::{ResultRow, ResultTable};
-pub use robustness::{
-    burstiness, drift_reliability, simulate_many_nakagami, simulate_many_shadowed, sinr_histogram,
-    BurstStats,
-};
+pub use robustness::{burstiness, drift_reliability, sinr_histogram, BurstStats};
 pub use runner::{sweep, sweep_alpha, sweep_n, SweepAxis};
 pub use slot::{realized_sinrs, simulate_slot, SlotOutcome};

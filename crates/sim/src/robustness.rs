@@ -4,144 +4,20 @@
 //! noise. These harnesses measure how LDP/RLE schedules behave when the
 //! real channel deviates:
 //!
-//! * [`simulate_many_nakagami`] — the fast fading is Nakagami-m rather
-//!   than Rayleigh (`m = 1` recovers the paper's model exactly);
-//! * [`simulate_many_shadowed`] — quasi-static log-normal shadowing is
-//!   layered on top of Rayleigh;
+//! * Nakagami-m fading (`m = 1` is the paper's model) and log-normal
+//!   shadowing on Rayleigh are laws of the one Monte-Carlo driver,
+//!   [`simulate_many_under`](crate::monte_carlo::simulate_many_under);
 //! * [`drift_reliability`] — the topology drifts under random-waypoint
 //!   mobility after the schedule was computed;
+//! * [`burstiness`] — Gauss–Markov correlated fading. Its state carries
+//!   across slots, draws the signal in place and sums without Kahan, so
+//!   it keeps its own loop (the shared kernel would change `ext_bursts`);
 //! * [`sinr_histogram`] — the realized SINR distribution of a schedule.
 
-use crate::monte_carlo::MonteCarloStats;
 use crate::slot::GainTable;
-use fading_channel::{sinr_of, NakagamiChannel, ShadowedRayleigh};
 use fading_core::{FeasibilityReport, Problem, Schedule};
-use fading_math::{seeded_rng, split_seed, Histogram, OnlineStats};
+use fading_math::{seeded_rng, split_seed, Histogram};
 use fading_net::RandomWaypoint;
-use rayon::prelude::*;
-
-/// Monte-Carlo evaluation of `schedule` when the fast fading is
-/// Nakagami-m instead of Rayleigh.
-pub fn simulate_many_nakagami(
-    problem: &Problem,
-    schedule: &Schedule,
-    m: f64,
-    trials: u64,
-    base_seed: u64,
-) -> MonteCarloStats {
-    assert!(trials > 0, "at least one trial is required");
-    let channel = NakagamiChannel::new(*problem.params(), m);
-    let links = problem.links();
-    let (failed, throughput) = (0..trials)
-        .into_par_iter()
-        .fold(
-            || (OnlineStats::new(), OnlineStats::new()),
-            |(mut f, mut th), t| {
-                let mut rng = seeded_rng(split_seed(base_seed, t));
-                let mut failed_count = 0u32;
-                let mut delivered = 0.0;
-                for j in schedule.iter() {
-                    let signal = channel.sample_gain(&mut rng, links.length(j));
-                    let interference = schedule.iter().filter(|&i| i != j).map(|i| {
-                        channel.sample_gain(&mut rng, links.sender_receiver_distance(i, j))
-                    });
-                    if sinr_of(problem.params(), signal, interference).success {
-                        delivered += problem.rate(j);
-                    } else {
-                        failed_count += 1;
-                    }
-                }
-                f.push(failed_count as f64);
-                th.push(delivered);
-                (f, th)
-            },
-        )
-        .reduce(
-            || (OnlineStats::new(), OnlineStats::new()),
-            |(mut f1, mut t1), (f2, t2)| {
-                f1.merge(&f2);
-                t1.merge(&t2);
-                (f1, t1)
-            },
-        );
-    MonteCarloStats {
-        scheduled: schedule.len(),
-        scheduled_rate: schedule.utility(problem),
-        failed: failed.summary(),
-        throughput: throughput.summary(),
-    }
-}
-
-/// Monte-Carlo evaluation under Rayleigh fast fading composed with
-/// quasi-static log-normal shadowing of `sigma_db`: each trial draws a
-/// fresh shadowing realization (one factor per sender→receiver pair in
-/// the schedule), then one fast-fading realization on top of it.
-pub fn simulate_many_shadowed(
-    problem: &Problem,
-    schedule: &Schedule,
-    sigma_db: f64,
-    trials: u64,
-    base_seed: u64,
-) -> MonteCarloStats {
-    assert!(trials > 0, "at least one trial is required");
-    let channel = ShadowedRayleigh::new(*problem.params(), sigma_db);
-    let links = problem.links();
-    let members: Vec<_> = schedule.iter().collect();
-    let (failed, throughput) =
-        (0..trials)
-            .into_par_iter()
-            .fold(
-                || (OnlineStats::new(), OnlineStats::new()),
-                |(mut f, mut th), t| {
-                    let mut rng = seeded_rng(split_seed(base_seed, t));
-                    // Quasi-static shadowing: one factor per (i, j) pair,
-                    // fixed for the whole realization.
-                    let k = members.len();
-                    let mut shadow = vec![1.0f64; k * k];
-                    for v in shadow.iter_mut() {
-                        *v = channel.sample_shadow_factor(&mut rng);
-                    }
-                    let mut failed_count = 0u32;
-                    let mut delivered = 0.0;
-                    for (jj, &j) in members.iter().enumerate() {
-                        let signal =
-                            channel.sample_gain(&mut rng, links.length(j), shadow[jj * k + jj]);
-                        let interference =
-                            members.iter().enumerate().filter(|&(ii, _)| ii != jj).map(
-                                |(ii, &i)| {
-                                    channel.sample_gain(
-                                        &mut rng,
-                                        links.sender_receiver_distance(i, j),
-                                        shadow[ii * k + jj],
-                                    )
-                                },
-                            );
-                        if sinr_of(problem.params(), signal, interference).success {
-                            delivered += problem.rate(j);
-                        } else {
-                            failed_count += 1;
-                        }
-                    }
-                    f.push(failed_count as f64);
-                    th.push(delivered);
-                    (f, th)
-                },
-            )
-            .reduce(
-                || (OnlineStats::new(), OnlineStats::new()),
-                |(mut f1, mut t1), (f2, t2)| {
-                    f1.merge(&f2);
-                    t1.merge(&t2);
-                    (f1, t1)
-                },
-            );
-    MonteCarloStats {
-        scheduled: schedule.len(),
-        scheduled_rate: schedule.utility(problem),
-        failed: failed.summary(),
-        throughput: throughput.summary(),
-    }
-}
 
 /// Expected failures per slot of a *fixed* schedule as the topology
 /// drifts under random-waypoint mobility: entry `t` is the analytic
@@ -290,10 +166,15 @@ pub fn sinr_histogram(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monte_carlo::simulate_many;
-    use fading_core::algo::Rle;
+    use crate::monte_carlo::{simulate_many, simulate_many_under, MonteCarloStats};
+    use fading_channel::nakagami::sample_gamma;
+    use fading_channel::{sinr_of, ChannelParams, NakagamiChannel, ShadowedRayleigh};
+    use fading_core::algo::{ApproxDiversity, ApproxLogN, Rle};
     use fading_core::Scheduler;
-    use fading_net::{TopologyGenerator, UniformGenerator};
+    use fading_math::{Exponential, OnlineStats};
+    use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
 
     fn setup(n: usize, seed: u64) -> (Problem, Schedule) {
         let p = Problem::paper(UniformGenerator::paper(n).generate(seed), 3.0);
@@ -301,44 +182,200 @@ mod tests {
         (p, s)
     }
 
+    /// A 150-link paper instance whose senders cycle through power
+    /// scales ¼, 1 and 4, and its (lossy) ApproxDiversity schedule.
+    fn powered() -> (Problem, Schedule) {
+        let links = UniformGenerator::paper(150).generate(31);
+        let scales = (0..links.len()).map(|i| [0.25, 1.0, 4.0][i % 3]).collect();
+        let p = Problem::builder(links, ChannelParams::paper_defaults())
+            .power_scales(scales)
+            .build();
+        let s = ApproxDiversity::new().schedule(&p);
+        (p, s)
+    }
+
+    /// Statistics compared by bits (`Debug` prints every `f64` exactly).
+    fn bits(stats: &MonteCarloStats) -> String {
+        format!("{stats:?}")
+    }
+
+    /// The one-thread statistics of a per-trial `(failed, delivered)`.
+    fn sequential(
+        problem: &Problem,
+        schedule: &Schedule,
+        trials: u64,
+        trial: impl Fn(&mut StdRng) -> (f64, f64),
+        base_seed: u64,
+    ) -> MonteCarloStats {
+        let mut failed = OnlineStats::new();
+        let mut throughput = OnlineStats::new();
+        for t in 0..trials {
+            let (f, d) = trial(&mut seeded_rng(split_seed(base_seed, t)));
+            failed.push(f);
+            throughput.push(d);
+        }
+        MonteCarloStats {
+            scheduled: schedule.len(),
+            scheduled_rate: schedule.utility(problem),
+            failed: failed.summary(),
+            throughput: throughput.summary(),
+        }
+    }
+
+    /// The Nakagami trial loop as it stood before the shared kernel:
+    /// means from `mean_gain(d)`, which drops power scales.
+    fn old_nakagami(p: &Problem, s: &Schedule, m: f64, trials: u64, seed: u64) -> MonteCarloStats {
+        let (params, links) = (p.params(), p.links());
+        let trial = |rng: &mut StdRng| {
+            let mut failed_count = 0u32;
+            let mut delivered = 0.0;
+            for j in s.iter() {
+                let signal = sample_gamma(rng, m, params.mean_gain(links.length(j)) / m);
+                let interference = s.iter().filter(|&i| i != j).map(|i| {
+                    let mean = params.mean_gain(links.sender_receiver_distance(i, j));
+                    sample_gamma(rng, m, mean / m)
+                });
+                if sinr_of(params, signal, interference).success {
+                    delivered += p.rate(j);
+                } else {
+                    failed_count += 1;
+                }
+            }
+            (failed_count as f64, delivered)
+        };
+        sequential(p, s, trials, trial, seed)
+    }
+
+    /// The shadowed trial loop as it stood before the shared kernel.
+    fn old_shadowed(
+        p: &Problem,
+        s: &Schedule,
+        sigma: f64,
+        trials: u64,
+        seed: u64,
+    ) -> MonteCarloStats {
+        let (params, links) = (p.params(), p.links());
+        let channel = ShadowedRayleigh::new(*params, sigma);
+        let members: Vec<LinkId> = s.iter().collect();
+        let k = members.len();
+        let trial = |rng: &mut StdRng| {
+            let mut shadow = vec![1.0f64; k * k];
+            for v in shadow.iter_mut() {
+                *v = channel.sample_shadow_factor(rng);
+            }
+            let mut failed_count = 0u32;
+            let mut delivered = 0.0;
+            for (jj, &j) in members.iter().enumerate() {
+                let mean = params.mean_gain(links.length(j)) * shadow[jj * k + jj];
+                let signal = Exponential::with_mean(mean).sample(rng);
+                let interference =
+                    members
+                        .iter()
+                        .enumerate()
+                        .filter(|&(ii, _)| ii != jj)
+                        .map(|(ii, &i)| {
+                            let d = links.sender_receiver_distance(i, j);
+                            let mean = params.mean_gain(d) * shadow[ii * k + jj];
+                            Exponential::with_mean(mean).sample(rng)
+                        });
+                if sinr_of(params, signal, interference).success {
+                    delivered += p.rate(j);
+                } else {
+                    failed_count += 1;
+                }
+            }
+            (failed_count as f64, delivered)
+        };
+        sequential(p, s, trials, trial, seed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn driver_matches_the_old_loops_under_uniform_power(
+            seed in 0u64..1_000_000,
+            alpha_ix in 0usize..3,
+            k in 0usize..24,
+            m_ix in 0usize..5,
+            sigma_ix in 0usize..3,
+            trials in 1u64..40,
+            base_seed in 0u64..1_000_000,
+        ) {
+            let alpha = [2.5, 3.0, 4.5][alpha_ix];
+            let p = Problem::paper(UniformGenerator::paper(60).generate(seed), alpha);
+            // Any schedule, feasible or not, so failures occur.
+            let s = Schedule::from_ids(p.links().ids().take(k));
+            let m = [0.5, 0.75, 1.0, 2.0, 4.0][m_ix];
+            let nakagami = NakagamiChannel::new(*p.params(), m);
+            prop_assert_eq!(
+                bits(&simulate_many_under(&p, &s, &nakagami, trials, base_seed)),
+                bits(&old_nakagami(&p, &s, m, trials, base_seed))
+            );
+            let sigma = [0.0, 2.0, 8.0][sigma_ix];
+            let shadowed = ShadowedRayleigh::new(*p.params(), sigma);
+            prop_assert_eq!(
+                bits(&simulate_many_under(&p, &s, &shadowed, trials, base_seed)),
+                bits(&old_shadowed(&p, &s, sigma, trials, base_seed))
+            );
+        }
+    }
+
     #[test]
-    fn nakagami_m1_matches_rayleigh_statistics() {
-        let (p, s) = setup(150, 1);
-        let ray = simulate_many(&p, &s, 3000, 5);
-        let nak = simulate_many_nakagami(&p, &s, 1.0, 3000, 6);
+    fn nakagami_m1_meets_theorem_3_1_under_power_control() {
+        let (p, s) = powered();
+        let expected_failures = |p: &Problem| -> f64 {
+            FeasibilityReport::evaluate(p, &s)
+                .entries()
+                .iter()
+                .map(|e| 1.0 - e.success_probability)
+                .sum()
+        };
+        let analytic = expected_failures(&p);
+        let uniform = expected_failures(&Problem::new(p.links().clone(), *p.params(), p.epsilon()));
+        let nak = NakagamiChannel::new(*p.params(), 1.0);
+        let stats = simulate_many_under(&p, &s, &nak, 1000, 5);
+        let tol = 4.0 * stats.failed.ci95 + 0.05;
         assert!(
-            (ray.failed.mean - nak.failed.mean).abs()
-                <= 3.0 * (ray.failed.ci95 + nak.failed.ci95) + 0.02,
-            "Rayleigh {} vs Nakagami(1) {}",
-            ray.failed.mean,
-            nak.failed.mean
+            (stats.failed.mean - analytic).abs() <= tol,
+            "Nakagami(1) {} vs Theorem 3.1 {analytic}",
+            stats.failed.mean
+        );
+        assert!(
+            (analytic - uniform).abs() > 2.0 * tol,
+            "the powers must move the closed form ({analytic} vs {uniform} at uniform power)"
         );
     }
 
     #[test]
-    fn milder_fading_preserves_the_guarantee() {
-        // m = 4 has less variance; an RLE schedule should fail no more
-        // often than under Rayleigh.
-        let (p, s) = setup(200, 2);
-        let m1 = simulate_many_nakagami(&p, &s, 1.0, 2000, 7);
-        let m4 = simulate_many_nakagami(&p, &s, 4.0, 2000, 8);
+    fn nakagami_shape_orders_failures() {
+        // Heavier-than-Rayleigh fading (m = 0.5) fails more often than
+        // Rayleigh (m = 1); milder fading (m = 4) less often.
+        let p = Problem::paper(UniformGenerator::paper(300).generate(2), 3.0);
+        let s = ApproxLogN.schedule(&p);
+        let failed = |m: f64| {
+            let nak = NakagamiChannel::new(*p.params(), m);
+            simulate_many_under(&p, &s, &nak, 1000, 8).failed
+        };
+        let (half, one, four) = (failed(0.5), failed(1.0), failed(4.0));
         assert!(
-            m4.failed.mean <= m1.failed.mean + 2.0 * (m1.failed.ci95 + m4.failed.ci95) + 0.01,
-            "m=4 {} vs m=1 {}",
-            m4.failed.mean,
-            m1.failed.mean
+            half.mean - half.ci95 > one.mean + one.ci95
+                && one.mean - one.ci95 > four.mean + four.ci95,
+            "m=0.5 {} m=1 {} m=4 {}",
+            half.mean,
+            one.mean,
+            four.mean
         );
     }
 
     #[test]
-    fn shadowing_zero_sigma_matches_plain_rayleigh() {
-        let (p, s) = setup(120, 3);
-        let plain = simulate_many(&p, &s, 2000, 9);
-        let shadowed = simulate_many_shadowed(&p, &s, 0.0, 2000, 10);
-        assert!(
-            (plain.failed.mean - shadowed.failed.mean).abs()
-                <= 3.0 * (plain.failed.ci95 + shadowed.failed.ci95) + 0.02
-        );
+    fn zero_sigma_shadowing_is_rayleigh_bit_for_bit_under_power_control() {
+        let (p, s) = powered();
+        let plain = simulate_many(&p, &s, 500, 9);
+        assert!(plain.failed.mean > 0.0, "the schedule must lose links");
+        let shadowed =
+            simulate_many_under(&p, &s, &ShadowedRayleigh::new(*p.params(), 0.0), 500, 9);
+        assert_eq!(bits(&shadowed), bits(&plain));
     }
 
     #[test]
@@ -347,7 +384,8 @@ mod tests {
         // schedule (the mis-modeling penalty the extension quantifies).
         let (p, s) = setup(250, 4);
         let plain = simulate_many(&p, &s, 3000, 11);
-        let shadowed = simulate_many_shadowed(&p, &s, 8.0, 3000, 12);
+        let law = ShadowedRayleigh::new(*p.params(), 8.0);
+        let shadowed = simulate_many_under(&p, &s, &law, 3000, 12);
         assert!(
             shadowed.failed.mean > plain.failed.mean,
             "shadowed {} vs plain {}",

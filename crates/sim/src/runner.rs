@@ -44,8 +44,7 @@ fn measure_point(
     point_seed: u64,
     batch: &crate::batch::BatchRunner,
 ) -> Vec<MonteCarloStats> {
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    fading_obs::gauge("sim.runner.threads").set(threads as f64);
+    fading_obs::gauge("sim.runner.threads").set(rayon::current_num_threads() as f64);
     // Summed per-instance busy time; divided by a point's wall time ×
     // thread count it gives the instance-parallelism occupancy.
     let busy_ms = fading_obs::counter!("sim.runner.instance_busy_ms");

@@ -4,6 +4,9 @@
 //! `Z_{j,j} ~ Exp(P·d_jj^{−α})` and each interferer's power
 //! `Z_{i,j} ~ Exp(P·d_ij^{−α})` independently (the Rayleigh model,
 //! Eq. (5)), then test the realized SINR against `γ_th` (Eq. (7)–(8)).
+//! A [`FadingLaw`] turns each mean into a draw (Rayleigh, Nakagami-m or
+//! shadowed Rayleigh): [`simulate_slot`] and [`realized_sinrs`] are
+//! Rayleigh, and the Monte-Carlo driver takes any law.
 //!
 //! Every draw is scaled by the problem's per-link power scale. The
 //! online engine hands this module the live problem and a schedule of
@@ -31,7 +34,7 @@
 //! `KahanSum` in `sinr_of`, so every outcome is bit-identical whichever
 //! source is used.
 
-use fading_channel::{sinr_of, SinrOutcome};
+use fading_channel::{sinr_of, FadingLaw, SinrOutcome};
 use fading_core::{Problem, Schedule};
 use fading_math::Exponential;
 use fading_net::LinkId;
@@ -67,7 +70,8 @@ pub fn simulate_slot<R: Rng + ?Sized>(
         delivered_rate: 0.0,
     };
     let mut rows = StreamRows::new(problem, schedule.ids());
-    realize(problem, schedule.ids(), &mut rows, rng, |j, o| {
+    let law = problem.channel();
+    realize(problem, schedule.ids(), &mut rows, law, rng, |j, o| {
         if o.success {
             out.successes.push(j);
             out.delivered_rate += problem.rate(j);
@@ -86,7 +90,8 @@ pub fn realized_sinrs<R: Rng + ?Sized>(
 ) -> Vec<(LinkId, f64)> {
     let mut out = Vec::with_capacity(schedule.len());
     let mut rows = StreamRows::new(problem, schedule.ids());
-    realize(problem, schedule.ids(), &mut rows, rng, |j, o| {
+    let law = problem.channel();
+    realize(problem, schedule.ids(), &mut rows, law, rng, |j, o| {
         out.push((j, o.sinr))
     });
     out
@@ -141,10 +146,20 @@ impl<'a> GainTable<'a> {
         }
     }
 
-    /// Runs one realization, reporting each receiver's outcome in
-    /// schedule order.
+    /// [`Self::realize_under`] the problem's Rayleigh channel.
     pub(crate) fn realize<R: Rng + ?Sized>(
         &self,
+        rng: &mut R,
+        each: impl FnMut(LinkId, SinrOutcome),
+    ) {
+        self.realize_under(self.problem.channel(), rng, each);
+    }
+
+    /// Runs one realization under `law`, reporting each receiver's
+    /// outcome in schedule order.
+    pub(crate) fn realize_under<L: FadingLaw, R: Rng + ?Sized>(
+        &self,
+        law: &L,
         rng: &mut R,
         each: impl FnMut(LinkId, SinrOutcome),
     ) {
@@ -154,11 +169,11 @@ impl<'a> GainTable<'a> {
                     k: self.ids.len(),
                     gains,
                 };
-                realize(self.problem, self.ids, &mut rows, rng, each);
+                realize(self.problem, self.ids, &mut rows, law, rng, each);
             }
             None => {
                 let mut rows = StreamRows::new(self.problem, self.ids);
-                realize(self.problem, self.ids, &mut rows, rng, each);
+                realize(self.problem, self.ids, &mut rows, law, rng, each);
             }
         }
     }
@@ -228,32 +243,29 @@ fn gain_row<'a>(
     })
 }
 
-/// The Rayleigh realization kernel: for each scheduled receiver in
-/// schedule order, draw its signal and then its interferers (schedule
-/// order, skipping itself) from `rng`, and hand `each` the realized
-/// SINR outcome.
-fn realize<R: Rng + ?Sized>(
+/// The realization kernel: start a realization of `law`, then for each
+/// scheduled receiver in schedule order draw its signal and then its
+/// interferers (schedule order, skipping itself) from `rng`, and hand
+/// `each` the realized SINR outcome.
+fn realize<L: FadingLaw, R: Rng + ?Sized>(
     problem: &Problem,
     ids: &[LinkId],
     rows: &mut impl GainRows,
+    law: &L,
     rng: &mut R,
     mut each: impl FnMut(LinkId, SinrOutcome),
 ) {
     let params = problem.params();
+    let k = ids.len();
+    let state = law.begin(k, rng);
     for (j, &rx) in ids.iter().enumerate() {
         let row = rows.row(j);
-        let signal = row[j].sample(rng);
-        let interference = row[..j]
-            .iter()
-            .chain(&row[j + 1..])
-            .map(|gain| gain.sample(rng));
+        let signal = law.draw(&state, &row[j], j * k + j, rng);
+        let interference = (0..k)
+            .filter(|&i| i != j)
+            .map(|i| law.draw(&state, &row[i], i * k + j, rng));
         each(rx, sinr_of(params, signal, interference));
     }
-    // |S| draws per scheduled link (its signal plus |S|−1 interferers),
-    // batched into one increment per slot so the Monte-Carlo hot loop
-    // never touches the registry per draw.
-    let s = ids.len() as u64;
-    fading_obs::counter!("channel.rayleigh.draws").add(s * s);
 }
 
 #[cfg(test)]

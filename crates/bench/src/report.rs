@@ -200,6 +200,7 @@ pub fn run_report(opts: &ReportOptions) -> Result<BenchReport, String> {
         mutate_batch_benches(&mut rec);
         churn_benches(&mut rec);
         churn_large_benches(&mut rec);
+        queue_benches(&mut rec);
         engine_probes(&mut rec);
         scaling_exponents(&mut rec);
         if rec.wants("code.rust_loc") {
@@ -831,6 +832,90 @@ fn churn_large_benches(rec: &mut Recorder) {
             "churn.slots_per_sec.100k",
             MetricKind::Rate,
             1e9 / slot_ns,
+            false,
+        );
+    }
+}
+
+/// The queue slot of perfbench's `queue-10k` workload: a fixed
+/// population of 10^4 links (side 2886.75, sparse, α = 4, no churn)
+/// under packet probability 0.03, which holds a backlog of a few
+/// hundred links, scheduled by GreedyRate + MaxWeight after 100 warm-up
+/// slots. Scheduling is the certified member checks of
+/// `InterferenceAccumulator`, and three derived rows gate them:
+///
+/// * `queue.exact_fallbacks_per_slot.10k` — exact resolutions per slot
+///   over a fixed 50 slots (`Ratio`, deterministic per seed, `[max]`);
+/// * `queue.schedule_share.10k` — schedule time over slot time across
+///   those slots, from the engine's `SlotRecord`s (`Ratio`, `[max]`);
+/// * `queue.slots_per_sec.10k` — the inverse of the timed median
+///   `queue_slot/maxweight/10000` (`Rate`, `[min]`).
+fn queue_benches(rec: &mut Recorder) {
+    const N: usize = 10_000;
+    const SLOTS: usize = 50;
+    let slot_id = format!("queue_slot/maxweight/{N}");
+    let ids = [
+        slot_id.as_str(),
+        "queue.schedule_share.10k",
+        "queue.exact_fallbacks_per_slot.10k",
+        "queue.slots_per_sec.10k",
+    ];
+    if !ids.iter().any(|id| rec.wants(id)) {
+        return;
+    }
+    let gen = density_scaled(N);
+    let problem = Problem::builder(
+        gen.generate(fading_math::split_seed(1, 1)),
+        fading_channel::ChannelParams::with_alpha(4.0),
+    )
+    .backend(BackendChoice::Sparse(SparseConfig::default()))
+    .build();
+    let cfg = fixed_population(0.03, u64::MAX, fading_math::split_seed(1, 2));
+    let mut engine = fading_sim::ChurnEngine::new(problem, gen, cfg);
+    engine.arm(
+        fading_sim::TelemetryConfig::new().series(fading_obs::SlotSeries::in_memory(
+            fading_obs::SeriesConfig::default(),
+        )),
+    );
+    let step = |engine: &mut fading_sim::ChurnEngine| {
+        black_box(engine.step(&GreedyRate, fading_sim::ServicePolicy::MaxWeight));
+    };
+    for _ in 0..100 {
+        step(&mut engine);
+    }
+    let fallbacks = || fading_obs::counter!("core.accumulator.exact_fallbacks").value();
+    let before = fallbacks();
+    for _ in 0..SLOTS {
+        step(&mut engine);
+    }
+    rec.derived(
+        "queue.exact_fallbacks_per_slot.10k",
+        MetricKind::Ratio,
+        (fallbacks() - before) as f64 / SLOTS as f64,
+    );
+    let series = engine
+        .telemetry()
+        .and_then(|t| t.series())
+        .expect("armed with a series");
+    let (schedule_ns, slot_ns) = series
+        .records()
+        .skip(100)
+        .fold((0, 0), |(a, b), r| (a + r.schedule_ns, b + r.slot_ns));
+    if slot_ns > 0 {
+        rec.derived(
+            "queue.schedule_share.10k",
+            MetricKind::Ratio,
+            schedule_ns as f64 / slot_ns as f64,
+        );
+    }
+    let slot = measure_ns(rec.samples, rec.target, || step(&mut engine));
+    let median = slot.median_ns;
+    rec.timed(&slot_id, slot);
+    if median > 0.0 {
+        rec.derived_dir(
+            "queue.slots_per_sec.10k",
+            MetricKind::Rate,
+            1e9 / median,
             false,
         );
     }

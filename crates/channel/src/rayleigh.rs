@@ -43,20 +43,6 @@ impl RayleighChannel {
         Exponential::with_mean(self.params.mean_gain(d)).sample(rng)
     }
 
-    /// Samples the received power when the sender transmits at
-    /// `power_scale × P` (per-link power control; the paper's model is
-    /// `power_scale = 1`).
-    #[inline]
-    pub fn sample_gain_scaled<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        d: f64,
-        power_scale: f64,
-    ) -> f64 {
-        debug_assert!(power_scale > 0.0, "power scale must be positive");
-        Exponential::with_mean(self.params.mean_gain(d) * power_scale).sample(rng)
-    }
-
     /// Interference factor with per-link power control: sender `i`
     /// transmits at `scale_i × P`, the desired sender at `scale_j × P`;
     /// the Theorem 3.1 derivation carries through with

@@ -141,10 +141,18 @@ pub fn is_feasible(problem: &Problem, schedule: &Schedule) -> bool {
 /// Under the dense backend the sums are exact. Under the sparse backend
 /// they accumulate *stored* factors only, so each is a lower bound with
 /// a certified envelope of `|selected| · tail_cut(j)`; every
-/// verdict-producing method resolves a straddling envelope by exact
-/// recomputation (in selection order, so the resolved sum is
-/// bit-identical to what the dense backend would have accumulated) —
-/// feasibility decisions never differ between backends.
+/// verdict-producing method resolves a straddling envelope exactly —
+/// feasibility decisions never differ between backends:
+///
+/// * A member's first straddle computes its exact sum (in selection
+///   order, so it is bit-identical to what the dense backend would have
+///   accumulated) and keeps it: each later [`select`](Self::select)
+///   adds the new sender's factor to it, the same term in the same
+///   order. A member is therefore resolved exactly at most once.
+/// * A member whose receiver's store omits the candidate's sender takes
+///   the certified bound on that factor
+///   ([`InterferenceBackend::omitted_bound`](crate::InterferenceBackend::omitted_bound))
+///   in place of the factor itself when its upper sum passes with it.
 ///
 /// The sums live in a caller-lent buffer (a [`crate::SchedCtx`]'s, for
 /// the schedulers): starting a selection zeroes only the candidates'
@@ -155,14 +163,17 @@ pub struct InterferenceAccumulator<'a> {
     scope: Scope<'a>,
     sums: &'a mut Vec<f64>,
     selected: Vec<LinkId>,
+    /// Per member (parallel to `selected`), the exact sum once resolved.
+    exact: Vec<Option<f64>>,
 }
 
-/// A saved [`InterferenceAccumulator`] state: the selection length and
-/// every candidate's sum (see [`InterferenceAccumulator::rollback`]).
+/// A saved [`InterferenceAccumulator`] state: every candidate's sum and
+/// each member's resolved sum, one entry per member, so its length is
+/// the selection length (see [`InterferenceAccumulator::rollback`]).
 #[derive(Debug)]
 pub struct Checkpoint {
-    selected: usize,
     sums: Vec<f64>,
+    exact: Vec<Option<f64>>,
 }
 
 impl<'a> InterferenceAccumulator<'a> {
@@ -178,10 +189,12 @@ impl<'a> InterferenceAccumulator<'a> {
             scope,
             sums,
             selected: Vec::new(),
+            exact: Vec::new(),
         }
     }
 
-    /// Adds sender `i` to the selection, updating every candidate's sum.
+    /// Adds sender `i` to the selection, updating every candidate's sum
+    /// and every resolved member sum.
     pub fn select(&mut self, i: LinkId) {
         if let Some(row) = self.problem.factors().dense_row(i) {
             match self.scope.list() {
@@ -202,26 +215,34 @@ impl<'a> InterferenceAccumulator<'a> {
                 .factors()
                 .for_each_out(i, &mut |j, f| sums[j.index()] += f);
         }
+        for (&j, exact) in self.selected.iter().zip(&mut self.exact) {
+            if let Some(sum) = exact {
+                *sum += self.problem.factor(i, j);
+            }
+        }
         self.selected.push(i);
+        self.exact.push(None);
     }
 
     /// The current state, for a later [`rollback`](Self::rollback).
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            selected: self.selected.len(),
             sums: self
                 .scope
                 .ids(self.problem)
                 .map(|j| self.sums[j.index()])
                 .collect(),
+            exact: self.exact.clone(),
         }
     }
 
     /// Returns to `checkpoint`'s selection with every candidate's sum
-    /// restored bit for bit — what a search's undo needs, where
-    /// subtracting the factors back out would round.
+    /// and every resolved member sum restored bit for bit — what a
+    /// search's undo needs, where subtracting the factors back out
+    /// would round.
     pub fn rollback(&mut self, checkpoint: Checkpoint) {
-        self.selected.truncate(checkpoint.selected);
+        self.selected.truncate(checkpoint.exact.len());
+        self.exact = checkpoint.exact;
         for (j, sum) in self.scope.ids(self.problem).zip(checkpoint.sums) {
             self.sums[j.index()] = sum;
         }
@@ -243,10 +264,20 @@ impl<'a> InterferenceAccumulator<'a> {
         self.selected.len() as f64 * self.problem.factors().tail_cut(j)
     }
 
-    /// The exact accumulated sum on `j`, recomputing omitted factors on
-    /// demand when the backend truncates. Matches the dense
-    /// accumulation bit-for-bit (same terms, same order, same formula).
+    /// The exact accumulated sum on `j` — a member's resolved sum when
+    /// it has one, else recomputed when the backend truncates. Matches
+    /// the dense accumulation bit-for-bit (same terms, same order, same
+    /// formula).
     pub fn exact_sum_on(&self, j: LinkId) -> f64 {
+        let member = self.selected.iter().position(|&m| m == j);
+        member
+            .and_then(|k| self.exact[k])
+            .unwrap_or_else(|| self.recompute(j))
+    }
+
+    /// `exact_sum_on` without the member lookup: the stored sum when the
+    /// receiver is exhaustive, else every selected factor summed afresh.
+    fn recompute(&self, j: LinkId) -> f64 {
         if self.problem.factors().tail_cut(j) == 0.0 {
             return self.sums[j.index()];
         }
@@ -259,27 +290,57 @@ impl<'a> InterferenceAccumulator<'a> {
 
     /// Whether adding `candidate` would keep the *entire* selection
     /// (existing members and the candidate) within `budget`. Identical
-    /// verdicts under every backend.
-    pub fn addition_is_feasible(&self, candidate: LinkId, budget: f64) -> bool {
+    /// verdicts under every backend; resolves member sums it needs
+    /// exactly, hence `&mut`.
+    pub fn addition_is_feasible(&mut self, candidate: LinkId, budget: f64) -> bool {
         // Candidate's own constraint under current senders:
-        if !self.certified_check(candidate, 0.0, budget) {
+        if !self.certified_check(candidate, None, 0.0, budget) {
             return false;
         }
-        // Existing members' constraints with the candidate added
-        // (factor() is exact under every backend):
-        self.selected
-            .iter()
-            .all(|&j| self.certified_check(j, self.problem.factor(candidate, j), budget))
+        // Existing members' constraints with the candidate added:
+        let factors = self.problem.factors();
+        for k in 0..self.selected.len() {
+            let j = self.selected[k];
+            // An omitted pair's factor is below `bound`, and rounding is
+            // monotone, so passing with the bound passes with the factor.
+            if let Some(bound) = factors.omitted_bound(candidate, j) {
+                let upper = match self.exact[k] {
+                    Some(exact) => exact + bound,
+                    None => self.sums[j.index()] + bound + self.tail_on(j),
+                };
+                if within_budget(upper, budget) {
+                    continue;
+                }
+            }
+            if !self.certified_check(j, Some(k), factors.factor(candidate, j), budget) {
+                return false;
+            }
+        }
+        true
     }
 
-    /// Budget check of `sum_on(j) + extra` with envelope accounting and
-    /// exact fallback.
-    fn certified_check(&self, j: LinkId, extra: f64, budget: f64) -> bool {
+    /// Budget check of `j`'s sum plus `extra`: the exact sum of member
+    /// `member` when resolved, else the certified envelope with an exact
+    /// fallback on a straddle, kept when `j` is a member.
+    fn certified_check(
+        &mut self,
+        j: LinkId,
+        member: Option<usize>,
+        extra: f64,
+        budget: f64,
+    ) -> bool {
+        if let Some(exact) = member.and_then(|k| self.exact[k]) {
+            return within_budget(exact + extra, budget);
+        }
         match within_budget_certified(self.sums[j.index()] + extra, self.tail_on(j), budget) {
             Some(v) => v,
             None => {
                 fading_obs::counter!("core.accumulator.exact_fallbacks").incr();
-                within_budget(self.exact_sum_on(j) + extra, budget)
+                let exact = self.recompute(j);
+                if let Some(k) = member {
+                    self.exact[k] = Some(exact);
+                }
+                within_budget(exact + extra, budget)
             }
         }
     }

@@ -433,6 +433,17 @@ impl InterferenceBackend {
         }
     }
 
+    /// Certified upper bound on `f_{sender,receiver}` when the store
+    /// omits the pair; `None` when the pair is stored, and always under
+    /// the dense backend (see [`SparseInterference::omitted_bound`]).
+    #[inline]
+    pub fn omitted_bound(&self, sender: LinkId, receiver: LinkId) -> Option<f64> {
+        match self {
+            Self::Dense(_) => None,
+            Self::Sparse(s) => s.omitted_bound(sender, receiver),
+        }
+    }
+
     /// Whether iteration is exhaustive for every receiver.
     pub fn is_exact(&self) -> bool {
         match self {

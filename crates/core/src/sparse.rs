@@ -42,6 +42,11 @@ use fading_net::{LinkId, LinkSet};
 use fading_obs::PhaseTimer;
 use rayon::prelude::*;
 
+/// Relative slack on the per-receiver cut: an omitted factor is at most
+/// `tail_cut(j) · (1 + CUT_RTOL)`. The radius formula rounds, so a
+/// sender just outside `R_j` can carry a factor a few ULPs above `τ`.
+pub const CUT_RTOL: f64 = 1e-12;
+
 /// Truncation policy for [`SparseInterference`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SparseConfig {
@@ -424,6 +429,21 @@ impl SparseInterference {
     #[inline]
     pub fn tail_cut(&self, receiver: LinkId) -> f64 {
         self.cut[receiver.index()]
+    }
+
+    /// Certified upper bound on `f_{sender,receiver}` when the store
+    /// omits the pair, i.e. the sender lies strictly outside the
+    /// receiver's truncation radius (the `d² > R_j²` complement of the
+    /// predicate that wires the rows); `None` for a stored pair and for
+    /// every pair onto an exhaustive receiver.
+    /// The bound is the cut inflated by [`CUT_RTOL`], which absorbs the
+    /// rounding of the radius formula. `O(1)`, no factor evaluation.
+    #[inline]
+    pub fn omitted_bound(&self, sender: LinkId, receiver: LinkId) -> Option<f64> {
+        let j = receiver.index();
+        let (cut, r) = (self.cut[j], self.radius[j]);
+        (cut > 0.0 && self.senders[sender.index()].distance_sq(&self.receivers[j]) > r * r)
+            .then_some(cut * (1.0 + CUT_RTOL))
     }
 
     /// The truncation radius of `receiver`.
@@ -1255,15 +1275,78 @@ mod tests {
             });
             for j in links.ids() {
                 if i != j && !stored[j.index()] {
+                    let bound = sparse
+                        .omitted_bound(i, j)
+                        .expect("unstored pair is omitted");
                     assert!(
-                        dense.factor(i, j) <= sparse.tail_cut(j) * (1.0 + 1e-12),
+                        dense.factor(i, j) <= bound,
                         "omitted f({i},{j}) = {} exceeds cut {}",
                         dense.factor(i, j),
                         sparse.tail_cut(j)
                     );
+                } else if i != j {
+                    assert_eq!(sparse.omitted_bound(i, j), None, "stored ({i},{j})");
                 }
             }
         }
+    }
+
+    #[test]
+    fn omitted_bound_covers_senders_just_past_the_radius() {
+        // Senders on a circle of radius R_0 around receiver 0: rounding
+        // puts some just outside it, where the factor can exceed the
+        // bare cut by a few ULPs. The slackened bound must cover them.
+        use fading_net::Link;
+        let channel = RayleighChannel::new(ChannelParams::with_alpha(3.0));
+        let store = |probes: &[Point2]| {
+            let mut links = vec![
+                Link::new(
+                    LinkId(0),
+                    Point2::new(0.0, 0.0),
+                    Point2::new(10.0, 0.0),
+                    1.0,
+                ),
+                Link::new(
+                    LinkId(1),
+                    Point2::new(5e3, 5e3),
+                    Point2::new(5e3 + 10.0, 5e3),
+                    1.0,
+                ),
+            ];
+            for (k, &s) in probes.iter().enumerate() {
+                let r = Point2::new(s.x + 3.0 + (k % 5) as f64 * 0.01, s.y + 1.0);
+                links.push(Link::new(LinkId(2 + k as u32), s, r, 1.0));
+            }
+            let links = LinkSet::new(fading_geom::Rect::square(2e4), links);
+            SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default())
+        };
+        let r = store(&[]).truncation_radius(LinkId(0));
+        let probes: Vec<Point2> = (0..4000)
+            .map(|k| {
+                let (theta, d) = (k as f64 * 1.5707e-3, r * (1.0 + (k % 7) as f64 * 1e-16));
+                Point2::new(10.0 + d * theta.cos(), d * theta.sin())
+            })
+            .collect();
+        let s = store(&probes);
+        assert_eq!(s.truncation_radius(LinkId(0)), r);
+        let (mut omitted, mut past_cut) = (0, 0);
+        for k in 0..probes.len() {
+            let i = LinkId(2 + k as u32);
+            if let Some(bound) = s.omitted_bound(i, LinkId(0)) {
+                let f = s.factor(i, LinkId(0));
+                assert!(f <= bound, "f({i}, 0) = {f} exceeds {bound}");
+                omitted += 1;
+                past_cut += usize::from(f > s.tail_cut(LinkId(0)));
+            }
+        }
+        assert!(
+            omitted > 0 && past_cut > 0,
+            "{omitted} omitted, {past_cut} past the cut"
+        );
+        assert_eq!(
+            s.omitted_bound(LinkId(1), LinkId(0)),
+            Some(s.tail_cut(LinkId(0)) * (1.0 + CUT_RTOL))
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@ use fading_core::{
 };
 use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
 use proptest::prelude::*;
+use rand::Rng;
 
 const ALPHAS: [f64; 3] = [2.5, 3.0, 4.0];
 /// From barely-truncating to aggressive (R ≈ 6·d_jj at α = 3).
@@ -187,6 +188,85 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Runs admission over `order` on a dense and a sparse accumulator,
+/// asserting equal verdicts at every step.
+fn admit_in_lockstep(
+    acc_d: &mut InterferenceAccumulator<'_>,
+    acc_s: &mut InterferenceAccumulator<'_>,
+    order: &[LinkId],
+    budget: f64,
+) {
+    for &id in order {
+        let admit = acc_d.addition_is_feasible(id, budget);
+        assert_eq!(
+            admit,
+            acc_s.addition_is_feasible(id, budget),
+            "admission verdict flipped at {}",
+            id
+        );
+        if admit {
+            acc_d.select(id);
+            acc_s.select(id);
+        }
+    }
+}
+
+/// Every member's exact sum on the sparse side equals the dense sum.
+fn member_sums_match(acc_d: &InterferenceAccumulator<'_>, acc_s: &InterferenceAccumulator<'_>) {
+    assert_eq!(acc_d.selected(), acc_s.selected());
+    for &j in acc_s.selected() {
+        assert_eq!(
+            acc_s.exact_sum_on(j).to_bits(),
+            acc_d.sum_on(j).to_bits(),
+            "member sum diverged on {}",
+            j
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Straddle-heavy accumulator oracle: paper-density instances of a
+    /// few hundred links, where member envelopes `|S|·tail_cut(j)` grow
+    /// past the budget and resolve exactly, and the member loop's
+    /// omitted-pair bound decides most checks. Admission runs in a
+    /// random-weight order on both backends, with a checkpoint midway,
+    /// a detour of admissions and a rollback; every verdict and every
+    /// member's exact sum must equal the dense accumulation bit for bit.
+    #[test]
+    fn straddling_member_sums_stay_bit_identical(
+        n in 150usize..400,
+        seed in 0u64..5_000,
+        alpha_idx in 0usize..2,
+        rtol_idx in 0usize..3,
+        powered_bit in 0usize..2,
+    ) {
+        let alpha = [3.0, 4.0][alpha_idx];
+        let tail_rtol = [1e-3, 1e-2, 1e-1][rtol_idx];
+        let (dense, sparse) = build_pair(n, seed, alpha, tail_rtol, powered_bit == 1);
+        let budget = dense.gamma_eps();
+        let mut rng = fading_math::seeded_rng(seed);
+        let weights: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
+        let mut order: Vec<LinkId> = dense.links().ids().collect();
+        order.sort_by(|a, b| weights[b.index()].total_cmp(&weights[a.index()]));
+        let (mut sums_d, mut sums_s) = (Vec::new(), Vec::new());
+        let mut acc_d = InterferenceAccumulator::new(&dense, Scope::all(), &mut sums_d);
+        let mut acc_s = InterferenceAccumulator::new(&sparse, Scope::all(), &mut sums_s);
+        let (head, tail) = order.split_at(n / 2);
+        admit_in_lockstep(&mut acc_d, &mut acc_s, head, budget);
+        member_sums_match(&acc_d, &acc_s);
+        let (cp_d, cp_s) = (acc_d.checkpoint(), acc_s.checkpoint());
+        let detour: Vec<LinkId> = tail.iter().rev().copied().collect();
+        admit_in_lockstep(&mut acc_d, &mut acc_s, &detour, budget);
+        member_sums_match(&acc_d, &acc_s);
+        acc_d.rollback(cp_d);
+        acc_s.rollback(cp_s);
+        admit_in_lockstep(&mut acc_d, &mut acc_s, tail, budget);
+        member_sums_match(&acc_d, &acc_s);
     }
 }
 

@@ -271,7 +271,7 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fading_channel::ChannelParams;
+    use fading_channel::{ChannelParams, RayleighChannel};
     use fading_math::seeded_rng;
     use fading_net::{RateModel, TopologyGenerator, UniformGenerator};
     use proptest::prelude::*;
@@ -326,6 +326,17 @@ mod tests {
         assert!(out.failed_count() > 0);
     }
 
+    /// The received power of a sender transmitting at `power_scale × P`
+    /// over distance `d`, its mean gain recomputed per draw.
+    fn sample_gain_scaled<R: Rng + ?Sized>(
+        channel: &RayleighChannel,
+        rng: &mut R,
+        d: f64,
+        power_scale: f64,
+    ) -> f64 {
+        Exponential::with_mean(channel.params.mean_gain(d) * power_scale).sample(rng)
+    }
+
     /// The streaming `simulate_slot` as it stood before the shared
     /// kernel: each draw recomputes its mean gain through
     /// `sample_gain_scaled`. The oracle the kernel must match bit for bit.
@@ -340,9 +351,10 @@ mod tests {
         let mut failures = Vec::new();
         let mut delivered_rate = 0.0;
         for j in schedule.iter() {
-            let signal = channel.sample_gain_scaled(rng, links.length(j), problem.power_scale(j));
+            let signal = sample_gain_scaled(channel, rng, links.length(j), problem.power_scale(j));
             let interference = schedule.iter().filter(|&i| i != j).map(|i| {
-                channel.sample_gain_scaled(
+                sample_gain_scaled(
+                    channel,
                     rng,
                     links.sender_receiver_distance(i, j),
                     problem.power_scale(i),
@@ -375,9 +387,10 @@ mod tests {
             .iter()
             .map(|j| {
                 let signal =
-                    channel.sample_gain_scaled(rng, links.length(j), problem.power_scale(j));
+                    sample_gain_scaled(channel, rng, links.length(j), problem.power_scale(j));
                 let interference = schedule.iter().filter(|&i| i != j).map(|i| {
-                    channel.sample_gain_scaled(
+                    sample_gain_scaled(
+                        channel,
                         rng,
                         links.sender_receiver_distance(i, j),
                         problem.power_scale(i),

@@ -14,8 +14,7 @@
 use crate::schema::{BenchReport, MachineFingerprint, MetricKind, MetricRecord};
 use fading_core::algo::{GreedyRate, Ldp, Rle};
 use fading_core::{
-    BackendChoice, LinkIdMap, LinkSpec, MutationBatch, Problem, SchedCtx, Scheduler, Scope,
-    SparseConfig,
+    BackendChoice, LinkSpec, MutationBatch, Problem, SchedCtx, Scheduler, Scope, SparseConfig,
 };
 use fading_geom::Point2;
 use fading_net::{RateModel, TopologyGenerator, UniformGenerator};
@@ -523,22 +522,20 @@ fn mutate_benches(rec: &mut Recorder) {
         let rounds = rec.samples * 40;
         let mut add_ns = Vec::with_capacity(rounds);
         let mut remove_ns = Vec::with_capacity(rounds);
-        let mut map = LinkIdMap::with_len(problem.len());
         let (mut add, mut remove) = (MutationBatch::new(), MutationBatch::new());
         // Rounds 0..4 are warm-up cycles (the first mutation on a fresh
-        // build also pays the one-time envelope reconcile).
+        // build also pays the one-time envelope reconcile, the first
+        // removal the one-time handle map).
         for i in 0..rounds + 4 {
             add.clear();
             add.add(spec_at(i));
             let start = Instant::now();
-            let receipt = problem.apply(&add, &mut map).expect("interior spec");
+            let receipt = problem.apply(&add).expect("interior spec");
             let added_ns = start.elapsed().as_nanos() as f64;
             remove.clear();
             remove.remove(receipt.added[0]);
             let start = Instant::now();
-            problem
-                .apply(&remove, &mut map)
-                .expect("just-added external");
+            problem.apply(&remove).expect("just-added external");
             if i >= 4 {
                 add_ns.push(added_ns);
                 remove_ns.push(start.elapsed().as_nanos() as f64);
@@ -708,11 +705,9 @@ fn mutate_batch_benches(rec: &mut Recorder) {
         )
     };
     // Both paths append at the tail and then retire exactly that tail
-    // block (descending removes never disturb lower dense ids), so the
-    // external-id map stays valid across the interleaving. Round 0 is
-    // warm-up: on a fresh build the first mutation also pays the
-    // one-time envelope reconcile.
-    let mut map = LinkIdMap::with_len(problem.len());
+    // block. Round 0 is warm-up: on a fresh build the first mutation
+    // also pays the one-time envelope reconcile (and the first removal
+    // the one-time handle map).
     let rounds = rec.samples * 4;
     let mut batch_ns = Vec::with_capacity(rounds);
     let mut seq_ns = Vec::with_capacity(rounds);
@@ -723,7 +718,7 @@ fn mutate_batch_benches(rec: &mut Recorder) {
             batch.add(spec_at(i));
         }
         let start = Instant::now();
-        let receipt = problem.apply(&batch, &mut map).expect("interior specs");
+        let receipt = problem.apply(&batch).expect("interior specs");
         let elapsed = start.elapsed().as_nanos() as f64;
         if round > 0 {
             batch_ns.push(elapsed);
@@ -732,25 +727,21 @@ fn mutate_batch_benches(rec: &mut Recorder) {
         for &ext in &receipt.added {
             undo.remove(ext);
         }
-        problem
-            .apply(&undo, &mut map)
-            .expect("just-added externals");
+        problem.apply(&undo).expect("just-added externals");
 
         undo.clear();
         let start = Instant::now();
         for i in 0..K {
             one.clear();
             one.add(spec_at(i));
-            let receipt = problem.apply(&one, &mut map).expect("interior spec");
+            let receipt = problem.apply(&one).expect("interior spec");
             undo.remove(receipt.added[0]);
         }
         let elapsed = start.elapsed().as_nanos() as f64;
         if round > 0 {
             seq_ns.push(elapsed);
         }
-        problem
-            .apply(&undo, &mut map)
-            .expect("just-added externals");
+        problem.apply(&undo).expect("just-added externals");
     }
     rec.timed(&batch_id, summarize(batch_ns));
     rec.timed(&seq_id, summarize(seq_ns));

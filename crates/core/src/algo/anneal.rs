@@ -123,7 +123,7 @@ impl<'p> State<'p> {
                         s += self.problem.factor(e, j);
                     }
                 }
-                within_budget(s + members as f64 * factors.tail_cut(j), budget)
+                within_budget(s + members as f64 * factors.cut_bound(j), budget)
             })
     }
 

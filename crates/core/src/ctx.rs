@@ -18,7 +18,7 @@
 //!   `schedule()` (pinned by `tests/ctx_equivalence.rs`).
 //! * The [`crate::Scope`] is a `schedule_in` argument, never ctx
 //!   state: memo witnesses carry the candidate ids (see
-//!   [`SchedCtx::order_is_cached`]).
+//!   `SchedCtx::order_is_cached`).
 //! * **Warm start**: a ctx sized for a problem of `n` links serves any
 //!   problem with at most `n` links, under any scope, without
 //!   reallocating. [`SchedCtx::prepare`] pre-sizes explicitly.

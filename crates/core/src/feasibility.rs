@@ -30,7 +30,7 @@ pub fn within_budget(sum: f64, budget: f64) -> bool {
 
 /// Budget test for a sum known only as a certified envelope
 /// `[sum_lo, sum_lo + tail]` (the sparse backend's stored-factor sums;
-/// see [`InterferenceModel::tail_cut`](crate::InterferenceModel::tail_cut)).
+/// see [`InterferenceBackend::cut_bound`](crate::InterferenceBackend::cut_bound)).
 ///
 /// * `Some(true)` — the whole envelope passes: the true sum passes.
 /// * `Some(false)` — the lower bound already fails: the true sum fails.
@@ -140,7 +140,7 @@ pub fn is_feasible(problem: &Problem, schedule: &Schedule) -> bool {
 ///
 /// Under the dense backend the sums are exact. Under the sparse backend
 /// they accumulate *stored* factors only, so each is a lower bound with
-/// a certified envelope of `|selected| · tail_cut(j)`; every
+/// a certified envelope of `|selected| · cut_bound(j)`; every
 /// verdict-producing method resolves a straddling envelope exactly —
 /// feasibility decisions never differ between backends:
 ///
@@ -261,7 +261,7 @@ impl<'a> InterferenceAccumulator<'a> {
     /// the true sum lies in `[sum_on(j), sum_on(j) + tail_on(j)]`.
     #[inline]
     pub fn tail_on(&self, j: LinkId) -> f64 {
-        self.selected.len() as f64 * self.problem.factors().tail_cut(j)
+        self.selected.len() as f64 * self.problem.factors().cut_bound(j)
     }
 
     /// The exact accumulated sum on `j` — a member's resolved sum when

@@ -2,23 +2,22 @@
 //!
 //! `f[i][j]` is the interference factor of sender `i` on receiver `j`
 //! (Eq. (17)): `ln(1 + γ_th (d_jj/d_ij)^α)` for `i ≠ j` and `0` on the
-//! diagonal. Two backends provide these values behind the
-//! [`InterferenceModel`] trait:
+//! diagonal. Two backends provide these values:
 //!
 //! * [`InterferenceMatrix`] — the dense `N×N` matrix, precomputed once
 //!   per instance (in parallel across rows for large instances). Exact
 //!   and exhaustive; `O(N²)` time and memory, the right choice at
 //!   paper sizes (`N ≤ ~4k`).
-//! * [`SparseInterference`](crate::sparse::SparseInterference) — a
-//!   spatial-hash truncated store holding only near-field factors, with
-//!   a certified per-receiver bound on every discarded factor. `O(N·k)`
-//!   memory for `k` stored neighbors per receiver — the unlock for
-//!   `10⁵`-link instances. See [`crate::sparse`] for the truncation
-//!   error budget.
+//! * [`SparseInterference`] — a spatial-hash truncated store holding
+//!   only near-field factors, with a certified per-receiver bound on
+//!   every discarded factor. `O(N·k)` memory for `k` stored neighbors
+//!   per receiver — the unlock for `10⁵`-link instances. See
+//!   [`crate::sparse`] for the truncation error budget.
 //!
-//! [`InterferenceBackend`] is the concrete enum [`Problem`] stores;
-//! dispatch is static (a `match`), so the dense hot paths keep their
-//! slice-based loops via [`InterferenceBackend::dense_row`].
+//! [`InterferenceBackend`] is the enum [`Problem`] stores and the one
+//! read interface every solver uses; dispatch is static (a `match`),
+//! so the dense hot paths keep their slice-based loops via
+//! [`InterferenceBackend::dense_row`].
 //!
 //! [`Problem`]: crate::problem::Problem
 
@@ -26,55 +25,6 @@ use crate::sparse::SparseInterference;
 use fading_channel::RayleighChannel;
 use fading_net::{LinkId, LinkSet};
 use rayon::prelude::*;
-
-/// Read access to interference factors, uniform over backends.
-///
-/// The contract every solver relies on:
-///
-/// * [`factor`](Self::factor) is **exact** for *both* backends — the
-///   sparse backend recomputes unstored factors from geometry through
-///   the same channel code path, so the value is bit-identical to the
-///   dense entry. Scalar lookups never see truncation error.
-/// * [`for_each_out`](Self::for_each_out) /
-///   [`for_each_in`](Self::for_each_in) iterate only *stored* factors.
-///   Under the dense backend that is every off-diagonal pair; under the
-///   sparse backend every *omitted* factor is individually below
-///   [`tail_cut`](Self::tail_cut) of its receiver, so a sum over a
-///   selection `S` accumulated from stored factors is a lower bound
-///   within `|S| · tail_cut(j)` of the true sum (see
-///   [`within_budget_certified`](crate::feasibility::within_budget_certified)).
-pub trait InterferenceModel {
-    /// Number of links `N`.
-    fn len(&self) -> usize;
-
-    /// Whether the model covers no links.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The factor `f_{i,j}` of sender `i` on receiver `j` — exact in
-    /// every backend (`0` on the diagonal).
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64;
-
-    /// Calls `f(receiver, factor)` for every *stored* out-factor of
-    /// `sender` (dense: all `j ≠ sender`).
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64));
-
-    /// Calls `f(sender, factor)` for every *stored* in-factor onto
-    /// `receiver` (dense: all `i ≠ receiver`).
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64));
-
-    /// Certified upper bound on any single factor onto `receiver` that
-    /// the iteration methods omit. `0` means the backend is exhaustive
-    /// for this receiver.
-    fn tail_cut(&self, receiver: LinkId) -> f64;
-
-    /// Whether every receiver is exhaustive (`tail_cut == 0` for all).
-    fn is_exact(&self) -> bool;
-
-    /// Number of stored off-diagonal factors (dense: `N·(N−1)`).
-    fn stored_factors(&self) -> u64;
-}
 
 /// Row-major `N×N` matrix of interference factors.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,13 +152,42 @@ impl InterferenceMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
+    /// Calls `f(receiver, factor)` for every off-diagonal factor of
+    /// `sender`.
+    pub fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
+        let i = sender.index();
+        for (j, &v) in self.row(sender).iter().enumerate() {
+            if j != i {
+                f(LinkId(j as u32), v);
+            }
+        }
+    }
+
+    /// Calls `f(sender, factor)` for every off-diagonal factor onto
+    /// `receiver`.
+    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
+        let j = receiver.index();
+        for i in 0..self.n {
+            if i != j {
+                f(LinkId(i as u32), self.data[i * self.n + j]);
+            }
+        }
+    }
+
+    /// Number of stored off-diagonal factors, `N·(N−1)`.
+    pub fn stored_factors(&self) -> u64 {
+        let n = self.n as u64;
+        n.saturating_mul(n.saturating_sub(1))
+    }
+
     /// Grows the matrix in place to cover `links` (the *extended* link
     /// set; the first `self.len()` links must be unchanged). Existing
     /// entries are kept verbatim; only the new rows and the new columns
     /// of old rows are evaluated — `O(N·a)` transcendentals for `a`
     /// appended links instead of the full `O(N²)` rebuild. Every entry
     /// is a pure per-pair formula evaluation, so the result is
-    /// bit-identical to [`build_with_powers`] over the extended set.
+    /// bit-identical to [`build_with_powers`](Self::build_with_powers)
+    /// over the extended set.
     ///
     /// # Panics
     /// Panics if `links` is smaller than the current matrix or `powers`
@@ -304,54 +283,27 @@ impl InterferenceMatrix {
     }
 }
 
-impl InterferenceModel for InterferenceMatrix {
-    #[inline]
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        InterferenceMatrix::factor(self, sender, receiver)
-    }
-
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let i = sender.index();
-        for (j, &v) in self.row(sender).iter().enumerate() {
-            if j != i {
-                f(LinkId(j as u32), v);
-            }
-        }
-    }
-
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let j = receiver.index();
-        for i in 0..self.n {
-            if i != j {
-                f(LinkId(i as u32), self.data[i * self.n + j]);
-            }
-        }
-    }
-
-    #[inline]
-    fn tail_cut(&self, _receiver: LinkId) -> f64 {
-        0.0
-    }
-
-    #[inline]
-    fn is_exact(&self) -> bool {
-        true
-    }
-
-    fn stored_factors(&self) -> u64 {
-        let n = self.n as u64;
-        n.saturating_mul(n.saturating_sub(1))
-    }
-}
-
-/// The concrete interference store a [`Problem`] carries.
+/// The concrete interference store a [`Problem`] carries, and read
+/// access to its factors uniform over backends.
 ///
-/// An enum rather than a `dyn InterferenceModel` so `Problem` keeps
+/// The contract every solver relies on:
+///
+/// * [`factor`](Self::factor) is **exact** for *both* backends — the
+///   sparse backend recomputes unstored factors from geometry through
+///   the same channel code path, so the value is bit-identical to the
+///   dense entry. Scalar lookups never see truncation error.
+/// * [`for_each_out`](Self::for_each_out) /
+///   [`for_each_in`](Self::for_each_in) iterate only *stored* factors.
+///   Under the dense backend that is every off-diagonal pair; under the
+///   sparse backend every *omitted* factor onto a receiver `j` is at
+///   most [`cut_bound`](Self::cut_bound)`(j)`, the cut
+///   [`tail_cut`](Self::tail_cut)`(j)` plus a relative
+///   [`CUT_RTOL`](crate::sparse::CUT_RTOL) of rounding slack, so a sum
+///   over a selection `S` accumulated from stored factors is a lower
+///   bound within `|S| · cut_bound(j)` of the true sum (see
+///   [`within_budget_certified`](crate::feasibility::within_budget_certified)).
+///
+/// An enum rather than a trait object so `Problem` keeps
 /// `Clone`/`PartialEq` and hot loops dispatch statically; the dense
 /// fast path stays a contiguous slice via [`dense_row`].
 ///
@@ -384,7 +336,8 @@ impl InterferenceBackend {
         self.len() == 0
     }
 
-    /// Exact factor `f_{i,j}` (both backends; see [`InterferenceModel`]).
+    /// The factor `f_{i,j}` of sender `i` on receiver `j` — exact in
+    /// every backend (`0` on the diagonal).
     #[inline]
     pub fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
         match self {
@@ -406,30 +359,44 @@ impl InterferenceBackend {
         }
     }
 
-    /// Stored out-factors of `sender` (see [`InterferenceModel`]).
+    /// Calls `f(receiver, factor)` for every *stored* out-factor of
+    /// `sender` (dense: all `j ≠ sender`).
     #[inline]
     pub fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
         match self {
-            Self::Dense(m) => InterferenceModel::for_each_out(m, sender, f),
+            Self::Dense(m) => m.for_each_out(sender, f),
             Self::Sparse(s) => s.for_each_out(sender, f),
         }
     }
 
-    /// Stored in-factors onto `receiver` (see [`InterferenceModel`]).
+    /// Calls `f(sender, factor)` for every *stored* in-factor onto
+    /// `receiver` (dense: all `i ≠ receiver`).
     #[inline]
     pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
         match self {
-            Self::Dense(m) => InterferenceModel::for_each_in(m, receiver, f),
+            Self::Dense(m) => m.for_each_in(receiver, f),
             Self::Sparse(s) => s.for_each_in(receiver, f),
         }
     }
 
-    /// Certified bound on any omitted factor onto `receiver`.
+    /// The truncation cut of `receiver` (`0` ⇒ iteration is
+    /// exhaustive for it; always under the dense backend).
     #[inline]
     pub fn tail_cut(&self, receiver: LinkId) -> f64 {
         match self {
             Self::Dense(_) => 0.0,
             Self::Sparse(s) => s.tail_cut(receiver),
+        }
+    }
+
+    /// Certified upper bound on any single factor onto `receiver` that
+    /// the iteration methods omit (see
+    /// [`SparseInterference::cut_bound`]; `0` under the dense backend).
+    #[inline]
+    pub fn cut_bound(&self, receiver: LinkId) -> f64 {
+        match self {
+            Self::Dense(_) => 0.0,
+            Self::Sparse(s) => s.cut_bound(receiver),
         }
     }
 
@@ -448,15 +415,15 @@ impl InterferenceBackend {
     pub fn is_exact(&self) -> bool {
         match self {
             Self::Dense(_) => true,
-            Self::Sparse(s) => InterferenceModel::is_exact(s),
+            Self::Sparse(s) => s.is_exact(),
         }
     }
 
-    /// Number of stored off-diagonal factors.
+    /// Number of stored off-diagonal factors (dense: `N·(N−1)`).
     pub fn stored_factors(&self) -> u64 {
         match self {
-            Self::Dense(m) => InterferenceModel::stored_factors(m),
-            Self::Sparse(s) => InterferenceModel::stored_factors(s),
+            Self::Dense(m) => m.stored_factors(),
+            Self::Sparse(s) => s.stored_factors(),
         }
     }
 
@@ -474,36 +441,6 @@ impl InterferenceBackend {
             Self::Dense(_) => None,
             Self::Sparse(s) => Some(s),
         }
-    }
-}
-
-impl InterferenceModel for InterferenceBackend {
-    fn len(&self) -> usize {
-        InterferenceBackend::len(self)
-    }
-
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        InterferenceBackend::factor(self, sender, receiver)
-    }
-
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        InterferenceBackend::for_each_out(self, sender, f)
-    }
-
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        InterferenceBackend::for_each_in(self, receiver, f)
-    }
-
-    fn tail_cut(&self, receiver: LinkId) -> f64 {
-        InterferenceBackend::tail_cut(self, receiver)
-    }
-
-    fn is_exact(&self) -> bool {
-        InterferenceBackend::is_exact(self)
-    }
-
-    fn stored_factors(&self) -> u64 {
-        InterferenceBackend::stored_factors(self)
     }
 }
 
@@ -661,7 +598,7 @@ mod tests {
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let m = InterferenceMatrix::build(&links, &channel);
         assert!(m.is_empty());
-        assert_eq!(InterferenceModel::stored_factors(&m), 0);
+        assert_eq!(m.stored_factors(), 0);
     }
 
     #[test]
@@ -669,22 +606,24 @@ mod tests {
         let (links, m) = build(12, 6);
         for i in links.ids() {
             let mut seen = vec![];
-            InterferenceModel::for_each_out(&m, i, &mut |j, f| seen.push((j, f)));
+            m.for_each_out(i, &mut |j, f| seen.push((j, f)));
             assert_eq!(seen.len(), links.len() - 1);
             for (j, f) in seen {
                 assert_ne!(j, i, "diagonal must be skipped");
                 assert_eq!(f, m.factor(i, j));
             }
             let mut inbound = vec![];
-            InterferenceModel::for_each_in(&m, i, &mut |j, f| inbound.push((j, f)));
+            m.for_each_in(i, &mut |j, f| inbound.push((j, f)));
             assert_eq!(inbound.len(), links.len() - 1);
             for (j, f) in inbound {
                 assert_eq!(f, m.factor(j, i));
             }
         }
-        assert!(InterferenceModel::is_exact(&m));
-        assert_eq!(InterferenceModel::tail_cut(&m, LinkId(0)), 0.0);
-        assert_eq!(InterferenceModel::stored_factors(&m), 12 * 11);
+        assert_eq!(m.stored_factors(), 12 * 11);
+        let backend = InterferenceBackend::Dense(m);
+        assert!(backend.is_exact());
+        assert_eq!(backend.tail_cut(LinkId(0)), 0.0);
+        assert_eq!(backend.cut_bound(LinkId(0)), 0.0);
     }
 
     #[test]

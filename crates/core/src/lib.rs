@@ -51,8 +51,8 @@ pub mod sparse;
 pub use certify::{replay_block, replay_trace, verify_schedule, Certificate};
 pub use ctx::SchedCtx;
 pub use feasibility::FeasibilityReport;
-pub use interference::{InterferenceBackend, InterferenceMatrix, InterferenceModel};
-pub use mutate::{BatchReceipt, LinkIdMap, LinkSpec, MutationBatch, MutationError};
+pub use interference::{InterferenceBackend, InterferenceMatrix};
+pub use mutate::{BatchReceipt, LinkSpec, MutationBatch, MutationError};
 pub use problem::{BackendChoice, Problem, ProblemBuilder};
 pub use registry::AlgoId;
 pub use schedule::Schedule;

@@ -8,8 +8,8 @@
 //! `LinkId`s must stay contiguous (`0..n`), so removal uses
 //! `swap_remove` semantics and the tail link takes the vacated id. A
 //! long-running engine (the churn simulator, an external controller)
-//! needs handles that *survive* that renumbering — [`LinkIdMap`]
-//! provides them by mirroring every mutation the problem performs.
+//! needs handles that *survive* that renumbering: the problem keeps
+//! them itself ([`crate::Problem::external`], [`crate::Problem::id_of`]).
 //! A single-link change is a one-element batch.
 
 use fading_geom::Point2;
@@ -56,12 +56,13 @@ impl LinkSpec {
 }
 
 /// A transaction over a live [`crate::Problem`]: links to add (typed
-/// [`LinkSpec`]s) and links to remove (by the *external* ids a
-/// [`LinkIdMap`] handed out). [`crate::Problem::apply`] validates the
-/// whole batch atomically — on any error nothing changes — and commits
-/// it with one envelope reconciliation and one spatial-index patch
-/// pass, so a batch of `k` mutations costs `O(N + k·degree)` instead
-/// of `k` separate `O(N)` scans.
+/// [`LinkSpec`]s) and links to remove (by the *external* ids the
+/// problem handed out, see [`crate::Problem::external`]).
+/// [`crate::Problem::apply`] validates the whole batch atomically — on
+/// any error nothing changes — and commits it with one envelope
+/// reconciliation and one spatial-index patch pass, so a batch of `k`
+/// mutations costs `O(N + k·degree)` instead of `k` separate `O(N)`
+/// scans.
 ///
 /// The batch is reusable: [`clear`](Self::clear) keeps the allocations
 /// so a per-slot loop builds each slot's transaction without touching
@@ -141,7 +142,7 @@ pub struct BatchReceipt {
 }
 
 /// Why a [`MutationBatch`] was rejected. The batch is transactional:
-/// any error leaves the problem (and the [`LinkIdMap`]) untouched.
+/// any error leaves the problem (and its external handles) untouched.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MutationError {
     /// A removal named an external id with no live link (never issued,
@@ -181,29 +182,17 @@ impl std::error::Error for MutationError {
 }
 
 /// Stable external handles over the dense, renumbering [`LinkId`]
-/// space.
+/// space, once a removal has broken the identity; a field of
+/// [`crate::Problem`], which until its first removal needs none
+/// (external id = dense index).
 ///
 /// External ids are `u64`s handed out once per added link and never
 /// reused; dense ids are the contiguous `0..n` indices the problem's
-/// matrices are addressed by. The map stays consistent by *mirroring*
-/// the problem's mutations: call [`on_add`](Self::on_add) once per
-/// appended link and [`on_swap_remove`](Self::on_swap_remove) once per
-/// removed dense id, in the exact order the problem applied them —
-/// which [`crate::Problem::apply`] does itself.
-///
-/// ```
-/// use fading_core::LinkIdMap;
-/// use fading_net::LinkId;
-///
-/// let mut map = LinkIdMap::with_len(3); // dense 0,1,2 ↔ external 0,1,2
-/// let ext = map.on_add(); // dense 3
-/// assert_eq!(map.dense(ext), Some(LinkId(3)));
-/// map.on_swap_remove(LinkId(1)); // tail (dense 3) takes id 1
-/// assert_eq!(map.dense(ext), Some(LinkId(1)));
-/// assert_eq!(map.dense(1), None); // external 1 is gone
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LinkIdMap {
+/// matrices are addressed by. [`commit`](Self::commit) replays one
+/// batch's renumbering in the order [`crate::Problem::apply`] applies
+/// it.
+#[derive(Debug, Clone)]
+pub(crate) struct LinkIdMap {
     /// External id of each dense slot.
     dense_to_ext: Vec<u64>,
     /// Inverse: external id → dense index.
@@ -213,14 +202,8 @@ pub struct LinkIdMap {
 }
 
 impl LinkIdMap {
-    /// An empty map (for an engine that starts with no links).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A map over an existing instance of `n` links: dense id `i` gets
-    /// external id `i`.
-    pub fn with_len(n: usize) -> Self {
+    /// The identity map over `n` links: dense id `i` ↔ external id `i`.
+    pub(crate) fn identity(n: usize) -> Self {
         let dense_to_ext: Vec<u64> = (0..n as u64).collect();
         let ext_to_dense = dense_to_ext.iter().map(|&e| (e, e as u32)).collect();
         Self {
@@ -230,38 +213,33 @@ impl LinkIdMap {
         }
     }
 
-    /// Registers one appended link (dense id = previous `len`) and
-    /// returns its external handle. Mirror of one added
-    /// [`crate::Problem::apply`] element, applied in spec order.
-    pub fn on_add(&mut self) -> u64 {
-        let ext = self.next_ext;
-        self.next_ext += 1;
-        self.ext_to_dense
-            .insert(ext, self.dense_to_ext.len() as u32);
-        self.dense_to_ext.push(ext);
-        ext
-    }
-
-    /// Registers the removal of dense id `dense` with swap-remove
-    /// semantics (the tail link takes its id), returning the removed
-    /// link's external handle. Mirror of one removal step of
-    /// [`crate::Problem::apply`] (descending dense id).
-    ///
-    /// # Panics
-    /// Panics if `dense` is out of range.
-    pub fn on_swap_remove(&mut self, dense: LinkId) -> u64 {
-        let k = dense.index();
-        let removed = self.dense_to_ext.swap_remove(k);
-        self.ext_to_dense.remove(&removed);
-        if k < self.dense_to_ext.len() {
-            // The tail's external id now lives at dense slot `k`.
-            self.ext_to_dense.insert(self.dense_to_ext[k], k as u32);
+    /// Replays one committed batch: the swap-removes of `removes`
+    /// (strictly descending dense ids; the tail link takes each vacated
+    /// id), then `adds` appended links, each given a fresh handle.
+    pub(crate) fn commit(&mut self, removes: &[LinkId], adds: usize) -> BatchReceipt {
+        let mut removed = Vec::with_capacity(removes.len());
+        for &id in removes {
+            let k = id.index();
+            let ext = self.dense_to_ext.swap_remove(k);
+            self.ext_to_dense.remove(&ext);
+            if k < self.dense_to_ext.len() {
+                // The tail's external id now lives at dense slot `k`.
+                self.ext_to_dense.insert(self.dense_to_ext[k], k as u32);
+            }
+            removed.push(ext);
         }
-        removed
+        let added: Vec<u64> = (self.next_ext..self.next_ext + adds as u64).collect();
+        self.next_ext += adds as u64;
+        for &ext in &added {
+            self.ext_to_dense
+                .insert(ext, self.dense_to_ext.len() as u32);
+            self.dense_to_ext.push(ext);
+        }
+        BatchReceipt { added, removed }
     }
 
     /// Current dense id of an external handle (`None` once removed).
-    pub fn dense(&self, ext: u64) -> Option<LinkId> {
+    pub(crate) fn dense(&self, ext: u64) -> Option<LinkId> {
         self.ext_to_dense.get(&ext).map(|&k| LinkId(k))
     }
 
@@ -269,72 +247,7 @@ impl LinkIdMap {
     ///
     /// # Panics
     /// Panics if `dense` is out of range.
-    pub fn external(&self, dense: LinkId) -> u64 {
+    pub(crate) fn external(&self, dense: LinkId) -> u64 {
         self.dense_to_ext[dense.index()]
-    }
-
-    /// Number of live links.
-    pub fn len(&self) -> usize {
-        self.dense_to_ext.len()
-    }
-
-    /// Whether no links are live.
-    pub fn is_empty(&self) -> bool {
-        self.dense_to_ext.is_empty()
-    }
-
-    /// External handles of all live links, in dense-id order.
-    pub fn externals(&self) -> &[u64] {
-        &self.dense_to_ext
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn add_and_remove_track_renumbering() {
-        let mut map = LinkIdMap::with_len(4);
-        assert_eq!(map.len(), 4);
-        assert_eq!(map.external(LinkId(2)), 2);
-        let e4 = map.on_add();
-        assert_eq!(e4, 4);
-        assert_eq!(map.dense(e4), Some(LinkId(4)));
-
-        // Remove dense 1: tail (dense 4 = external 4) takes id 1.
-        assert_eq!(map.on_swap_remove(LinkId(1)), 1);
-        assert_eq!(map.dense(1), None);
-        assert_eq!(map.dense(e4), Some(LinkId(1)));
-        assert_eq!(map.external(LinkId(1)), e4);
-        assert_eq!(map.len(), 4);
-
-        // Removing the tail itself moves nothing.
-        assert_eq!(map.on_swap_remove(LinkId(3)), 3);
-        assert_eq!(map.dense(3), None);
-        assert_eq!(map.len(), 3);
-        assert_eq!(map.externals(), &[0, e4, 2]);
-    }
-
-    #[test]
-    fn external_ids_are_never_reused() {
-        let mut map = LinkIdMap::new();
-        let a = map.on_add();
-        map.on_swap_remove(LinkId(0));
-        let b = map.on_add();
-        assert_ne!(a, b);
-        assert_eq!(map.dense(b), Some(LinkId(0)));
-    }
-
-    #[test]
-    fn drain_to_empty() {
-        let mut map = LinkIdMap::with_len(3);
-        while !map.is_empty() {
-            map.on_swap_remove(LinkId(0));
-        }
-        assert_eq!(map.dense(0), None);
-        let e = map.on_add();
-        assert_eq!(e, 3);
-        assert_eq!(map.dense(e), Some(LinkId(0)));
     }
 }

@@ -110,11 +110,15 @@ pub struct Problem {
     /// Lazy duplicate-position cache (see [`PositionIndex`]). Excluded
     /// from `PartialEq`.
     position_index: Option<PositionIndex>,
+    /// Stable external handles ([`external`](Self::external)); `None`
+    /// while they are the identity, i.e. until the first removal.
+    /// Excluded from `PartialEq`.
+    handles: Option<LinkIdMap>,
 }
 
 /// Content equality — everything except the [`stamp`](Problem::stamp)
-/// identity (two independently built but bit-identical instances
-/// compare equal).
+/// identity and the external handles (two independently built but
+/// bit-identical instances compare equal).
 impl PartialEq for Problem {
     fn eq(&self, other: &Self) -> bool {
         self.links == other.links
@@ -178,6 +182,7 @@ impl Problem {
             power_scales,
             stamp: next_stamp(),
             position_index: None,
+            handles: None,
         }
     }
 
@@ -186,8 +191,8 @@ impl Problem {
     /// envelope reconciliation and **one** spatial-index patch pass for
     /// the entire batch. This is the only way to change a live
     /// instance, and the online engine's per-slot arrival and
-    /// departure path (cost model in `docs/online.md`). The map is kept
-    /// in sync and the receipt reports the external handles involved.
+    /// departure path (cost model in `docs/online.md`). The receipt
+    /// reports the external handles involved.
     ///
     /// Removals are applied in descending dense id after deduplication
     /// (so earlier removals cannot renumber later victims), each with
@@ -205,28 +210,16 @@ impl Problem {
     ///
     /// Validation is atomic: on any error (unknown external id,
     /// duplicate position, bad rate, non-finite coordinate, bad power
-    /// scale) neither the problem nor the map changes. An empty batch
-    /// is a no-op and does not move the [`stamp`](Self::stamp).
-    ///
-    /// # Panics
-    /// Panics if `map` does not mirror this problem (length mismatch).
-    pub fn apply(
-        &mut self,
-        batch: &MutationBatch,
-        map: &mut LinkIdMap,
-    ) -> Result<BatchReceipt, MutationError> {
-        assert_eq!(
-            map.len(),
-            self.links.len(),
-            "LinkIdMap out of sync with the problem"
-        );
+    /// scale) neither the problem nor its handles change. An empty
+    /// batch is a no-op and does not move the [`stamp`](Self::stamp).
+    pub fn apply(&mut self, batch: &MutationBatch) -> Result<BatchReceipt, MutationError> {
         if batch.is_empty() {
             return Ok(BatchReceipt::default());
         }
         let _span = fading_obs::span!("problem.mutate.apply");
         let mut removes: Vec<LinkId> = Vec::with_capacity(batch.removes().len());
         for &ext in batch.removes() {
-            match map.dense(ext) {
+            match self.id_of(ext) {
                 Some(id) => removes.push(id),
                 None => return Err(MutationError::UnknownExternal(ext)),
             }
@@ -234,17 +227,19 @@ impl Problem {
         removes.sort_unstable_by(|a, b| b.cmp(a));
         removes.dedup();
         self.validate_adds(batch.adds(), &removes)?;
+        // The first removal breaks the identity: build the map, O(N) once.
+        if self.handles.is_none() && !removes.is_empty() {
+            self.handles = Some(LinkIdMap::identity(self.links.len()));
+        }
+        let base = self.links.len() as u64;
         self.commit_batch(&removes, batch.adds());
-        let mut receipt = BatchReceipt {
-            added: Vec::with_capacity(batch.adds().len()),
-            removed: Vec::with_capacity(removes.len()),
+        let receipt = match &mut self.handles {
+            Some(map) => map.commit(&removes, batch.adds().len()),
+            None => BatchReceipt {
+                added: (base..self.links.len() as u64).collect(),
+                removed: Vec::new(),
+            },
         };
-        for &id in &removes {
-            receipt.removed.push(map.on_swap_remove(id));
-        }
-        for _ in batch.adds() {
-            receipt.added.push(map.on_add());
-        }
         fading_obs::counter!("problem.mutate.batch.calls").incr();
         fading_obs::counter!("problem.mutate.batch.removed").add(removes.len() as u64);
         fading_obs::counter!("problem.mutate.batch.added").add(batch.adds().len() as u64);
@@ -414,6 +409,30 @@ impl Problem {
         self.stamp = next_stamp();
     }
 
+    /// The stable external handle of live link `id`: issued once per
+    /// link (a seed link's is its index in the seed set, an added
+    /// link's is in its [`BatchReceipt`]) and never reused, while
+    /// [`apply`](Self::apply)'s swap-removes renumber the dense ids.
+    /// Until the first removal it equals `id`'s index.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn external(&self, id: LinkId) -> u64 {
+        assert!(id.index() < self.len(), "link {id} out of range");
+        self.handles
+            .as_ref()
+            .map_or(id.0 as u64, |h| h.external(id))
+    }
+
+    /// The live link holding external handle `ext`; `None` once it is
+    /// removed, or if it was never issued.
+    pub fn id_of(&self, ext: u64) -> Option<LinkId> {
+        match &self.handles {
+            Some(h) => h.dense(ext),
+            None => (ext < self.len() as u64).then_some(LinkId(ext as u32)),
+        }
+    }
+
     /// The content-snapshot stamp: process-globally unique, replaced on
     /// every mutation. Equal stamps imply bit-identical problems (the
     /// converse need not hold), which is what lets [`crate::SchedCtx`]
@@ -428,7 +447,8 @@ impl Problem {
     /// channel parameters, the per-link power scales, and the
     /// interference backend choice. Geometry changed, so factors *are*
     /// recomputed (a subset of an unchanged geometry needs no rebuild:
-    /// schedule it as a [`crate::Scope`]).
+    /// schedule it as a [`crate::Scope`]). The rebuilt instance's
+    /// external handles start from the identity.
     ///
     /// # Panics
     /// Panics if `links` has a different link count while power scales
@@ -669,6 +689,76 @@ mod tests {
         let links = UniformGenerator::paper(5).generate(3);
         let p = Problem::paper(links, 3.5);
         assert_eq!(p.deterministic_channel().params, *p.params());
+    }
+
+    /// A batch adding one short link outside the paper region, at a
+    /// position of its own per `tag`.
+    fn add(tag: usize) -> MutationBatch {
+        let x = 5_000.0 + tag as f64 * 4.0;
+        let mut batch = MutationBatch::new();
+        batch.add(LinkSpec::new(
+            fading_geom::Point2::new(x, 0.0),
+            fading_geom::Point2::new(x + 1.0, 0.0),
+        ));
+        batch
+    }
+
+    fn removes(exts: &[u64]) -> MutationBatch {
+        let mut batch = MutationBatch::new();
+        for &ext in exts {
+            batch.remove(ext);
+        }
+        batch
+    }
+
+    fn externals(p: &Problem) -> Vec<u64> {
+        p.links().ids().map(|k| p.external(k)).collect()
+    }
+
+    #[test]
+    fn handles_track_renumbering() {
+        let mut p = Problem::paper(UniformGenerator::paper(4).generate(1), 3.0);
+        assert_eq!(p.external(LinkId(2)), 2);
+        let e4 = p.apply(&add(0)).unwrap().added[0];
+        assert_eq!(e4, 4);
+        assert_eq!(p.id_of(e4), Some(LinkId(4)));
+
+        // Remove dense 1: the tail (dense 4 = external 4) takes id 1.
+        assert_eq!(p.apply(&removes(&[1])).unwrap().removed, vec![1]);
+        assert_eq!(p.id_of(1), None);
+        assert_eq!(p.id_of(e4), Some(LinkId(1)));
+        assert_eq!(p.external(LinkId(1)), e4);
+        assert_eq!(p.len(), 4);
+
+        // Removing the tail itself moves nothing.
+        assert_eq!(p.apply(&removes(&[3])).unwrap().removed, vec![3]);
+        assert_eq!(p.id_of(3), None);
+        assert_eq!(externals(&p), vec![0, e4, 2]);
+    }
+
+    #[test]
+    fn external_ids_are_never_reused() {
+        let empty = LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
+        let mut p = Problem::paper(empty, 3.0);
+        let a = p.apply(&add(0)).unwrap().added[0];
+        p.apply(&removes(&[a])).unwrap();
+        let b = p.apply(&add(1)).unwrap().added[0];
+        assert_ne!(a, b);
+        assert_eq!(p.id_of(b), Some(LinkId(0)));
+        assert_eq!(p.id_of(a), None);
+    }
+
+    #[test]
+    fn handles_survive_drain_and_refill() {
+        let mut p = Problem::paper(UniformGenerator::paper(3).generate(2), 3.0);
+        while !p.is_empty() {
+            p.apply(&removes(&[p.external(LinkId(0))])).unwrap();
+        }
+        assert_eq!(p.id_of(0), None);
+        let e = p.apply(&add(0)).unwrap().added[0];
+        assert_eq!(e, 3);
+        assert_eq!(p.id_of(e), Some(LinkId(0)));
+        assert_eq!(externals(&p), vec![3]);
     }
 
     #[test]

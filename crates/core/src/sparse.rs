@@ -13,9 +13,11 @@
 //!
 //! (`ρ_j` is the worst-case power ratio onto `j`; 1 under uniform
 //! power). By construction every *omitted* factor is individually below
-//! the per-receiver cut `τ` — [`SparseInterference::tail_cut`] — so a
-//! sum accumulated from stored factors over a selection `S` is a lower
-//! bound within `|S| · τ` of the true sum. Feasibility checks account
+//! the per-receiver cut `τ` — [`SparseInterference::tail_cut`] — up to
+//! the rounding of the radius formula, so a sum accumulated from stored
+//! factors over a selection `S` is a lower bound within
+//! `|S| · τ · (1 + CUT_RTOL)` of the true sum
+//! ([`SparseInterference::cut_bound`]). Feasibility checks account
 //! for this envelope explicitly (see
 //! [`within_budget_certified`](crate::feasibility::within_budget_certified))
 //! and fall back to *exact* on-demand recomputation when the envelope
@@ -33,7 +35,7 @@
 //! `docs/interference.md` derives both bounds.
 
 use crate::feasibility::BUDGET_RTOL;
-use crate::interference::{InterferenceModel, PARALLEL_THRESHOLD};
+use crate::interference::PARALLEL_THRESHOLD;
 use crate::mutate::LinkSpec;
 use fading_channel::RayleighChannel;
 use fading_geom::{Point2, SpatialHash};
@@ -424,11 +426,21 @@ impl SparseInterference {
             });
     }
 
-    /// Certified bound on any single omitted factor onto `receiver`
-    /// (`0` ⇒ the receiver's neighborhood is exhaustive).
+    /// The per-receiver cut `τ_j` the truncation radius is derived
+    /// from (`0` ⇒ the receiver's neighborhood is exhaustive). An
+    /// omitted factor can exceed it by a few ULPs; the certified bound
+    /// is [`cut_bound`](Self::cut_bound).
     #[inline]
     pub fn tail_cut(&self, receiver: LinkId) -> f64 {
         self.cut[receiver.index()]
+    }
+
+    /// Certified upper bound on any single omitted factor onto
+    /// `receiver`: the cut inflated by [`CUT_RTOL`], which absorbs the
+    /// rounding of the radius formula (`0` ⇒ exhaustive).
+    #[inline]
+    pub fn cut_bound(&self, receiver: LinkId) -> f64 {
+        self.cut[receiver.index()] * (1.0 + CUT_RTOL)
     }
 
     /// Certified upper bound on `f_{sender,receiver}` when the store
@@ -436,14 +448,14 @@ impl SparseInterference {
     /// receiver's truncation radius (the `d² > R_j²` complement of the
     /// predicate that wires the rows); `None` for a stored pair and for
     /// every pair onto an exhaustive receiver.
-    /// The bound is the cut inflated by [`CUT_RTOL`], which absorbs the
-    /// rounding of the radius formula. `O(1)`, no factor evaluation.
+    /// The bound is [`cut_bound`](Self::cut_bound). `O(1)`, no factor
+    /// evaluation.
     #[inline]
     pub fn omitted_bound(&self, sender: LinkId, receiver: LinkId) -> Option<f64> {
         let j = receiver.index();
-        let (cut, r) = (self.cut[j], self.radius[j]);
-        (cut > 0.0 && self.senders[sender.index()].distance_sq(&self.receivers[j]) > r * r)
-            .then_some(cut * (1.0 + CUT_RTOL))
+        let r = self.radius[j];
+        (self.cut[j] > 0.0 && self.senders[sender.index()].distance_sq(&self.receivers[j]) > r * r)
+            .then(|| self.cut_bound(receiver))
     }
 
     /// The truncation radius of `receiver`.
@@ -459,6 +471,16 @@ impl SparseInterference {
     /// The configured relative cut.
     pub fn tail_rtol(&self) -> f64 {
         self.tail_rtol
+    }
+
+    /// Whether every receiver is exhaustive (`tail_cut == 0` for all).
+    pub fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// Number of stored off-diagonal factors.
+    pub fn stored_factors(&self) -> u64 {
+        self.row_len.iter().map(|&l| l as u64).sum()
     }
 
     /// The largest per-receiver cut (0 when exhaustive everywhere).
@@ -969,36 +991,6 @@ impl SparseInterference {
     }
 }
 
-impl InterferenceModel for SparseInterference {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        SparseInterference::factor(self, sender, receiver)
-    }
-
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        SparseInterference::for_each_out(self, sender, f)
-    }
-
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        SparseInterference::for_each_in(self, receiver, f)
-    }
-
-    fn tail_cut(&self, receiver: LinkId) -> f64 {
-        SparseInterference::tail_cut(self, receiver)
-    }
-
-    fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    fn stored_factors(&self) -> u64 {
-        self.row_len.iter().map(|&l| l as u64).sum()
-    }
-}
-
 /// The timed sub-phases of [`SparseInterference::apply_batch`]. Each
 /// has a `problem.apply.<name>` histogram of nanoseconds per batch
 /// (see `docs/telemetry.md`).
@@ -1248,11 +1240,8 @@ mod tests {
         // link, so the sparse store degenerates to an exact CSR: every
         // pair stored, all cuts zero.
         let (_, dense, sparse) = paper_pair(50, 10, SparseConfig::certified().tail_rtol);
-        assert!(InterferenceModel::is_exact(&sparse));
-        assert_eq!(
-            InterferenceModel::stored_factors(&sparse),
-            InterferenceModel::stored_factors(&dense)
-        );
+        assert!(sparse.is_exact());
+        assert_eq!(sparse.stored_factors(), dense.stored_factors());
     }
 
     #[test]
@@ -1260,13 +1249,8 @@ mod tests {
         // A coarse cut on a spread-out instance must actually prune, and
         // every pruned factor must be below its receiver's cut.
         let (links, dense, sparse) = paper_pair(80, 11, 0.5);
-        assert!(
-            !InterferenceModel::is_exact(&sparse),
-            "0.5·γ_ε must truncate"
-        );
-        assert!(
-            InterferenceModel::stored_factors(&sparse) < InterferenceModel::stored_factors(&dense)
-        );
+        assert!(!sparse.is_exact(), "0.5·γ_ε must truncate");
+        assert!(sparse.stored_factors() < dense.stored_factors());
         for i in links.ids() {
             let mut stored = vec![false; links.len()];
             sparse.for_each_out(i, &mut |j, f| {
@@ -1408,12 +1392,12 @@ mod tests {
         let s =
             SparseInterference::build(&empty, &channel, gamma_eps(0.01), SparseConfig::default());
         assert!(s.is_empty());
-        assert_eq!(InterferenceModel::stored_factors(&s), 0);
+        assert_eq!(s.stored_factors(), 0);
 
         let one = UniformGenerator::paper(1).generate(15);
         let s = SparseInterference::build(&one, &channel, gamma_eps(0.01), SparseConfig::default());
         assert_eq!(s.len(), 1);
-        assert_eq!(InterferenceModel::stored_factors(&s), 0);
+        assert_eq!(s.stored_factors(), 0);
         assert_eq!(s.factor(LinkId(0), LinkId(0)), 0.0);
     }
 
@@ -1481,7 +1465,7 @@ mod tests {
             gamma_eps(0.01),
             SparseConfig { tail_rtol: 0.5 },
         );
-        assert!(!InterferenceModel::is_exact(&s), "0.5·γ_ε must truncate");
+        assert!(!s.is_exact(), "0.5·γ_ε must truncate");
         let extra = UniformGenerator::paper(80).generate(19);
         let l = extra.link(LinkId(75));
         s.apply_batch(
@@ -1508,7 +1492,7 @@ mod tests {
             s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
         }
         assert_eq!(s, rebuild_of(&s));
-        assert!(InterferenceModel::stored_factors(&s) > 0);
+        assert!(s.stored_factors() > 0);
     }
 
     #[test]

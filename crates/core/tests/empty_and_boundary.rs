@@ -7,8 +7,7 @@
 
 use fading_channel::ChannelParams;
 use fading_core::{
-    AlgoId, BackendChoice, LinkIdMap, LinkSpec, MutationBatch, Problem, SchedCtx, Scope,
-    SparseConfig,
+    AlgoId, BackendChoice, LinkSpec, MutationBatch, Problem, SchedCtx, Scope, SparseConfig,
 };
 use fading_geom::{Point2, Rect};
 use fading_net::{LinkSet, TopologyGenerator, UniformGenerator};
@@ -80,9 +79,7 @@ fn growing_from_empty_matches_a_batch_build() {
             .iter()
             .map(|l| LinkSpec::new(l.sender, l.receiver))
             .collect();
-        grown
-            .apply(&add_batch(&specs), &mut LinkIdMap::new())
-            .unwrap();
+        grown.apply(&add_batch(&specs)).unwrap();
         let batch = Problem::builder(seeds, ChannelParams::paper_defaults())
             .backend(backend)
             .build();
@@ -106,21 +103,20 @@ fn removing_every_link_leaves_a_usable_instance() {
         let mut p = Problem::builder(links, ChannelParams::paper_defaults())
             .backend(backend)
             .build();
-        let mut map = LinkIdMap::with_len(p.len());
         let mut all = MutationBatch::new();
-        for &ext in map.externals() {
-            all.remove(ext);
+        for k in p.links().ids() {
+            all.remove(p.external(k));
         }
-        p.apply(&all, &mut map).unwrap();
+        p.apply(&all).unwrap();
         assert_eq!(p.len(), 0);
         for algo in AlgoId::ALL {
             assert!(algo.build(1).schedule(&p).is_empty());
         }
         // And it accepts arrivals after hitting empty.
-        p.apply(
-            &add_batch(&[LinkSpec::new(Point2::new(3.0, 3.0), Point2::new(4.5, 3.0))]),
-            &mut map,
-        )
+        p.apply(&add_batch(&[LinkSpec::new(
+            Point2::new(3.0, 3.0),
+            Point2::new(4.5, 3.0),
+        )]))
         .unwrap();
         assert_eq!(p.len(), 1);
         let s = AlgoId::Rle.build(1).schedule(&p);
@@ -142,9 +138,7 @@ fn removing_no_links_is_a_no_op_mutation() {
             .map(|(i, j)| p.factor(i, j).to_bits())
             .collect();
         let stamp = p.stamp();
-        let receipt = p
-            .apply(&MutationBatch::new(), &mut LinkIdMap::with_len(p.len()))
-            .unwrap();
+        let receipt = p.apply(&MutationBatch::new()).unwrap();
         assert!(receipt.removed.is_empty());
         assert_eq!(p.stamp(), stamp);
         let after: Vec<u64> = p

@@ -15,8 +15,8 @@ use fading_channel::ChannelParams;
 use fading_core::algo::{GreedyRate, Ldp, Rle};
 use fading_core::feasibility::is_feasible;
 use fading_core::{
-    BackendChoice, BatchReceipt, LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem,
-    SchedCtx, Scheduler, Scope, SparseConfig,
+    BackendChoice, BatchReceipt, LinkSpec, MutationBatch, MutationError, Problem, SchedCtx,
+    Scheduler, Scope, SparseConfig,
 };
 use fading_geom::Point2;
 use fading_net::{Link, LinkId, LinkSet, TopologyGenerator, UniformGenerator, ValidationError};
@@ -54,6 +54,28 @@ fn rebuild(p: &Problem) -> Problem {
     }
 }
 
+/// The external handle of every live link, in dense order.
+fn externals(p: &Problem) -> Vec<u64> {
+    p.links().ids().map(|k| p.external(k)).collect()
+}
+
+/// The handle invariants after a commit: every live link's handle
+/// names it, a clone keeps the handles, and a rebuild starts from the
+/// identity.
+fn check_handles(p: &Problem) {
+    for k in p.links().ids() {
+        prop_assert_eq!(p.id_of(p.external(k)), Some(k), "handle of {} lost", k);
+    }
+    prop_assert_eq!(
+        externals(&p.clone()),
+        externals(p),
+        "clone lost its handles"
+    );
+    let rebuilt = p.rebuild_with_links(p.links().clone());
+    let identity: Vec<u64> = (0..p.len() as u64).collect();
+    prop_assert_eq!(externals(&rebuilt), identity, "rebuild kept stale handles");
+}
+
 /// A batch adding one link.
 fn add_batch(spec: LinkSpec) -> MutationBatch {
     let mut batch = MutationBatch::new();
@@ -78,13 +100,13 @@ fn remove_batch(exts: &[u64]) -> MutationBatch {
 /// without power control.
 type Op = (u8, f64, f64, f64);
 
-fn apply_op(problem: &mut Problem, map: &mut LinkIdMap, op: Op, tag: usize) {
+fn apply_op(problem: &mut Problem, op: Op, tag: usize) {
     let (kind, x, y, w) = op;
     match kind {
         2 if problem.len() > 1 => {
             let victim = LinkId((w.to_bits() % problem.len() as u64) as u32);
-            let removal = remove_batch(&[map.external(victim)]);
-            problem.apply(&removal, map).expect("live victim");
+            let removal = remove_batch(&[problem.external(victim)]);
+            problem.apply(&removal).expect("live victim");
         }
         2 => {} // never empty the instance
         _ => {
@@ -102,7 +124,7 @@ fn apply_op(problem: &mut Problem, map: &mut LinkIdMap, op: Op, tag: usize) {
             };
             // Coincident positions are rejected with the instance
             // unchanged — a legal no-op for this property.
-            let _ = problem.apply(&add_batch(spec), map);
+            let _ = problem.apply(&add_batch(spec));
         }
     }
 }
@@ -134,7 +156,6 @@ proptest! {
             BackendChoice::Dense
         };
         let mut problem = initial(n, seed, ALPHAS[alpha_idx], backend, powered_bit == 1);
-        let mut map = LinkIdMap::with_len(n);
         let mut ctx = SchedCtx::new();
         let schedulers: [&dyn Scheduler; 3] = [&Rle::new(), &Ldp::new(), &GreedyRate];
         // Warm the ctx memos on the pre-mutation instance so stale
@@ -142,7 +163,8 @@ proptest! {
         schedulers[0].schedule_in(&problem, Scope::all(), &mut ctx);
 
         for (tag, &op) in ops.iter().enumerate() {
-            apply_op(&mut problem, &mut map, op, tag);
+            apply_op(&mut problem, op, tag);
+            check_handles(&problem);
             let rebuilt = rebuild(&problem);
             prop_assert_eq!(&problem, &rebuilt, "state diverged after op {}", tag);
             // Rotate one scheduler per op (all three at the end).
@@ -185,12 +207,11 @@ proptest! {
         let mut sparse = Problem::builder(links, params)
             .backend(BackendChoice::Sparse(SparseConfig { tail_rtol: TAIL_RTOLS[rtol_idx] }))
             .build();
-        let mut dense_map = LinkIdMap::with_len(n);
-        let mut sparse_map = LinkIdMap::with_len(n);
         for (tag, &op) in ops.iter().enumerate() {
-            apply_op(&mut dense, &mut dense_map, op, tag);
-            apply_op(&mut sparse, &mut sparse_map, op, tag);
+            apply_op(&mut dense, op, tag);
+            apply_op(&mut sparse, op, tag);
             prop_assert_eq!(dense.links(), sparse.links());
+            prop_assert_eq!(externals(&dense), externals(&sparse));
             // Every pairwise factor is exact under both backends.
             for a in dense.links().ids() {
                 for b in dense.links().ids() {
@@ -239,10 +260,9 @@ proptest! {
             BackendChoice::Dense
         };
         let mut batched = initial(n, seed, ALPHAS[alpha_idx], backend, powered_bit == 1);
-        let mut bat_map = LinkIdMap::with_len(n);
         let mut seq = batched.clone();
-        let mut seq_map = bat_map.clone();
         let mut tag = 0usize;
+        let mut removed_any = false;
         for ops in &batches {
             let mut batch = MutationBatch::new();
             let mut doomed: Vec<u64> = Vec::new();
@@ -251,10 +271,8 @@ proptest! {
                 if kind == 2 {
                     // Remove a random live link not already doomed,
                     // keeping at least one link alive.
-                    let live: Vec<u64> = bat_map
-                        .externals()
-                        .iter()
-                        .copied()
+                    let live: Vec<u64> = externals(&batched)
+                        .into_iter()
                         .filter(|e| !doomed.contains(e))
                         .collect();
                     if live.len() > 1 {
@@ -283,9 +301,22 @@ proptest! {
                 tag += 1;
             }
             let stamp_before = batched.stamp();
-            let receipt = batched.apply(&batch, &mut bat_map).unwrap();
+            let receipt = batched.apply(&batch).unwrap();
             prop_assert_eq!(receipt.added.len(), planned_adds);
             prop_assert_eq!(receipt.removed.len(), doomed.len());
+            check_handles(&batched);
+            for &ext in &receipt.removed {
+                prop_assert_eq!(batched.id_of(ext), None, "removed handle {} still live", ext);
+            }
+            for &ext in &receipt.added {
+                prop_assert!(batched.id_of(ext).is_some(), "added handle {} not live", ext);
+            }
+            // Adds alone never renumber: handles stay the dense ids.
+            removed_any |= !receipt.removed.is_empty();
+            if !removed_any {
+                let identity: Vec<u64> = (0..batched.len() as u64).collect();
+                prop_assert_eq!(externals(&batched), identity, "adds broke the identity");
+            }
             if batch.is_empty() {
                 prop_assert_eq!(batched.stamp(), stamp_before, "empty batch moved the stamp");
             } else {
@@ -294,14 +325,14 @@ proptest! {
             // Sequential mirror: the same removals in the order the
             // batch applied them, one batch each, then adds one by one.
             for &ext in &receipt.removed {
-                seq.apply(&remove_batch(&[ext]), &mut seq_map)
+                seq.apply(&remove_batch(&[ext]))
                     .expect("live on the sequential side");
             }
             for &spec in batch.adds() {
-                seq.apply(&add_batch(spec), &mut seq_map).unwrap();
+                seq.apply(&add_batch(spec)).unwrap();
             }
             prop_assert_eq!(&batched, &seq, "batch != sequential");
-            prop_assert_eq!(&bat_map, &seq_map, "maps diverged");
+            prop_assert_eq!(externals(&batched), externals(&seq), "handles diverged");
             let rebuilt = rebuild(&batched);
             prop_assert_eq!(&batched, &rebuilt, "batch != rebuild");
         }
@@ -349,9 +380,8 @@ proptest! {
             BackendChoice::Sparse(SparseConfig { tail_rtol: TAIL_RTOLS[rtol_idx] }),
         ] {
             let mut problem = Problem::builder(links.clone(), params).backend(backend).build();
-            let mut map = LinkIdMap::with_len(n);
             for (tag, &op) in ops.iter().enumerate() {
-                apply_op(&mut problem, &mut map, op, tag);
+                apply_op(&mut problem, op, tag);
                 prop_assert_eq!(&problem, &rebuild(&problem), "{:?} diverged after op {}", backend, tag);
             }
         }
@@ -365,24 +395,20 @@ proptest! {
 #[test]
 fn transactional_batch_contract() {
     let mut p = Problem::paper(UniformGenerator::paper(6).generate(9), 3.0);
-    let mut map = LinkIdMap::with_len(6);
     let before = p.clone();
     let stamp = p.stamp();
 
     // Empty batch: receipt empty, stamp untouched.
-    let r = p.apply(&MutationBatch::new(), &mut map).unwrap();
+    let r = p.apply(&MutationBatch::new()).unwrap();
     assert_eq!(r, BatchReceipt::default());
     assert_eq!(p.stamp(), stamp, "empty batch must not move the stamp");
 
     // Unknown external id: typed error, nothing changes.
     let mut batch = MutationBatch::new();
     batch.remove(99);
-    assert_eq!(
-        p.apply(&batch, &mut map),
-        Err(MutationError::UnknownExternal(99))
-    );
+    assert_eq!(p.apply(&batch), Err(MutationError::UnknownExternal(99)));
     assert_eq!(p, before);
-    assert_eq!(map.len(), 6);
+    assert_eq!(externals(&p), vec![0, 1, 2, 3, 4, 5]);
 
     // A removal frees its positions for an add in the same batch.
     let (pos_s, pos_r) = {
@@ -393,7 +419,7 @@ fn transactional_batch_contract() {
     batch
         .remove(2)
         .add(LinkSpec::new(pos_s, pos_r).with_rate(3.0));
-    let receipt = p.apply(&batch, &mut map).unwrap();
+    let receipt = p.apply(&batch).unwrap();
     assert_eq!(receipt.removed, vec![2]);
     assert_eq!(receipt.added.len(), 1);
     assert_eq!(p.len(), 6);
@@ -406,7 +432,7 @@ fn transactional_batch_contract() {
     batch.add(LinkSpec::new(live, Point2::new(7_777.0, 7.0)));
     let snapshot = p.clone();
     assert!(matches!(
-        p.apply(&batch, &mut map),
+        p.apply(&batch),
         Err(MutationError::InvalidAdd {
             slot: 0,
             source: ValidationError::DuplicateSender(..),
@@ -414,20 +440,20 @@ fn transactional_batch_contract() {
     ));
     assert_eq!(p, snapshot, "rejected batch must be a no-op");
 
-    // A bad power scale is a typed error that leaves problem and map
-    // untouched.
-    let map_snapshot = map.clone();
+    // A bad power scale is a typed error that leaves the problem and
+    // its handles untouched.
+    let handles = externals(&p);
     let bad =
         LinkSpec::new(Point2::new(9_000.0, 1.0), Point2::new(9_002.0, 1.0)).with_power_scale(-1.0);
     assert!(matches!(
-        p.apply(&add_batch(bad), &mut map),
+        p.apply(&add_batch(bad)),
         Err(MutationError::InvalidAdd {
             slot: 0,
             source: ValidationError::BadPowerScale { .. },
         })
     ));
     assert_eq!(p, snapshot);
-    assert_eq!(map, map_snapshot);
+    assert_eq!(externals(&p), handles);
 }
 
 /// Batch semantics and error atomicity: new links take dense ids in
@@ -437,7 +463,6 @@ fn transactional_batch_contract() {
 #[test]
 fn batch_api_contract() {
     let mut p = Problem::paper(UniformGenerator::paper(6).generate(9), 3.0);
-    let mut map = LinkIdMap::with_len(6);
     let before = p.clone();
     let stamp_before = p.stamp();
 
@@ -448,10 +473,10 @@ fn batch_api_contract() {
             Point2::new(12.0, 10.0),
         ))
         .add(LinkSpec::new(Point2::new(20.0, 10.0), Point2::new(22.0, 10.0)).with_rate(2.0));
-    let receipt = p.apply(&batch, &mut map).unwrap();
+    let receipt = p.apply(&batch).unwrap();
     assert_eq!(receipt.added, vec![6, 7]);
-    assert_eq!(map.dense(6), Some(LinkId(6)));
-    assert_eq!(map.dense(7), Some(LinkId(7)));
+    assert_eq!(p.id_of(6), Some(LinkId(6)));
+    assert_eq!(p.id_of(7), Some(LinkId(7)));
     assert_eq!(p.len(), 8);
     assert_ne!(p.stamp(), stamp_before, "mutation must move the stamp");
     assert_eq!(p.rate(LinkId(7)), 2.0);
@@ -468,7 +493,7 @@ fn batch_api_contract() {
     ));
     let snapshot = p.clone();
     assert!(matches!(
-        p.apply(&bad, &mut map),
+        p.apply(&bad),
         Err(MutationError::InvalidAdd {
             slot: 1,
             source: ValidationError::DuplicateSender(LinkId(8), LinkId(9)),
@@ -477,7 +502,7 @@ fn batch_api_contract() {
     assert_eq!(p, snapshot, "failed batch must be a no-op");
 
     // Duplicate ids are applied once, in descending dense order.
-    let receipt = p.apply(&remove_batch(&[6, 7, 6]), &mut map).unwrap();
+    let receipt = p.apply(&remove_batch(&[6, 7, 6])).unwrap();
     assert_eq!(receipt.removed, vec![7, 6]);
     assert_eq!(p, before, "add then remove must round-trip");
 }
@@ -495,16 +520,12 @@ fn power_profile_materialization_is_exact() {
             .backend(backend)
             .build();
         let uniform = p.clone();
-        let mut map = LinkIdMap::with_len(12);
         assert!(p.power_scales().is_none());
         let receipt = p
-            .apply(
-                &add_batch(
-                    LinkSpec::new(Point2::new(500.0, 500.0), Point2::new(503.0, 500.0))
-                        .with_power_scale(2.5),
-                ),
-                &mut map,
-            )
+            .apply(&add_batch(
+                LinkSpec::new(Point2::new(500.0, 500.0), Point2::new(503.0, 500.0))
+                    .with_power_scale(2.5),
+            ))
             .unwrap();
         let scales = p.power_scales().expect("profile must materialize");
         assert_eq!(scales.len(), 13);
@@ -521,7 +542,7 @@ fn power_profile_materialization_is_exact() {
         }
         // And the whole state still equals a from-scratch powered build.
         assert_eq!(p, rebuild(&p));
-        p.apply(&remove_batch(&receipt.added), &mut map).unwrap();
+        p.apply(&remove_batch(&receipt.added)).unwrap();
         assert_eq!(
             p.power_scales(),
             Some(vec![1.0; 12].as_slice()),

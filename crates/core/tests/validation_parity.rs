@@ -5,14 +5,12 @@
 //! `fading_net::validate_link` plus a duplicate-position check. This
 //! file pins that they agree: every malformed link is rejected by both
 //! with the same `ValidationError`, and `apply` rejects it atomically —
-//! the problem, its stamp, and the id map are untouched. A fuzz
+//! the problem, its stamp, and its external handles are untouched. A fuzz
 //! property then feeds `apply` batches built from arbitrary `f64` bit
 //! patterns and requires a typed result, never a panic.
 
 use fading_channel::ChannelParams;
-use fading_core::{
-    BackendChoice, LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem, SparseConfig,
-};
+use fading_core::{BackendChoice, LinkSpec, MutationBatch, MutationError, Problem, SparseConfig};
 use fading_geom::{Point2, Rect};
 use fading_net::{Link, LinkId, LinkSet, TopologyGenerator, UniformGenerator, ValidationError};
 use proptest::prelude::*;
@@ -38,6 +36,11 @@ fn base_links() -> LinkSet {
     .map(|(i, &(s, r))| Link::new(LinkId(i as u32), s.into(), r.into(), 1.0))
     .collect();
     LinkSet::new(Rect::square(100.0), links)
+}
+
+/// The external handle of every live link, in dense order.
+fn externals(p: &Problem) -> Vec<u64> {
+    p.links().ids().map(|k| p.external(k)).collect()
 }
 
 /// A malformed link: `(label, sender, receiver, rate)`.
@@ -80,22 +83,25 @@ fn malformed_links() -> Vec<Case> {
 
 /// Applies a one-add batch to a fresh problem over [`base_links`] and
 /// returns its validation error, after checking that the rejection
-/// left the problem, its stamp, and the map untouched.
+/// left the problem, its stamp, and its handles untouched.
 fn apply_error(backend: BackendChoice, spec: LinkSpec, label: &str) -> ValidationError {
     let mut p = Problem::builder(base_links(), ChannelParams::paper_defaults())
         .backend(backend)
         .build();
-    let mut map = LinkIdMap::with_len(p.len());
-    let (before, stamp, map_before) = (p.clone(), p.stamp(), map.clone());
+    let (before, stamp, handles) = (p.clone(), p.stamp(), externals(&p));
     let mut batch = MutationBatch::new();
     batch.add(spec);
-    let err = match p.apply(&batch, &mut map) {
+    let err = match p.apply(&batch) {
         Err(MutationError::InvalidAdd { slot: 0, source }) => source,
         other => panic!("{label} ({backend:?}): expected InvalidAdd at slot 0, got {other:?}"),
     };
     assert_eq!(p, before, "{label} ({backend:?}): problem changed");
     assert_eq!(p.stamp(), stamp, "{label} ({backend:?}): stamp moved");
-    assert_eq!(map, map_before, "{label} ({backend:?}): map changed");
+    assert_eq!(
+        externals(&p),
+        handles,
+        "{label} ({backend:?}): handles changed"
+    );
     err
 }
 
@@ -200,8 +206,8 @@ fn batch_strategy() -> impl Strategy<Value = RawBatch> {
     )
 }
 
-/// Decodes a [`RawBatch`] against the live map.
-fn decode(raw: &RawBatch, map: &LinkIdMap) -> MutationBatch {
+/// Decodes a [`RawBatch`] against the live problem's handles.
+fn decode(raw: &RawBatch, p: &Problem) -> MutationBatch {
     let (level, adds, removes) = raw;
     let threshold = [0u32, 8, 64, 256][*level as usize];
     let pick = |&(roll, wild, plain): &Slot| {
@@ -223,7 +229,7 @@ fn decode(raw: &RawBatch, map: &LinkIdMap) -> MutationBatch {
         );
     }
     for &(kind, bits) in removes {
-        let live = map.externals();
+        let live = externals(p);
         batch.remove(if kind < 3 && !live.is_empty() {
             live[(bits % live.len() as u64) as usize]
         } else {
@@ -238,7 +244,7 @@ proptest! {
 
     /// `apply` answers any batch with `Ok` or a typed `MutationError`
     /// and never panics, on both backends; a rejected batch changes
-    /// nothing, and the map stays in step with the problem. (Content is
+    /// nothing, and every live link's handle names it. (Content is
     /// compared through links, powers, and the stamp: a committed wild
     /// link can store NaN factors, which `PartialEq` never equates.)
     #[test]
@@ -253,12 +259,11 @@ proptest! {
         let mut p = Problem::builder(links, ChannelParams::paper_defaults())
             .backend(backend)
             .build();
-        let mut map = LinkIdMap::with_len(n);
         for raw in &batches {
-            let batch = decode(raw, &map);
+            let batch = decode(raw, &p);
             let (links, powers) = (p.links().clone(), p.power_scales().map(<[f64]>::to_vec));
-            let (stamp, map_before) = (p.stamp(), map.clone());
-            match p.apply(&batch, &mut map) {
+            let (stamp, handles) = (p.stamp(), externals(&p));
+            match p.apply(&batch) {
                 Ok(receipt) => prop_assert_eq!(receipt.added.len(), batch.adds().len()),
                 Err(err) => {
                     match err {
@@ -272,10 +277,12 @@ proptest! {
                     prop_assert_eq!(p.stamp(), stamp);
                     prop_assert_eq!(p.links(), &links);
                     prop_assert_eq!(p.power_scales().map(<[f64]>::to_vec), powers);
-                    prop_assert_eq!(&map, &map_before);
+                    prop_assert_eq!(externals(&p), handles);
                 }
             }
-            prop_assert_eq!(p.len(), map.len());
+            for k in p.links().ids() {
+                prop_assert_eq!(p.id_of(p.external(k)), Some(k));
+            }
         }
     }
 }

@@ -206,7 +206,7 @@ impl SpatialHash {
 
     /// Calls `f` for each point index within `radius` of `center`.
     ///
-    /// A radius wider than [`MAX_CELL_SPAN`] cells (astronomical
+    /// A radius wider than `MAX_CELL_SPAN` (2¹⁵) cells (astronomical
     /// coordinates, an infinite radius) scans the points in index order
     /// instead of a cell box that would take hours or overflow the
     /// cell keys; saturating key arithmetic keeps every box query

@@ -10,7 +10,7 @@
 //!   contention; shards are merged when a [`MetricsSnapshot`] is taken.
 //!   Metric names follow `<crate>.<component>.<metric>`
 //!   (e.g. `core.rle.eliminations`, `sim.mc.trials`).
-//! * **Spans** ([`span`]) — RAII wall-clock timers. `span!("name")`
+//! * **Spans** ([`span!`]) — RAII wall-clock timers. `span!("name")`
 //!   returns a guard; nested guards on the same thread build a
 //!   hierarchical timing tree keyed by dotted paths, summarized by
 //!   [`span_snapshot`].

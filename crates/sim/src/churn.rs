@@ -12,15 +12,14 @@
 //! one transaction: the engine queues departures and arrivals into a
 //! [`MutationBatch`] and commits it with a single [`Problem::apply`]
 //! (one envelope reconciliation, one spatial-index patch pass — never a
-//! rebuild), with a [`LinkIdMap`] keeping stable external handles
-//! across the dense renumbering. Each busy slot schedules the live
-//! problem itself with the backlog as the [`Scope`] (queue lengths as
-//! its weights under MaxWeight). See `docs/online.md`.
+//! rebuild); departures are named by the problem's stable external
+//! handles, which survive the dense renumbering. Each busy slot
+//! schedules the live problem itself with the backlog as the [`Scope`]
+//! (queue lengths as its weights under MaxWeight). See
+//! `docs/online.md`.
 
 use crate::slot::simulate_slot;
-use fading_core::{
-    LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem, SchedCtx, Scheduler, Scope,
-};
+use fading_core::{LinkSpec, MutationBatch, MutationError, Problem, SchedCtx, Scheduler, Scope};
 use fading_math::{seeded_rng, split_seed, OnlineStats};
 use fading_net::{Link, LinkId, LinkSet, UniformGenerator};
 use fading_obs::{
@@ -153,7 +152,7 @@ impl ChurnResult {
 
 /// Per-link engine state, indexed by dense id: `Problem::apply`'s
 /// renumbering (descending `swap_remove`s, then appends) is mirrored on
-/// the `Vec`, as [`LinkIdMap`] mirrors it on the external handles.
+/// the `Vec`.
 #[derive(Debug)]
 struct LinkState {
     /// FIFO of packet arrival slots.
@@ -344,14 +343,13 @@ impl TelemetryConfig {
 
 /// A long-running scheduling engine over a live, churning instance.
 ///
-/// Owns the mutable [`Problem`], the external↔dense [`LinkIdMap`], all
+/// Owns the mutable [`Problem`] (with its stable link handles), all
 /// per-link queues, and a warm [`SchedCtx`]. Drive it one
 /// [`step`](Self::step) at a time (the CLI's progress loop does) or
 /// use [`run`](Self::run) for a whole horizon.
 #[derive(Debug)]
 pub struct ChurnEngine {
     problem: Problem,
-    map: LinkIdMap,
     states: Vec<LinkState>,
     geometry: UniformGenerator,
     cfg: ChurnConfig,
@@ -406,7 +404,6 @@ impl ChurnEngine {
         let n0 = problem.len();
         let mut churn_rng = seeded_rng(split_seed(cfg.seed, 0));
         let packet_rng = seeded_rng(split_seed(cfg.seed, 1));
-        let map = LinkIdMap::with_len(n0);
         let states = (0..n0)
             .map(|_| LinkState {
                 queue: VecDeque::new(),
@@ -417,7 +414,6 @@ impl ChurnEngine {
         ctx.prepare(n0);
         Self {
             problem,
-            map,
             states,
             geometry,
             cfg,
@@ -486,7 +482,7 @@ impl ChurnEngine {
 
     /// Number of live links.
     pub fn population(&self) -> usize {
-        self.map.len()
+        self.problem.len()
     }
 
     /// Current slot index (number of completed steps).
@@ -525,7 +521,7 @@ impl ChurnEngine {
         for (dense, state) in self.states.iter().enumerate() {
             if state.departs_at <= t {
                 let dense = LinkId(dense as u32);
-                self.batch.remove(self.map.external(dense));
+                self.batch.remove(self.problem.external(dense));
                 self.departing.push(dense);
             }
         }
@@ -541,13 +537,14 @@ impl ChurnEngine {
 
         // Commit it: one `Problem::apply` — one envelope
         // reconciliation and one spatial-index patch pass for the whole
-        // slot, with the id map mirrored inside the same transaction.
+        // slot, the external handles renumbered inside the same
+        // transaction.
         // Coordinate collisions are measure-zero but possible under
         // adversarial seeds; resample exactly the rejected slot.
         if !self.batch.is_empty() {
             let mut tries = 0;
             loop {
-                match self.problem.apply(&self.batch, &mut self.map) {
+                match self.problem.apply(&self.batch) {
                     Ok(_) => break,
                     Err(MutationError::InvalidAdd { slot, .. }) => {
                         tries += 1;
@@ -567,7 +564,7 @@ impl ChurnEngine {
                     queue: VecDeque::new(),
                     departs_at,
                 }));
-            debug_assert_eq!(self.states.len(), self.map.len());
+            debug_assert_eq!(self.states.len(), self.problem.len());
             if link_departures > 0 {
                 fading_obs::counter!("sim.churn.link_departures").add(link_departures as u64);
             }
@@ -652,7 +649,7 @@ impl ChurnEngine {
             slot: t,
             link_arrivals: arrivals,
             link_departures,
-            population: self.map.len() as u32,
+            population: self.problem.len() as u32,
             scheduled,
             packets_arrived,
             delivered,
@@ -1059,13 +1056,14 @@ mod tests {
     #[test]
     fn population_tracks_the_mg_infinity_equilibrium() {
         // λ·E[life] = 2 × 30 = 60; from a seed of 40 the time-averaged
-        // population must sit in that neighborhood, and the engine's
-        // live problem must agree with its own map.
+        // population must sit in that neighborhood, and every live
+        // link's external handle must name it.
         let mut e = engine(cfg(300));
         for _ in 0..300 {
             e.step(&GreedyRate, ServicePolicy::PlainRates);
         }
-        assert_eq!(e.population(), e.problem().len());
+        let p = e.problem();
+        assert!(p.links().ids().all(|k| p.id_of(p.external(k)) == Some(k)));
         let pop = e.population() as f64;
         assert!(
             (20.0..=140.0).contains(&pop),

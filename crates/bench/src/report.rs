@@ -833,12 +833,18 @@ fn churn_large_benches(rec: &mut Recorder) {
 /// under packet probability 0.03, which holds a backlog of a few
 /// hundred links, scheduled by GreedyRate + MaxWeight after 100 warm-up
 /// slots. Scheduling is the certified member checks of
-/// `InterferenceAccumulator`, and three derived rows gate them:
+/// `InterferenceAccumulator` and service the certified slot verdicts of
+/// `fading_sim::slot`; five derived rows gate them:
 ///
-/// * `queue.exact_fallbacks_per_slot.10k` — exact resolutions per slot
-///   over a fixed 50 slots (`Ratio`, deterministic per seed, `[max]`);
-/// * `queue.schedule_share.10k` — schedule time over slot time across
-///   those slots, from the engine's `SlotRecord`s (`Ratio`, `[max]`);
+/// * `queue.exact_fallbacks_per_slot.10k` — the accumulator's exact
+///   resolutions per slot over a fixed 50 slots (`Ratio`,
+///   deterministic per seed, `[max]`);
+/// * `queue.exact_rows_per_slot.10k` — receivers per slot whose
+///   verdict the interference bound left open (`sim.slot.exact_rows`;
+///   `Ratio`, deterministic per seed, `[max]`);
+/// * `queue.schedule_share.10k` / `queue.service_share.10k` — schedule
+///   and service time over slot time across those slots, from the
+///   engine's `SlotRecord`s (`Ratio`, `[max]`);
 /// * `queue.slots_per_sec.10k` — the inverse of the timed median
 ///   `queue_slot/maxweight/10000` (`Rate`, `[min]`).
 fn queue_benches(rec: &mut Recorder) {
@@ -848,7 +854,9 @@ fn queue_benches(rec: &mut Recorder) {
     let ids = [
         slot_id.as_str(),
         "queue.schedule_share.10k",
+        "queue.service_share.10k",
         "queue.exact_fallbacks_per_slot.10k",
+        "queue.exact_rows_per_slot.10k",
         "queue.slots_per_sec.10k",
     ];
     if !ids.iter().any(|id| rec.wants(id)) {
@@ -874,30 +882,39 @@ fn queue_benches(rec: &mut Recorder) {
     for _ in 0..100 {
         step(&mut engine);
     }
-    let fallbacks = || fading_obs::counter!("core.accumulator.exact_fallbacks").value();
-    let before = fallbacks();
+    let counters = [
+        (
+            "queue.exact_fallbacks_per_slot.10k",
+            fading_obs::counter!("core.accumulator.exact_fallbacks"),
+        ),
+        (
+            "queue.exact_rows_per_slot.10k",
+            fading_obs::counter!("sim.slot.exact_rows"),
+        ),
+    ];
+    let before = counters.map(|(_, c)| c.value());
     for _ in 0..SLOTS {
         step(&mut engine);
     }
-    rec.derived(
-        "queue.exact_fallbacks_per_slot.10k",
-        MetricKind::Ratio,
-        (fallbacks() - before) as f64 / SLOTS as f64,
-    );
+    for ((id, counter), before) in counters.into_iter().zip(before) {
+        let per_slot = (counter.value() - before) as f64 / SLOTS as f64;
+        rec.derived(id, MetricKind::Ratio, per_slot);
+    }
     let series = engine
         .telemetry()
         .and_then(|t| t.series())
         .expect("armed with a series");
-    let (schedule_ns, slot_ns) = series
-        .records()
-        .skip(100)
-        .fold((0, 0), |(a, b), r| (a + r.schedule_ns, b + r.slot_ns));
+    let (schedule_ns, service_ns, slot_ns) =
+        series.records().skip(100).fold((0, 0, 0), |(a, b, c), r| {
+            (a + r.schedule_ns, b + r.service_ns, c + r.slot_ns)
+        });
     if slot_ns > 0 {
-        rec.derived(
-            "queue.schedule_share.10k",
-            MetricKind::Ratio,
-            schedule_ns as f64 / slot_ns as f64,
-        );
+        for (id, ns) in [
+            ("queue.schedule_share.10k", schedule_ns),
+            ("queue.service_share.10k", service_ns),
+        ] {
+            rec.derived(id, MetricKind::Ratio, ns as f64 / slot_ns as f64);
+        }
     }
     let slot = measure_ns(rec.samples, rec.target, || step(&mut engine));
     let median = slot.median_ns;

@@ -18,11 +18,31 @@ pub trait FadingLaw: Sync {
 
     /// Draws the power of schedule pair `pair = tx·k + rx` (sender
     /// `tx` at receiver `rx`; `tx == rx` is the signal) of mean `mean`.
+    /// The default is the exponential draw of
+    /// [`Self::exponential_mean`]; a law without one overrides it.
     fn draw<R: Rng + ?Sized>(
         &self,
         realization: &Self::Realization,
         mean: &Exponential,
         pair: usize,
         rng: &mut R,
-    ) -> f64;
+    ) -> f64 {
+        let mean = self.exponential_mean(realization, mean.mean(), pair);
+        Exponential::with_mean(mean.expect("a law without an exponential mean overrides `draw`"))
+            .sample(rng)
+    }
+
+    /// `Some(mean')` when the draw of pair `pair` is
+    /// `Exponential::with_mean(mean').from_uniform(U)` of one uniform
+    /// `U = rng.gen()`, with `mean'` non-decreasing in `mean`; `None`
+    /// for a law that draws otherwise. For such a law the kernel
+    /// buffers each receiver's uniforms and decides its SINR test from
+    /// an upper bound on the interference, summing exactly only the
+    /// rows the bound leaves open.
+    fn exponential_mean(
+        &self,
+        realization: &Self::Realization,
+        mean: f64,
+        pair: usize,
+    ) -> Option<f64>;
 }

@@ -49,6 +49,12 @@ impl FadingLaw for NakagamiChannel {
     fn draw<R: Rng + ?Sized>(&self, _: &(), mean: &Exponential, _: usize, rng: &mut R) -> f64 {
         sample_gamma(rng, self.m, mean.mean() / self.m)
     }
+
+    /// `None`: a Gamma draw takes a variable number of uniforms
+    /// (rejection), so the kernel sums every row exactly.
+    fn exponential_mean(&self, _: &(), _: f64, _: usize) -> Option<f64> {
+        None
+    }
 }
 
 /// Marsaglia–Tsang Gamma(shape, scale) sampling; for `shape < 1` uses

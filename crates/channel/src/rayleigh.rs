@@ -119,8 +119,8 @@ impl FadingLaw for RayleighChannel {
 
     /// `Exp(mean)` (Eq. (5)).
     #[inline]
-    fn draw<R: Rng + ?Sized>(&self, _: &(), mean: &Exponential, _: usize, rng: &mut R) -> f64 {
-        mean.sample(rng)
+    fn exponential_mean(&self, _: &(), mean: f64, _: usize) -> Option<f64> {
+        Some(mean)
     }
 }
 

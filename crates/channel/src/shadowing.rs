@@ -15,7 +15,6 @@
 use crate::gaussian;
 use crate::law::FadingLaw;
 use crate::params::ChannelParams;
-use fading_math::Exponential;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -68,23 +67,18 @@ impl FadingLaw for ShadowedRayleigh {
         (0..k * k).map(|_| self.sample_shadow_factor(rng)).collect()
     }
 
-    /// `Exp(mean·s_ij)`.
+    /// `Exp(mean·s_ij)`: the factor is fixed before the slot's first
+    /// gain.
     #[inline]
-    fn draw<R: Rng + ?Sized>(
-        &self,
-        s: &Vec<f64>,
-        mean: &Exponential,
-        pair: usize,
-        rng: &mut R,
-    ) -> f64 {
-        Exponential::with_mean(mean.mean() * s[pair]).sample(rng)
+    fn exponential_mean(&self, s: &Vec<f64>, mean: f64, pair: usize) -> Option<f64> {
+        Some(mean * s[pair])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fading_math::{seeded_rng, OnlineStats};
+    use fading_math::{seeded_rng, Exponential, OnlineStats};
 
     #[test]
     fn zero_sigma_reduces_to_rayleigh() {

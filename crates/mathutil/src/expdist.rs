@@ -35,8 +35,15 @@ impl Exponential {
     /// Draws one sample via inverse transform: `-mean · ln(1 − U)`.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // gen::<f64>() ∈ [0,1); 1-u ∈ (0,1] so ln is finite.
-        let u: f64 = rng.gen();
+        self.from_uniform(rng.gen())
+    }
+
+    /// The inverse transform of one uniform `u ∈ [0, 1)`:
+    /// `-mean · ln(1 − u)`, bit for bit what [`Self::sample`] returns
+    /// when its generator yields `u`.
+    #[inline]
+    pub fn from_uniform(&self, u: f64) -> f64 {
+        // u ∈ [0,1); 1-u ∈ (0,1] so ln is finite.
         -self.mean * (1.0 - u).ln()
     }
 

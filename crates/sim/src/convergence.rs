@@ -49,7 +49,9 @@ pub fn convergence_trace(
     for t in 0..total {
         let mut rng = seeded_rng(split_seed(base_seed, t));
         let mut failed = 0usize;
-        table.realize(&mut rng, |_, o| failed += usize::from(!o.success));
+        table.verdicts_under(problem.channel(), &mut rng, |_, success| {
+            failed += usize::from(!success)
+        });
         stats.push(failed as f64);
         if t + 1 == checkpoints[next] {
             out.push(TracePoint {

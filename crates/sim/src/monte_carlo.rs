@@ -77,8 +77,8 @@ pub fn simulate_many_under<L: FadingLaw>(
     let one = |t: u64| {
         let mut rng = seeded_rng(split_seed(base_seed, t));
         let (mut failed, mut delivered_rate) = (0.0, 0.0);
-        table.realize_under(law, &mut rng, |j, o| {
-            if o.success {
+        table.verdicts_under(law, &mut rng, |j, success| {
+            if success {
                 delivered_rate += problem.rate(j);
             } else {
                 failed += 1.0;

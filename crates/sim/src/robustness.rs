@@ -154,9 +154,9 @@ pub fn sinr_histogram(
     let table = GainTable::new(problem, schedule);
     for t in 0..trials {
         let mut rng = seeded_rng(split_seed(seed, t));
-        table.realize(&mut rng, |_, o| {
-            if o.sinr.is_finite() && o.sinr > 0.0 {
-                hist.record(10.0 * o.sinr.log10());
+        table.sinrs(&mut rng, |_, sinr| {
+            if sinr.is_finite() && sinr > 0.0 {
+                hist.record(10.0 * sinr.log10());
             }
         });
     }

@@ -13,29 +13,41 @@
 //! its backlogged links, so the mean gains carry the true transmit
 //! powers (see `docs/residual.md`).
 //!
-//! **Where mean gains are computed.** A realization is one kernel,
-//! `realize`, that reads each receiver's row of mean gains
-//! `P·d_ij^{−α}·scale_i` (schedule order; the diagonal entry is the
-//! desired signal over `d_jj`) and draws the signal, then the
-//! interferers, from one RNG. The rows come from one of two places:
+//! **Certified verdicts.** A realization is one kernel, `realize`: for
+//! each scheduled receiver in schedule order it draws the signal, then
+//! the interferers (schedule order, skipping itself), from one RNG.
+//! Most callers need only the verdict `X_j ≥ γ_th`, which a
+//! fading-aware schedule clears by a wide margin almost everywhere
+//! (Thm 3.1). When the law draws `mean'·(−ln(1−U))` from one uniform
+//! ([`FadingLaw::exponential_mean`]: Rayleigh, shadowed Rayleigh), a
+//! verdict caller buffers each row's uniforms in stream order, draws
+//! the signal exactly and bounds the interference by `B = Σ_i m̄_i·Ē_i`,
+//! with `m̄_i` at least the exact mean (`mean_bound`; the tabulated
+//! mean itself) and `Ē_i ≥ −ln(1−U_i)` read off the bits of `1−U_i`
+//! (`neg_ln_bound`, no logarithm). If
+//! `signal / (N₀ + B·(1 + CERT_SLACK)) ≥ γ_th`, the receiver succeeds.
+//! Otherwise the row is summed exactly: the buffered uniforms go
+//! through the same inverse transform and the same `KahanSum` in
+//! `sinr_of` as the draws would have. Each bound term dominates its
+//! exact term and `CERT_SLACK` covers the summation error, so a
+//! certified receiver's exact SINR clears `γ_th` too, and every verdict
+//! and the RNG stream are bit-identical to summing every row
+//! (`docs/THEORY.md` §7). `sim.slot.exact_rows` counts the rows the
+//! bound leaves open. Callers that need the SINR ([`realized_sinrs`],
+//! `sinr_histogram`) and laws with other draws (Nakagami's rejection
+//! takes a variable number of uniforms) sum every row.
 //!
-//! * `GainTable` computes all `|S|×|S|` means once per (problem,
-//!   schedule). Many-trial callers — `simulate_many`,
-//!   `convergence_trace`, `sinr_histogram` — build one and run every
-//!   trial from it, so no trial pays for a `powf` or a square root.
-//!   Past 2048 scheduled links the table would exceed 32 MiB, and each
-//!   trial streams its rows instead.
-//! * [`simulate_slot`] and [`realized_sinrs`] realize a schedule once,
-//!   so they fill one scratch row per receiver as they go and never
-//!   allocate a `|S|²` table (the engine's busy slots schedule hundreds
-//!   of links).
-//!
-//! Both feed the same draws, in the same order, through the same
-//! `KahanSum` in `sinr_of`, so every outcome is bit-identical whichever
-//! source is used.
+//! **Where mean gains come from.** `GainTable` computes all `|S|×|S|`
+//! means once per (problem, schedule), and many-trial callers
+//! (`simulate_many`, `convergence_trace`, `sinr_histogram`) run every
+//! trial from it. [`simulate_slot`] and [`realized_sinrs`] realize a
+//! schedule once, and so does a table past 2048 links (32 MiB): they
+//! stream, bounding each row from geometry and computing exact means
+//! only for an open row, so no `|S|²` table is allocated.
 
-use fading_channel::{sinr_of, FadingLaw, SinrOutcome};
+use fading_channel::{sinr_of, ChannelParams, FadingLaw, SinrOutcome};
 use fading_core::{Problem, Schedule};
+use fading_geom::Point2;
 use fading_math::Exponential;
 use fading_net::LinkId;
 use rand::Rng;
@@ -69,10 +81,9 @@ pub fn simulate_slot<R: Rng + ?Sized>(
         failures: Vec::new(),
         delivered_rate: 0.0,
     };
-    let mut rows = StreamRows::new(problem, schedule.ids());
     let law = problem.channel();
-    realize(problem, schedule.ids(), &mut rows, law, rng, |j, o| {
-        if o.success {
+    GainTable::streaming(problem, schedule).verdicts_under(law, rng, |j, success| {
+        if success {
             out.successes.push(j);
             out.delivered_rate += problem.rate(j);
         } else {
@@ -89,19 +100,42 @@ pub fn realized_sinrs<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<(LinkId, f64)> {
     let mut out = Vec::with_capacity(schedule.len());
-    let mut rows = StreamRows::new(problem, schedule.ids());
-    let law = problem.channel();
-    realize(problem, schedule.ids(), &mut rows, law, rng, |j, o| {
-        out.push((j, o.sinr))
-    });
+    GainTable::streaming(problem, schedule).sinrs(rng, |j, sinr| out.push((j, sinr)));
     out
 }
 
-/// A source of per-receiver mean-gain rows for [`realize`].
+/// How much of each receiver's outcome a realization resolves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resolve {
+    /// Only the verdict: certified from the interference bound where
+    /// the law allows, summed exactly where the bound leaves it open.
+    Verdicts,
+    /// Every row's realized SINR, summed exactly.
+    Sinrs,
+}
+
+/// One receiver's result in one realization.
+#[derive(Debug, Clone, Copy)]
+enum RowOutcome {
+    /// The realized SINR, summed exactly.
+    Exact(SinrOutcome),
+    /// A success certified by the interference bound; no SINR was
+    /// summed.
+    Certified,
+}
+
+/// A source of per-receiver mean gains for [`realize`].
 trait GainRows {
-    /// Receiver `ids[j]`'s row: one exponential per scheduled sender,
-    /// in schedule order; entry `j` is the desired signal.
+    /// Receiver `ids[j]`'s exact row: one exponential per scheduled
+    /// sender, in schedule order; entry `j` is the desired signal.
     fn row(&mut self, j: usize) -> &[Exponential];
+
+    /// Entry `j` of [`Self::row`]`(j)`: the desired signal's exact mean.
+    fn signal(&self, j: usize) -> Exponential;
+
+    /// Upper bounds on the means of [`Self::row`]`(j)` as `f64`s, in
+    /// schedule order (entry `j` is unused).
+    fn mean_bounds(&self, j: usize) -> impl Iterator<Item = f64> + '_;
 }
 
 /// Most entries a [`GainTable`] allocates: 2^22 (32 MiB), i.e.
@@ -126,6 +160,11 @@ impl<'a> GainTable<'a> {
         Self::with_cap(problem, schedule, MAX_TABLE_ENTRIES)
     }
 
+    /// A table that streams its rows: for a schedule realized once.
+    fn streaming(problem: &'a Problem, schedule: &'a Schedule) -> Self {
+        Self::with_cap(problem, schedule, 0)
+    }
+
     fn with_cap(problem: &'a Problem, schedule: &'a Schedule, max_entries: usize) -> Self {
         let ids = schedule.ids();
         let k = ids.len();
@@ -146,22 +185,36 @@ impl<'a> GainTable<'a> {
         }
     }
 
-    /// [`Self::realize_under`] the problem's Rayleigh channel.
-    pub(crate) fn realize<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        each: impl FnMut(LinkId, SinrOutcome),
-    ) {
-        self.realize_under(self.problem.channel(), rng, each);
-    }
-
-    /// Runs one realization under `law`, reporting each receiver's
-    /// outcome in schedule order.
-    pub(crate) fn realize_under<L: FadingLaw, R: Rng + ?Sized>(
+    /// Runs one realization under `law`, reporting whether each
+    /// receiver succeeded, in schedule order.
+    pub(crate) fn verdicts_under<L: FadingLaw, R: Rng + ?Sized>(
         &self,
         law: &L,
         rng: &mut R,
-        each: impl FnMut(LinkId, SinrOutcome),
+        mut each: impl FnMut(LinkId, bool),
+    ) {
+        self.realize(law, Resolve::Verdicts, rng, |j, o| match o {
+            RowOutcome::Exact(o) => each(j, o.success),
+            RowOutcome::Certified => each(j, true),
+        });
+    }
+
+    /// Runs one Rayleigh realization, reporting each receiver's
+    /// realized SINR in schedule order.
+    pub(crate) fn sinrs<R: Rng + ?Sized>(&self, rng: &mut R, mut each: impl FnMut(LinkId, f64)) {
+        let law = self.problem.channel();
+        self.realize(law, Resolve::Sinrs, rng, |j, o| match o {
+            RowOutcome::Exact(o) => each(j, o.sinr),
+            RowOutcome::Certified => unreachable!("Resolve::Sinrs sums every row"),
+        });
+    }
+
+    fn realize<L: FadingLaw, R: Rng + ?Sized>(
+        &self,
+        law: &L,
+        resolve: Resolve,
+        rng: &mut R,
+        each: impl FnMut(LinkId, RowOutcome),
     ) {
         match &self.gains {
             Some(gains) => {
@@ -169,17 +222,18 @@ impl<'a> GainTable<'a> {
                     k: self.ids.len(),
                     gains,
                 };
-                realize(self.problem, self.ids, &mut rows, law, rng, each);
+                realize(self.problem, self.ids, &mut rows, law, resolve, rng, each);
             }
             None => {
                 let mut rows = StreamRows::new(self.problem, self.ids);
-                realize(self.problem, self.ids, &mut rows, law, rng, each);
+                realize(self.problem, self.ids, &mut rows, law, resolve, rng, each);
             }
         }
     }
 }
 
-/// Rows read out of a tabulated `|S|×|S|` slice.
+/// Rows read out of a tabulated `|S|×|S|` slice; the bounds are the
+/// exact means.
 struct TableRows<'t> {
     k: usize,
     gains: &'t [Exponential],
@@ -190,22 +244,45 @@ impl GainRows for TableRows<'_> {
     fn row(&mut self, j: usize) -> &[Exponential] {
         &self.gains[j * self.k..(j + 1) * self.k]
     }
+
+    #[inline]
+    fn signal(&self, j: usize) -> Exponential {
+        self.gains[j * self.k + j]
+    }
+
+    #[inline]
+    fn mean_bounds(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
+        self.gains[j * self.k..(j + 1) * self.k]
+            .iter()
+            .map(Exponential::mean)
+    }
 }
 
-/// One scratch row, refilled for each receiver: a single realization
-/// costs the same mean-gain work as tabulating and allocates `|S|`
-/// entries instead of `|S|²`.
+/// Rows computed per receiver: bounds from geometry, and one scratch
+/// row of exact means filled only for a row the bound leaves open. A
+/// realization allocates `|S|` entries, not `|S|²`.
 struct StreamRows<'a> {
     problem: &'a Problem,
     ids: &'a [LinkId],
+    /// Each scheduled sender's position and its [`power_bound`].
+    senders: Vec<(Point2, f64)>,
     row: Vec<Exponential>,
 }
 
 impl<'a> StreamRows<'a> {
     fn new(problem: &'a Problem, ids: &'a [LinkId]) -> Self {
+        let links = problem.links();
+        let senders = ids
+            .iter()
+            .map(|&tx| {
+                let power = power_bound(problem.params(), problem.power_scale(tx));
+                (links.link(tx).sender, power)
+            })
+            .collect();
         Self {
             problem,
             ids,
+            senders,
             row: Vec::with_capacity(ids.len()),
         }
     }
@@ -218,6 +295,20 @@ impl GainRows for StreamRows<'_> {
         self.row.extend(gain_row(self.problem, self.ids, j));
         &self.row
     }
+
+    #[inline]
+    fn signal(&self, j: usize) -> Exponential {
+        exact_mean(self.problem, self.ids, j, j)
+    }
+
+    #[inline]
+    fn mean_bounds(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
+        let params = self.problem.params();
+        let rx = self.problem.links().link(self.ids[j]).receiver;
+        self.senders
+            .iter()
+            .map(move |(tx, power)| mean_bound(params, *power, tx.distance(&rx)))
+    }
 }
 
 /// Receiver `ids[j]`'s mean gains `P·d_ij^{−α}·scale_i` from every
@@ -228,43 +319,180 @@ fn gain_row<'a>(
     ids: &'a [LinkId],
     j: usize,
 ) -> impl Iterator<Item = Exponential> + 'a {
-    let params = problem.params();
+    (0..ids.len()).map(move |i| exact_mean(problem, ids, j, i))
+}
+
+/// Entry `i` of [`gain_row`]: sender `ids[i]`'s mean gain at receiver
+/// `ids[j]`.
+#[inline]
+fn exact_mean(problem: &Problem, ids: &[LinkId], j: usize, i: usize) -> Exponential {
     let links = problem.links();
-    let rx = ids[j];
-    ids.iter().enumerate().map(move |(i, &tx)| {
-        let d = if i == j {
-            links.length(rx)
-        } else {
-            links.sender_receiver_distance(tx, rx)
-        };
-        let scale = problem.power_scale(tx);
-        debug_assert!(scale > 0.0, "power scale must be positive");
-        Exponential::with_mean(params.mean_gain(d) * scale)
-    })
+    let (tx, rx) = (ids[i], ids[j]);
+    let d = if i == j {
+        links.length(rx)
+    } else {
+        links.sender_receiver_distance(tx, rx)
+    };
+    let scale = problem.power_scale(tx);
+    debug_assert!(scale > 0.0, "power scale must be positive");
+    Exponential::with_mean(problem.params().mean_gain(d) * scale)
+}
+
+/// Relative slack on the interference bound: `2^−20`.
+///
+/// A row is certified when `signal / (N₀ + B̂·(1 + CERT_SLACK)) ≥ γ_th`,
+/// where `B̂` is the naive (recursive) sum of the `k−1` bound terms
+/// `b_i`. Each `b_i` is at least the exact kernel's term `t_i` (see
+/// [`mean_bound`] and [`neg_ln_bound`]; `fl(x·y)` is monotone), so the
+/// slack covers the two sums' rounding only. With `u = 2^−53`, all
+/// terms non-negative and `T = Σ t_i ≤ Σ b_i`:
+///
+/// * the naive sum loses at most a factor `(1−u)^{k−2}`:
+///   `B̂ ≥ (1 − k·u)·T`;
+/// * the exact kernel's Neumaier sum gains at most
+///   `T̂ ≤ (1 + 2u + O(k·u²))·T` (Higham, *Accuracy and Stability of
+///   Numerical Algorithms*, §4.3);
+/// * the product `B̂·(1 + CERT_SLACK)` rounds down by at most `(1−u)`.
+///
+/// So `fl(B̂·(1 + CERT_SLACK)) ≥ T̂` whenever
+/// `(1 + CERT_SLACK)(1 − u)(1 − k·u) ≥ 1 + 2u + O(k·u²)`, i.e. whenever
+/// `CERT_SLACK ≳ (k + 3)·u`. Schedule ids are distinct `u32`s, so
+/// `k ≤ 2^32` and `(k + 3)·u` is at most about `2^−21`, half of
+/// `CERT_SLACK`; the other half covers the `O(k·u²)`. (A subnormal `B̂`
+/// is an exact sum, and then so is `T̂ ≤ B̂`.) A fixed `10^−12`, like
+/// the cut tolerance of the interference store, would stop covering
+/// near `k ≈ 9000`. `N₀ + ·` and `signal / ·` are monotone in the
+/// denominator, so the bound's SINR never exceeds the exact one. The
+/// slack costs nothing in practice: the chord bound is already a few
+/// percent above the draws it bounds.
+const CERT_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Whether the interference bound `bound` certifies a success (see
+/// [`CERT_SLACK`]); `false`, also on NaN, leaves the row open.
+#[inline]
+fn certified(params: &ChannelParams, signal: f64, bound: f64) -> bool {
+    signal / (params.noise + bound * (1.0 + CERT_SLACK)) >= params.gamma_th
+}
+
+/// `ln 2` rounded up: `LN_2·(1 + 2^−50)` rounds to `LN_2 + 6 ulps`, and
+/// `LN_2` sits 0.21 ulp below `ln 2`, so this is `ln 2·(1 + 8.3u)`
+/// (`u = 2^−53`).
+const LN_2_UP: f64 = std::f64::consts::LN_2 * (1.0 + 4.0 * f64::EPSILON);
+
+/// An upper bound on `-x.ln()` for a normal `x > 0`, with no logarithm.
+///
+/// Write `x = 2^e·m`, `m ∈ [1, 2)`. The concave `ln` lies above its
+/// chord, `ln m ≥ (m − 1)·ln 2`, so `−ln x ≤ (1 − e − m)·ln 2`, with
+/// equality at powers of two. Two roundings against [`LN_2_UP`] leave
+/// the result at least `(1 + 6.3u)·(−ln x)`, above libm's `ln`, which
+/// is within one ulp (`docs/THEORY.md` §7). The kernel's `1 − U`
+/// (`U = n·2^−53`) is always normal.
+#[inline]
+fn neg_ln_bound(x: f64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = x.to_bits();
+    let e = (bits >> 52) as i64 - 1023;
+    let m = f64::from_bits((bits & MANTISSA) | 1f64.to_bits());
+    ((1 - e) as f64 - m) * LN_2_UP
+}
+
+/// Magnitudes (of `P`, a power scale and `d^α`) inside which every
+/// product and quotient of the mean computations stays normal, so each
+/// rounding is relative: `[2^−256, 2^256]`.
+const TAME: std::ops::RangeInclusive<f64> =
+    f64::from_bits((1023 - 256) << 52)..=f64::from_bits((1023 + 256) << 52);
+
+/// `P·scale·(1 + 2^−48)`, the numerator of [`mean_bound`], computed
+/// once per scheduled sender; `+∞` (no row it reaches is certified)
+/// when `P` or `scale` is outside [`TAME`].
+fn power_bound(params: &ChannelParams, scale: f64) -> f64 {
+    if TAME.contains(&params.power) && TAME.contains(&scale) {
+        params.power * scale * (1.0 + 16.0 * f64::EPSILON)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// An upper bound on the exact mean gain `mean_gain(d)·scale` from
+/// `power = `[`power_bound`]`(params, scale)`, with no `powf` at the
+/// integer exponents.
+///
+/// The exact mean is within `4.01u` (`u = 2^−53`) of
+/// `P·scale·d^{−α}`, and this quotient, before the `2^−48 = 32u`
+/// inflation of [`power_bound`], within `8.02u` (`pow_alpha` compounds
+/// up to five roundings at `α = 6`), so the inflated bound is larger
+/// (`docs/THEORY.md` §7). Outside [`TAME`], `+∞` leaves the row to the
+/// exact sum.
+#[inline]
+fn mean_bound(params: &ChannelParams, power: f64, d: f64) -> f64 {
+    let path_loss = params.pow_alpha(d);
+    if TAME.contains(&path_loss) {
+        power / path_loss
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// The realization kernel: start a realization of `law`, then for each
 /// scheduled receiver in schedule order draw its signal and then its
 /// interferers (schedule order, skipping itself) from `rng`, and hand
-/// `each` the realized SINR outcome.
+/// `each` the receiver's outcome. Under [`Resolve::Verdicts`] and a law
+/// with an [`exponential_mean`](FadingLaw::exponential_mean), a row's
+/// uniforms are buffered and its verdict certified from the
+/// interference bound where it can be, summed exactly from the buffer
+/// where it cannot; otherwise every row draws and sums exactly.
 fn realize<L: FadingLaw, R: Rng + ?Sized>(
     problem: &Problem,
     ids: &[LinkId],
     rows: &mut impl GainRows,
     law: &L,
+    resolve: Resolve,
     rng: &mut R,
-    mut each: impl FnMut(LinkId, SinrOutcome),
+    mut each: impl FnMut(LinkId, RowOutcome),
 ) {
     let params = problem.params();
     let k = ids.len();
     let state = law.begin(k, rng);
+    let mut uniforms = vec![0.0; k];
+    let mut exact_rows = 0u64;
     for (j, &rx) in ids.iter().enumerate() {
+        let diagonal = j * k + j;
+        let signal_mean = match resolve {
+            Resolve::Verdicts => law.exponential_mean(&state, rows.signal(j).mean(), diagonal),
+            Resolve::Sinrs => None,
+        };
+        let Some(signal_mean) = signal_mean else {
+            let row = rows.row(j);
+            let signal = law.draw(&state, &row[j], diagonal, rng);
+            let interference = (0..k)
+                .filter(|&i| i != j)
+                .map(|i| law.draw(&state, &row[i], i * k + j, rng));
+            each(rx, RowOutcome::Exact(sinr_of(params, signal, interference)));
+            continue;
+        };
+        let signal = Exponential::with_mean(signal_mean).from_uniform(rng.gen());
+        let mut bound = 0.0;
+        for (i, (mean, u)) in rows.mean_bounds(j).zip(&mut uniforms).enumerate() {
+            if i != j {
+                *u = rng.gen();
+                let mean = law.exponential_mean(&state, mean, i * k + j);
+                bound += mean.unwrap_or(f64::INFINITY) * neg_ln_bound(1.0 - *u);
+            }
+        }
+        if certified(params, signal, bound) {
+            each(rx, RowOutcome::Certified);
+            continue;
+        }
+        exact_rows += 1;
         let row = rows.row(j);
-        let signal = law.draw(&state, &row[j], j * k + j, rng);
-        let interference = (0..k)
-            .filter(|&i| i != j)
-            .map(|i| law.draw(&state, &row[i], i * k + j, rng));
-        each(rx, sinr_of(params, signal, interference));
+        let interference = (0..k).filter(|&i| i != j).map(|i| {
+            let mean = law.exponential_mean(&state, row[i].mean(), i * k + j);
+            Exponential::with_mean(mean.expect("an exponential law")).from_uniform(uniforms[i])
+        });
+        each(rx, RowOutcome::Exact(sinr_of(params, signal, interference)));
+    }
+    if resolve == Resolve::Verdicts {
+        fading_obs::counter!("sim.slot.exact_rows").add(exact_rows);
     }
 }
 
@@ -423,14 +651,18 @@ mod tests {
             failures: Vec::new(),
             delivered_rate: 0.0,
         };
-        GainTable::with_cap(problem, schedule, max_entries).realize(rng, |j, o| {
-            if o.success {
-                out.successes.push(j);
-                out.delivered_rate += problem.rate(j);
-            } else {
-                out.failures.push(j);
-            }
-        });
+        GainTable::with_cap(problem, schedule, max_entries).verdicts_under(
+            problem.channel(),
+            rng,
+            |j, success| {
+                if success {
+                    out.successes.push(j);
+                    out.delivered_rate += problem.rate(j);
+                } else {
+                    out.failures.push(j);
+                }
+            },
+        );
         out
     }
 
@@ -479,7 +711,7 @@ mod tests {
                 prop_assert_eq!(sinr_bits(&streamed), want.clone());
                 let mut tabulated = Vec::new();
                 GainTable::new(&p, &s)
-                    .realize(&mut seeded_rng(rng_seed), |j, o| tabulated.push((j, o.sinr)));
+                    .sinrs(&mut seeded_rng(rng_seed), |j, sinr| tabulated.push((j, sinr)));
                 prop_assert_eq!(sinr_bits(&tabulated), want);
                 // Consecutive slots off one stream: both paths consume
                 // exactly the oracle's draws.
@@ -496,6 +728,104 @@ mod tests {
                 prop_assert_eq!(next, c.gen::<u64>());
             }
         }
+    }
+
+    /// `2^e` for a normal exponent.
+    fn pow2(e: i64) -> f64 {
+        f64::from_bits(((1023 + e) as u64) << 52)
+    }
+
+    #[test]
+    fn ln_2_up_sits_six_ulps_above_ln_2() {
+        assert_eq!(LN_2_UP.to_bits() - std::f64::consts::LN_2.to_bits(), 6);
+    }
+
+    #[test]
+    fn chord_bound_dominates_ln_at_powers_of_two_and_their_neighbours() {
+        let mut xs = vec![1.0, pow2(-53)];
+        for e in -1022..=0 {
+            let x = pow2(e);
+            xs.extend([x, x.next_down(), x.next_up()]);
+        }
+        for x in xs.into_iter().filter(|x| x.is_normal()) {
+            assert!(neg_ln_bound(x) >= -x.ln(), "x = {x:e}");
+        }
+        assert_eq!(neg_ln_bound(1.0), 0.0);
+    }
+
+    #[test]
+    fn chord_bound_dominates_ln_on_the_uniform_grid() {
+        // Every `1 − U` the kernel bounds is `(2^53 − n)·2^−53` for an
+        // integer `n`: sweep both ends of the grid and a random sample.
+        let grid = |n: u64| 1.0 - n as f64 * pow2(-53);
+        let mut rng = seeded_rng(9);
+        let ends = (0..4096).flat_map(|n| [grid(n), grid((1 << 53) - 1 - n)]);
+        let sample = (0..1 << 20).map(|_| 1.0 - rng.gen::<f64>());
+        for x in ends.chain(sample) {
+            let bound = neg_ln_bound(x);
+            assert!(bound >= -x.ln(), "x = {x:e}");
+            // The chord stays within ln 2 − 1 − ln ln 2 ≈ 0.0597 of the
+            // curve (at m = 1/ln 2): a bound, not a blanket.
+            assert!(bound <= -x.ln() + 0.0598, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn streamed_mean_bound_dominates_the_exact_mean() {
+        let mut rng = seeded_rng(11);
+        for alpha in [2.5, 3.0, 3.5, 4.0, 4.5, 6.0] {
+            for power in [1.0, 0.37, 12.5] {
+                let params = ChannelParams::new(alpha, 1.0, power, 0.0);
+                for _ in 0..20_000 {
+                    // Log-uniform distances in [10^−3, 10^4] and scales
+                    // in [10^−3, 10^3].
+                    let d = 10f64.powf(rng.gen_range(-3.0..4.0));
+                    let scale = 10f64.powf(rng.gen_range(-3.0..3.0));
+                    let exact = params.mean_gain(d) * scale;
+                    let bound = mean_bound(&params, power_bound(&params, scale), d);
+                    assert!(bound >= exact, "α {alpha} P {power} d {d:e} s {scale:e}");
+                    assert!(
+                        bound <= exact * (1.0 + 1e-13),
+                        "loose: {bound:e} vs {exact:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mean_bound_leaves_extreme_magnitudes_open() {
+        let params = ChannelParams::with_alpha(4.0);
+        assert_eq!(power_bound(&params, pow2(300)), f64::INFINITY);
+        assert_eq!(power_bound(&params, pow2(-300)), f64::INFINITY);
+        let power = power_bound(&params, 1.0);
+        // d^4 = 2^280 and 2^−280: outside the normal-range window.
+        assert_eq!(mean_bound(&params, power, pow2(70)), f64::INFINITY);
+        assert_eq!(mean_bound(&params, power, pow2(-70)), f64::INFINITY);
+        assert!(mean_bound(&params, power, pow2(60)).is_finite());
+    }
+
+    #[test]
+    fn slack_covers_the_naive_sum_of_a_long_row() {
+        // The worst row for the naive bound sum: one unit term, then `k`
+        // terms of half an ulp of one. Each rounds away in the naive sum
+        // (ties to even); the exact kernel's Neumaier sum keeps them all.
+        // With bound terms equal to the exact ones, only the slack can
+        // keep the certificate from passing a failing receiver.
+        let params = ChannelParams::paper_defaults();
+        for k in [1usize, 16, 4096, 1 << 16, 1 << 20] {
+            let terms = || std::iter::once(1.0).chain(std::iter::repeat_n(pow2(-53), k));
+            let naive: f64 = terms().sum();
+            assert_eq!(naive, 1.0);
+            let exact = fading_math::KahanSum::sum_iter(terms());
+            assert_eq!(exact, 1.0 + k as f64 * pow2(-53));
+            // The strongest signal the exact test still fails.
+            let signal = exact.next_down();
+            assert!(!sinr_of(&params, signal, terms()).success);
+            assert!(!certified(&params, signal, naive), "k = {k}");
+        }
+        // A signal clearing the slack is certified.
+        assert!(certified(&params, 1.0 + 2.0 * CERT_SLACK, 1.0));
     }
 
     #[test]

@@ -1,0 +1,146 @@
+//! The certified verdict path against exact SINRs.
+//!
+//! `simulate_slot` and `simulate_many` decide most receivers from an
+//! upper bound on their interference and sum exactly only the rows the
+//! bound leaves open; `realized_sinrs` sums every row. Off the same
+//! seed they consume the same uniforms, so every verdict must equal
+//! `sinr ≥ γ_th` of the exact SINR, and every statistic must equal a
+//! per-trial loop over `realized_sinrs`, bit for bit. The instances are
+//! dense random subsets (most are infeasible, so failures are common)
+//! under power scales, ambient noise and several thresholds.
+
+use fading_channel::ChannelParams;
+use fading_core::{Problem, Schedule};
+use fading_math::{seeded_rng, split_seed, OnlineStats};
+use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
+use fading_sim::{realized_sinrs, simulate_many, simulate_slot, MonteCarloStats};
+use proptest::prelude::*;
+use rand::seq::SliceRandom;
+
+const ALPHAS: [f64; 5] = [2.5, 3.0, 4.0, 4.5, 6.0];
+
+/// 70 paper-length links (rates vary) packed into a 200×200 field, so
+/// large subsets are infeasible, at path-loss exponent `alpha`,
+/// with senders cycling through `scales`, noise `noise_frac` times the
+/// mean gain over the median link length, and threshold `gamma_th`;
+/// and its link ids in a seeded random order.
+fn instance(
+    seed: u64,
+    alpha: f64,
+    gamma_th: f64,
+    noise_frac: f64,
+    scales: &[f64],
+) -> (Problem, Vec<LinkId>) {
+    let gen = UniformGenerator {
+        rates: RateModel::Uniform { lo: 0.5, hi: 3.0 },
+        side: 200.0,
+        ..UniformGenerator::paper(70)
+    };
+    let links = gen.generate(seed);
+    let n = links.len();
+    let noise = noise_frac * ChannelParams::with_alpha(alpha).mean_gain(12.5);
+    let p = Problem::builder(links, ChannelParams::new(alpha, gamma_th, 1.0, noise))
+        .power_scales(scales.iter().copied().cycle().take(n).collect())
+        .build();
+    let mut ids: Vec<LinkId> = p.links().ids().collect();
+    ids.shuffle(&mut seeded_rng(seed ^ 0x0AC1E));
+    (p, ids)
+}
+
+/// The schedule sizes each case realizes: the degenerate 0, 1 and 2,
+/// two random subsets and the whole field.
+fn sizes((a, b): (usize, usize)) -> impl Iterator<Item = usize> {
+    [0, 1, 2, a, b, 70].into_iter()
+}
+
+/// `simulate_many`'s statistics from a sequential loop over
+/// `realized_sinrs`: trial `t` realizes on `split_seed(base_seed, t)`,
+/// and a receiver succeeds when its exact SINR clears `γ_th`.
+fn per_trial_oracle(p: &Problem, s: &Schedule, trials: u64, base_seed: u64) -> MonteCarloStats {
+    let gamma_th = p.params().gamma_th;
+    let mut failed = OnlineStats::new();
+    let mut throughput = OnlineStats::new();
+    for t in 0..trials {
+        let sinrs = realized_sinrs(p, s, &mut seeded_rng(split_seed(base_seed, t)));
+        let (mut f, mut d) = (0.0, 0.0);
+        for (j, sinr) in sinrs {
+            if sinr >= gamma_th {
+                d += p.rate(j);
+            } else {
+                f += 1.0;
+            }
+        }
+        failed.push(f);
+        throughput.push(d);
+    }
+    MonteCarloStats {
+        scheduled: s.len(),
+        scheduled_rate: s.utility(p),
+        failed: failed.summary(),
+        throughput: throughput.summary(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn slot_verdicts_equal_exact_sinr_tests(
+        seed in 0u64..1_000_000,
+        alpha_ix in 0usize..ALPHAS.len(),
+        gamma_ix in 0usize..3,
+        noise_ix in 0usize..3,
+        scales in proptest::collection::vec(0.25f64..4.0, 1..6),
+        extra in (3usize..70, 3usize..70),
+        rng_seed in 0u64..1_000_000,
+    ) {
+        let gamma_th = [0.25, 1.0, 4.0][gamma_ix];
+        let noise_frac = [0.0, 0.05, 0.5][noise_ix];
+        let (p, ids) = instance(seed, ALPHAS[alpha_ix], gamma_th, noise_frac, &scales);
+        let mut failures = 0;
+        for k in sizes(extra) {
+            let s = Schedule::from_ids(ids[..k].iter().copied());
+            let rng_seed = rng_seed + k as u64;
+            let out = simulate_slot(&p, &s, &mut seeded_rng(rng_seed));
+            let sinrs = realized_sinrs(&p, &s, &mut seeded_rng(rng_seed));
+            let (pass, fail): (Vec<_>, Vec<_>) =
+                sinrs.iter().partition(|&&(_, sinr)| sinr >= gamma_th);
+            let pass: Vec<LinkId> = pass.into_iter().map(|&(j, _)| j).collect();
+            let fail: Vec<LinkId> = fail.into_iter().map(|&(j, _)| j).collect();
+            prop_assert_eq!(&out.successes, &pass);
+            prop_assert_eq!(&out.failures, &fail);
+            failures += fail.len();
+            // Both paths leave the stream at the same point.
+            let (mut a, mut b) = (seeded_rng(rng_seed), seeded_rng(rng_seed));
+            simulate_slot(&p, &s, &mut a);
+            realized_sinrs(&p, &s, &mut b);
+            prop_assert_eq!(rand::Rng::gen::<u64>(&mut a), rand::Rng::gen::<u64>(&mut b));
+        }
+        // Guard the oracle's reach: the packed field fails somewhere.
+        prop_assert!(failures > 0);
+    }
+
+    #[test]
+    fn monte_carlo_equals_a_per_trial_exact_loop(
+        seed in 0u64..1_000_000,
+        alpha_ix in 0usize..ALPHAS.len(),
+        gamma_ix in 0usize..3,
+        noise_ix in 0usize..3,
+        scales in proptest::collection::vec(0.25f64..4.0, 1..6),
+        extra in (3usize..70, 3usize..70),
+        trials in 1u64..12,
+        base_seed in 0u64..1_000_000,
+    ) {
+        let gamma_th = [0.25, 1.0, 4.0][gamma_ix];
+        let noise_frac = [0.0, 0.05, 0.5][noise_ix];
+        let (p, ids) = instance(seed, ALPHAS[alpha_ix], gamma_th, noise_frac, &scales);
+        for k in sizes(extra) {
+            let s = Schedule::from_ids(ids[..k].iter().copied());
+            // `Debug` prints every `f64` exactly: equal strings are equal bits.
+            prop_assert_eq!(
+                format!("{:?}", simulate_many(&p, &s, trials, base_seed)),
+                format!("{:?}", per_trial_oracle(&p, &s, trials, base_seed))
+            );
+        }
+    }
+}

@@ -1,14 +1,13 @@
 //! Extension E8: communication cost of the DLS protocol.
 //!
-//! Runs DLS as an explicit message-passing protocol (fading-proto) and
-//! reports convergence rounds and traffic by message kind across N —
-//! the numbers a protocol evaluation would quote. The executed protocol
-//! is checked (in fading-proto's tests) to produce exactly the
-//! centralized DLS schedule.
+//! Reports DLS's convergence rounds and traffic by message kind across
+//! N — the numbers a protocol evaluation would quote — from
+//! [`Dls::outcome`]. `crates/core/tests/dls_protocol.rs` checks those
+//! counts against the protocol run as per-node message passing.
 
+use fading_core::algo::Dls;
 use fading_core::Problem;
 use fading_net::{TopologyGenerator, UniformGenerator};
-use fading_proto::DlsProtocol;
 
 fn main() {
     let cli = fading_bench::Cli::parse();
@@ -30,13 +29,13 @@ fn main() {
         let (mut hello, mut status, mut clear, mut nack) = (0.0, 0.0, 0.0, 0.0);
         for seed in 0..instances {
             let p = Problem::paper(UniformGenerator::paper(n).generate(seed), 3.0);
-            let out = DlsProtocol::new().run(&p);
+            let out = Dls::new().outcome(&p);
             sched += out.schedule.len() as f64;
             rounds += out.rounds as f64;
-            hello += out.traffic.hello as f64;
-            status += out.traffic.status as f64;
-            clear += out.traffic.clear as f64;
-            nack += out.traffic.nack as f64;
+            hello += out.hello as f64;
+            status += out.status as f64;
+            clear += out.clear as f64;
+            nack += out.nack as f64;
         }
         let k = instances as f64;
         let total = (hello + status + clear + nack) / k;

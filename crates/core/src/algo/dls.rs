@@ -26,8 +26,13 @@
 //! accumulated-budget rule) carry over, but simultaneous activations of
 //! heterogeneous-length links lack RLE's worst-case packing bound, so
 //! the protocol ends with a verification handshake: receivers that
-//! still exceed the budget NACK and drop out (never observed on the
-//! paper workloads, but it makes feasibility unconditional).
+//! still exceed the budget NACK and drop out. Random and paper
+//! workloads never reach it (a hand-placed ring in the tests does), but
+//! it makes feasibility unconditional.
+//!
+//! [`Dls::outcome`] also counts the messages the rounds send (`Hello`,
+//! `Status`, `Clear`, `Nack`); `crates/core/tests/dls_protocol.rs`
+//! checks them against the protocol run as per-node message passing.
 
 use crate::constants::rle_c1;
 use crate::problem::Problem;
@@ -44,6 +49,25 @@ pub struct Dls {
     pub c2: f64,
 }
 
+/// What one protocol run produced: the schedule, and its cost as
+/// message passing.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct DlsOutcome {
+    /// The agreed schedule.
+    pub schedule: Schedule,
+    /// Synchronous rounds until no link activates (discovery excluded).
+    pub rounds: usize,
+    /// `Hello` messages: one per candidate.
+    pub hello: usize,
+    /// `Status` messages: the links still undecided after each round's
+    /// budget retirement, summed over rounds.
+    pub status: usize,
+    /// `Clear` messages: one per activation.
+    pub clear: usize,
+    /// `Nack` messages: withdrawals in the verification handshake.
+    pub nack: usize,
+}
+
 /// Per-link protocol state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -58,23 +82,27 @@ impl Dls {
         Self { c2: 0.5 }
     }
 
-    /// Number of synchronous rounds the protocol took on `problem`
-    /// (diagnostic; re-runs the protocol).
-    pub fn rounds(&self, problem: &Problem) -> usize {
-        self.run(problem, Scope::all()).1
+    /// The protocol's schedule, rounds and message counts on every link
+    /// of `problem`.
+    pub fn outcome(&self, problem: &Problem) -> DlsOutcome {
+        self.run(problem, Scope::all())
     }
 
     /// The protocol among the candidates of `scope`; state and geometry
     /// are indexed by candidate position (ascending id).
-    fn run(&self, problem: &Problem, scope: Scope<'_>) -> (Schedule, usize) {
+    fn run(&self, problem: &Problem, scope: Scope<'_>) -> DlsOutcome {
         let links = problem.links();
         let ids: Vec<LinkId> = scope.ids(problem).collect();
         let tx: Vec<_> = ids.iter().map(|&i| links.link(i).sender).collect();
         let rx: Vec<_> = ids.iter().map(|&i| links.link(i).receiver).collect();
         let len: Vec<f64> = ids.iter().map(|&i| links.length(i)).collect();
         let n = ids.len();
+        let mut out = DlsOutcome {
+            hello: n,
+            ..DlsOutcome::default()
+        };
         if n == 0 {
-            return (Schedule::empty(), 0);
+            return out;
         }
         let c1 = rle_c1(problem.params(), problem.gamma_eps(), self.c2);
         let threshold = self.c2 * problem.gamma_eps();
@@ -91,13 +119,17 @@ impl Dls {
 
         let mut state = vec![State::Undecided; n];
         let mut acc = vec![0.0f64; n]; // measured interference factor
-        let mut rounds = 0usize;
         loop {
-            rounds += 1;
-            // Phase 1: budget-based retirement (local measurement).
+            out.rounds += 1;
+            // Phase 1: budget-based retirement (local measurement); each
+            // link still undecided broadcasts a Status.
             for j in 0..n {
-                if state[j] == State::Undecided && acc[j] > threshold {
-                    state[j] = State::Retired;
+                if state[j] == State::Undecided {
+                    if acc[j] > threshold {
+                        state[j] = State::Retired;
+                    } else {
+                        out.status += 1;
+                    }
                 }
             }
             // Phase 2: locally dominant undecided links activate.
@@ -112,6 +144,7 @@ impl Dls {
             if activating.is_empty() {
                 break;
             }
+            out.clear += activating.len();
             for &i in &activating {
                 state[i] = State::Active;
             }
@@ -134,7 +167,7 @@ impl Dls {
                     }
                 }
             }
-            if rounds > n {
+            if out.rounds > n {
                 unreachable!("DLS failed to terminate within N rounds");
             }
         }
@@ -152,7 +185,8 @@ impl Dls {
             let schedule = Schedule::from_ids(members.iter().copied());
             let report = crate::feasibility::FeasibilityReport::evaluate(problem, &schedule);
             if report.is_feasible() {
-                return (schedule, rounds);
+                out.schedule = schedule;
+                return out;
             }
             let worst = report
                 .entries()
@@ -161,6 +195,7 @@ impl Dls {
                 .expect("infeasible report cannot be empty")
                 .id;
             members.retain(|&j| j != worst);
+            out.nack += 1;
         }
     }
 }
@@ -183,7 +218,7 @@ impl Scheduler for Dls {
         ctx: &mut crate::ctx::SchedCtx,
     ) -> Schedule {
         let _span = fading_obs::Span::enter("core.dls.schedule");
-        let s = self.run(problem, scope).0;
+        let s = self.run(problem, scope).schedule;
         super::emit_algo_trace("DLS", scope.len(problem), true, &s, ctx);
         fading_obs::counter!("core.dls.picks").add(s.len() as u64);
         s
@@ -194,7 +229,33 @@ impl Scheduler for Dls {
 mod tests {
     use super::*;
     use crate::feasibility::is_feasible;
-    use fading_net::{TopologyGenerator, UniformGenerator};
+    use fading_geom::{Point2, Rect};
+    use fading_net::{Link, LinkSet, TopologyGenerator, UniformGenerator};
+    use std::f64::consts::PI;
+
+    /// One link of length 100 and 150 unit links on a ring of radius
+    /// `1.05·c₁·100` around its receiver, pointing outward. No pair
+    /// contends, so all 151 activate in the first round, and then the
+    /// ring's summed interference exceeds the long link's budget.
+    fn nack_ring() -> Problem {
+        let region = Rect::square(10_000.0);
+        let rx = Point2::new(5_000.0, 5_000.0);
+        let long = Link::new(LinkId(0), rx.offset_polar(100.0, PI), rx, 1.0);
+        let probe = Problem::paper(LinkSet::new(region, vec![long]), 3.0);
+        let radius = 1.05 * rle_c1(probe.params(), probe.gamma_eps(), 0.5) * 100.0;
+        let mut links = vec![long];
+        for k in 0..150u32 {
+            let theta = 2.0 * PI * f64::from(k) / 150.0;
+            let tx = rx.offset_polar(radius, theta);
+            links.push(Link::new(
+                LinkId(k + 1),
+                tx,
+                tx.offset_polar(1.0, theta),
+                1.0,
+            ));
+        }
+        Problem::paper(LinkSet::new(region, links), 3.0)
+    }
 
     #[test]
     fn dls_schedules_are_feasible() {
@@ -225,7 +286,7 @@ mod tests {
     fn dls_converges_in_few_rounds() {
         let links = UniformGenerator::paper(300).generate(5);
         let p = Problem::paper(links, 3.0);
-        let rounds = Dls::new().rounds(&p);
+        let rounds = Dls::new().outcome(&p).rounds;
         assert!(
             rounds <= 30,
             "expected parallel activation to finish quickly, took {rounds} rounds"
@@ -255,6 +316,17 @@ mod tests {
         let links = fading_net::LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
         let p = Problem::paper(links, 3.0);
         assert!(Dls::new().schedule(&p).is_empty());
-        assert_eq!(Dls::new().rounds(&p), 0);
+        assert_eq!(Dls::new().outcome(&p).rounds, 0);
+    }
+
+    #[test]
+    fn the_long_link_in_a_ring_nacks_out() {
+        let p = nack_ring();
+        let out = Dls::new().outcome(&p);
+        assert_eq!((out.rounds, out.clear, out.nack), (2, 151, 1));
+        assert_eq!(out.status, 151);
+        assert!(!out.schedule.contains(LinkId(0)));
+        assert_eq!(out.schedule.len(), 150);
+        assert!(is_feasible(&p, &out.schedule));
     }
 }

@@ -25,7 +25,7 @@ pub mod rle;
 pub use anneal::Anneal;
 pub use approx_diversity::ApproxDiversity;
 pub use approx_logn::ApproxLogN;
-pub use dls::Dls;
+pub use dls::{Dls, DlsOutcome};
 pub use exact::ExactBnb;
 pub use graph_model::{ConflictRule, GraphModel};
 pub use greedy::GreedyRate;

@@ -36,7 +36,6 @@ pub use fading_core as core;
 pub use fading_geom as geom;
 pub use fading_math as math;
 pub use fading_net as net;
-pub use fading_proto as proto;
 pub use fading_sim as sim;
 pub use fading_viz as viz;
 
@@ -54,6 +53,5 @@ pub mod prelude {
         ClusteredGenerator, GridGenerator, LinearGenerator, Link, LinkId, LinkSet, RateModel,
         TopologyGenerator, UniformGenerator,
     };
-    pub use fading_proto::DlsProtocol;
     pub use fading_sim::{simulate_many, simulate_slot, ExperimentConfig};
 }

@@ -26,7 +26,7 @@
 //!   (`fading-sim`'s `BatchRunner` keeps a pool with one ctx per rayon
 //!   worker). Sharing one behind a lock would serialize the scheduler.
 
-use fading_geom::{CellIndex, Point2, SpatialGrid};
+use fading_geom::{CellIndex, Point2, SpatialHash};
 use fading_net::LinkId;
 use fading_obs::TraceEvent;
 use std::collections::HashMap;
@@ -65,7 +65,7 @@ pub struct SchedCtx {
     /// Compacted list of still-alive candidate ids, ascending.
     pub(crate) live: Vec<u32>,
     /// Reusable spatial index over `senders`.
-    pub(crate) spatial: SpatialGrid,
+    pub(crate) spatial: SpatialHash,
     /// Per-receiver sums lent to the insertion schedulers'
     /// [`crate::feasibility::InterferenceAccumulator`].
     pub(crate) sums: Vec<f64>,

@@ -3,14 +3,16 @@
 //! on both interference backends, for every registered scheduler.
 //! Regression tests for the empty-row panic family in the sparse CSR
 //! builder (`row_start.last().unwrap()` on n = 0 rows and the apply
-//! path).
+//! path), and for elimination schedulers whose deletion queries once
+//! cost time in the square of the length ratio.
 
 use fading_channel::ChannelParams;
 use fading_core::{
     AlgoId, BackendChoice, LinkSpec, MutationBatch, Problem, SchedCtx, Scope, SparseConfig,
 };
 use fading_geom::{Point2, Rect};
-use fading_net::{LinkSet, TopologyGenerator, UniformGenerator};
+use fading_net::{Link, LinkId, LinkSet, TopologyGenerator, UniformGenerator};
+use std::time::{Duration, Instant};
 
 fn empty_problem(backend: BackendChoice) -> Problem {
     let links = LinkSet::new(Rect::square(10.0), vec![]);
@@ -148,5 +150,46 @@ fn removing_no_links_is_a_no_op_mutation() {
             .map(|(i, j)| p.factor(i, j).to_bits())
             .collect();
         assert_eq!(before, after);
+    }
+}
+
+/// A unit link at the origin and a link of length `ratio` far enough
+/// away that neither disturbs the other.
+fn short_and_long(ratio: f64) -> LinkSet {
+    let far = 1e3 * ratio;
+    let links = vec![
+        Link::new(LinkId(0), Point2::new(0.0, 0.0), Point2::new(1.0, 0.0), 1.0),
+        Link::new(
+            LinkId(1),
+            Point2::new(far, 0.0),
+            Point2::new(far + ratio, 0.0),
+            1.0,
+        ),
+    ];
+    LinkSet::new(Rect::square(far + ratio), links)
+}
+
+/// RLE and ApproxDiversity index senders in cells of `c₁·δ` (δ the
+/// shortest length) and delete within `c₁·d_ii` of each pick, so the
+/// long link's query box spans `ratio` cells a side. Its cost must not
+/// grow with that box: both links schedule at once.
+#[test]
+fn a_wide_length_ratio_keeps_elimination_schedulers_fast() {
+    for ratio in [1e4, 1e6] {
+        for backend in backends() {
+            let p = Problem::builder(short_and_long(ratio), ChannelParams::paper_defaults())
+                .backend(backend)
+                .build();
+            for algo in [AlgoId::Rle, AlgoId::ApproxDiversity] {
+                let start = Instant::now();
+                let s = algo.build(1).schedule(&p);
+                let took = start.elapsed();
+                assert_eq!(s.len(), 2, "{algo} at ratio {ratio} ({backend:?})");
+                assert!(
+                    took < Duration::from_secs(1),
+                    "{algo} at ratio {ratio} ({backend:?}) took {took:?}"
+                );
+            }
+        }
     }
 }

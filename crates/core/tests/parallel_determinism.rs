@@ -1,9 +1,7 @@
 //! Thread-count invariance: every parallel construction path — the
-//! tile-sharded spatial hash, the parallel grid key stage, the chunked
-//! dense matrix build, the sparse CSR build — must produce the same
-//! bits whether rayon runs one worker or many. Tiles are contiguous
-//! index stripes whose count derives from `n` alone and whose merge
-//! order is fixed, so `RAYON_NUM_THREADS` can change wall-clock only.
+//! chunked dense matrix build, the sparse CSR build — and the
+//! schedulers on top must produce the same bits whether rayon runs one
+//! worker or many, so `RAYON_NUM_THREADS` can change wall-clock only.
 //!
 //! One `#[test]` on purpose: the env var is process-global, and the
 //! default harness runs sibling tests on concurrent threads.
@@ -11,7 +9,6 @@
 use fading_channel::ChannelParams;
 use fading_core::algo::{Ldp, Rle};
 use fading_core::{BackendChoice, Problem, Scheduler, SparseConfig};
-use fading_geom::{Point2, SpatialGrid, SpatialHash};
 use fading_net::{LinkSet, TopologyGenerator, UniformGenerator};
 
 fn with_threads<T>(setting: Option<&str>, f: impl Fn() -> T) -> T {
@@ -30,13 +27,11 @@ fn with_threads<T>(setting: Option<&str>, f: impl Fn() -> T) -> T {
 struct Artifacts {
     dense_bits: Vec<u64>,
     sparse_store: fading_core::SparseInterference,
-    hash: SpatialHash,
-    grid_visits: Vec<u32>,
     rle_picks: Vec<u32>,
     ldp_picks: Vec<u32>,
 }
 
-fn build_artifacts(links: &LinkSet, big_points: &[Point2]) -> Artifacts {
+fn build_artifacts(links: &LinkSet) -> Artifacts {
     // Dense build crosses PARALLEL_THRESHOLD (= 64) at this size.
     let dense = Problem::paper(links.clone(), 3.0);
     let dense_bits = links
@@ -54,16 +49,6 @@ fn build_artifacts(links: &LinkSet, big_points: &[Point2]) -> Artifacts {
     let sparse = Problem::builder(links.clone(), ChannelParams::with_alpha(3.0))
         .backend(BackendChoice::Sparse(SparseConfig::default()))
         .build();
-    // `big_points` exceeds both the hash tiling gate (2·TILE_SIZE) and
-    // the grid's parallel key-stage gate (GRID_PARALLEL_MIN).
-    let hash = SpatialHash::build(big_points, 25.0);
-    let mut grid = SpatialGrid::new();
-    grid.rebuild(big_points, 25.0);
-    let mut grid_visits = Vec::new();
-    for c in 0..10u32 {
-        let center = big_points[(c as usize * 6101) % big_points.len()];
-        grid.for_each_in_radius(&center, 60.0, |i| grid_visits.push(i));
-    }
     let rle_picks = Rle::new().schedule(&dense).iter().map(|id| id.0).collect();
     let ldp_picks = Ldp::new().schedule(&sparse).iter().map(|id| id.0).collect();
     let sparse_store = sparse
@@ -74,8 +59,6 @@ fn build_artifacts(links: &LinkSet, big_points: &[Point2]) -> Artifacts {
     Artifacts {
         dense_bits,
         sparse_store,
-        hash,
-        grid_visits,
         rle_picks,
         ldp_picks,
     }
@@ -84,27 +67,10 @@ fn build_artifacts(links: &LinkSet, big_points: &[Point2]) -> Artifacts {
 #[test]
 fn constructions_are_bit_identical_across_thread_counts() {
     let links = UniformGenerator::paper(700).generate(20170714);
-    let big_points = UniformGenerator::paper(70_000)
-        .generate(42)
-        .sender_positions();
-
-    let single = with_threads(Some("1"), || build_artifacts(&links, &big_points));
-    let four = with_threads(Some("4"), || build_artifacts(&links, &big_points));
-    let default = with_threads(None, || build_artifacts(&links, &big_points));
+    let single = with_threads(Some("1"), || build_artifacts(&links));
+    let four = with_threads(Some("4"), || build_artifacts(&links));
+    let default = with_threads(None, || build_artifacts(&links));
 
     assert!(single == four, "1 thread vs 4 threads diverged");
     assert!(single == default, "1 thread vs default pool diverged");
-
-    // The explicit tile API agrees with the sequential one-pass build
-    // for arbitrary tile counts, under a multi-thread pool.
-    with_threads(Some("4"), || {
-        let sequential = SpatialHash::build(&big_points[..5000], 25.0);
-        for tiles in [1, 3, 8, 4999, 6000] {
-            assert_eq!(
-                SpatialHash::build_tiled(&big_points[..5000], 25.0, tiles),
-                sequential,
-                "tiles={tiles}"
-            );
-        }
-    });
 }

@@ -62,6 +62,13 @@ fn malformed_links() -> Vec<Case> {
         }
     }
     cases.push(("zero length".into(), s, s, 1.0));
+    // Finite endpoints whose squared length overflows to +∞.
+    cases.push((
+        "overlong".into(),
+        Point2::new(1e300, 0.0),
+        Point2::new(1e300, 1e285),
+        1.0,
+    ));
     for rate in [0.0, f64::NAN, f64::INFINITY] {
         cases.push((format!("rate {rate}"), s, r, rate));
     }
@@ -132,6 +139,32 @@ fn try_new_and_apply_reject_malformed_links_alike() {
             assert_eq!(from_set.to_string(), from_apply.to_string(), "{label}");
         }
     }
+}
+
+/// A link whose squared length overflows would load with length +∞
+/// and reach the schedulers' spatial index as an infinite cell size;
+/// both entry points reject it by name instead.
+#[test]
+fn overlong_links_are_rejected_by_both_entry_points() {
+    let (s, r) = (Point2::new(-8e307, 0.0), Point2::new(8e307, 0.0));
+    let base = base_links();
+    let mut links = base.links().to_vec();
+    links.push(Link {
+        id: LinkId(3),
+        sender: s,
+        receiver: r,
+        rate: 1.0,
+    });
+    let want = ValidationError::OverlongLink(LinkId(3));
+    assert_eq!(LinkSet::try_new(*base.region(), links), Err(want.clone()));
+    for backend in backends() {
+        let err = apply_error(backend, LinkSpec::new(s, r), "overlong");
+        assert_eq!(err, want, "{backend:?}");
+    }
+    assert_eq!(
+        want.to_string(),
+        "link l3 is too long: its squared length overflows f64"
+    );
 }
 
 #[test]

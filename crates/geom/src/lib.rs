@@ -16,4 +16,4 @@ pub use grid::{CellIndex, GridColor, GridPartition};
 pub use point::Point2;
 pub use poisson::poisson_disk;
 pub use rect::Rect;
-pub use spatial::{SpatialGrid, SpatialHash};
+pub use spatial::SpatialHash;

@@ -1,51 +1,59 @@
 //! Uniform-grid spatial hash for radius queries over point sets.
 //!
-//! RLE deletes every sender within radius `c₁·d_ii` of each chosen
-//! receiver; with `N` links and `Θ(N)` iterations a naive scan is
-//! `O(N²)` per instance sweep. The spatial hash buckets points into
-//! cells of the query radius scale so each query touches only nearby
-//! buckets. Topology generators also use it for minimum-separation
-//! checks.
+//! RLE and ApproxDiversity delete every sender within radius `c₁·d_ii`
+//! of each chosen receiver; with `N` links and `Θ(N)` iterations a
+//! naive scan is `O(N²)` per instance sweep. The spatial hash buckets
+//! points into cells of the query radius scale so each query touches
+//! only nearby buckets. The sparse interference store gathers its
+//! neighborhoods through it, and `instance_stats` its nearest-sender
+//! distances.
 
 use crate::point::Point2;
-use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Contiguous index-stripe width used by the tiled build paths.
+/// How many buckets per indexed point a [`SpatialHash::rebuild`] may
+/// keep before it drops the empty ones. Rebuilds keep emptied buckets
+/// (and their capacity) so that a warm rebuild over a recurring set of
+/// inputs touches no heap; the bound keeps a long run over ever-new
+/// inputs from growing the map without limit.
+const BUCKETS_PER_POINT: usize = 4;
+
+/// A spatial hash over indexed points: a uniform grid of square cells
+/// of side `cell`, holding each occupied cell's point indices.
 ///
-/// Construction over `points` is sharded into ⌈n / TILE_SIZE⌉ stripes
-/// that are built independently (no locking) and merged in stripe
-/// order. The stripe count depends only on `n`, never on the thread
-/// count, so the merged structure is identical for every
-/// `RAYON_NUM_THREADS` — including 1 (the sequential build is the
-/// 1-stripe special case of the same merge).
-pub(crate) const TILE_SIZE: usize = 16_384;
-
-/// Minimum point count before [`SpatialGrid::rebuild`] runs its
-/// key-computation stage in parallel. Kept well above engine-scale
-/// instances (n ≤ ~4k) so warm `schedule_in` rebuilds stay on the
-/// sequential, allocation-free path; stage dispatch is per-stage
-/// tile scheduling, not one global switch.
-const GRID_PARALLEL_MIN: usize = 65_536;
-
-/// Widest cell span a [`SpatialHash::for_each_in_radius`] query walks
-/// as a `(2·span + 1)²` cell box — about 4·10⁹ cells, far past any
-/// radius a real instance asks for.
-const MAX_CELL_SPAN: i64 = 1 << 15;
-
-/// A static spatial hash over indexed points.
+/// Buckets are ordered by cell key, so a radius query walks only the
+/// occupied cells of its box, in `(a, b)` key order. The index is
+/// reusable: [`rebuild`](Self::rebuild) re-indexes in place, and
+/// [`insert`](Self::insert) / [`swap_remove`](Self::swap_remove) patch
+/// it by one point.
 ///
-/// Equality is structural (same cell size, buckets, and points) — used
-/// by tests to certify that in-place mutation leaves the index
-/// indistinguishable from a fresh [`build`](Self::build).
-#[derive(Debug, Clone, PartialEq)]
+/// Equality is structural (same cell size, points, and non-empty
+/// buckets) — used by tests to certify that in-place mutation and
+/// rebuilds leave the index indistinguishable from a fresh
+/// [`build`](Self::build).
+#[derive(Debug, Clone, Default)]
 pub struct SpatialHash {
     cell: f64,
-    buckets: HashMap<(i64, i64), Vec<u32>>,
+    /// Cell key → indices of the points in that cell, ascending. May
+    /// hold empty buckets kept by a rebuild for reuse.
+    buckets: BTreeMap<(i64, i64), Vec<u32>>,
     points: Vec<Point2>,
 }
 
+impl PartialEq for SpatialHash {
+    fn eq(&self, other: &Self) -> bool {
+        self.cell == other.cell
+            && self.points == other.points
+            && self.occupied().eq(other.occupied())
+    }
+}
+
 impl SpatialHash {
+    /// An empty index; call [`rebuild`](Self::rebuild) before use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Builds a hash over `points` with bucket side `cell`.
     ///
     /// A good `cell` is the typical query radius; correctness does not
@@ -54,80 +62,52 @@ impl SpatialHash {
     /// # Panics
     /// Panics if `cell` is not finite and positive.
     pub fn build(points: &[Point2], cell: f64) -> Self {
-        // Large instances shard construction into index stripes; the
-        // stripe count derives from n alone, so the result is the same
-        // structure the sequential path produces (pinned by
-        // `tiled_build_matches_sequential`).
-        if points.len() >= 2 * TILE_SIZE {
-            return Self::build_tiled(points, cell, points.len().div_ceil(TILE_SIZE));
-        }
+        let mut hash = Self::new();
+        hash.rebuild(points, cell);
+        hash
+    }
+
+    /// Re-indexes `points` with bucket side `cell` in place.
+    ///
+    /// When `points` and `cell` are bit-identical to the indexed ones
+    /// the call returns immediately: the stored index is already
+    /// exactly what this input produces, so steady-state callers
+    /// re-indexing an unchanged instance pay one `memcmp`. (A `NaN`
+    /// coordinate never compares equal and therefore always rebuilds —
+    /// conservative, not wrong.) Otherwise every bucket is cleared but
+    /// kept, so a warm rebuild over cells seen before allocates
+    /// nothing; empty buckets are dropped once they outnumber the
+    /// points four-fold.
+    ///
+    /// # Panics
+    /// Panics if `cell` is not finite and positive.
+    pub fn rebuild(&mut self, points: &[Point2], cell: f64) {
         assert!(
             cell.is_finite() && cell > 0.0,
             "spatial hash cell must be finite and positive, got {cell}"
         );
-        let mut buckets: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
+        if self.cell == cell && self.points == points {
+            return;
+        }
+        self.cell = cell;
+        self.points.clear();
+        self.points.extend_from_slice(points);
+        for bucket in self.buckets.values_mut() {
+            bucket.clear();
+        }
         for (i, p) in points.iter().enumerate() {
-            buckets
+            self.buckets
                 .entry(Self::key(p, cell))
                 .or_default()
                 .push(i as u32);
         }
-        Self {
-            cell,
-            buckets,
-            points: points.to_vec(),
+        if self.buckets.len() > BUCKETS_PER_POINT * points.len().max(1) {
+            self.buckets.retain(|_, bucket| !bucket.is_empty());
         }
     }
 
-    /// Builds the hash from `tiles` independently constructed,
-    /// contiguous index stripes, merged in stripe order.
-    ///
-    /// Structurally identical to the sequential [`build`](Self::build)
-    /// for **every** `tiles ≥ 1`: each stripe's per-cell runs are
-    /// ascending (stripe indices ascend), stripes are disjoint and
-    /// ascending, and the merge appends stripe `t`'s run before stripe
-    /// `t + 1`'s — so every merged bucket is exactly the ascending
-    /// sequence the one-pass build pushes. Bucket-map iteration order is
-    /// never observable (queries look cells up by key; equality is
-    /// content-based), so thread count and tile count cannot leak into
-    /// results.
-    ///
-    /// # Panics
-    /// Panics if `cell` is not finite and positive.
-    pub fn build_tiled(points: &[Point2], cell: f64, tiles: usize) -> Self {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "spatial hash cell must be finite and positive, got {cell}"
-        );
-        let tiles = tiles.max(1);
-        let stripe = points.len().div_ceil(tiles).max(1);
-        let parts: Vec<HashMap<(i64, i64), Vec<u32>>> = (0..tiles as u32)
-            .into_par_iter()
-            .map(|t| {
-                let lo = (t as usize * stripe).min(points.len());
-                let hi = (lo + stripe).min(points.len());
-                let mut m: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-                for (k, p) in points[lo..hi].iter().enumerate() {
-                    m.entry(Self::key(p, cell))
-                        .or_default()
-                        .push((lo + k) as u32);
-                }
-                m
-            })
-            .collect();
-        let mut buckets: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-        for mut part in parts {
-            for (key, mut run) in part.drain() {
-                buckets.entry(key).or_default().append(&mut run);
-            }
-        }
-        Self {
-            cell,
-            buckets,
-            points: points.to_vec(),
-        }
-    }
-
+    /// The cell holding `p`. The float-to-int casts saturate, so even
+    /// astronomical coordinates get a valid key.
     #[inline]
     fn key(p: &Point2, cell: f64) -> (i64, i64) {
         ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
@@ -154,18 +134,22 @@ impl SpatialHash {
     ///
     /// The structure afterwards is indistinguishable from a fresh
     /// [`build`](Self::build) over the mutated point array (ascending
-    /// index order within every bucket, no empty buckets), so query
-    /// results and visit order match a rebuild bit for bit.
+    /// index order within every bucket), so query results and visit
+    /// order match a rebuild bit for bit. A bucket that empties is
+    /// dropped, so a long mutation run keeps no dead cells.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
     pub fn swap_remove(&mut self, i: u32) {
         let last = (self.points.len() - 1) as u32;
-        remove_from_bucket(
-            &mut self.buckets,
-            Self::key(&self.points[i as usize], self.cell),
-            i,
-        );
+        let key = Self::key(&self.points[i as usize], self.cell);
+        let bucket = self.buckets.get_mut(&key).expect("point must be indexed");
+        let at = bucket.partition_point(|&x| x < i);
+        debug_assert_eq!(bucket.get(at), Some(&i));
+        bucket.remove(at);
+        if bucket.is_empty() {
+            self.buckets.remove(&key);
+        }
         if i != last {
             // The moved point keeps its cell; only its index changes.
             // Its entry is the bucket maximum (ascending order), so it
@@ -182,6 +166,11 @@ impl SpatialHash {
             bucket.insert(at, i);
         }
         self.points.swap_remove(i as usize);
+    }
+
+    /// The non-empty buckets, in key order.
+    fn occupied(&self) -> impl Iterator<Item = (&(i64, i64), &Vec<u32>)> {
+        self.buckets.iter().filter(|(_, bucket)| !bucket.is_empty())
     }
 
     /// The bucket side length the index was built with.
@@ -206,339 +195,54 @@ impl SpatialHash {
 
     /// Calls `f` for each point index within `radius` of `center`.
     ///
-    /// A radius wider than `MAX_CELL_SPAN` (2¹⁵) cells (astronomical
-    /// coordinates, an infinite radius) scans the points in index order
-    /// instead of a cell box that would take hours or overflow the
-    /// cell keys; saturating key arithmetic keeps every box query
-    /// covering the cells it must.
+    /// Visit order is the query box's window order: cells in ascending
+    /// `(a, b)` key order, points within a cell in ascending index —
+    /// schedulers depend on it for bit-identical output. The walk seeks
+    /// through the ordered buckets instead of probing every cell of the
+    /// `(2·span + 1)²` box, so it visits at most `min(box cells,
+    /// buckets)` cells and seeks at most twice per occupied row: a
+    /// radius of 10⁹ cells (or an infinite one) costs no more than a
+    /// scan of the index.
     pub fn for_each_in_radius<F: FnMut(u32)>(&self, center: &Point2, radius: f64, mut f: F) {
+        if radius.is_nan() || radius < 0.0 {
+            return; // an empty ball
+        }
         let r_sq = radius * radius;
-        let span = (radius / self.cell).ceil() as i64;
-        if span > MAX_CELL_SPAN {
-            for (i, p) in self.points.iter().enumerate() {
-                if p.distance_sq(center) <= r_sq {
-                    f(i as u32);
-                }
-            }
-            return;
-        }
-        let (ca, cb) = Self::key(center, self.cell);
-        for a in ca.saturating_sub(span)..=ca.saturating_add(span) {
-            for b in cb.saturating_sub(span)..=cb.saturating_add(span) {
-                if let Some(bucket) = self.buckets.get(&(a, b)) {
-                    for &i in bucket {
-                        if self.points[i as usize].distance_sq(center) <= r_sq {
-                            f(i);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Index of the nearest point to `center`, or `None` when empty.
-    /// Expanding-ring search over buckets, starting at the nearest
-    /// occupied ring so queries far outside the point cloud stay cheap.
-    pub fn nearest(&self, center: &Point2) -> Option<u32> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let (ca, cb) = Self::key(center, self.cell);
-        let (mut ring, max_ring) = self.ring_bounds(ca, cb);
-        let mut best: Option<(u32, f64)> = None;
-        while ring <= max_ring {
-            self.visit_ring(ca, cb, ring, |bucket| {
-                for &i in bucket {
-                    let d = self.points[i as usize].distance_sq(center);
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((i, d));
-                    }
-                }
-            });
-            // A point in a farther ring is at distance ≥ (ring − 1)·cell
-            // from the center cell, so once the best candidate is within
-            // that bound no farther ring can beat it.
-            if let Some((idx, d_sq)) = best {
-                if d_sq.sqrt() <= (ring as f64 - 1.0).max(0.0) * self.cell {
-                    return Some(idx);
-                }
-            }
-            ring += 1;
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Chebyshev distances (in cells) from `(ca, cb)` to the closest and
-    /// farthest occupied bucket.
-    fn ring_bounds(&self, ca: i64, cb: i64) -> (i64, i64) {
-        let mut lo = i64::MAX;
-        let mut hi = 0;
-        for &(a, b) in self.buckets.keys() {
-            let d = (a - ca).abs().max((b - cb).abs());
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        (lo.min(hi), hi)
-    }
-
-    /// Calls `f` with each occupied bucket on the Chebyshev ring of
-    /// radius `ring` around `(ca, cb)`; iterates only the ring boundary.
-    fn visit_ring<F: FnMut(&[u32])>(&self, ca: i64, cb: i64, ring: i64, mut f: F) {
-        let mut visit = |a: i64, b: i64| {
-            if let Some(bucket) = self.buckets.get(&(a, b)) {
-                f(bucket);
-            }
+        // Box bounds in i128, clamped to the key range: a saturated
+        // key (or span) still lands inside every box that must hold it.
+        let span = (radius / self.cell).ceil() as i128;
+        let shift = |c: i64, by: i128| {
+            (c as i128)
+                .saturating_add(by)
+                .clamp(i64::MIN.into(), i64::MAX.into()) as i64
         };
-        if ring == 0 {
-            visit(ca, cb);
-            return;
-        }
-        for a in (ca - ring)..=(ca + ring) {
-            visit(a, cb - ring);
-            visit(a, cb + ring);
-        }
-        for b in (cb - ring + 1)..=(cb + ring - 1) {
-            visit(ca - ring, b);
-            visit(ca + ring, b);
-        }
-    }
-}
-
-/// Removes index `value` from the (ascending) bucket at `key`,
-/// dropping the bucket when it empties — a fresh build allocates no
-/// empty buckets, and `SpatialHash::swap_remove` promises structural
-/// equality with one.
-fn remove_from_bucket(buckets: &mut HashMap<(i64, i64), Vec<u32>>, key: (i64, i64), value: u32) {
-    let bucket = buckets.get_mut(&key).expect("point must be indexed");
-    let at = bucket.partition_point(|&x| x < value);
-    debug_assert_eq!(bucket.get(at), Some(&value));
-    bucket.remove(at);
-    if bucket.is_empty() {
-        buckets.remove(&key);
-    }
-}
-
-/// A reusable spatial index: the same radius-query semantics as
-/// [`SpatialHash`], backed by buffers that survive rebuilds.
-///
-/// [`SpatialHash::build`] allocates a bucket `Vec` per occupied cell on
-/// every call — fine for one-shot use, but the zero-allocation
-/// scheduling engine rebuilds its index once per `schedule_in` call.
-/// `SpatialGrid` stores the same structure in CSR form (one `items`
-/// array sliced by per-cell offsets) over reusable buffers: after a
-/// warm-up rebuild at a given size, further rebuilds touch no heap.
-///
-/// Query results and *visit order* are identical to `SpatialHash` over
-/// the same points: cells are scanned in the same window order and
-/// points within a cell in index order (CSR placement preserves the
-/// bucket insertion order). Schedulers rely on that equivalence for
-/// bit-identical output; `grid_matches_hash_order` pins it.
-#[derive(Debug, Clone, Default)]
-pub struct SpatialGrid {
-    cell: f64,
-    points: Vec<Point2>,
-    /// cell key -> slot in the CSR arrays.
-    slots: HashMap<(i64, i64), u32>,
-    /// Per-slot start offsets into `items` (length `slots.len() + 1`).
-    starts: Vec<u32>,
-    /// Point indices grouped by cell, each group in ascending order.
-    items: Vec<u32>,
-    /// Scratch: per-point slot, reused between the counting and
-    /// placement passes.
-    point_slot: Vec<u32>,
-    /// Scratch: per-slot write cursor for the placement pass.
-    offsets: Vec<u32>,
-    /// Scratch: per-point cell key, filled (in parallel for large
-    /// rebuilds) before the sequential slot-assignment pass.
-    key_scratch: Vec<(i64, i64)>,
-}
-
-impl SpatialGrid {
-    /// An empty index; call [`rebuild`](Self::rebuild) before querying.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Re-indexes `points` with bucket side `cell`, reusing all
-    /// internal buffers.
-    ///
-    /// When `points` and `cell` are bit-identical to the previous
-    /// rebuild the call returns immediately: the stored index is
-    /// already exactly what this input produces, so steady-state
-    /// callers re-indexing an unchanged instance pay one `memcmp`
-    /// instead of a full rebuild. (A `NaN` coordinate never compares
-    /// equal and therefore always rebuilds — conservative, not wrong.)
-    ///
-    /// # Panics
-    /// Panics if `cell` is not finite and positive.
-    pub fn rebuild(&mut self, points: &[Point2], cell: f64) {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "spatial grid cell must be finite and positive, got {cell}"
-        );
-        if self.cell == cell && self.points == points {
-            return;
-        }
-        self.cell = cell;
-        self.points.clear();
-        self.points.extend_from_slice(points);
-        self.slots.clear();
-        self.point_slot.clear();
-        self.starts.clear();
-        // Key stage: each point's cell key is a pure function of
-        // (point, cell), so the tile-parallel fill is bit-identical to
-        // the sequential one; only the slot-assignment pass below is
-        // order-sensitive, and it stays sequential.
-        self.key_scratch.clear();
-        if points.len() >= GRID_PARALLEL_MIN {
-            self.key_scratch.resize(points.len(), (0, 0));
-            self.key_scratch
-                .par_chunks_mut(TILE_SIZE)
-                .enumerate()
-                .for_each(|(t, chunk)| {
-                    let base = t * TILE_SIZE;
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        *slot = SpatialHash::key(&points[base + k], cell);
-                    }
-                });
-        } else {
-            self.key_scratch
-                .extend(points.iter().map(|p| SpatialHash::key(p, cell)));
-        }
-        // Pass 1: assign each point a cell slot and count occupancy
-        // (counts accumulate in `starts`, shifted by one for the
-        // prefix-sum below). First-encounter order assigns slot ids,
-        // which must stay the sequential point order.
-        self.starts.push(0);
-        for key in self.key_scratch.iter().copied() {
-            let next = self.slots.len() as u32;
-            let slot = *self.slots.entry(key).or_insert(next);
-            if slot == next {
-                self.starts.push(0);
-            }
-            self.starts[slot as usize + 1] += 1;
-            self.point_slot.push(slot);
-        }
-        for i in 1..self.starts.len() {
-            self.starts[i] += self.starts[i - 1];
-        }
-        // Pass 2: place indices; ascending point order within each cell
-        // reproduces SpatialHash's bucket push order.
-        self.items.clear();
-        self.items.resize(points.len(), 0);
-        self.offsets.clear();
-        self.offsets
-            .extend_from_slice(&self.starts[..self.starts.len() - 1]);
-        for (i, &slot) in self.point_slot.iter().enumerate() {
-            let at = self.offsets[slot as usize];
-            self.items[at as usize] = i as u32;
-            self.offsets[slot as usize] = at + 1;
-        }
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Appends a point in place — the incremental counterpart of a full
-    /// [`rebuild`](Self::rebuild) over the extended array. The new index
-    /// is the maximum, so placing it at the end of its cell's CSR
-    /// segment keeps the segment ascending, which is the property the
-    /// bucket-order equivalence contract with [`SpatialHash`] rests on.
-    /// Cost: one `memmove` of the items tail plus an offset walk —
-    /// no rehash of existing points.
-    ///
-    /// # Panics
-    /// Panics unless the grid was built (or rebuilt) at least once —
-    /// the cell size comes from that build.
-    pub fn insert(&mut self, p: Point2) -> u32 {
-        assert!(
-            self.cell.is_finite() && self.cell > 0.0,
-            "insert requires a prior rebuild (cell size unset)"
-        );
-        let idx = self.points.len() as u32;
-        self.points.push(p);
-        let key = SpatialHash::key(&p, self.cell);
-        match self.slots.get(&key) {
-            Some(&slot) => {
-                let at = self.starts[slot as usize + 1] as usize;
-                self.items.insert(at, idx);
-                for s in &mut self.starts[slot as usize + 1..] {
-                    *s += 1;
+        let (ca, cb) = Self::key(center, self.cell);
+        let a_hi = shift(ca, span);
+        let (b_lo, b_hi) = (shift(cb, -span), shift(cb, span));
+        let mut from = (shift(ca, -span), b_lo);
+        'seek: loop {
+            for (&(a, b), bucket) in self.buckets.range(from..) {
+                if a > a_hi {
+                    return;
                 }
-            }
-            None => {
-                // A brand-new cell gets the next CSR slot, whose
-                // segment sits at the very end of `items`.
-                self.slots.insert(key, self.slots.len() as u32);
-                self.items.push(idx);
-                self.starts.push(self.items.len() as u32);
-            }
-        }
-        idx
-    }
-
-    /// Removes point `i` in place with `Vec::swap_remove` semantics
-    /// (the point at `len() - 1` takes index `i`), mirroring
-    /// [`SpatialHash::swap_remove`]: every cell segment stays in
-    /// ascending index order, so queries keep visiting points in the
-    /// exact order a fresh build would. Emptied cells keep their (now
-    /// zero-width) CSR slot — harmless to queries, reclaimed by the
-    /// next full rebuild.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn swap_remove(&mut self, i: u32) {
-        let last = (self.points.len() - 1) as u32;
-        // Drop `i` from its segment.
-        let key = SpatialHash::key(&self.points[i as usize], self.cell);
-        let slot = self.slots[&key] as usize;
-        let (lo, hi) = (self.starts[slot] as usize, self.starts[slot + 1] as usize);
-        let at = lo + self.items[lo..hi].partition_point(|&x| x < i);
-        debug_assert_eq!(self.items.get(at), Some(&i));
-        self.items.remove(at);
-        for s in &mut self.starts[slot + 1..] {
-            *s -= 1;
-        }
-        if i != last {
-            // Rename `last` → `i` inside its segment: the entry is the
-            // segment maximum (tail position); reinsert at the new
-            // index's sorted position within the same segment.
-            let key = SpatialHash::key(&self.points[last as usize], self.cell);
-            let slot = self.slots[&key] as usize;
-            let (lo, hi) = (self.starts[slot] as usize, self.starts[slot + 1] as usize);
-            debug_assert_eq!(self.items.get(hi - 1), Some(&last));
-            let at = lo + self.items[lo..hi - 1].partition_point(|&x| x < i);
-            self.items[at..hi].rotate_right(1);
-            self.items[at] = i;
-        }
-        self.points.swap_remove(i as usize);
-    }
-
-    /// Calls `f` for each point index within `radius` of `center`, in
-    /// the same order as [`SpatialHash::for_each_in_radius`].
-    pub fn for_each_in_radius<F: FnMut(u32)>(&self, center: &Point2, radius: f64, mut f: F) {
-        let r_sq = radius * radius;
-        let span = (radius / self.cell).ceil() as i64;
-        let (ca, cb) = SpatialHash::key(center, self.cell);
-        for a in (ca - span)..=(ca + span) {
-            for b in (cb - span)..=(cb + span) {
-                if let Some(&slot) = self.slots.get(&(a, b)) {
-                    let lo = self.starts[slot as usize] as usize;
-                    let hi = self.starts[slot as usize + 1] as usize;
-                    for &i in &self.items[lo..hi] {
-                        if self.points[i as usize].distance_sq(center) <= r_sq {
-                            f(i);
-                        }
+                if b < b_lo {
+                    from = (a, b_lo);
+                    continue 'seek;
+                }
+                if b > b_hi {
+                    if a == a_hi {
+                        return;
+                    }
+                    from = (a + 1, b_lo);
+                    continue 'seek;
+                }
+                for &i in bucket {
+                    if self.points[i as usize].distance_sq(center) <= r_sq {
+                        f(i);
                     }
                 }
             }
+            return;
         }
     }
 }
@@ -549,6 +253,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
+    use std::time::{Duration, Instant};
 
     /// Every index `for_each_in_radius` visits, in visit order.
     fn in_radius(hash: &SpatialHash, center: &Point2, radius: f64) -> Vec<u32> {
@@ -575,141 +280,63 @@ mod tests {
         v
     }
 
+    /// The visit-order oracle, independent of the index: brute-force
+    /// hits sorted by (cell key, index).
+    fn window_order(points: &[Point2], cell: f64, c: &Point2, r: f64) -> Vec<u32> {
+        let mut v: Vec<u32> = points
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.distance_sq(c) <= r * r)
+            .map(|(i, _)| i as u32)
+            .collect();
+        v.sort_by_key(|&i| (SpatialHash::key(&points[i as usize], cell), i));
+        v
+    }
+
     #[test]
     fn astronomical_radii_and_centers_neither_overflow_nor_hang() {
         let mut pts = random_points(50, 5);
         pts.push(Point2::new(-f64::MAX, 1e300));
         let hash = SpatialHash::build(&pts, 2.0);
-        let all: Vec<u32> = (0..pts.len() as u32).collect();
-        assert_eq!(in_radius(&hash, &Point2::origin(), f64::INFINITY), all);
-        // A near-saturated center key with a box-sized span.
-        let far = Point2::new(f64::MAX, f64::MAX);
+        let c = Point2::origin();
+        assert_eq!(
+            in_radius(&hash, &c, f64::INFINITY),
+            window_order(&pts, 2.0, &c, f64::INFINITY)
+        );
+        assert_eq!(in_radius(&hash, &c, f64::INFINITY).len(), pts.len());
+        // A near-saturated center key with a box-sized span, and with
+        // an infinite one.
+        let far = Point2::new(f64::MAX, -f64::MAX);
         assert!(in_radius(&hash, &far, 10.0).is_empty());
+        assert_eq!(
+            in_radius(&hash, &far, f64::INFINITY),
+            window_order(&pts, 2.0, &far, f64::INFINITY)
+        );
         let c = Point2::new(50.0, 50.0);
         let mut wide = in_radius(&hash, &c, 1e12);
         wide.sort_unstable();
         assert_eq!(wide, brute_force_radius(&pts, &c, 1e12));
     }
 
-    /// Schedulers require the reusable grid to visit candidates in the
-    /// exact order `SpatialHash` does — membership parity alone is not
-    /// enough for bit-identical schedules.
+    /// A query's cost is bounded by the index, not by its box: two
+    /// points a 10⁹ cells apart answer at once, and so does a radius
+    /// of 3·10⁴ cells, whose box holds ~3.6·10⁹ cells.
     #[test]
-    fn grid_matches_hash_order() {
-        let mut grid = SpatialGrid::new();
-        for (seed, n, cell) in [(1u64, 500usize, 10.0f64), (5, 173, 3.7), (9, 64, 25.0)] {
-            let pts = random_points(n, seed);
-            let hash = SpatialHash::build(&pts, cell);
-            grid.rebuild(&pts, cell);
-            assert_eq!(grid.len(), n);
-            for (i, c) in random_points(40, seed + 100).iter().enumerate() {
-                let r = 0.5 + (i as f64) % 30.0;
-                let mut from_hash = Vec::new();
-                hash.for_each_in_radius(c, r, |id| from_hash.push(id));
-                let mut from_grid = Vec::new();
-                grid.for_each_in_radius(c, r, |id| from_grid.push(id));
-                assert_eq!(from_grid, from_hash, "center {c:?} r {r} cell {cell}");
-            }
-        }
-    }
-
-    /// Rebuilding over a smaller point set must fully replace the old
-    /// contents (stale items from the previous, larger build must not
-    /// leak into queries).
-    #[test]
-    fn grid_rebuild_replaces_contents() {
-        let mut grid = SpatialGrid::new();
-        grid.rebuild(&random_points(400, 11), 5.0);
-        let pts = random_points(30, 12);
-        grid.rebuild(&pts, 8.0);
-        let hash = SpatialHash::build(&pts, 8.0);
-        let c = Point2::new(50.0, 50.0);
-        let mut from_hash = Vec::new();
-        hash.for_each_in_radius(&c, 200.0, |id| from_hash.push(id));
-        let mut from_grid = Vec::new();
-        grid.for_each_in_radius(&c, 200.0, |id| from_grid.push(id));
-        assert_eq!(from_grid, from_hash);
-        assert_eq!(from_grid.len(), 30, "radius covers everything");
-    }
-
-    #[test]
-    fn grid_empty_rebuild() {
-        let mut grid = SpatialGrid::new();
-        grid.rebuild(&[], 1.0);
-        assert!(grid.is_empty());
-        let mut seen = 0;
-        grid.for_each_in_radius(&Point2::origin(), 10.0, |_| seen += 1);
-        assert_eq!(seen, 0);
-    }
-
-    proptest! {
-        #[test]
-        fn grid_order_parity_prop(
-            seed in 0u64..1000,
-            n in 0usize..200,
-            cell in 0.5f64..20.0,
-            r in 0.0f64..40.0,
-        ) {
-            let pts = random_points(n, seed);
-            let hash = SpatialHash::build(&pts, cell);
-            let mut grid = SpatialGrid::new();
-            grid.rebuild(&pts, cell);
-            let c = Point2::new(50.0, 50.0);
-            let mut from_hash = Vec::new();
-            hash.for_each_in_radius(&c, r, |id| from_hash.push(id));
-            let mut from_grid = Vec::new();
-            grid.for_each_in_radius(&c, r, |id| from_grid.push(id));
-            prop_assert_eq!(from_grid, from_hash);
-        }
-    }
-
-    /// Tile-sharded construction must be structurally identical to the
-    /// sequential build for every tile count — the tile count (and
-    /// hence the thread count) must never be observable.
-    #[test]
-    fn tiled_build_matches_sequential() {
-        let pts = random_points(3000, 77);
-        let seq = SpatialHash::build(&pts, 4.0);
-        for tiles in [1usize, 2, 3, 7, 16, 3000, 5000] {
-            let tiled = SpatialHash::build_tiled(&pts, 4.0, tiles);
-            assert_eq!(tiled, seq, "tiles={tiles}");
-        }
-        assert_eq!(
-            SpatialHash::build_tiled(&[], 1.0, 4),
-            SpatialHash::build(&[], 1.0)
+    fn wide_radius_queries_over_few_points_return_at_once() {
+        let start = Instant::now();
+        let pts = [Point2::new(0.0, 0.0), Point2::new(1e9, 0.0)];
+        let hash = SpatialHash::build(&pts, 1.0);
+        assert_eq!(in_radius(&hash, &pts[0], 1e9), vec![0, 1]);
+        assert_eq!(in_radius(&hash, &pts[1], 1e9), vec![0, 1]);
+        assert_eq!(in_radius(&hash, &pts[1], 1e9 - 1.0), vec![1]);
+        let pts = [Point2::new(5.0, 7.0), Point2::new(-2e4, 1e4)];
+        let hash = SpatialHash::build(&pts, 1.0);
+        assert_eq!(in_radius(&hash, &pts[0], 3e4), vec![1, 0]);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "wide queries took {:?}",
+            start.elapsed()
         );
-        let one = random_points(1, 5);
-        assert_eq!(
-            SpatialHash::build_tiled(&one, 1.0, 8),
-            SpatialHash::build(&one, 1.0)
-        );
-    }
-
-    /// Above the auto-tiling threshold `build` takes the sharded path
-    /// and `SpatialGrid::rebuild` the parallel key stage; both must
-    /// keep exact visit-order parity with each other and set-parity
-    /// with a brute-force scan.
-    #[test]
-    fn large_build_keeps_order_parity() {
-        // Forces both the tiled hash build (n ≥ 2·TILE_SIZE) and the
-        // grid's parallel key stage (n ≥ GRID_PARALLEL_MIN).
-        let n = GRID_PARALLEL_MIN + 137;
-        let pts = random_points(n, 81);
-        let cell = 2.0;
-        let hash = SpatialHash::build(&pts, cell);
-        let mut grid = SpatialGrid::new();
-        grid.rebuild(&pts, cell);
-        for (k, c) in random_points(10, 82).iter().enumerate() {
-            let r = 1.0 + (k as f64) % 8.0;
-            let mut from_hash = Vec::new();
-            hash.for_each_in_radius(c, r, |id| from_hash.push(id));
-            let mut from_grid = Vec::new();
-            grid.for_each_in_radius(c, r, |id| from_grid.push(id));
-            assert_eq!(from_grid, from_hash, "center {c:?} r {r}");
-            let mut sorted = from_hash.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, brute_force_radius(&pts, c, r));
-        }
     }
 
     #[test]
@@ -735,6 +362,9 @@ mod tests {
         let mut got = in_radius(&hash, &Point2::new(1.0, 1.0), 0.0);
         got.sort_unstable();
         assert_eq!(got, vec![0, 2]);
+        for r in [-1.0, f64::NEG_INFINITY, f64::NAN] {
+            assert!(in_radius(&hash, &Point2::new(1.0, 1.0), r).is_empty());
+        }
     }
 
     #[test]
@@ -742,42 +372,9 @@ mod tests {
         let hash = SpatialHash::build(&[], 1.0);
         assert!(hash.is_empty());
         assert!(in_radius(&hash, &Point2::origin(), 10.0).is_empty());
-        assert_eq!(hash.nearest(&Point2::origin()), None);
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let pts = random_points(300, 3);
-        let hash = SpatialHash::build(&pts, 7.0);
-        for c in random_points(60, 4) {
-            let got = hash.nearest(&c).unwrap();
-            let best = pts
-                .iter()
-                .enumerate()
-                .min_by(|(_, p), (_, q)| p.distance(&c).total_cmp(&q.distance(&c)))
-                .map(|(i, _)| i as u32)
-                .unwrap();
-            assert_eq!(
-                pts[got as usize].distance(&c),
-                pts[best as usize].distance(&c),
-                "center {c:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn nearest_far_outside_the_cloud() {
-        let pts = random_points(50, 5);
-        let hash = SpatialHash::build(&pts, 5.0);
-        let far = Point2::new(-1e4, 1e4);
-        let got = hash.nearest(&far).unwrap();
-        let best = pts
-            .iter()
-            .enumerate()
-            .min_by(|(_, p), (_, q)| p.distance(&far).total_cmp(&q.distance(&far)))
-            .map(|(i, _)| i as u32)
-            .unwrap();
-        assert_eq!(got, best);
+        let unbuilt = SpatialHash::new();
+        assert!(unbuilt.is_empty());
+        assert!(in_radius(&unbuilt, &Point2::origin(), 10.0).is_empty());
     }
 
     proptest! {
@@ -797,33 +394,41 @@ mod tests {
             got.sort_unstable();
             prop_assert_eq!(got, brute_force_radius(&pts, &c, r));
         }
+
+        /// Schedulers need the exact visit order, not just the members:
+        /// cells in `(a, b)` key order, indices ascending within a
+        /// cell. Radii reach far past the point cloud, so the seek walk
+        /// skips rows and columns on both sides of the box.
+        #[test]
+        fn visit_order_is_window_order(
+            seed in 0u64..1000,
+            n in 0usize..200,
+            cx in -50.0f64..150.0, cy in -50.0f64..150.0,
+            r in 0.0f64..200.0,
+            cell in 0.5f64..20.0,
+        ) {
+            let pts = random_points(n, seed);
+            let hash = SpatialHash::build(&pts, cell);
+            let c = Point2::new(cx, cy);
+            prop_assert_eq!(in_radius(&hash, &c, r), window_order(&pts, cell, &c, r));
+        }
     }
 
-    /// The mutation contract: after any interleaving of inserts and
-    /// swap-removes, both structures must be indistinguishable from a
-    /// fresh build over the mutated point array — same members *and*
-    /// the same visit order, since schedulers depend on order for
-    /// bit-identical results.
-    fn assert_matches_fresh_build(
-        hash: &SpatialHash,
-        grid: &SpatialGrid,
-        pts: &[Point2],
-        cell: f64,
-        seed: u64,
-    ) {
+    /// The mutation and rebuild contract: the index must be
+    /// indistinguishable from a fresh build over its point array —
+    /// same structure *and* the same visit order, since schedulers
+    /// depend on order for bit-identical results.
+    fn assert_matches_fresh_build(hash: &SpatialHash, pts: &[Point2], cell: f64, seed: u64) {
         assert_eq!(hash.points(), pts);
         let fresh = SpatialHash::build(pts, cell);
-        assert_eq!(hash, &fresh, "mutated hash differs from fresh build");
+        assert_eq!(hash, &fresh, "index differs from fresh build");
         for (i, c) in random_points(20, seed).iter().enumerate() {
             let r = 0.5 + (i as f64) % 30.0;
-            let mut want = Vec::new();
-            fresh.for_each_in_radius(c, r, |id| want.push(id));
-            let mut from_hash = Vec::new();
-            hash.for_each_in_radius(c, r, |id| from_hash.push(id));
-            assert_eq!(from_hash, want, "hash order diverged at {c:?} r {r}");
-            let mut from_grid = Vec::new();
-            grid.for_each_in_radius(c, r, |id| from_grid.push(id));
-            assert_eq!(from_grid, want, "grid order diverged at {c:?} r {r}");
+            assert_eq!(
+                in_radius(hash, c, r),
+                in_radius(&fresh, c, r),
+                "visit order diverged at {c:?} r {r}"
+            );
         }
     }
 
@@ -832,19 +437,14 @@ mod tests {
         let cell = 6.0;
         let mut pts = random_points(60, 21);
         let mut hash = SpatialHash::build(&pts, cell);
-        let mut grid = SpatialGrid::new();
-        grid.rebuild(&pts, cell);
         for (k, p) in random_points(40, 22).into_iter().enumerate() {
-            let got_h = hash.insert(p);
-            let got_g = grid.insert(p);
-            assert_eq!(got_h as usize, pts.len());
-            assert_eq!(got_g, got_h);
+            assert_eq!(hash.insert(p) as usize, pts.len());
             pts.push(p);
             if k % 7 == 0 {
-                assert_matches_fresh_build(&hash, &grid, &pts, cell, 23 + k as u64);
+                assert_matches_fresh_build(&hash, &pts, cell, 23 + k as u64);
             }
         }
-        assert_matches_fresh_build(&hash, &grid, &pts, cell, 99);
+        assert_matches_fresh_build(&hash, &pts, cell, 99);
     }
 
     #[test]
@@ -852,19 +452,16 @@ mod tests {
         let cell = 6.0;
         let mut pts = random_points(80, 31);
         let mut hash = SpatialHash::build(&pts, cell);
-        let mut grid = SpatialGrid::new();
-        grid.rebuild(&pts, cell);
         let mut rng = rand::rngs::StdRng::seed_from_u64(32);
         for k in 0..60 {
             let i = rng.gen_range(0..pts.len()) as u32;
             hash.swap_remove(i);
-            grid.swap_remove(i);
             pts.swap_remove(i as usize);
             if k % 7 == 0 {
-                assert_matches_fresh_build(&hash, &grid, &pts, cell, 33 + k as u64);
+                assert_matches_fresh_build(&hash, &pts, cell, 33 + k as u64);
             }
         }
-        assert_matches_fresh_build(&hash, &grid, &pts, cell, 98);
+        assert_matches_fresh_build(&hash, &pts, cell, 98);
     }
 
     #[test]
@@ -872,28 +469,58 @@ mod tests {
         let cell = 3.0;
         let mut pts = random_points(17, 41);
         let mut hash = SpatialHash::build(&pts, cell);
-        let mut grid = SpatialGrid::new();
-        grid.rebuild(&pts, cell);
         while !pts.is_empty() {
             let i = (pts.len() / 2) as u32;
             hash.swap_remove(i);
-            grid.swap_remove(i);
             pts.swap_remove(i as usize);
-            assert_matches_fresh_build(&hash, &grid, &pts, cell, pts.len() as u64);
+            assert_matches_fresh_build(&hash, &pts, cell, pts.len() as u64);
         }
-        assert!(hash.buckets.is_empty(), "empty buckets must be dropped");
-        // Refill after draining: mutation must not wedge the structures.
+        assert!(hash.buckets.is_empty(), "emptied buckets must be dropped");
+        // Refill after draining: mutation must not wedge the index.
         for p in random_points(9, 42) {
             hash.insert(p);
-            grid.insert(p);
             pts.push(p);
         }
-        assert_matches_fresh_build(&hash, &grid, &pts, cell, 43);
+        assert_matches_fresh_build(&hash, &pts, cell, 43);
+    }
+
+    /// Rebuilding over a sequence of different inputs (sizes, cells,
+    /// the empty set, a repeat) leaves exactly a fresh build of the
+    /// last one: nothing of an earlier input leaks into queries or
+    /// equality, and the kept empty buckets stay bounded.
+    #[test]
+    fn rebuild_sequence_matches_build_of_the_last_input() {
+        let inputs: Vec<(Vec<Point2>, f64)> = vec![
+            (random_points(400, 11), 5.0),
+            (random_points(30, 12), 8.0),
+            (Vec::new(), 1.0),
+            (random_points(120, 13), 0.7),
+            (random_points(120, 13), 0.7),
+            (random_points(60, 14), 3.0),
+            (random_points(5, 15), 0.25),
+        ];
+        let mut hash = SpatialHash::new();
+        for (k, (pts, cell)) in inputs.iter().enumerate() {
+            hash.rebuild(pts, *cell);
+            assert_matches_fresh_build(&hash, pts, *cell, 50 + k as u64);
+            assert!(hash.buckets.len() <= BUCKETS_PER_POINT * pts.len().max(1));
+        }
+        // Mutating a rebuilt index (whose map holds kept empty buckets)
+        // still tracks a fresh build.
+        let (mut pts, cell) = inputs[5].clone();
+        hash.rebuild(&pts, cell);
+        for p in random_points(10, 16) {
+            hash.insert(p);
+            pts.push(p);
+        }
+        hash.swap_remove(3);
+        pts.swap_remove(3);
+        assert_matches_fresh_build(&hash, &pts, cell, 60);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Satellite: interleaved insert/remove/query against a naive
+        /// Interleaved insert/remove/rebuild/query against a naive
         /// reference (plain point vector + brute-force scan). Ops are
         /// driven by a byte script so shrinking yields minimal
         /// counterexample sequences.
@@ -902,18 +529,15 @@ mod tests {
             seed in 0u64..1000,
             n0 in 0usize..40,
             cell in 0.5f64..15.0,
-            ops in proptest::collection::vec((0u8..3, 0.0f64..100.0, 0.0f64..100.0, 0.0f64..60.0), 1..60),
+            ops in proptest::collection::vec((0u8..4, 0.0f64..100.0, 0.0f64..100.0, 0.0f64..60.0), 1..60),
         ) {
             let mut pts = random_points(n0, seed);
             let mut hash = SpatialHash::build(&pts, cell);
-            let mut grid = SpatialGrid::new();
-            grid.rebuild(&pts, cell);
             for (op, x, y, r) in ops {
                 match op {
                     0 => {
                         let p = Point2::new(x, y);
                         hash.insert(p);
-                        grid.insert(p);
                         pts.push(p);
                     }
                     1 if !pts.is_empty() => {
@@ -922,19 +546,21 @@ mod tests {
                         let i = ((x / 100.0) * pts.len() as f64) as u32;
                         let i = i.min(pts.len() as u32 - 1);
                         hash.swap_remove(i);
-                        grid.swap_remove(i);
                         pts.swap_remove(i as usize);
+                    }
+                    2 => {
+                        // Re-index the current points at another cell
+                        // size and back, leaving empty buckets behind.
+                        hash.rebuild(&pts, 0.5 + r / 4.0);
+                        hash.rebuild(&pts, cell);
                     }
                     _ => {
                         let c = Point2::new(x, y);
-                        let mut got = in_radius(&hash, &c, r);
-                        got.sort_unstable();
-                        prop_assert_eq!(got, brute_force_radius(&pts, &c, r));
-                        let mut from_grid = Vec::new();
-                        grid.for_each_in_radius(&c, r, |id| from_grid.push(id));
-                        let mut from_hash = Vec::new();
-                        hash.for_each_in_radius(&c, r, |id| from_hash.push(id));
-                        prop_assert_eq!(from_grid, from_hash);
+                        let got = in_radius(&hash, &c, r);
+                        prop_assert_eq!(&got, &window_order(&pts, cell, &c, r));
+                        let mut sorted = got;
+                        sorted.sort_unstable();
+                        prop_assert_eq!(sorted, brute_force_radius(&pts, &c, r));
                     }
                 }
             }

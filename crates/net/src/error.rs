@@ -12,6 +12,9 @@ use crate::link::LinkId;
 pub enum ValidationError {
     /// A link's sender and receiver coincide.
     ZeroLengthLink(LinkId),
+    /// A link is so long (|Δ| ≳ 1.34·10¹⁵⁴) that its squared length
+    /// overflows `f64`, so its length would load as `+∞`.
+    OverlongLink(LinkId),
     /// A link's rate is non-positive or non-finite.
     BadRate {
         /// The offending link.
@@ -54,6 +57,9 @@ impl std::fmt::Display for ValidationError {
         match self {
             ValidationError::ZeroLengthLink(id) => {
                 write!(f, "link {id} has zero length (sender == receiver)")
+            }
+            ValidationError::OverlongLink(id) => {
+                write!(f, "link {id} is too long: its squared length overflows f64")
             }
             ValidationError::BadRate { id, rate } => {
                 write!(f, "link {id} has invalid rate {rate}")

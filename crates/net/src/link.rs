@@ -38,8 +38,8 @@ pub struct Link {
 
 /// The per-link checks every way into a link set runs — [`Link::new`],
 /// [`crate::LinkSet::try_new`], and `fading-core`'s batch mutations:
-/// finite coordinates, nonzero length, and a finite positive rate, in
-/// that order. `id` only labels the error.
+/// finite coordinates, a nonzero length whose square is finite, and a
+/// finite positive rate, in that order. `id` only labels the error.
 pub fn validate_link(
     id: LinkId,
     sender: Point2,
@@ -53,8 +53,12 @@ pub fn validate_link(
     {
         return Err(ValidationError::NonFiniteCoordinate(id));
     }
-    if sender.distance_sq(&receiver) == 0.0 {
+    let length_sq = sender.distance_sq(&receiver);
+    if length_sq == 0.0 {
         return Err(ValidationError::ZeroLengthLink(id));
+    }
+    if length_sq == f64::INFINITY {
+        return Err(ValidationError::OverlongLink(id));
     }
     if !(rate.is_finite() && rate > 0.0) {
         return Err(ValidationError::BadRate { id, rate });
@@ -67,8 +71,8 @@ impl Link {
     ///
     /// # Panics
     /// Panics if [`validate_link`] rejects it: a non-finite coordinate,
-    /// coinciding sender and receiver, or a rate that is not finite and
-    /// positive.
+    /// coinciding sender and receiver, a length whose square overflows,
+    /// or a rate that is not finite and positive.
     pub fn new(id: LinkId, sender: Point2, receiver: Point2, rate: f64) -> Self {
         if let Err(e) = validate_link(id, sender, receiver, rate) {
             panic!("invalid link: {e}");
@@ -113,6 +117,29 @@ mod tests {
     fn rejects_colocated_endpoints() {
         let p = Point2::new(1.0, 1.0);
         Link::new(LinkId(0), p, p, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too long")]
+    fn rejects_links_whose_squared_length_overflows() {
+        Link::new(
+            LinkId(0),
+            Point2::new(-8e307, 0.0),
+            Point2::new(8e307, 0.0),
+            1.0,
+        );
+    }
+
+    #[test]
+    fn the_longest_links_stay_finite() {
+        let (s, r) = (Point2::new(1e300, 0.0), Point2::new(1e300, 1e154));
+        assert!(validate_link(LinkId(0), s, r, 1.0).is_ok());
+        assert!(Link::new(LinkId(0), s, r, 1.0).length().is_finite());
+        let r = Point2::new(1e300, 1e285);
+        assert_eq!(
+            validate_link(LinkId(4), s, r, 1.0),
+            Err(ValidationError::OverlongLink(LinkId(4)))
+        );
     }
 
     #[test]

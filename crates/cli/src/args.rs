@@ -31,7 +31,15 @@ pub const BOOLEAN_FLAGS: &[&str] = &[
 ///
 /// Grammar: `<command> (--key value | --boolean-flag)*`. A trailing
 /// `--key` without a value, or a stray positional, is an error.
+/// `--help` or `-h` anywhere asks for the `help` command.
 pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
+    let argv: Vec<String> = argv.into_iter().collect();
+    if argv.iter().any(|t| t == "--help" || t == "-h") {
+        return Ok(Args {
+            command: "help".to_string(),
+            options: BTreeMap::new(),
+        });
+    }
     let mut it = argv.into_iter();
     let command = it.next().ok_or("missing subcommand")?;
     if command.starts_with("--") {
@@ -122,6 +130,20 @@ mod tests {
     fn missing_subcommand_is_an_error() {
         assert!(parse(Vec::<String>::new()).is_err());
         assert!(parse(argv("--n 5")).is_err());
+    }
+
+    #[test]
+    fn help_flag_anywhere_is_the_help_command() {
+        for line in [
+            "--help",
+            "-h",
+            "schedule --help",
+            "schedule --instance x -h",
+        ] {
+            let a = parse(argv(line)).unwrap();
+            assert_eq!(a.command, "help", "{line}");
+            assert!(a.options.is_empty(), "{line}");
+        }
     }
 
     #[test]

@@ -240,7 +240,7 @@ fn dispatch(
             )?;
             crate::bench_report::bench_report(args, out, effects)
         }
-        "help" | "--help" => write!(out, "{}", usage()).map_err(|e| e.to_string()),
+        "help" => write!(out, "{}", usage()).map_err(|e| e.to_string()),
         other => Err(format!("unknown subcommand {other}\n\n{}", usage())),
     }
 }
@@ -325,6 +325,7 @@ GLOBAL FLAGS (every subcommand):
                             text exposition format
   --progress                throttled progress on stderr
   --quiet                   suppress progress and chatter
+  --help, -h                print this usage (same as `fading help`)
 "
     .to_string()
 }

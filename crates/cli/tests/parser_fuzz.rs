@@ -20,8 +20,15 @@ fn no_args_prints_usage_and_exits_2() {
 
 #[test]
 fn help_exits_zero() {
-    let out = run_binary(&["help"]);
-    assert!(out.status.success());
+    for args in [&["help"][..], &["--help"], &["-h"], &["schedule", "--help"]] {
+        let out = run_binary(args);
+        assert_eq!(out.status.code(), Some(0), "fading {}", args.join(" "));
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("USAGE"),
+            "fading {}",
+            args.join(" ")
+        );
+    }
 }
 
 #[test]

@@ -13,7 +13,6 @@ use crate::ctx::{OrderKind, SchedCtx};
 use crate::problem::Problem;
 use crate::schedule::Schedule;
 use crate::scope::Scope;
-use fading_net::LinkId;
 use fading_obs::{ElimCause, TraceEvent, TraceScope};
 
 /// Which accumulated-interference metric drives deletions.
@@ -87,7 +86,6 @@ pub fn eliminate_schedule_in(
             elim_budget: fading_obs::counter!("core.approx_diversity.elim_budget"),
         },
     };
-    let label = stats.label;
     let _span = fading_obs::Span::enter(stats.span);
     let links = problem.links();
     if scope.len(problem) == 0 {
@@ -129,22 +127,27 @@ pub fn eliminate_schedule_in(
     let typical_radius = c1 * min_length.unwrap_or(1.0);
     ctx.spatial.rebuild(&ctx.senders, typical_radius.max(1e-9));
 
-    // The elimination loop exists twice: an untraced copy containing no
-    // trace hooks at all, and a fully traced `#[cold]` twin. Merging
-    // them (one loop with per-event `if traced` guards) measurably
-    // pessimizes the untraced dense walk — LLVM stops optimizing the
-    // hot row loop once the trace-event code is reachable from it —
-    // which regressed the disabled-tracing benchmark ~10% at N = 1000.
-    // Both copies make identical picks/eliminations in identical
-    // (FP-accumulation) order; `trace_certificates.rs` replays traced
-    // runs against `schedule()` output to pin that equivalence.
-    let (schedule, elim_radius, elim_budget) = if fading_obs::tracing_enabled() {
-        run_traced(
-            problem, scope, ctx, c1, c2, budget, threshold, metric, label,
-        )
+    // One elimination loop, instantiated twice: `run::<false>` has no
+    // trace code compiled into it, `run::<true>` records every decision
+    // the same loop makes. (A runtime `if traced` guard instead of the
+    // const parameter keeps the trace code reachable from the hot row
+    // loop, which regressed the untraced benchmark ~10% at N = 1000.)
+    let mut tr = TraceScope::begin();
+    let (schedule, elim_radius, elim_budget) = if tr.active() {
+        tr.push(TraceEvent::ElimStart {
+            scheduler: stats.label.to_string(),
+            n: scope.len(problem) as u32,
+            metric: metric.trace_name().to_string(),
+            budget,
+            threshold,
+            c1,
+            c2,
+        });
+        run::<true>(problem, scope, ctx, c1, threshold, metric, &mut tr)
     } else {
-        run_untraced(problem, scope, ctx, c1, threshold, metric)
+        run::<false>(problem, scope, ctx, c1, threshold, metric, &mut tr)
     };
+    tr.finish();
     // Flushed once per schedule call: the elimination loop itself
     // stays free of shared-state writes.
     stats.rounds.add(schedule.len() as u64);
@@ -155,16 +158,20 @@ pub fn eliminate_schedule_in(
     schedule
 }
 
-/// The hot path: Algorithm 2 with no tracing support compiled into it.
-/// All scratch comes from `ctx`; warm calls touch no heap.
+/// Algorithm 2 over the prepared `ctx` (candidate order, spatial
+/// index). With `TRACED` it records each pick, elimination, nonzero
+/// ledger debit and the final schedule into `tr`; without it, no trace
+/// code is compiled in. All scratch comes from `ctx`; warm untraced
+/// calls touch no heap.
 #[inline(never)]
-fn run_untraced(
+fn run<const TRACED: bool>(
     problem: &Problem,
     scope: Scope<'_>,
     ctx: &mut SchedCtx,
     c1: f64,
     threshold: f64,
     metric: ElimMetric,
+    tr: &mut TraceScope,
 ) -> (Schedule, u64, u64) {
     let links = problem.links();
     let n = links.len();
@@ -201,9 +208,10 @@ fn run_untraced(
     // `crate::kernel::debit_dense`), so the schedule cannot depend on
     // where the crossover lands. DeterministicRelative keeps the
     // compacted walk throughout: its `exp_m1` per element makes full
-    // rows expensive on dead entries.
+    // rows expensive on dead entries. A traced run also starts there:
+    // the kernel records no per-debit events.
     let mut alive_count = live.len();
-    let mut compacted = metric != ElimMetric::FadingFactor;
+    let mut compacted = TRACED || metric != ElimMetric::FadingFactor;
 
     for &i in order.iter() {
         if !alive[i.index()] {
@@ -213,6 +221,9 @@ fn run_untraced(
         alive[i.index()] = false;
         alive_count -= 1;
         picked.push(i);
+        if TRACED {
+            tr.push(TraceEvent::Pick { link: i.0 });
+        }
         let receiver = links.link(i).receiver;
         let radius = c1 * links.length(i);
         // Line 4: delete links whose senders are within c₁·d_ii of r_i.
@@ -222,6 +233,13 @@ fn run_untraced(
                 alive[j] = false;
                 alive_count -= 1;
                 elim_radius += 1;
+                if TRACED {
+                    tr.push(TraceEvent::Eliminate {
+                        link: j as u32,
+                        cause: ElimCause::Radius,
+                        by: Some(i.0),
+                    });
+                }
             }
         });
         // Line 5: delete links whose accumulated interference from the
@@ -235,9 +253,31 @@ fn run_untraced(
         // absorbed by the c₂ margin Theorem 4.3 reserves. e^f − 1
         // recovers the deterministic relative interference from the
         // fading factor.
-        let contribution = |f: f64| match metric {
-            ElimMetric::FadingFactor => f,
-            ElimMetric::DeterministicRelative => f.exp_m1(),
+        let mut debit = |j: usize, f: f64, acc: &mut [f64], alive: &mut [bool]| {
+            let f = match metric {
+                ElimMetric::FadingFactor => f,
+                ElimMetric::DeterministicRelative => f.exp_m1(),
+            };
+            acc[j] += f;
+            if TRACED && f != 0.0 {
+                tr.push(TraceEvent::BudgetDebit {
+                    receiver: j as u32,
+                    from: i.0,
+                    factor: f,
+                    remaining: threshold - acc[j],
+                });
+            }
+            if acc[j] > threshold {
+                alive[j] = false;
+                elim_budget += 1;
+                if TRACED {
+                    tr.push(TraceEvent::Eliminate {
+                        link: j as u32,
+                        cause: ElimCause::BudgetExceeded,
+                        by: Some(i.0),
+                    });
+                }
+            }
         };
         if let Some(row) = problem.factors().dense_row(i) {
             // Crossover: the `retain` below leaves exactly the ascending
@@ -247,12 +287,7 @@ fn run_untraced(
             if compacted {
                 live.retain(|&j| alive[j as usize]);
                 for &j in live.iter() {
-                    let j = j as usize;
-                    acc[j] += contribution(row[j]);
-                    if acc[j] > threshold {
-                        alive[j] = false;
-                        elim_budget += 1;
-                    }
+                    debit(j as usize, row[j as usize], acc, alive);
                 }
             } else {
                 let newly = crate::kernel::debit_dense(row, acc, alive, threshold);
@@ -271,129 +306,18 @@ fn run_untraced(
                 .expect("backend is neither dense nor sparse");
             let (recv, fact) = sparse.row_slices(i);
             for (&j, &f) in recv.iter().zip(fact.iter()) {
-                let j = j as usize;
-                if alive[j] {
-                    acc[j] += contribution(f);
-                    if acc[j] > threshold {
-                        alive[j] = false;
-                        elim_budget += 1;
-                    }
+                if alive[j as usize] {
+                    debit(j as usize, f, acc, alive);
                 }
             }
         }
     }
-    (Schedule::from_vec(picked), elim_radius, elim_budget)
-}
-
-/// The traced twin of [`run_untraced`]: identical decision sequence,
-/// with every pick, elimination, and ledger debit recorded.
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn run_traced(
-    problem: &Problem,
-    scope: Scope<'_>,
-    ctx: &mut SchedCtx,
-    c1: f64,
-    c2: f64,
-    budget: f64,
-    threshold: f64,
-    metric: ElimMetric,
-    label: &str,
-) -> (Schedule, u64, u64) {
-    let links = problem.links();
-    let n = links.len();
-    let order = &ctx.order;
-    let hash = &ctx.spatial;
-    let mut tr = TraceScope::begin();
-    tr.push(TraceEvent::ElimStart {
-        scheduler: label.to_string(),
-        n: scope.len(problem) as u32,
-        metric: metric.trace_name().to_string(),
-        budget,
-        threshold,
-        c1,
-        c2,
-    });
-    let mut alive = vec![false; n];
-    for j in scope.ids(problem) {
-        alive[j.index()] = true;
-    }
-    let mut acc = vec![0.0f64; n];
-    let mut picked = Vec::new();
-    let mut elim_radius = 0u64;
-    let mut elim_budget = 0u64;
-
-    for &i in order {
-        if !alive[i.index()] {
-            continue;
-        }
-        alive[i.index()] = false;
-        picked.push(i);
-        tr.push(TraceEvent::Pick { link: i.0 });
-        let receiver = links.link(i).receiver;
-        let radius = c1 * links.length(i);
-        hash.for_each_in_radius(&receiver, radius, |p| {
-            let j = scope.id_at(p as usize).0;
-            if alive[j as usize] {
-                alive[j as usize] = false;
-                elim_radius += 1;
-                tr.push(TraceEvent::Eliminate {
-                    link: j,
-                    cause: ElimCause::Radius,
-                    by: Some(i.0),
-                });
-            }
+    let schedule = Schedule::from_vec(picked);
+    if TRACED {
+        tr.push(TraceEvent::End {
+            scheduled: schedule.iter().map(|id| id.0).collect(),
         });
-        let contribution = |f: f64| match metric {
-            ElimMetric::FadingFactor => f,
-            ElimMetric::DeterministicRelative => f.exp_m1(),
-        };
-        // Every nonzero debit is recorded with the ledger state it
-        // left behind.
-        let mut debit =
-            |j: usize, f: f64, alive: &mut [bool], acc: &mut [f64], tr: &mut TraceScope| {
-                let f = contribution(f);
-                acc[j] += f;
-                if f != 0.0 {
-                    tr.push(TraceEvent::BudgetDebit {
-                        receiver: j as u32,
-                        from: i.0,
-                        factor: f,
-                        remaining: threshold - acc[j],
-                    });
-                }
-                if acc[j] > threshold {
-                    alive[j] = false;
-                    elim_budget += 1;
-                    tr.push(TraceEvent::Eliminate {
-                        link: j as u32,
-                        cause: ElimCause::BudgetExceeded,
-                        by: Some(i.0),
-                    });
-                }
-            };
-        if let Some(row) = problem.factors().dense_row(i) {
-            for j in scope.ids(problem).map(LinkId::index) {
-                if !alive[j] {
-                    continue;
-                }
-                debit(j, row[j], &mut alive, &mut acc, &mut tr);
-            }
-        } else {
-            problem.factors().for_each_out(i, &mut |j, f| {
-                let j = j.index();
-                if alive[j] {
-                    debit(j, f, &mut alive, &mut acc, &mut tr);
-                }
-            });
-        }
     }
-    let schedule = Schedule::from_ids(picked);
-    tr.push(TraceEvent::End {
-        scheduled: schedule.iter().map(|id| id.0).collect(),
-    });
-    tr.finish();
     (schedule, elim_radius, elim_budget)
 }
 

@@ -12,10 +12,8 @@ use crate::schedule::Schedule;
 use crate::scope::Scope;
 use fading_geom::GridPartition;
 use fading_net::diversity::magnitude;
-use fading_net::LinkId;
 use fading_obs::{ElimCause, TraceEvent, TraceScope};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How link classes are built from length magnitudes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,47 +107,10 @@ pub fn grid_schedule_labeled_in(
         let mut classes = 0u64;
         let mut cells = 0u64;
         let mut colors = 0u64;
-        for &h in &ctx.exponents {
+        for k in 0..ctx.exponents.len() {
+            let h = ctx.exponents[k];
             classes += 1;
-            let cell = 2f64.powi(h as i32 + 1) * scale * delta;
-            let grid = GridPartition::new(links.region(), cell);
-            // The best-rate receiver in each occupied square. Winners live
-            // in a slot vector in first-encounter order (encounter order is
-            // id order), with the map holding only Copy slot indices — so
-            // clearing keeps capacity and downstream iteration is
-            // deterministic rather than following HashMap bucket order.
-            ctx.cell_slot.clear();
-            ctx.winners.clear();
-            for link in candidates() {
-                let m = magnitude(link.length(), delta);
-                let in_class = match mode {
-                    ClassMode::Nested => m <= h,
-                    ClassMode::TwoSided => m == h,
-                };
-                if !in_class {
-                    continue;
-                }
-                let cell_idx = grid.cell_of(&link.receiver);
-                let next = ctx.winners.len() as u32;
-                let slot = *ctx.cell_slot.entry(cell_idx).or_insert(next);
-                if slot == next {
-                    ctx.winners.push((cell_idx, link.id));
-                } else {
-                    let cur = &mut ctx.winners[slot as usize].1;
-                    let cur_link = links.link(*cur);
-                    // Highest weight wins; ties broken by shorter
-                    // length, then id, for determinism.
-                    let better = (weight(link.id), -link.length(), std::cmp::Reverse(link.id))
-                        > (
-                            weight(cur_link.id),
-                            -cur_link.length(),
-                            std::cmp::Reverse(cur_link.id),
-                        );
-                    if better {
-                        *cur = link.id;
-                    }
-                }
-            }
+            let grid = class_winners(problem, scope, mode, scale, delta, h, ctx);
             // Group the per-square winners by square color.
             cells += ctx.winners.len() as u64;
             for bucket in ctx.per_color.iter_mut() {
@@ -198,42 +159,11 @@ pub fn grid_schedule_labeled_in(
             color: best_color,
             utility: best_utility,
         });
-        let cell = 2f64.powi(best_class as i32 + 1) * scale * delta;
-        let grid = GridPartition::new(links.region(), cell);
-        let mut per_cell: HashMap<fading_geom::CellIndex, LinkId> = HashMap::new();
+        // The memo may have skipped selection, so refill the chosen
+        // class's winners.
+        let grid = class_winners(problem, scope, mode, scale, delta, best_class, ctx);
         for link in candidates() {
-            let m = magnitude(link.length(), delta);
-            let in_class = match mode {
-                ClassMode::Nested => m <= best_class,
-                ClassMode::TwoSided => m == best_class,
-            };
-            if !in_class {
-                continue;
-            }
-            let cell_idx = grid.cell_of(&link.receiver);
-            per_cell
-                .entry(cell_idx)
-                .and_modify(|cur| {
-                    let cur_link = links.link(*cur);
-                    let better = (weight(link.id), -link.length(), std::cmp::Reverse(link.id))
-                        > (
-                            weight(cur_link.id),
-                            -cur_link.length(),
-                            std::cmp::Reverse(cur_link.id),
-                        );
-                    if better {
-                        *cur = link.id;
-                    }
-                })
-                .or_insert(link.id);
-        }
-        for link in candidates() {
-            let m = magnitude(link.length(), delta);
-            let in_class = match mode {
-                ClassMode::Nested => m <= best_class,
-                ClassMode::TwoSided => m == best_class,
-            };
-            if !in_class {
+            if !in_class(mode, magnitude(link.length(), delta), best_class) {
                 tr.push(TraceEvent::Eliminate {
                     link: link.id.0,
                     cause: ElimCause::ClassFiltered,
@@ -242,7 +172,7 @@ pub fn grid_schedule_labeled_in(
                 continue;
             }
             let cell_idx = grid.cell_of(&link.receiver);
-            let winner = per_cell[&cell_idx];
+            let winner = ctx.winners[ctx.cell_slot[&cell_idx] as usize].1;
             if winner != link.id {
                 tr.push(TraceEvent::Eliminate {
                     link: link.id.0,
@@ -286,6 +216,61 @@ pub fn grid_schedule_labeled_in(
         }
     }
     best
+}
+
+/// Whether a link of length magnitude `m` belongs to the class of
+/// magnitude `h`.
+fn in_class(mode: ClassMode, m: u32, h: u32) -> bool {
+    match mode {
+        ClassMode::Nested => m <= h,
+        ClassMode::TwoSided => m == h,
+    }
+}
+
+/// Tiles the region with the class-`h` squares and fills
+/// `ctx.winners` with the best candidate of each occupied square:
+/// highest weight, ties broken by shorter length, then id, for
+/// determinism. Winners sit in first-encounter order (encounter order
+/// is id order), with `ctx.cell_slot` mapping each square to its slot —
+/// so clearing keeps capacity and downstream iteration is deterministic
+/// rather than following HashMap bucket order. Returns the grid.
+fn class_winners(
+    problem: &Problem,
+    scope: Scope<'_>,
+    mode: ClassMode,
+    scale: f64,
+    delta: f64,
+    h: u32,
+    ctx: &mut SchedCtx,
+) -> GridPartition {
+    let links = problem.links();
+    let grid = GridPartition::new(links.region(), 2f64.powi(h as i32 + 1) * scale * delta);
+    let key = |id| {
+        (
+            scope.weight(problem, id),
+            -links.length(id),
+            std::cmp::Reverse(id),
+        )
+    };
+    ctx.cell_slot.clear();
+    ctx.winners.clear();
+    for id in scope.ids(problem) {
+        if !in_class(mode, magnitude(links.length(id), delta), h) {
+            continue;
+        }
+        let cell_idx = grid.cell_of(&links.link(id).receiver);
+        let next = ctx.winners.len() as u32;
+        let slot = *ctx.cell_slot.entry(cell_idx).or_insert(next);
+        if slot == next {
+            ctx.winners.push((cell_idx, id));
+        } else {
+            let cur = &mut ctx.winners[slot as usize].1;
+            if key(id) > key(*cur) {
+                *cur = id;
+            }
+        }
+    }
+    grid
 }
 
 /// Per-call-site cached observability handles for the known callers:
@@ -432,7 +417,7 @@ mod tests {
         // Two links, receivers in the same unit square, different rates:
         // the scheduler must keep the higher-rate one.
         use fading_geom::{Point2, Rect};
-        use fading_net::{Link, LinkSet};
+        use fading_net::{Link, LinkId, LinkSet};
         let links = vec![
             Link::new(
                 LinkId(0),

@@ -85,7 +85,7 @@ proptest! {
     }
 }
 
-/// Always-scalar replication of `run_untraced` for the FadingFactor
+/// Always-scalar replication of `elim_core::run` for the FadingFactor
 /// metric: same pick order, same radius deletions (same `dist² ≤ r²`
 /// predicate as the spatial hash), same ascending full-row debit walk.
 fn reference_rle_picks(p: &Problem, c1: f64, c2: f64) -> Vec<u32> {

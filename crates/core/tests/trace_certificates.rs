@@ -10,25 +10,48 @@
 //!    power profiles) and reconstructs the exact emitted schedule.
 //! 3. **Tamper-evidence** — mutated traces (flipped elimination cause,
 //!    inflated budget debit, dropped pick) are rejected.
+//! 4. **Fidelity** — tracing never changes a decision: every traced
+//!    scheduler returns the untraced schedule, for every scope kind and
+//!    backend, so the trace certifies the loop that actually runs.
 //!
 //! The trace ring is process-global, so every test that records a
 //! trace serializes on [`LOCK`].
 
-use fading_core::algo::{Ldp, Rle};
-use fading_core::{verify_schedule, BackendChoice, Problem, Scheduler};
-use fading_net::{RateModel, TopologyGenerator, UniformGenerator};
+use fading_core::algo::{ApproxDiversity, ApproxLogN, Ldp, Rle};
+use fading_core::{verify_schedule, BackendChoice, Problem, SchedCtx, Schedule, Scheduler, Scope};
+use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
 use fading_obs::{ElimCause, Trace, TraceEvent};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn traced_run(problem: &Problem, scheduler: &dyn Scheduler) -> (fading_core::Schedule, Trace) {
+fn traced_run(problem: &Problem, scheduler: &dyn Scheduler) -> (Schedule, Trace) {
+    traced_run_in(problem, scheduler, Scope::all(), &mut SchedCtx::new())
+}
+
+/// One traced `schedule_in` call over `scope` with the caller's ctx.
+fn traced_run_in(
+    problem: &Problem,
+    scheduler: &dyn Scheduler,
+    scope: Scope<'_>,
+    ctx: &mut SchedCtx,
+) -> (Schedule, Trace) {
     fading_obs::set_tracing(true);
     let _ = fading_obs::take_trace();
-    let schedule = scheduler.schedule(problem);
+    let schedule = scheduler.schedule_in(problem, scope, ctx);
     fading_obs::set_tracing(false);
     (schedule, fading_obs::take_trace())
+}
+
+/// The four schedulers that emit decision traces.
+fn traced_schedulers() -> [Box<dyn Scheduler>; 4] {
+    [
+        Box::new(Rle::new()),
+        Box::new(ApproxDiversity::new()),
+        Box::new(Ldp::new()),
+        Box::new(ApproxLogN::new()),
+    ]
 }
 
 /// Instance `i` of the acceptance grid: cycles α through the paper's
@@ -60,7 +83,8 @@ fn replay_accepts_64_instances_across_alpha_backends_and_powers() {
     let _guard = LOCK.lock().unwrap();
     for i in 0..64u64 {
         let problem = grid_problem(i);
-        for scheduler in [&Rle::new() as &dyn Scheduler, &Ldp::new()] {
+        for scheduler in traced_schedulers() {
+            let scheduler = scheduler.as_ref();
             let (schedule, trace) = traced_run(&problem, scheduler);
             let cert = verify_schedule(&problem, &trace, &schedule).unwrap_or_else(|e| {
                 panic!("instance {i}, {}: replay failed: {e}", scheduler.name())
@@ -71,11 +95,72 @@ fn replay_accepts_64_instances_across_alpha_backends_and_powers() {
                 "instance {i}, {}: replay reconstructed a different schedule",
                 scheduler.name()
             );
-            assert!(
+            // Only the paper's algorithms certify γ_ε feasibility; the
+            // baselines' ledgers are not audited.
+            let certified = matches!(scheduler.name(), "RLE" | "LDP");
+            assert_eq!(
                 cert.ledger_checked,
-                "instance {i}, {}: γ_ε ledger not audited",
+                certified,
+                "instance {i}, {}: γ_ε ledger audit",
                 scheduler.name()
             );
+        }
+    }
+}
+
+#[test]
+fn tracing_never_changes_the_schedule() {
+    let _guard = LOCK.lock().unwrap();
+    // n = 1000 dense runs RLE's untraced debits through the full-row
+    // kernel until survivors fall below a quarter, then the compacted
+    // walk; the traced run must agree across that crossover.
+    for (k, n) in [60usize, 200, 500, 1000].into_iter().enumerate() {
+        for backend in [
+            BackendChoice::Dense,
+            BackendChoice::Sparse(Default::default()),
+        ] {
+            let links = UniformGenerator::paper(n).generate(500 + k as u64);
+            let problem = Problem::builder(links, fading_channel::ChannelParams::with_alpha(3.0))
+                .backend(backend)
+                .build();
+            let candidates: Vec<LinkId> =
+                (0..n as u32).filter(|i| i % 3 != 1).map(LinkId).collect();
+            let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i * 7 % 11) as f64).collect();
+            let scopes = [
+                ("all", Scope::all()),
+                ("candidates", Scope::candidates(&candidates)),
+                (
+                    "weighted",
+                    Scope::candidates(&candidates).weighted(&weights),
+                ),
+            ];
+            for scheduler in traced_schedulers() {
+                let scheduler = scheduler.as_ref();
+                for (scope_name, scope) in scopes {
+                    let case = format!("{}, n = {n}, {backend:?}, {scope_name}", scheduler.name());
+                    let mut ctx = SchedCtx::new();
+                    let untraced = scheduler.schedule_in(&problem, scope, &mut ctx);
+                    // Warm ctx: LDP's memo skips its selection phase.
+                    let (warm, _) = traced_run_in(&problem, scheduler, scope, &mut ctx);
+                    let (cold, trace) =
+                        traced_run_in(&problem, scheduler, scope, &mut SchedCtx::new());
+                    assert_eq!(
+                        warm.ids(),
+                        untraced.ids(),
+                        "{case}: warm traced run differs"
+                    );
+                    assert_eq!(
+                        cold.ids(),
+                        untraced.ids(),
+                        "{case}: cold traced run differs"
+                    );
+                    assert!(trace.is_complete(), "{case}: trace ring overflowed");
+                    if scope.list().is_none() {
+                        verify_schedule(&problem, &trace, &untraced)
+                            .unwrap_or_else(|e| panic!("{case}: replay failed: {e}"));
+                    }
+                }
+            }
         }
     }
 }

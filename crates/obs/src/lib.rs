@@ -1,6 +1,6 @@
 //! Lightweight observability for the fading-rls workspace.
 //!
-//! Four small, dependency-free pieces (only the vendored `serde` /
+//! Small, dependency-free pieces (only the vendored `serde` /
 //! `serde_json` are used, for output encoding):
 //!
 //! * **Metrics** ([`metrics`]) — a global registry of named counters,
@@ -14,10 +14,9 @@
 //!   returns a guard; nested guards on the same thread build a
 //!   hierarchical timing tree keyed by dotted paths, summarized by
 //!   [`span_snapshot`].
-//! * **Events & manifests** ([`events`], [`manifest`]) — an optional
-//!   JSONL sink for structured events, and a [`RunManifest`] capturing
-//!   one run's configuration, seed, git version, build profile, wall
-//!   time, metric snapshot, and span tree as a single JSON document.
+//! * **Manifests** ([`manifest`]) — a [`RunManifest`] capturing one
+//!   run's configuration, seed, git version, build profile, wall time,
+//!   metric snapshot, and span tree as a single JSON document.
 //! * **Progress** ([`progress`]) — a throttled stderr reporter for
 //!   long sweeps (`point 3/12 · scheduler=RLE · 48k trials/s ·
 //!   ETA 00:41`), globally switched by [`set_progress`] so library
@@ -42,7 +41,6 @@
 //! active are internally consistent per metric but not a cross-metric
 //! barrier.
 
-pub mod events;
 pub mod exposition;
 pub mod flight;
 pub mod hash;
@@ -54,7 +52,6 @@ pub mod span;
 pub mod timeseries;
 pub mod trace;
 
-pub use events::{emit_event, set_event_sink, EventValue};
 pub use exposition::render_prometheus;
 pub use flight::{
     Anomaly, AnomalyDetector, FlightConfig, FlightRecorder, PostmortemPaths, POSTMORTEM_VERSION,

@@ -722,13 +722,6 @@ impl ChurnEngine {
             }
             if let Some(anomaly) = flight.rec.observe(&rec, trace_events, conserved) {
                 tel.health = anomaly.tag();
-                fading_obs::emit_event(
-                    "churn.anomaly",
-                    &[
-                        ("tag", fading_obs::EventValue::Str(anomaly.tag().into())),
-                        ("slot", fading_obs::EventValue::U64(rec.slot)),
-                    ],
-                );
                 if let Some(dir) = flight.out_dir.clone() {
                     match flight.rec.dump(&dir, &anomaly) {
                         Ok(_paths) => {

@@ -132,16 +132,6 @@ fn measured_row(
         &format!("{axis_label}={x} · scheduler={}", scheduler.name()),
         meter.trials_done,
     );
-    fading_obs::emit_event(
-        "sweep_point",
-        &[
-            ("axis", axis_label.into()),
-            ("x", x.into()),
-            ("scheduler", scheduler.name().into()),
-            ("wall_ms", ms.into()),
-            ("trials", point_trials.into()),
-        ],
-    );
     row
 }
 

@@ -834,7 +834,7 @@ fn churn_large_benches(rec: &mut Recorder) {
 /// hundred links, scheduled by GreedyRate + MaxWeight after 100 warm-up
 /// slots. Scheduling is the certified member checks of
 /// `InterferenceAccumulator` and service the certified slot verdicts of
-/// `fading_sim::slot`; five derived rows gate them:
+/// `fading_sim::slot`; six derived rows gate them:
 ///
 /// * `queue.exact_fallbacks_per_slot.10k` — the accumulator's exact
 ///   resolutions per slot over a fixed 50 slots (`Ratio`,
@@ -842,6 +842,10 @@ fn churn_large_benches(rec: &mut Recorder) {
 /// * `queue.exact_rows_per_slot.10k` — receivers per slot whose
 ///   verdict the interference bound left open (`sim.slot.exact_rows`;
 ///   `Ratio`, deterministic per seed, `[max]`);
+/// * `queue.signal_certified_share.10k` — the share of those slots'
+///   receivers certified from their signal draw alone
+///   (`sim.slot.signal_certified` over the scheduled links; `Ratio`,
+///   higher is better, deterministic per seed, `[min]`);
 /// * `queue.schedule_share.10k` / `queue.service_share.10k` — schedule
 ///   and service time over slot time across those slots, from the
 ///   engine's `SlotRecord`s (`Ratio`, `[max]`);
@@ -857,6 +861,7 @@ fn queue_benches(rec: &mut Recorder) {
         "queue.service_share.10k",
         "queue.exact_fallbacks_per_slot.10k",
         "queue.exact_rows_per_slot.10k",
+        "queue.signal_certified_share.10k",
         "queue.slots_per_sec.10k",
     ];
     if !ids.iter().any(|id| rec.wants(id)) {
@@ -877,7 +882,7 @@ fn queue_benches(rec: &mut Recorder) {
         )),
     );
     let step = |engine: &mut fading_sim::ChurnEngine| {
-        black_box(engine.step(&GreedyRate, fading_sim::ServicePolicy::MaxWeight));
+        black_box(engine.step(&GreedyRate, fading_sim::ServicePolicy::MaxWeight)).scheduled
     };
     for _ in 0..100 {
         step(&mut engine);
@@ -892,13 +897,22 @@ fn queue_benches(rec: &mut Recorder) {
             fading_obs::counter!("sim.slot.exact_rows"),
         ),
     ];
+    let signal_certified = fading_obs::counter!("sim.slot.signal_certified");
     let before = counters.map(|(_, c)| c.value());
-    for _ in 0..SLOTS {
-        step(&mut engine);
-    }
+    let certified_before = signal_certified.value();
+    let receivers: u64 = (0..SLOTS).map(|_| u64::from(step(&mut engine))).sum();
     for ((id, counter), before) in counters.into_iter().zip(before) {
         let per_slot = (counter.value() - before) as f64 / SLOTS as f64;
         rec.derived(id, MetricKind::Ratio, per_slot);
+    }
+    if receivers > 0 {
+        let certified = (signal_certified.value() - certified_before) as f64;
+        rec.derived_dir(
+            "queue.signal_certified_share.10k",
+            MetricKind::Ratio,
+            certified / receivers as f64,
+            false,
+        );
     }
     let series = engine
         .telemetry()
@@ -916,7 +930,9 @@ fn queue_benches(rec: &mut Recorder) {
             rec.derived(id, MetricKind::Ratio, ns as f64 / slot_ns as f64);
         }
     }
-    let slot = measure_ns(rec.samples, rec.target, || step(&mut engine));
+    let slot = measure_ns(rec.samples, rec.target, || {
+        step(&mut engine);
+    });
     let median = slot.median_ns;
     rec.timed(&slot_id, slot);
     if median > 0.0 {

@@ -45,4 +45,19 @@ pub trait FadingLaw: Sync {
         mean: f64,
         pair: usize,
     ) -> Option<f64>;
+
+    /// `Some(c)` when every pair's
+    /// [`exponential_mean`](Self::exponential_mean) is at most `c·mean`
+    /// in every realization. The kernel then certifies a receiver from
+    /// its signal draw alone when even the largest draws the uniform
+    /// allows of all its interferers cannot break it, and seeks the RNG
+    /// past their uniforms. `None` (the default) draws every row.
+    fn mean_multiplier(&self) -> Option<f64> {
+        None
+    }
+
+    /// Records how many gain draws one realization of the kernel made:
+    /// `k²` for a `k`-link schedule, less the interferer draws of rows
+    /// certified from their signal alone. The default records nothing.
+    fn count_draws(&self, _draws: u64) {}
 }

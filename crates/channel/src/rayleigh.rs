@@ -111,16 +111,23 @@ impl RayleighChannel {
 impl FadingLaw for RayleighChannel {
     type Realization = ();
 
-    /// Counts the realization's `k²` draws in one increment, so the
-    /// Monte-Carlo hot loop never touches the registry per draw.
-    fn begin<R: Rng + ?Sized>(&self, k: usize, _: &mut R) {
-        fading_obs::counter!("channel.rayleigh.draws").add((k * k) as u64);
-    }
+    fn begin<R: Rng + ?Sized>(&self, _: usize, _: &mut R) {}
 
     /// `Exp(mean)` (Eq. (5)).
     #[inline]
     fn exponential_mean(&self, _: &(), mean: f64, _: usize) -> Option<f64> {
         Some(mean)
+    }
+
+    /// Exactly 1: every draw's mean is the mean gain itself.
+    fn mean_multiplier(&self) -> Option<f64> {
+        Some(1.0)
+    }
+
+    /// One counter increment per realization, so the Monte-Carlo hot
+    /// loop never touches the registry per draw.
+    fn count_draws(&self, draws: u64) {
+        fading_obs::counter!("channel.rayleigh.draws").add(draws);
     }
 }
 

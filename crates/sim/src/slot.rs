@@ -20,22 +20,36 @@
 //! fading-aware schedule clears by a wide margin almost everywhere
 //! (Thm 3.1). When the law draws `mean'·(−ln(1−U))` from one uniform
 //! ([`FadingLaw::exponential_mean`]: Rayleigh, shadowed Rayleigh), a
-//! verdict caller buffers each row's uniforms in stream order, draws
-//! the signal exactly and bounds the interference by `B = Σ_i m̄_i·Ē_i`,
-//! with `m̄_i` at least the exact mean (`mean_bound`; the tabulated
-//! mean itself) and `Ē_i ≥ −ln(1−U_i)` read off the bits of `1−U_i`
-//! (`neg_ln_bound`, no logarithm). If
-//! `signal / (N₀ + B·(1 + CERT_SLACK)) ≥ γ_th`, the receiver succeeds.
-//! Otherwise the row is summed exactly: the buffered uniforms go
-//! through the same inverse transform and the same `KahanSum` in
-//! `sinr_of` as the draws would have. Each bound term dominates its
-//! exact term and `CERT_SLACK` covers the summation error, so a
-//! certified receiver's exact SINR clears `γ_th` too, and every verdict
-//! and the RNG stream are bit-identical to summing every row
-//! (`docs/THEORY.md` §7). `sim.slot.exact_rows` counts the rows the
-//! bound leaves open. Callers that need the SINR ([`realized_sinrs`],
-//! `sinr_histogram`) and laws with other draws (Nakagami's rejection
-//! takes a variable number of uniforms) sum every row.
+//! verdict caller draws the signal exactly and then decides the row in
+//! the cheapest of three tiers that settles it:
+//!
+//! 1. **The signal alone** (Rayleigh, whose
+//!    [`mean_multiplier`](FadingLaw::mean_multiplier) is 1). The 53-bit
+//!    uniform caps every `−ln(1−U)` at `53·ln 2`, so with `M̄_j` at least
+//!    the sum of the interferers' means, a receiver with
+//!    `signal / (N₀ + E_MAX_UP·M̄_j·(1 + CERT_SLACK)) ≥ γ_th` succeeds
+//!    whatever they draw, and the RNG seeks past their `k − 1` uniforms
+//!    (`RngCore::skip_u64`, `O(1)` on `StdRng`). `M̄_j` is a table's row
+//!    sum; a streamed slot takes it from the stored interference factors
+//!    (`m_jj·(e^{F̄_j} − 1)/γ_th`, one walk of the scheduled senders' rows
+//!    per slot, `product_bounds`), then retries a receiver left open with
+//!    the geometric mean bounds. `sim.slot.signal_certified` counts these.
+//! 2. **The interference bound.** The row's uniforms are buffered in
+//!    stream order and the interference bounded by `B = Σ_i m̄_i·Ē_i`,
+//!    with `m̄_i` at least the exact mean (`mean_bound`; the tabulated
+//!    mean itself) and `Ē_i ≥ −ln(1−U_i)` read off the bits of `1−U_i`
+//!    (`neg_ln_bound`, no logarithm), under the same test.
+//! 3. **The exact sum.** The buffered uniforms go through the same
+//!    inverse transform and the same `KahanSum` in `sinr_of` as the draws
+//!    would have. `sim.slot.exact_rows` counts these rows.
+//!
+//! Each bound dominates its exact counterpart and `CERT_SLACK` covers
+//! the rounding, so a certified receiver's exact SINR clears `γ_th` too,
+//! and every verdict and the RNG stream are bit-identical to summing
+//! every row (`docs/THEORY.md` §7). Callers that need the SINR
+//! ([`realized_sinrs`], `sinr_histogram`) and laws with other draws
+//! (Nakagami's rejection takes a variable number of uniforms) sum every
+//! row.
 //!
 //! **Where mean gains come from.** `GainTable` computes all `|S|×|S|`
 //! means once per (problem, schedule), and many-trial callers
@@ -107,8 +121,8 @@ pub fn realized_sinrs<R: Rng + ?Sized>(
 /// How much of each receiver's outcome a realization resolves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Resolve {
-    /// Only the verdict: certified from the interference bound where
-    /// the law allows, summed exactly where the bound leaves it open.
+    /// Only the verdict: certified from a bound where the law allows,
+    /// summed exactly where the bounds leave it open.
     Verdicts,
     /// Every row's realized SINR, summed exactly.
     Sinrs,
@@ -119,8 +133,8 @@ enum Resolve {
 enum RowOutcome {
     /// The realized SINR, summed exactly.
     Exact(SinrOutcome),
-    /// A success certified by the interference bound; no SINR was
-    /// summed.
+    /// A success certified by a bound (on the signal alone or on the
+    /// interference); no SINR was summed.
     Certified,
 }
 
@@ -136,6 +150,11 @@ trait GainRows {
     /// Upper bounds on the means of [`Self::row`]`(j)` as `f64`s, in
     /// schedule order (entry `j` is unused).
     fn mean_bounds(&self, j: usize) -> impl Iterator<Item = f64> + '_;
+
+    /// Upper bounds on the exact sum of [`Self::row`]`(j)`'s interferer
+    /// means (entry `j` left out), cheapest first; each is computed
+    /// only when the one before it fails to certify the receiver.
+    fn interference_means(&self, j: usize) -> impl Iterator<Item = f64> + '_;
 }
 
 /// Most entries a [`GainTable`] allocates: 2^22 (32 MiB), i.e.
@@ -151,7 +170,9 @@ pub(crate) struct GainTable<'a> {
     problem: &'a Problem,
     ids: &'a [LinkId],
     /// `None` past [`MAX_TABLE_ENTRIES`]: each trial streams its rows.
-    gains: Option<Vec<Exponential>>,
+    /// Otherwise the gains and each row's [`sum_up`] of its interferer
+    /// means.
+    gains: Option<(Vec<Exponential>, Vec<f64>)>,
 }
 
 impl<'a> GainTable<'a> {
@@ -176,7 +197,12 @@ impl<'a> GainTable<'a> {
                 for j in 0..k {
                     gains.extend(gain_row(problem, ids, j));
                 }
-                gains
+                let sums = gains
+                    .chunks(k.max(1))
+                    .enumerate()
+                    .map(|(j, row)| sum_up(interferers(j, row.iter().map(Exponential::mean))))
+                    .collect();
+                (gains, sums)
             });
         Self {
             problem,
@@ -217,15 +243,17 @@ impl<'a> GainTable<'a> {
         each: impl FnMut(LinkId, RowOutcome),
     ) {
         match &self.gains {
-            Some(gains) => {
+            Some((gains, sums)) => {
                 let mut rows = TableRows {
                     k: self.ids.len(),
                     gains,
+                    sums,
                 };
                 realize(self.problem, self.ids, &mut rows, law, resolve, rng, each);
             }
             None => {
-                let mut rows = StreamRows::new(self.problem, self.ids);
+                let certify = resolve == Resolve::Verdicts && law.mean_multiplier().is_some();
+                let mut rows = StreamRows::new(self.problem, self.ids, certify);
                 realize(self.problem, self.ids, &mut rows, law, resolve, rng, each);
             }
         }
@@ -233,10 +261,11 @@ impl<'a> GainTable<'a> {
 }
 
 /// Rows read out of a tabulated `|S|×|S|` slice; the bounds are the
-/// exact means.
+/// exact means, and each row's interferer sum is the table's.
 struct TableRows<'t> {
     k: usize,
     gains: &'t [Exponential],
+    sums: &'t [f64],
 }
 
 impl GainRows for TableRows<'_> {
@@ -256,33 +285,49 @@ impl GainRows for TableRows<'_> {
             .iter()
             .map(Exponential::mean)
     }
+
+    #[inline]
+    fn interference_means(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
+        std::iter::once(self.sums[j])
+    }
 }
 
 /// Rows computed per receiver: bounds from geometry, and one scratch
 /// row of exact means filled only for a row the bound leaves open. A
-/// realization allocates `|S|` entries, not `|S|²`.
+/// realization allocates `|S|` entries (and, on the sparse store, one
+/// id-to-position map), not `|S|²`.
 struct StreamRows<'a> {
     problem: &'a Problem,
     ids: &'a [LinkId],
     /// Each scheduled sender's position and its [`power_bound`].
     senders: Vec<(Point2, f64)>,
+    /// Each receiver's [`product_bounds`]; empty when the realization
+    /// certifies no receiver from its signal alone.
+    products: Vec<f64>,
     row: Vec<Exponential>,
 }
 
 impl<'a> StreamRows<'a> {
-    fn new(problem: &'a Problem, ids: &'a [LinkId]) -> Self {
+    /// Rows of `ids`; `certify` computes the [`product_bounds`].
+    fn new(problem: &'a Problem, ids: &'a [LinkId], certify: bool) -> Self {
         let links = problem.links();
-        let senders = ids
+        let senders: Vec<(Point2, f64)> = ids
             .iter()
             .map(|&tx| {
                 let power = power_bound(problem.params(), problem.power_scale(tx));
                 (links.link(tx).sender, power)
             })
             .collect();
+        let products = if certify {
+            product_bounds(problem, ids, &senders)
+        } else {
+            Vec::new()
+        };
         Self {
             problem,
             ids,
             senders,
+            products,
             row: Vec::with_capacity(ids.len()),
         }
     }
@@ -309,6 +354,114 @@ impl GainRows for StreamRows<'_> {
             .iter()
             .map(move |(tx, power)| mean_bound(params, *power, tx.distance(&rx)))
     }
+
+    /// The slot's product bound, then the sum of the geometric
+    /// [`mean_bounds`](GainRows::mean_bounds).
+    #[inline]
+    fn interference_means(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
+        let geometric = move || sum_up(interferers(j, self.mean_bounds(j)));
+        std::iter::once(self.products[j]).chain(std::iter::once_with(geometric))
+    }
+}
+
+/// `row` without its entry `j`: receiver `j`'s interferers.
+#[inline]
+fn interferers(j: usize, row: impl Iterator<Item = f64>) -> impl Iterator<Item = f64> {
+    row.enumerate()
+        .filter(move |&(i, _)| i != j)
+        .map(|(_, x)| x)
+}
+
+/// An upper bound on the exact sum of the non-negative `terms`: their
+/// naive sum times `1 + CERT_SLACK`, which covers the `k·u` a naive sum
+/// of `k` terms can lose (see [`CERT_SLACK`]). `+∞` stays `+∞`.
+#[inline]
+fn sum_up(terms: impl Iterator<Item = f64>) -> f64 {
+    terms.fold(0.0, |a, b| a + b) * (1.0 + CERT_SLACK)
+}
+
+/// Largest path-loss exponent the [`product_bounds`] accept: `pow_alpha`
+/// turns a `u` error in the distance ratio into `α·u`, and the bounds'
+/// slack covers `α ≤ 2^10` with room to spare.
+const TAME_ALPHA: f64 = 1024.0;
+
+/// `2^−250`: every interference factor whose computation underflows is
+/// below it (under the [`product_bounds`] guards, `γ_th·scale_i/scale_j
+/// ≤ 2^768`, so an underflowed `x_i` is below `2^−253`), and the bound
+/// adds it once per interferer.
+const FACTOR_FLOOR: f64 = f64::from_bits((1023 - 250) << 52);
+
+/// `2^−500`: a signal mean at or above it was computed with relative
+/// error only (every intermediate of `P·d^{−α}·scale` is normal), and a
+/// streamed interferer mean that went subnormal on the way is off by
+/// far less than it, so the bound adds it once per interferer.
+const MEAN_FLOOR: f64 = f64::from_bits((1023 - 500) << 52);
+
+/// Each scheduled receiver's bound `M̄_j ≥ Σ_{i≠j} m_ij` on its exact
+/// interferer means, from Thm 3.1's product form (`docs/THEORY.md` §7.1).
+///
+/// With `x_i = γ_th·m_ij/m_jj`, `Π_i (1 + x_i) = e^{F_j}` for the
+/// factor sum `F_j = Σ_i f_ij`, so `Σ_i m_ij ≤ m_jj·(e^{F_j} − 1)/γ_th`.
+/// One walk of the scheduled senders' stored rows (CSR on the sparse
+/// store, the matrix row on the dense one) gives `F̄_j`: the stored
+/// factors, plus [`cut_bound`](fading_core::InterferenceBackend::cut_bound)
+/// for each pair the store omits and [`FACTOR_FLOOR`] per interferer,
+/// rounded up by `1 + CERT_SLACK`. The result is rounded up again and
+/// gains [`MEAN_FLOOR`] per interferer. `O(Σ degree + |S|)` per slot.
+/// `+∞` (no receiver certified) when `γ_th` or a scheduled sender's `P`
+/// or scale is outside [`TAME`] or `α > TAME_ALPHA`, and for a receiver
+/// whose signal mean is below [`MEAN_FLOOR`].
+fn product_bounds(problem: &Problem, ids: &[LinkId], senders: &[(Point2, f64)]) -> Vec<f64> {
+    let params = problem.params();
+    let k = ids.len();
+    let tame = TAME.contains(&params.gamma_th)
+        && params.alpha <= TAME_ALPHA
+        && senders.iter().all(|&(_, power)| power.is_finite());
+    if !tame {
+        return vec![f64::INFINITY; k];
+    }
+    let factors = problem.factors();
+    let mut sums = vec![0.0; k];
+    let mut stored = vec![0usize; k];
+    match factors.as_sparse() {
+        Some(sparse) => {
+            let mut at = vec![u32::MAX; problem.len()];
+            for (j, rx) in ids.iter().enumerate() {
+                at[rx.index()] = j as u32;
+            }
+            for &tx in ids {
+                let (receivers, row) = sparse.row_slices(tx);
+                for (&rx, &f) in receivers.iter().zip(row) {
+                    let j = at[rx as usize] as usize;
+                    if j < k {
+                        sums[j] += f;
+                        stored[j] += 1;
+                    }
+                }
+            }
+        }
+        None => {
+            for &tx in ids {
+                let row = factors.dense_row(tx).expect("a dense store");
+                for (j, rx) in ids.iter().enumerate().filter(|&(_, &rx)| rx != tx) {
+                    sums[j] += row[rx.index()];
+                    stored[j] += 1;
+                }
+            }
+        }
+    }
+    let others = k.saturating_sub(1) as f64;
+    (0..k)
+        .map(|j| {
+            let omitted = (k - 1 - stored[j]) as f64 * factors.cut_bound(ids[j]);
+            let f = (sums[j] + omitted + others * FACTOR_FLOOR) * (1.0 + CERT_SLACK);
+            let signal = exact_mean(problem, ids, j, j).mean();
+            if signal < MEAN_FLOOR {
+                return f64::INFINITY;
+            }
+            signal * f.exp_m1() / params.gamma_th * (1.0 + CERT_SLACK) + others * MEAN_FLOOR
+        })
+        .collect()
 }
 
 /// Receiver `ids[j]`'s mean gains `P·d_ij^{−α}·scale_i` from every
@@ -433,14 +586,36 @@ fn mean_bound(params: &ChannelParams, power: f64, d: f64) -> f64 {
     }
 }
 
+/// `53·ln 2` rounded up: at least `(1 + 7.3u)·53·ln 2`. The 53-bit
+/// uniform gives `1 − U ≥ 2^−53`, so libm's `−ln(1 − U)` (within one
+/// ulp) and an interferer's term `fl(mean·(−ln(1 − U)))` never exceed
+/// `E_MAX_UP` times the mean.
+const E_MAX_UP: f64 = 53.0 * LN_2_UP;
+
+/// The most interference `others` interferers can deliver when each
+/// draws at most `c` times its mean and their means sum to at most
+/// `means`: every uniform at its largest, plus `f64::MIN_POSITIVE` per
+/// interferer for a term that rounds in the subnormal range.
+#[inline]
+fn worst_interference(c: f64, means: f64, others: usize) -> f64 {
+    E_MAX_UP * c * means + others as f64 * f64::MIN_POSITIVE
+}
+
 /// The realization kernel: start a realization of `law`, then for each
 /// scheduled receiver in schedule order draw its signal and then its
 /// interferers (schedule order, skipping itself) from `rng`, and hand
 /// `each` the receiver's outcome. Under [`Resolve::Verdicts`] and a law
-/// with an [`exponential_mean`](FadingLaw::exponential_mean), a row's
-/// uniforms are buffered and its verdict certified from the
-/// interference bound where it can be, summed exactly from the buffer
-/// where it cannot; otherwise every row draws and sums exactly.
+/// with an [`exponential_mean`](FadingLaw::exponential_mean), a row is
+/// decided in up to three tiers, cheapest first:
+///
+/// 1. with a [`mean_multiplier`](FadingLaw::mean_multiplier), from the
+///    signal draw alone against the [`worst_interference`] of each of
+///    the row's [`interference_means`](GainRows::interference_means); a
+///    certified row seeks `rng` past its interferers' uniforms;
+/// 2. from the interference bound on the row's buffered uniforms;
+/// 3. by the exact sum over those buffered uniforms.
+///
+/// Otherwise every row draws and sums exactly.
 fn realize<L: FadingLaw, R: Rng + ?Sized>(
     problem: &Problem,
     ids: &[LinkId],
@@ -452,9 +627,19 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
 ) {
     let params = problem.params();
     let k = ids.len();
+    let others = k.saturating_sub(1);
+    // Registered before any scratch is allocated: a registration is a
+    // long-lived allocation, and one placed above a realization's
+    // buffers kept the heap from shrinking (+0.6 MB peak RSS on the
+    // paper-figure runs).
+    let exact_counter = fading_obs::counter!("sim.slot.exact_rows");
+    let signal_counter = fading_obs::counter!("sim.slot.signal_certified");
     let state = law.begin(k, rng);
+    let multiplier = law
+        .mean_multiplier()
+        .filter(|_| resolve == Resolve::Verdicts);
     let mut uniforms = vec![0.0; k];
-    let mut exact_rows = 0u64;
+    let (mut exact_rows, mut signal_certified) = (0u64, 0u64);
     for (j, &rx) in ids.iter().enumerate() {
         let diagonal = j * k + j;
         let signal_mean = match resolve {
@@ -471,6 +656,18 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
             continue;
         };
         let signal = Exponential::with_mean(signal_mean).from_uniform(rng.gen());
+        if let Some(c) = multiplier {
+            let worst = |means| worst_interference(c, means, others);
+            if rows
+                .interference_means(j)
+                .any(|m| certified(params, signal, worst(m)))
+            {
+                rng.skip_u64(others as u64);
+                signal_certified += 1;
+                each(rx, RowOutcome::Certified);
+                continue;
+            }
+        }
         let mut bound = 0.0;
         for (i, (mean, u)) in rows.mean_bounds(j).zip(&mut uniforms).enumerate() {
             if i != j {
@@ -491,8 +688,10 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
         });
         each(rx, RowOutcome::Exact(sinr_of(params, signal, interference)));
     }
+    law.count_draws((k * k) as u64 - signal_certified * others as u64);
     if resolve == Resolve::Verdicts {
-        fading_obs::counter!("sim.slot.exact_rows").add(exact_rows);
+        exact_counter.add(exact_rows);
+        signal_counter.add(signal_certified);
     }
 }
 
@@ -826,6 +1025,104 @@ mod tests {
         }
         // A signal clearing the slack is certified.
         assert!(certified(&params, 1.0 + 2.0 * CERT_SLACK, 1.0));
+    }
+
+    #[test]
+    fn signal_certificate_covers_the_naive_sum_of_a_long_row() {
+        // The interferer means of `slack_covers_the_naive_sum_of_a_long_row`
+        // (a unit mean, then `k` half-ulp means the naive sum rounds
+        // away), every one drawn at the largest uniform.
+        let params = ChannelParams::paper_defaults();
+        let most = Exponential::with_mean(1.0).from_uniform(1.0 - pow2(-53));
+        for k in [16usize, 4096, 1 << 16, 1 << 20] {
+            let means = || std::iter::once(1.0).chain(std::iter::repeat_n(pow2(-53), k));
+            let draws = means().map(|m| Exponential::with_mean(m).from_uniform(1.0 - pow2(-53)));
+            let exact = fading_math::KahanSum::sum_iter(draws.clone());
+            assert!(exact > most, "k = {k}: the half-ulp draws count");
+            let signal = exact.next_down();
+            assert!(!sinr_of(&params, signal, draws).success);
+            let worst = worst_interference(1.0, sum_up(means()), k + 1);
+            assert!(!certified(&params, signal, worst), "k = {k}");
+        }
+    }
+
+    /// Replays `words` cyclically as `next_u64` draws and counts the
+    /// seeks, which it overrides (one word per skipped draw).
+    #[derive(Clone)]
+    struct Script {
+        words: Vec<u64>,
+        at: usize,
+        seeks: usize,
+    }
+
+    impl rand::RngCore for Script {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            let word = self.words[self.at % self.words.len()];
+            self.at += 1;
+            word
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unimplemented!("the kernel draws whole words")
+        }
+        fn skip_u64(&mut self, n: u64) {
+            self.at += n as usize;
+            self.seeks += 1;
+        }
+    }
+
+    #[test]
+    fn a_signal_just_above_the_certificate_survives_the_largest_draw() {
+        // Two links; each receiver draws its signal word, then its one
+        // interferer `u64::MAX` (`1 − U = 2^−53`, a draw of 53·ln 2 times
+        // its mean). The signal word is the smallest that receiver 0's
+        // certificate accepts, from the table's row sum and from the
+        // stream's product bound.
+        for (alpha, seed) in [(3.0, 1), (4.0, 2), (2.5, 3)] {
+            let p = Problem::builder(
+                UniformGenerator::paper(40).generate(seed),
+                ChannelParams::new(alpha, 1.0, 1.0, 1e-9),
+            )
+            .power_scales((0..40).map(|i| [0.5, 2.0, 1.0][i % 3]).collect())
+            .build();
+            let s = Schedule::from_ids([LinkId(0), LinkId(1)]);
+            let table = GainTable::new(&p, &s);
+            let stream = StreamRows::new(&p, s.ids(), true);
+            let table_sum = table.gains.as_ref().unwrap().1[0];
+            for means in [table_sum, stream.products[0]] {
+                let signal = |n: u64| stream.signal(0).from_uniform(n as f64 * pow2(-53));
+                let worst = worst_interference(1.0, means, 1);
+                let passes = |n: u64| certified(p.params(), signal(n), worst);
+                let (mut lo, mut hi) = (0u64, (1 << 53) - 1);
+                assert!(passes(hi), "α {alpha}: certifiable at all");
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    (lo, hi) = if passes(mid) {
+                        (lo, mid)
+                    } else {
+                        (mid + 1, hi)
+                    };
+                }
+                assert!(lo > 0 && !passes(lo - 1));
+                let script = Script {
+                    words: vec![lo << 11, u64::MAX],
+                    at: 0,
+                    seeks: 0,
+                };
+                let want = oracle_slot(&p, &s, &mut script.clone());
+                let mut streamed = script.clone();
+                assert_same(&simulate_slot(&p, &s, &mut streamed), &want);
+                let mut tabled = script.clone();
+                assert_same(&table_slot(&p, &s, MAX_TABLE_ENTRIES, &mut tabled), &want);
+                assert!(want.successes.contains(&LinkId(0)), "α {alpha}");
+                for rng in [&streamed, &tabled] {
+                    assert!(rng.seeks >= 1, "α {alpha}: certified from the signal");
+                    assert_eq!(rng.at, 4);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,15 +7,20 @@
 //! `sinr ≥ γ_th` of the exact SINR, and every statistic must equal a
 //! per-trial loop over `realized_sinrs`, bit for bit. The instances are
 //! dense random subsets (most are infeasible, so failures are common)
-//! under power scales, ambient noise and several thresholds.
+//! under power scales, ambient noise and several thresholds, and the
+//! RLE, LDP and GreedyRate schedules whose receivers the signal draw
+//! alone mostly certifies: under seeded draws, and under scripted ones
+//! that give every interferer the largest draw the uniform allows.
 
 use fading_channel::ChannelParams;
-use fading_core::{Problem, Schedule};
+use fading_core::algo::{GreedyRate, Ldp, Rle};
+use fading_core::{BackendChoice, Problem, Schedule, Scheduler, SparseConfig};
 use fading_math::{seeded_rng, split_seed, OnlineStats};
 use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
 use fading_sim::{realized_sinrs, simulate_many, simulate_slot, MonteCarloStats};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
+use rand::RngCore;
 
 const ALPHAS: [f64; 5] = [2.5, 3.0, 4.0, 4.5, 6.0];
 
@@ -141,6 +146,123 @@ proptest! {
                 format!("{:?}", simulate_many(&p, &s, trials, base_seed)),
                 format!("{:?}", per_trial_oracle(&p, &s, trials, base_seed))
             );
+        }
+    }
+}
+
+/// RLE, LDP and GreedyRate schedules of 300 paper links at α 3 and 4,
+/// on the dense store, the default sparse store and a coarse sparse
+/// store (`tail_rtol = 1`) whose receivers omit many interferers.
+fn scheduled_cases() -> Vec<(String, Problem, Schedule)> {
+    let backends = [
+        BackendChoice::Dense,
+        BackendChoice::Sparse(SparseConfig::default()),
+        BackendChoice::Sparse(SparseConfig { tail_rtol: 1.0 }),
+    ];
+    let schedulers: [&dyn Scheduler; 3] = [&Rle::new(), &Ldp::new(), &GreedyRate];
+    let mut cases = Vec::new();
+    for (seed, alpha) in [(3, 3.0), (4, 4.0)] {
+        let links = UniformGenerator::paper(300).generate(seed);
+        for backend in backends {
+            let p = Problem::builder(links.clone(), ChannelParams::with_alpha(alpha))
+                .backend(backend)
+                .build();
+            for scheduler in schedulers {
+                let s = scheduler.schedule(&p);
+                let name = format!("{} α {alpha} {backend:?}", scheduler.name());
+                cases.push((name, p.clone(), s));
+            }
+        }
+    }
+    cases
+}
+
+/// The verdicts `simulate_slot` draws from `rng`, as (successes,
+/// failures), and the exact SINR tests of `realized_sinrs` off a copy
+/// of the same stream.
+fn both_verdicts<R: RngCore + Clone>(
+    p: &Problem,
+    s: &Schedule,
+    rng: &R,
+) -> [(Vec<LinkId>, Vec<LinkId>); 2] {
+    let out = simulate_slot(p, s, &mut rng.clone());
+    let (pass, fail): (Vec<_>, Vec<_>) = realized_sinrs(p, s, &mut rng.clone())
+        .into_iter()
+        .partition(|&(_, sinr)| sinr >= p.params().gamma_th);
+    let ids = |v: Vec<(LinkId, f64)>| v.into_iter().map(|(j, _)| j).collect();
+    [(out.successes, out.failures), (ids(pass), ids(fail))]
+}
+
+#[test]
+fn scheduler_schedules_certify_from_the_signal_and_keep_exact_verdicts() {
+    let certified = fading_obs::counter!("sim.slot.signal_certified");
+    for (name, p, s) in scheduled_cases() {
+        let before = certified.value();
+        for seed in 0..4 {
+            let [got, want] = both_verdicts(&p, &s, &seeded_rng(seed));
+            assert_eq!(got, want, "{name}, seed {seed}");
+        }
+        assert_eq!(
+            format!("{:?}", simulate_many(&p, &s, 8, 5)),
+            format!("{:?}", per_trial_oracle(&p, &s, 8, 5)),
+            "{name}"
+        );
+        // Other tests add to the counter too, but a tier that never
+        // fires leaves it still here.
+        assert!(certified.value() > before, "{name}: nothing certified");
+    }
+}
+
+/// Replays `words` cyclically as `next_u64` draws. A `k`-word script
+/// gives every receiver of a `k`-link schedule the same draws, its
+/// signal's first. Seeks draw and discard (the trait's default).
+#[derive(Clone)]
+struct Script {
+    words: Vec<u64>,
+    at: usize,
+}
+
+impl RngCore for Script {
+    fn next_u32(&mut self) -> u32 {
+        self.next_u64() as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        let word = self.words[self.at % self.words.len()];
+        self.at += 1;
+        word
+    }
+    fn fill_bytes(&mut self, _: &mut [u8]) {
+        unimplemented!("the kernel draws whole words")
+    }
+}
+
+#[test]
+fn largest_interferer_draws_keep_exact_verdicts() {
+    // Every interferer draws `u64::MAX`, so `1 − U = 2^−53` and its
+    // power is 53·ln 2 times its mean, the most the certificate allows
+    // for. The signal's `−ln(1 − U)` sweeps 10^−4 … 36 in steps of
+    // 2%, so for each receiver some signal lands just above its
+    // certificate and some just below.
+    let signals: Vec<u64> = (0..=420)
+        .map(|g| {
+            let neg_ln = 1e-4 * 1.02f64.powi(g);
+            let u = -(-neg_ln).exp_m1();
+            ((u * (1u64 << 53) as f64) as u64) << 11
+        })
+        .collect();
+    for (name, p, s) in scheduled_cases() {
+        let mut words = vec![u64::MAX; s.len()];
+        for &signal in &signals {
+            words[0] = signal;
+            let [got, want] = both_verdicts(
+                &p,
+                &s,
+                &Script {
+                    words: words.clone(),
+                    at: 0,
+                },
+            );
+            assert_eq!(got, want, "{name}, signal word {signal:#x}");
         }
     }
 }

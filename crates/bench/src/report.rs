@@ -666,15 +666,15 @@ fn churn_benches(rec: &mut Recorder) {
 /// `Problem::apply` of a 64-add `MutationBatch` versus the same 64
 /// links pushed as 64 one-link batches, at n = 100 000 on the
 /// sparse substrate (α = 4, the sustained-churn geometry). At this n a
-/// single add is dominated by the per-commit `O(n)` terms — the
-/// envelope reconcile scan and the exactness sweep — while the
-/// per-link CSR wiring (factor evaluations against the ~constant local
-/// neighborhood; density-scaled, so independent of n) stays small. The
-/// batch pays the `O(n)` terms once where the sequential path pays
-/// them 64 times, and the derived `mutate.batch.vs_sequential`
-/// quotient certifies it: its `[max]` ceiling of 0.0625 in
-/// `bench-gates.toml` says the whole 64-link batch must cost less than
-/// four single adds.
+/// single add is dominated by the per-commit `O(n)` envelope
+/// reconcile scan, while the per-link CSR wiring (factor evaluations
+/// against the ~constant local neighborhood; density-scaled, so
+/// independent of n) stays small. The batch pays the `O(n)` scan once
+/// where the sequential path pays it 64 times, and the derived
+/// `mutate.batch.vs_sequential` quotient (the median over rounds of
+/// each round's batch time over its sequential time) certifies it: its
+/// `[max]` ceiling of 0.0625 in `bench-gates.toml` says the whole
+/// 64-link batch must cost less than four single adds.
 fn mutate_batch_benches(rec: &mut Recorder) {
     const N: usize = 100_000;
     const K: usize = 64;
@@ -743,12 +743,15 @@ fn mutate_batch_benches(rec: &mut Recorder) {
         }
         problem.apply(&undo).expect("just-added externals");
     }
+    // Each round times both paths back to back, so the median of the
+    // per-round quotients cancels the drift between rounds that a
+    // quotient of the two medians keeps.
+    let ratios: Vec<f64> = batch_ns.iter().zip(&seq_ns).map(|(b, s)| b / s).collect();
     rec.timed(&batch_id, summarize(batch_ns));
     rec.timed(&seq_id, summarize(seq_ns));
-    if let (Some(batch), Some(seq)) = (rec.value_of(&batch_id), rec.value_of(&seq_id)) {
-        if seq > 0.0 {
-            rec.derived("mutate.batch.vs_sequential", MetricKind::Ratio, batch / seq);
-        }
+    if !ratios.is_empty() {
+        let ratio = summarize(ratios).median_ns;
+        rec.derived("mutate.batch.vs_sequential", MetricKind::Ratio, ratio);
     }
 }
 

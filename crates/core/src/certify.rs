@@ -580,26 +580,21 @@ mod tests {
     use crate::algo::{GreedyRate, Ldp, Rle};
     use crate::Scheduler;
     use fading_net::{TopologyGenerator, UniformGenerator};
-    use std::sync::Mutex;
-
-    // Tracing is process-global; serialize tests that toggle it.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     fn problem(n: usize, seed: u64) -> Problem {
         Problem::paper(UniformGenerator::paper(n).generate(seed), 3.0)
     }
 
+    /// Schedules with tracing on for the calling thread only: blocks
+    /// that concurrently running tests publish never reach the capture.
     fn traced_run(p: &Problem, s: &dyn Scheduler) -> (Schedule, Trace) {
-        fading_obs::set_tracing(true);
-        let _ = fading_obs::take_trace();
+        let capture = fading_obs::ThreadCapture::begin();
         let schedule = s.schedule(p);
-        fading_obs::set_tracing(false);
-        (schedule, fading_obs::take_trace())
+        (schedule, capture.finish())
     }
 
     #[test]
     fn rle_trace_replays_to_the_same_schedule() {
-        let _guard = LOCK.lock().unwrap();
         let p = problem(150, 1);
         let (schedule, trace) = traced_run(&p, &Rle::new());
         let cert = verify_schedule(&p, &trace, &schedule).unwrap();
@@ -610,7 +605,6 @@ mod tests {
 
     #[test]
     fn ldp_trace_replays_to_the_same_schedule() {
-        let _guard = LOCK.lock().unwrap();
         let p = problem(150, 2);
         let (schedule, trace) = traced_run(&p, &Ldp::new());
         let cert = verify_schedule(&p, &trace, &schedule).unwrap();
@@ -620,7 +614,6 @@ mod tests {
 
     #[test]
     fn greedy_trace_replays_and_audits_ledger() {
-        let _guard = LOCK.lock().unwrap();
         let p = problem(100, 3);
         let (schedule, trace) = traced_run(&p, &GreedyRate);
         let cert = verify_schedule(&p, &trace, &schedule).unwrap();
@@ -630,7 +623,6 @@ mod tests {
 
     #[test]
     fn flipped_cause_is_rejected() {
-        let _guard = LOCK.lock().unwrap();
         let p = problem(120, 4);
         let (schedule, mut trace) = traced_run(&p, &Rle::new());
         let idx = trace
@@ -654,7 +646,6 @@ mod tests {
 
     #[test]
     fn inflated_debit_is_rejected() {
-        let _guard = LOCK.lock().unwrap();
         let p = problem(120, 5);
         let (schedule, mut trace) = traced_run(&p, &Rle::new());
         let idx = trace
@@ -670,7 +661,6 @@ mod tests {
 
     #[test]
     fn wrong_problem_is_rejected() {
-        let _guard = LOCK.lock().unwrap();
         let p = problem(100, 6);
         let (schedule, trace) = traced_run(&p, &Rle::new());
         let other = problem(100, 7);

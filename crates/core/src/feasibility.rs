@@ -312,7 +312,7 @@ impl<'a> InterferenceAccumulator<'a> {
                     continue;
                 }
             }
-            if !self.certified_check(j, Some(k), factors.factor(candidate, j), budget) {
+            if !self.certified_check(j, Some(k), self.problem.factor(candidate, j), budget) {
                 return false;
             }
         }

@@ -15,11 +15,14 @@
 //!   [`crate::sparse`] for the truncation error budget.
 //!
 //! [`InterferenceBackend`] is the enum [`Problem`] stores and the one
-//! read interface every solver uses; dispatch is static (a `match`),
-//! so the dense hot paths keep their slice-based loops via
-//! [`InterferenceBackend::dense_row`].
+//! read interface to stored factors every solver uses; dispatch is
+//! static (a `match`), so the dense hot paths keep their slice-based
+//! loops via [`InterferenceBackend::dense_row`]. The exact scalar
+//! lookup is [`Problem::factor`]: the sparse store recomputes a factor
+//! from its own geometry and the problem's power scales.
 //!
 //! [`Problem`]: crate::problem::Problem
+//! [`Problem::factor`]: crate::problem::Problem::factor
 
 use crate::sparse::SparseInterference;
 use fading_channel::RayleighChannel;
@@ -39,24 +42,15 @@ pub struct InterferenceMatrix {
 pub(crate) const PARALLEL_THRESHOLD: usize = 64;
 
 impl InterferenceMatrix {
-    /// Computes all pairwise factors for `links` under `channel` with
-    /// uniform transmit power (the paper's model).
-    pub fn build(links: &LinkSet, channel: &RayleighChannel) -> Self {
-        Self::build_with_powers(links, channel, None)
-    }
-
-    /// Computes factors with optional per-link power scales (`scale_i ×
-    /// P` for sender `i`); `None` means uniform power. Theorem 3.1 and
+    /// Computes all pairwise factors for `links` under `channel`, with
+    /// optional per-link power scales (`scale_i × P` for sender `i`);
+    /// `None` means uniform power, the paper's model. Theorem 3.1 and
     /// Corollary 3.1 hold verbatim with the generalized factors.
     ///
     /// # Panics
     /// Panics if `powers` is provided with the wrong length or a
     /// non-positive entry.
-    pub fn build_with_powers(
-        links: &LinkSet,
-        channel: &RayleighChannel,
-        powers: Option<&[f64]>,
-    ) -> Self {
+    pub fn build(links: &LinkSet, channel: &RayleighChannel, powers: Option<&[f64]>) -> Self {
         let n = links.len();
         if n == 0 {
             return Self {
@@ -163,17 +157,6 @@ impl InterferenceMatrix {
         }
     }
 
-    /// Calls `f(sender, factor)` for every off-diagonal factor onto
-    /// `receiver`.
-    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let j = receiver.index();
-        for i in 0..self.n {
-            if i != j {
-                f(LinkId(i as u32), self.data[i * self.n + j]);
-            }
-        }
-    }
-
     /// Number of stored off-diagonal factors, `N·(N−1)`.
     pub fn stored_factors(&self) -> u64 {
         let n = self.n as u64;
@@ -186,8 +169,7 @@ impl InterferenceMatrix {
     /// of old rows are evaluated — `O(N·a)` transcendentals for `a`
     /// appended links instead of the full `O(N²)` rebuild. Every entry
     /// is a pure per-pair formula evaluation, so the result is
-    /// bit-identical to [`build_with_powers`](Self::build_with_powers)
-    /// over the extended set.
+    /// bit-identical to [`build`](Self::build) over the extended set.
     ///
     /// # Panics
     /// Panics if `links` is smaller than the current matrix or `powers`
@@ -288,15 +270,16 @@ impl InterferenceMatrix {
 ///
 /// The contract every solver relies on:
 ///
-/// * [`factor`](Self::factor) is **exact** for *both* backends — the
-///   sparse backend recomputes unstored factors from geometry through
-///   the same channel code path, so the value is bit-identical to the
-///   dense entry. Scalar lookups never see truncation error.
-/// * [`for_each_out`](Self::for_each_out) /
-///   [`for_each_in`](Self::for_each_in) iterate only *stored* factors.
-///   Under the dense backend that is every off-diagonal pair; under the
-///   sparse backend every *omitted* factor onto a receiver `j` is at
-///   most [`cut_bound`](Self::cut_bound)`(j)`, the cut
+/// * [`Problem::factor`] is **exact** for *both* backends — the sparse
+///   backend recomputes unstored factors from its hashed positions and
+///   the problem's power scales through the same channel code path, so
+///   the value is bit-identical to the dense entry. Scalar lookups
+///   never see truncation error.
+/// * [`for_each_out`](Self::for_each_out) (and the sparse store's
+///   [`row_slices`](SparseInterference::row_slices)) walk only *stored*
+///   factors. Under the dense backend that is every off-diagonal pair;
+///   under the sparse backend every *omitted* factor onto a receiver
+///   `j` is at most [`cut_bound`](Self::cut_bound)`(j)`, the cut
 ///   [`tail_cut`](Self::tail_cut)`(j)` plus a relative
 ///   [`CUT_RTOL`](crate::sparse::CUT_RTOL) of rounding slack, so a sum
 ///   over a selection `S` accumulated from stored factors is a lower
@@ -308,6 +291,7 @@ impl InterferenceMatrix {
 /// fast path stays a contiguous slice via [`dense_row`].
 ///
 /// [`Problem`]: crate::problem::Problem
+/// [`Problem::factor`]: crate::problem::Problem::factor
 /// [`dense_row`]: InterferenceBackend::dense_row
 // One backend lives per `Problem` (never in collections), so the
 // variant size gap is irrelevant and boxing would only add a pointer
@@ -336,16 +320,6 @@ impl InterferenceBackend {
         self.len() == 0
     }
 
-    /// The factor `f_{i,j}` of sender `i` on receiver `j` — exact in
-    /// every backend (`0` on the diagonal).
-    #[inline]
-    pub fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        match self {
-            Self::Dense(m) => m.factor(sender, receiver),
-            Self::Sparse(s) => s.factor(sender, receiver),
-        }
-    }
-
     /// The dense row of `sender`, when the backend is dense — lets hot
     /// loops keep their auto-vectorized slice walks with no indirect
     /// calls. Sparse callers fall back to [`for_each_out`].
@@ -366,16 +340,6 @@ impl InterferenceBackend {
         match self {
             Self::Dense(m) => m.for_each_out(sender, f),
             Self::Sparse(s) => s.for_each_out(sender, f),
-        }
-    }
-
-    /// Calls `f(sender, factor)` for every *stored* in-factor onto
-    /// `receiver` (dense: all `i ≠ receiver`).
-    #[inline]
-    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        match self {
-            Self::Dense(m) => m.for_each_in(receiver, f),
-            Self::Sparse(s) => s.for_each_in(receiver, f),
         }
     }
 
@@ -408,14 +372,6 @@ impl InterferenceBackend {
         match self {
             Self::Dense(_) => None,
             Self::Sparse(s) => s.omitted_bound(sender, receiver),
-        }
-    }
-
-    /// Whether iteration is exhaustive for every receiver.
-    pub fn is_exact(&self) -> bool {
-        match self {
-            Self::Dense(_) => true,
-            Self::Sparse(s) => s.is_exact(),
         }
     }
 
@@ -453,7 +409,7 @@ mod tests {
     fn build(n: usize, seed: u64) -> (LinkSet, InterferenceMatrix) {
         let links = UniformGenerator::paper(n).generate(seed);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let m = InterferenceMatrix::build(&links, &channel);
+        let m = InterferenceMatrix::build(&links, &channel, None);
         (links, m)
     }
 
@@ -515,7 +471,7 @@ mod tests {
             PARALLEL_THRESHOLD + 1,
         ] {
             let links = UniformGenerator::paper(n).generate(20170714);
-            let m = InterferenceMatrix::build(&links, &channel);
+            let m = InterferenceMatrix::build(&links, &channel, None);
             for i in links.ids() {
                 for j in links.ids() {
                     let expect = if i == j {
@@ -547,7 +503,7 @@ mod tests {
         ] {
             let links = UniformGenerator::paper(n).generate(42);
             let powers: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
-            let m = InterferenceMatrix::build_with_powers(&links, &channel, Some(&powers));
+            let m = InterferenceMatrix::build(&links, &channel, Some(&powers));
             for i in links.ids() {
                 for j in links.ids() {
                     let expect = if i == j {
@@ -596,7 +552,7 @@ mod tests {
     fn empty_instance() {
         let links = LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let m = InterferenceMatrix::build(&links, &channel);
+        let m = InterferenceMatrix::build(&links, &channel, None);
         assert!(m.is_empty());
         assert_eq!(m.stored_factors(), 0);
     }
@@ -612,18 +568,13 @@ mod tests {
                 assert_ne!(j, i, "diagonal must be skipped");
                 assert_eq!(f, m.factor(i, j));
             }
-            let mut inbound = vec![];
-            m.for_each_in(i, &mut |j, f| inbound.push((j, f)));
-            assert_eq!(inbound.len(), links.len() - 1);
-            for (j, f) in inbound {
-                assert_eq!(f, m.factor(j, i));
-            }
         }
         assert_eq!(m.stored_factors(), 12 * 11);
         let backend = InterferenceBackend::Dense(m);
-        assert!(backend.is_exact());
-        assert_eq!(backend.tail_cut(LinkId(0)), 0.0);
-        assert_eq!(backend.cut_bound(LinkId(0)), 0.0);
+        for j in links.ids() {
+            assert_eq!(backend.tail_cut(j), 0.0);
+            assert_eq!(backend.cut_bound(j), 0.0);
+        }
     }
 
     #[test]
@@ -637,31 +588,32 @@ mod tests {
             let keep: Vec<LinkId> = (0..50).map(LinkId).collect();
             full.restrict(&keep).0
         };
-        let mut m = InterferenceMatrix::build(&head, &channel);
+        let mut m = InterferenceMatrix::build(&head, &channel, None);
         let added = m.append(&full, &channel, None);
         assert_eq!(added, 70 * 70 - 50 * 50);
-        let fresh = InterferenceMatrix::build(&full, &channel);
+        let fresh = InterferenceMatrix::build(&full, &channel, None);
         assert_eq!(m, fresh);
         // Power-scaled variant.
         let powers: Vec<f64> = (0..70).map(|i| 0.5 + (i % 5) as f64 * 0.375).collect();
-        let mut m = InterferenceMatrix::build_with_powers(&head, &channel, Some(&powers[..50]));
+        let mut m = InterferenceMatrix::build(&head, &channel, Some(&powers[..50]));
         m.append(&full, &channel, Some(&powers));
-        assert_eq!(
-            m,
-            InterferenceMatrix::build_with_powers(&full, &channel, Some(&powers))
-        );
+        assert_eq!(m, InterferenceMatrix::build(&full, &channel, Some(&powers)));
     }
 
     #[test]
     fn swap_remove_matches_fresh_build() {
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let mut links = UniformGenerator::paper(40).generate(9);
-        let mut m = InterferenceMatrix::build(&links, &channel);
+        let mut m = InterferenceMatrix::build(&links, &channel, None);
         // Interior, tail, and repeated one-link removals.
         for k in [7u32, 38, 0, 20] {
             m.swap_remove_batch(&[LinkId(k)]);
             links.swap_remove(LinkId(k));
-            assert_eq!(m, InterferenceMatrix::build(&links, &channel), "k={k}");
+            assert_eq!(
+                m,
+                InterferenceMatrix::build(&links, &channel, None),
+                "k={k}"
+            );
         }
         // Drain to empty.
         while !m.is_empty() {
@@ -674,7 +626,7 @@ mod tests {
     fn swap_remove_batch_matches_sequential() {
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let links = UniformGenerator::paper(40).generate(9);
-        let built = InterferenceMatrix::build(&links, &channel);
+        let built = InterferenceMatrix::build(&links, &channel, None);
         // Interior, tail, and head in one batch (descending), against
         // the same removals as a chain of one-link batches.
         let ids = [LinkId(38), LinkId(20), LinkId(7), LinkId(0)];
@@ -699,12 +651,12 @@ mod tests {
         let backend = InterferenceBackend::Dense(m.clone());
         assert_eq!(backend.len(), 10);
         assert_eq!(backend.name(), "dense");
-        assert!(backend.is_exact());
         assert!(backend.as_sparse().is_none());
         for i in links.ids() {
             assert_eq!(backend.dense_row(i), Some(m.row(i)));
+            assert_eq!(backend.cut_bound(i), 0.0);
             for j in links.ids() {
-                assert_eq!(backend.factor(i, j), m.factor(i, j));
+                assert_eq!(backend.omitted_bound(i, j), None);
             }
         }
     }

@@ -165,11 +165,11 @@ impl Problem {
         let channel = RayleighChannel::new(params);
         let powers = power_scales.as_deref();
         let factors = match backend.resolve(links.len()) {
-            BackendChoice::Dense => InterferenceBackend::Dense(
-                InterferenceMatrix::build_with_powers(&links, &channel, powers),
-            ),
+            BackendChoice::Dense => {
+                InterferenceBackend::Dense(InterferenceMatrix::build(&links, &channel, powers))
+            }
             BackendChoice::Sparse(config) => InterferenceBackend::Sparse(
-                SparseInterference::build_with_powers(&links, &channel, powers, gamma_eps, config),
+                SparseInterference::build(&links, &channel, powers, gamma_eps, config),
             ),
             BackendChoice::Auto => unreachable!("resolve() eliminates Auto"),
         };
@@ -361,18 +361,17 @@ impl Problem {
     /// and adds in one transaction: links, power scales, and position
     /// index first, then **one** backend patch pass (dense: batched
     /// column/row gather plus one relayout append; sparse: one
-    /// deferred-reconcile [`SparseInterference::apply_batch`]), then a
-    /// single stamp bump. Infallible — callers validate first.
+    /// deferred-reconcile [`SparseInterference::apply_batch`] reading
+    /// the committed power scales), then a single stamp bump.
+    /// Infallible — callers validate first.
     fn commit_batch(&mut self, removes: &[LinkId], adds: &[LinkSpec]) {
         // First non-uniform arrival on a uniform instance: materialize
         // the all-ones profile (bit-identical factors — `scale ≡ 1`
-        // scales by exactly 1.0) so the new scales have a vector to
-        // extend.
+        // scales by exactly 1.0, and the truncation ratio
+        // `max_scale / scale` is `1/1 = 1`, the uniform default) so the
+        // new scales have a vector to extend.
         if self.power_scales.is_none() && adds.iter().any(|s| s.power_scale != 1.0) {
             self.power_scales = Some(vec![1.0; self.links.len()]);
-            if let InterferenceBackend::Sparse(s) = &mut self.factors {
-                s.materialize_powers();
-            }
         }
         for &id in removes {
             if let Some(index) = &mut self.position_index {
@@ -404,7 +403,9 @@ impl Problem {
                     fading_obs::counter!("problem.mutate.dense_cells").add(cells);
                 }
             }
-            InterferenceBackend::Sparse(s) => s.apply_batch(removes, adds),
+            InterferenceBackend::Sparse(s) => {
+                s.apply_batch(removes, adds, self.power_scales.as_deref())
+            }
         }
         self.stamp = next_stamp();
     }
@@ -538,10 +539,16 @@ impl Problem {
     }
 
     /// Interference factor `f_{i,j}` (Eq. (17)) — exact under every
-    /// backend.
+    /// backend (`0` on the diagonal): the dense matrix entry, or the
+    /// sparse store's recomputation under this instance's power scales.
     #[inline]
     pub fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        self.factors.factor(sender, receiver)
+        match &self.factors {
+            InterferenceBackend::Dense(m) => m.factor(sender, receiver),
+            InterferenceBackend::Sparse(s) => {
+                s.factor(sender, receiver, self.power_scales.as_deref())
+            }
+        }
     }
 
     /// Rate `λ_i` of a link.
@@ -639,7 +646,8 @@ mod tests {
         let p = Problem::paper(links, 3.0);
         for i in p.links().ids() {
             for j in p.links().ids() {
-                assert_eq!(p.factor(i, j), p.factors().factor(i, j));
+                let row = p.factors().dense_row(i).expect("dense backend");
+                assert_eq!(p.factor(i, j), row[j.index()]);
             }
         }
     }

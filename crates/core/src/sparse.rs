@@ -29,17 +29,19 @@
 //! When `R_j` reaches the instance diameter the receiver is stored
 //! exhaustively and its cut is exactly `0` — at paper sizes and
 //! densities the sparse backend therefore degenerates to a (CSR-shaped)
-//! exact store. The `ζ(α−1)` packing bound on the *total* omitted mass
-//! of a feasible selection is available as
-//! [`far_field_packing_bound`](SparseInterference::far_field_packing_bound);
-//! `docs/interference.md` derives both bounds.
+//! exact store (`max_tail_cut() == 0`). `docs/interference.md` derives
+//! the bound.
+//!
+//! The store keeps one copy of each link's positions, the points of its
+//! sender and receiver hashes, and none of its power scale: those stay
+//! with the [`Problem`](crate::Problem), which hands them to every call
+//! that computes a factor.
 
 use crate::feasibility::BUDGET_RTOL;
 use crate::interference::PARALLEL_THRESHOLD;
 use crate::mutate::LinkSpec;
 use fading_channel::RayleighChannel;
 use fading_geom::{Point2, SpatialHash};
-use fading_math::zeta;
 use fading_net::{LinkId, LinkSet};
 use fading_obs::PhaseTimer;
 use rayon::prelude::*;
@@ -98,24 +100,24 @@ impl Default for SparseConfig {
 /// Near-field interference factors in CSR form over a spatial hash.
 ///
 /// Stores, per *sender*, the (receiver, factor) pairs with the receiver
-/// inside the sender's stored neighborhood; per *receiver*, the
-/// truncation radius and cut. Keeps the geometry (positions, lengths,
-/// power scales, channel), so any factor — stored or not — is
+/// inside the sender's stored neighborhood; per *receiver*, the link
+/// length, truncation radius and cut. Link positions are the points of
+/// the two hashes; power scales are the owning problem's, passed to
+/// each call that evaluates a factor. Any factor — stored or not — is
 /// recomputable exactly in `O(1)`.
 #[derive(Debug, Clone)]
 pub struct SparseInterference {
     n: usize,
     channel: RayleighChannel,
-    senders: Vec<Point2>,
-    receivers: Vec<Point2>,
     lengths: Vec<f64>,
-    powers: Option<Vec<f64>>,
-    /// Hash over *sender* positions, for neighborhood queries.
+    /// Hash over *sender* positions, for neighborhood queries; its
+    /// points are the store's sender positions, in id order.
     sender_hash: SpatialHash,
     /// Hash over *receiver* positions, for the inverse query the row
     /// wiring needs — which receivers' radius balls contain a given
     /// sender. Queried at [`max_radius`](Self::max_radius), filtered by
-    /// the exact per-receiver `d² ≤ r²` predicate.
+    /// the exact per-receiver `d² ≤ r²` predicate. Its points are the
+    /// store's receiver positions, in id order.
     receiver_hash: SpatialHash,
     /// Slack-row CSR by sender: the out-factors of sender `i` occupy
     /// `arena[row_start[i] .. row_start[i] + row_len[i]]` inside a
@@ -139,7 +141,6 @@ pub struct SparseInterference {
     /// The absolute per-factor cut budget `τ = tail_rtol · γ_ε`.
     tau: f64,
     tail_rtol: f64,
-    exact: bool,
     /// Exact bbox diagonal the current radii were clamped with —
     /// maintained under mutation so reconciled radii stay bit-identical
     /// to a fresh build's.
@@ -159,16 +160,16 @@ pub struct SparseInterference {
 
 impl PartialEq for SparseInterference {
     fn eq(&self, other: &Self) -> bool {
-        // The hash, diameter, and max scale are derived from the
-        // geometry; the CSR is compared row by row (logical contents,
-        // not arena layout) so a mutated store with slack extents
-        // equals a freshly packed build with the same stored factors.
+        // The hash cells, diameter, and max scale are derived from the
+        // geometry, so only the hashed points are compared; the CSR is
+        // compared row by row (logical contents, not arena layout) so a
+        // mutated store with slack extents equals a freshly packed
+        // build with the same stored factors.
         self.n == other.n
             && self.channel == other.channel
-            && self.senders == other.senders
-            && self.receivers == other.receivers
+            && self.sender_hash.points() == other.sender_hash.points()
+            && self.receiver_hash.points() == other.receiver_hash.points()
             && self.lengths == other.lengths
-            && self.powers == other.powers
             && self.radius == other.radius
             && self.cut == other.cut
             && self.tau == other.tau
@@ -178,27 +179,17 @@ impl PartialEq for SparseInterference {
 }
 
 impl SparseInterference {
-    /// Builds the truncated store for `links` under uniform power.
+    /// Builds the truncated store for `links`, with optional per-link
+    /// power scales (`None` = uniform power; same contract as
+    /// [`InterferenceMatrix::build`](crate::interference::InterferenceMatrix::build)).
     ///
     /// `gamma_eps` is the feasibility budget the truncation budget is
     /// relative to (`τ = config.tail_rtol · γ_ε`).
-    pub fn build(
-        links: &LinkSet,
-        channel: &RayleighChannel,
-        gamma_eps: f64,
-        config: SparseConfig,
-    ) -> Self {
-        Self::build_with_powers(links, channel, None, gamma_eps, config)
-    }
-
-    /// Builds the truncated store with optional per-link power scales
-    /// (same contract as
-    /// [`InterferenceMatrix::build_with_powers`](crate::interference::InterferenceMatrix::build_with_powers)).
     ///
     /// # Panics
     /// Panics on an invalid `config`, a power vector of the wrong
     /// length, or non-positive scales.
-    pub fn build_with_powers(
+    pub fn build(
         links: &LinkSet,
         channel: &RayleighChannel,
         powers: Option<&[f64]>,
@@ -224,7 +215,7 @@ impl SparseInterference {
         let receivers = links.receiver_positions();
         let lengths: Vec<f64> = links.ids().map(|i| links.length(i)).collect();
         let tau = config.tail_rtol * gamma_eps;
-        let diameter = instance_diameter(&senders, &receivers);
+        let diameter = instance_diameter(senders.iter().chain(&receivers));
         let max_scale = max_power_scale(powers);
 
         // Per-receiver truncation radius: the distance at which the
@@ -253,18 +244,27 @@ impl SparseInterference {
         };
         let sender_hash = SpatialHash::build(&senders, cell);
         let receiver_hash = SpatialHash::build(&receivers, cell);
+        drop((senders, receivers));
         let max_radius = radius.iter().copied().fold(0.0, f64::max);
 
         // Gather each receiver's stored in-neighborhood, then scatter
         // into a CSR keyed by sender.
+        let (senders, receivers) = (sender_hash.points(), receiver_hash.points());
         let gather = |j: usize| -> Vec<(u32, f64)> {
             let mut found = Vec::new();
             sender_hash.for_each_in_radius(&receivers[j], radius[j], |i| {
                 if i as usize != j {
+                    let i = i as usize;
                     let f = pair_factor(
-                        channel, &senders, &receivers, &lengths, powers, i as usize, j,
+                        channel,
+                        &senders[i],
+                        &receivers[j],
+                        lengths[j],
+                        powers,
+                        i,
+                        j,
                     );
-                    found.push((i, f));
+                    found.push((i as u32, f));
                 }
             });
             found
@@ -303,7 +303,6 @@ impl SparseInterference {
             }
         }
 
-        let exact = cut.iter().all(|&c| c == 0.0);
         let pairs = (n as u64).saturating_mul(n.saturating_sub(1) as u64);
         fading_obs::counter("core.sparse.builds").incr();
         fading_obs::counter("core.sparse.factors_stored").add(total as u64);
@@ -321,10 +320,7 @@ impl SparseInterference {
         Self {
             n,
             channel: *channel,
-            senders,
-            receivers,
             lengths,
-            powers: powers.map(<[f64]>::to_vec),
             sender_hash,
             receiver_hash,
             row_start,
@@ -337,7 +333,6 @@ impl SparseInterference {
             cut,
             tau,
             tail_rtol: config.tail_rtol,
-            exact,
             diameter,
             max_scale,
             max_radius,
@@ -374,22 +369,29 @@ impl SparseInterference {
         self.n == 0
     }
 
-    /// Exact factor `f_{i,j}` — recomputed from geometry through the
-    /// same channel code path as the dense build, so the value is
-    /// bit-identical to the dense matrix entry whether or not the pair
-    /// is stored.
+    /// Exact factor `f_{i,j}` under the power scales `powers` (the
+    /// owning problem's; `None` = uniform) — recomputed from geometry
+    /// through the same channel code path as the dense build, so the
+    /// value is bit-identical to the dense matrix entry whether or not
+    /// the pair is stored.
     #[inline]
-    pub fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
+    pub fn factor(&self, sender: LinkId, receiver: LinkId, powers: Option<&[f64]>) -> f64 {
         let (i, j) = (sender.index(), receiver.index());
         if i == j {
             return 0.0;
         }
+        self.hashed_factor(i, j, powers)
+    }
+
+    /// `f_{i,j}` between two hashed links.
+    #[inline]
+    fn hashed_factor(&self, i: usize, j: usize, powers: Option<&[f64]>) -> f64 {
         pair_factor(
             &self.channel,
-            &self.senders,
-            &self.receivers,
-            &self.lengths,
-            self.powers.as_deref(),
+            &self.sender_hash.points()[i],
+            &self.receiver_hash.points()[j],
+            self.lengths[j],
+            powers,
             i,
             j,
         )
@@ -403,27 +405,6 @@ impl SparseInterference {
         for (&j, &v) in recv.iter().zip(fact) {
             f(LinkId(j), v);
         }
-    }
-
-    /// Stored in-factors onto `receiver`, recomputed on demand from the
-    /// sender hash (nothing is stored per-receiver).
-    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let j = receiver.index();
-        self.sender_hash
-            .for_each_in_radius(&self.receivers[j], self.radius[j], |i| {
-                if i as usize != j {
-                    let v = pair_factor(
-                        &self.channel,
-                        &self.senders,
-                        &self.receivers,
-                        &self.lengths,
-                        self.powers.as_deref(),
-                        i as usize,
-                        j,
-                    );
-                    f(LinkId(i), v);
-                }
-            });
     }
 
     /// The per-receiver cut `τ_j` the truncation radius is derived
@@ -454,28 +435,14 @@ impl SparseInterference {
     pub fn omitted_bound(&self, sender: LinkId, receiver: LinkId) -> Option<f64> {
         let j = receiver.index();
         let r = self.radius[j];
-        (self.cut[j] > 0.0 && self.senders[sender.index()].distance_sq(&self.receivers[j]) > r * r)
-            .then(|| self.cut_bound(receiver))
-    }
-
-    /// The truncation radius of `receiver`.
-    pub fn truncation_radius(&self, receiver: LinkId) -> f64 {
-        self.radius[receiver.index()]
-    }
-
-    /// The absolute per-factor cut budget `τ = tail_rtol · γ_ε`.
-    pub fn tau(&self) -> f64 {
-        self.tau
+        let d_sq =
+            self.sender_hash.points()[sender.index()].distance_sq(&self.receiver_hash.points()[j]);
+        (self.cut[j] > 0.0 && d_sq > r * r).then(|| self.cut_bound(receiver))
     }
 
     /// The configured relative cut.
     pub fn tail_rtol(&self) -> f64 {
         self.tail_rtol
-    }
-
-    /// Whether every receiver is exhaustive (`tail_cut == 0` for all).
-    pub fn is_exact(&self) -> bool {
-        self.exact
     }
 
     /// Number of stored off-diagonal factors.
@@ -489,71 +456,30 @@ impl SparseInterference {
     }
 
     /// Bytes held by the interference storage proper: CSR arrays,
-    /// per-receiver radii/cuts, geometry, and the sender hash's index
-    /// entries. The figure the large-n memory budget is checked against.
+    /// per-receiver lengths, radii and cuts, and the two hashes, which
+    /// hold the store's only copy of the link positions. Power scales
+    /// belong to the problem and are not counted. The figure the
+    /// large-n memory budget is checked against.
     pub fn storage_bytes(&self) -> u64 {
         let csr = self.row_start.len() * std::mem::size_of::<usize>()
             + (self.row_len.len() + self.row_cap.len() + self.arena_receivers.len())
                 * std::mem::size_of::<u32>()
             + self.arena_factors.len() * std::mem::size_of::<f64>();
-        let per_receiver = (self.radius.len() + self.cut.len()) * std::mem::size_of::<f64>();
-        let geometry = (self.senders.len() + self.receivers.len()) * std::mem::size_of::<Point2>()
-            + self.lengths.len() * std::mem::size_of::<f64>()
-            + self.powers.as_ref().map_or(0, |p| p.len() * 8);
-        // Hashes: one u32 index per point plus the point copy, for the
-        // sender and receiver grids.
-        let hash =
-            (self.sender_hash.len() + self.receiver_hash.len()) * (std::mem::size_of::<u32>() + 16);
-        (csr + per_receiver + geometry + hash) as u64
-    }
-
-    /// The `ζ(α−1)` packing bound on the **total** omitted interference
-    /// onto `receiver` from any concurrently transmitting set whose
-    /// senders are pairwise at least `min_separation` apart: omitted
-    /// senders sit beyond `R_j`, and an annulus decomposition of the far
-    /// field gives
-    ///
-    /// ```text
-    /// Σ_{d_ij > R_j} f_{i,j} ≤ 8 γ_th ρ_j d_jj^α (2ζ(α−1) + ζ(α)) / (λ² R_j^{α−2}),
-    /// ```
-    ///
-    /// with `λ = min(min_separation, R_j)`. Derivation in
-    /// `docs/interference.md`. Returns `0` for exhaustive receivers.
-    ///
-    /// # Panics
-    /// Panics if `α ≤ 2` (the far-field series diverges) or
-    /// `min_separation ≤ 0`.
-    pub fn far_field_packing_bound(&self, receiver: LinkId, min_separation: f64) -> f64 {
-        let j = receiver.index();
-        if self.cut[j] == 0.0 {
-            return 0.0;
-        }
-        let alpha = self.channel.params.alpha;
-        assert!(
-            alpha > 2.0,
-            "far-field packing bound needs alpha > 2, got {alpha}"
-        );
-        assert!(
-            min_separation > 0.0,
-            "min_separation must be positive, got {min_separation}"
-        );
-        let r = self.radius[j];
-        let lambda = min_separation.min(r);
-        let ratio = self
-            .powers
-            .as_ref()
-            .map_or(1.0, |p| p.iter().copied().fold(f64::MIN, f64::max) / p[j]);
-        let geometry = 2.0 * zeta(alpha - 1.0) + zeta(alpha);
-        8.0 * self.channel.params.gamma_th * ratio * self.lengths[j].powf(alpha) * geometry
-            / (lambda * lambda * r.powf(alpha - 2.0))
+        let per_receiver =
+            (self.lengths.len() + self.radius.len() + self.cut.len()) * std::mem::size_of::<f64>();
+        // Hashes: one u32 index per point plus the point itself, for
+        // the sender and receiver grids.
+        let hash = (self.sender_hash.len() + self.receiver_hash.len())
+            * (std::mem::size_of::<u32>() + std::mem::size_of::<Point2>());
+        (csr + per_receiver + hash) as u64
     }
 
     // ------------------------------------------------------------------
     // In-place mutation.
     //
     // Invariant maintained by every operation below (and established by
-    // `build_with_powers`): entry `(i, j)` is stored iff
-    // `senders[i].distance_sq(receivers[j]) ≤ radius[j]²` and `i ≠ j`,
+    // `build`): entry `(i, j)` is stored iff sender `i` lies within
+    // `radius[j]` of receiver `j` (`d² ≤ radius[j]²`) and `i ≠ j`,
     // with every CSR row sorted by receiver id. Because membership is a
     // pure predicate of geometry and `radius`, and `radius` is
     // reconciled to the fresh-build formula whenever the instance
@@ -566,24 +492,11 @@ impl SparseInterference {
     // never flip (straddles always resolve by exact recomputation).
     // ------------------------------------------------------------------
 
-    /// Converts a uniform-power store to an explicit all-ones power
-    /// profile without touching any stored state. Safe because
-    /// `scale ≡ 1` evaluates every power-aware expression to the exact
-    /// same bits: `γ_th · (1/1) · x` left-associates to `γ_th · x`
-    /// (the unscaled formula), and the truncation ratio
-    /// `max_scale / p[j]` is `1/1 = 1`, the uniform default. Called by
-    /// `Problem::apply` when the first non-uniform link arrives.
-    pub(crate) fn materialize_powers(&mut self) {
-        if self.powers.is_none() {
-            self.powers = Some(vec![1.0; self.n]);
-        }
-    }
-
     /// The row/column edits of one swap-remove (the link at `len()−1`
     /// takes index `k`, mirroring [`LinkSet::swap_remove`]), touching
     /// only the rows that store the removed receiver or the renumbered
     /// one. [`apply_batch`](Self::apply_batch) does the envelope
-    /// reconcile, exactness flag, and compaction once per batch.
+    /// reconcile and compaction once per batch.
     ///
     /// Removals can be chained this way because the membership
     /// invariant refers to the *current* `radius` array, and removal
@@ -597,8 +510,9 @@ impl SparseInterference {
         // scratch keeps the warm mutation path allocation-free.
         let mut col = std::mem::take(&mut self.scratch);
         col.clear();
+        let receiver = self.receiver_hash.points()[k];
         self.sender_hash
-            .for_each_in_radius(&self.receivers[k], self.radius[k], |i| {
+            .for_each_in_radius(&receiver, self.radius[k], |i| {
                 if i as usize != k {
                     col.push(i);
                 }
@@ -614,8 +528,9 @@ impl SparseInterference {
         // id's sorted position (row k itself is already dead, row last
         // never stores its own diagonal).
         if k != last {
+            let receiver = self.receiver_hash.points()[last];
             self.sender_hash
-                .for_each_in_radius(&self.receivers[last], self.radius[last], |i| {
+                .for_each_in_radius(&receiver, self.radius[last], |i| {
                     let i = i as usize;
                     if i != last && i != k {
                         col.push(i as u32);
@@ -630,12 +545,7 @@ impl SparseInterference {
         self.row_start.swap_remove(k);
         self.row_len.swap_remove(k);
         self.row_cap.swap_remove(k);
-        self.senders.swap_remove(k);
-        self.receivers.swap_remove(k);
         self.lengths.swap_remove(k);
-        if let Some(p) = &mut self.powers {
-            p.swap_remove(k);
-        }
         self.radius.swap_remove(k);
         self.cut.swap_remove(k);
         self.sender_hash.swap_remove(k as u32);
@@ -649,7 +559,9 @@ impl SparseInterference {
     /// order) — with **one** envelope reconciliation and **one**
     /// compaction check for the entire batch. The one mutation routine
     /// of the store; `Problem::apply` calls it after validating the
-    /// batch and materializing a power profile for any non-unit scale.
+    /// batch and committing its links and power scales. `powers` is
+    /// that committed profile: the survivors' scales under their new
+    /// ids, then the added links' (`None` = uniform).
     ///
     /// The result equals a fresh build over the final link set (and so
     /// any other split of the same mutations into batches): every
@@ -670,7 +582,12 @@ impl SparseInterference {
     ///
     /// # Panics
     /// Panics if `removes` is not strictly descending or out of range.
-    pub(crate) fn apply_batch(&mut self, removes: &[LinkId], adds: &[LinkSpec]) {
+    pub(crate) fn apply_batch(
+        &mut self,
+        removes: &[LinkId],
+        adds: &[LinkSpec],
+        powers: Option<&[f64]>,
+    ) {
         if removes.is_empty() && adds.is_empty() {
             return;
         }
@@ -681,48 +598,29 @@ impl SparseInterference {
         if let Some(&first) = removes.first() {
             assert!(first.index() < self.n, "link index out of bounds");
         }
-        debug_assert!(
-            self.powers.is_some() || adds.iter().all(|s| s.power_scale == 1.0),
-            "a non-unit power scale needs a materialized profile"
-        );
         let _span = fading_obs::span!("core.sparse.apply_batch");
         let mut laps = PhaseTimer::<APPLY_PHASES>::start(true);
         for &id in removes {
             self.remove_one(id.index(), &mut laps);
         }
         let n0 = self.n;
-        // Push all new geometry and powers, then reconcile the envelope
-        // once: the new senders are not yet hashed, so annulus edits
+        // Reconcile the envelope once, with the new links' lengths in
+        // place but their endpoints not yet hashed: the annulus edits
         // touch only surviving old pairs, and the new rows/columns are
         // wired directly under the final radii.
-        for spec in adds {
-            self.senders.push(spec.sender);
-            self.receivers.push(spec.receiver);
-            self.lengths.push(spec.sender.distance(&spec.receiver));
-            if let Some(p) = &mut self.powers {
-                p.push(spec.power_scale);
-            }
-        }
+        self.lengths
+            .extend(adds.iter().map(|spec| spec.sender.distance(&spec.receiver)));
         self.n = n0 + adds.len();
-        self.refresh_envelope();
+        self.refresh_envelope(adds, powers);
         for t in n0..self.n {
-            let ratio = self.powers.as_ref().map_or(1.0, |p| self.max_scale / p[t]);
-            let (r, c) = truncation_for(
-                &self.channel,
-                self.lengths[t],
-                ratio,
-                self.tau,
-                self.diameter,
-            );
+            let (r, c) = self.truncation_of(t, powers);
             self.radius.push(r);
             self.cut.push(c);
             self.max_radius = self.max_radius.max(r);
         }
-        // Wiring leaves every cut as it is, so the flag is final here.
-        self.exact = self.cut.iter().all(|&c| c == 0.0);
         laps.lap(ApplyPhase::Reconcile as usize);
         if n0 < self.n {
-            self.wire_new_links(n0, &mut laps);
+            self.wire_new_links(adds, powers, &mut laps);
         }
         if self.maybe_compact() {
             laps.lap(ApplyPhase::Compact as usize);
@@ -733,8 +631,11 @@ impl SparseInterference {
         }
     }
 
-    /// Wires rows and columns for links `n0..n`, whose geometry, radii,
-    /// and cuts are already in place under the reconciled envelope.
+    /// Wires rows and columns for the batch's new links (ids
+    /// `n − adds.len() .. n`), whose lengths, radii, and cuts are
+    /// already in place under the reconciled envelope; their endpoints
+    /// come from `adds` and enter the hashes one link at a time, as
+    /// each link's wiring completes.
     /// Both directions are local hash queries: the column gathers the
     /// senders inside the new receiver's radius from the sender hash,
     /// and the row answers the inverse question — which receivers'
@@ -746,11 +647,16 @@ impl SparseInterference {
     /// `O(k · degree)` instead of the `O(k · N)` per-link receiver
     /// scans (or an `O(N)`-per-batch sweep that degenerates to visiting
     /// every link once the batch's bounding circle covers the region).
-    fn wire_new_links(&mut self, n0: usize, laps: &mut PhaseTimer<APPLY_PHASES>) {
+    fn wire_new_links(
+        &mut self,
+        adds: &[LinkSpec],
+        powers: Option<&[f64]>,
+        laps: &mut PhaseTimer<APPLY_PHASES>,
+    ) {
         let mut col = std::mem::take(&mut self.scratch);
         let mut hits: Vec<u32> = Vec::with_capacity(64);
-        for t in n0..self.n {
-            let (sender, receiver) = (self.senders[t], self.receivers[t]);
+        for (t, spec) in (self.n - adds.len()..).zip(adds) {
+            let (sender, receiver) = (spec.sender, spec.receiver);
             // Column t: already-wired senders (old plus earlier new —
             // each enters the hash as its own wiring completes) within
             // the new receiver's radius. Receiver t is the maximum
@@ -759,16 +665,17 @@ impl SparseInterference {
             self.sender_hash
                 .for_each_in_radius(&receiver, self.radius[t], |i| col.push(i));
             for i in col.drain(..) {
+                let i = i as usize;
                 let f = pair_factor(
                     &self.channel,
-                    &self.senders,
-                    &self.receivers,
-                    &self.lengths,
-                    self.powers.as_deref(),
-                    i as usize,
+                    &self.sender_hash.points()[i],
+                    &receiver,
+                    self.lengths[t],
+                    powers,
+                    i,
                     t,
                 );
-                self.row_insert(i as usize, t as u32, f);
+                self.row_insert(i, t as u32, f);
             }
             laps.lap(ApplyPhase::ColWire as usize);
             // Row t: receivers (old plus earlier new) whose radius ball
@@ -780,27 +687,28 @@ impl SparseInterference {
             // churn arrivals costs `O(k · neighborhood)`, not the
             // `O(k · N)` a per-link receiver scan would pay.
             hits.clear();
+            let receivers = self.receiver_hash.points();
             self.receiver_hash
                 .for_each_in_radius(&sender, self.max_radius, |j| {
                     let ju = j as usize;
-                    if sender.distance_sq(&self.receivers[ju]) <= self.radius[ju] * self.radius[ju]
-                    {
+                    if sender.distance_sq(&receivers[ju]) <= self.radius[ju] * self.radius[ju] {
                         hits.push(j);
                     }
                 });
             hits.sort_unstable();
             let lo = self.arena_receivers.len();
             for &j in &hits {
+                let j = j as usize;
                 let f = pair_factor(
                     &self.channel,
-                    &self.senders,
-                    &self.receivers,
-                    &self.lengths,
-                    self.powers.as_deref(),
+                    &sender,
+                    &self.receiver_hash.points()[j],
+                    self.lengths[j],
+                    powers,
                     t,
-                    j as usize,
+                    j,
                 );
-                self.arena_receivers.push(j);
+                self.arena_receivers.push(j as u32);
                 self.arena_factors.push(f);
             }
             self.row_start.push(lo);
@@ -815,10 +723,10 @@ impl SparseInterference {
     }
 
     /// Truncation radius and cut of receiver `j` under the *current*
-    /// envelope — the same expression `build_with_powers` evaluates, so
-    /// reconciled values are bit-identical to a fresh build's.
-    fn truncation_of(&self, j: usize) -> (f64, f64) {
-        let ratio = self.powers.as_ref().map_or(1.0, |p| self.max_scale / p[j]);
+    /// envelope — the same expression `build` evaluates, so reconciled
+    /// values are bit-identical to a fresh build's.
+    fn truncation_of(&self, j: usize, powers: Option<&[f64]>) -> (f64, f64) {
+        let ratio = powers.map_or(1.0, |p| self.max_scale / p[j]);
         truncation_for(
             &self.channel,
             self.lengths[j],
@@ -828,16 +736,24 @@ impl SparseInterference {
         )
     }
 
-    /// Recomputes the instance envelope (bbox diameter, max power
-    /// scale) and, if it moved, reconciles every receiver's radius/cut
+    /// Recomputes the instance envelope (bbox diameter over the hashed
+    /// links plus the batch's not-yet-hashed `adds`, max power scale)
+    /// and, if it moved, reconciles every hashed receiver's radius/cut
     /// to the fresh-build formula — inserting or dropping exactly the
     /// annulus entries between the old and new radius. Radii whose
     /// annulus lies beyond the new diameter need no row edits (no pair
     /// can be that far apart), which makes interior mutations under
     /// uniform power a pure value update.
-    fn refresh_envelope(&mut self) {
-        let diameter = instance_diameter(&self.senders, &self.receivers);
-        let max_scale = max_power_scale(self.powers.as_deref());
+    fn refresh_envelope(&mut self, adds: &[LinkSpec], powers: Option<&[f64]>) {
+        let (senders, receivers) = (self.sender_hash.points(), self.receiver_hash.points());
+        let diameter = instance_diameter(
+            senders
+                .iter()
+                .chain(adds.iter().map(|spec| &spec.sender))
+                .chain(receivers)
+                .chain(adds.iter().map(|spec| &spec.receiver)),
+        );
+        let max_scale = max_power_scale(powers);
         if diameter == self.diameter && max_scale == self.max_scale {
             return;
         }
@@ -845,22 +761,24 @@ impl SparseInterference {
         self.max_scale = max_scale;
         let mut max_radius = 0.0f64;
         // The scratch is taken out of `self` so the hash-query closure
-        // (which reads `self.senders`/`self.receivers`) and the buffer
-        // can be borrowed simultaneously.
+        // (which reads the hashed points) and the buffer can be
+        // borrowed simultaneously.
         let mut touched = std::mem::take(&mut self.scratch);
         for j in 0..self.radius.len() {
-            let (r, c) = self.truncation_of(j);
+            let (r, c) = self.truncation_of(j, powers);
             let old = self.radius[j];
             if r != old && old.min(r) < diameter {
                 // The annulus between the radii can hold senders; patch
                 // the affected rows. Membership uses the same `d² ≤ r²`
                 // predicate as the build's hash gather.
                 let (old_sq, new_sq) = (old * old, r * r);
+                let (senders, receiver) =
+                    (self.sender_hash.points(), self.receiver_hash.points()[j]);
                 touched.clear();
                 self.sender_hash
-                    .for_each_in_radius(&self.receivers[j], old.max(r), |i| {
+                    .for_each_in_radius(&receiver, old.max(r), |i| {
                         if i as usize != j {
-                            let d_sq = self.senders[i as usize].distance_sq(&self.receivers[j]);
+                            let d_sq = senders[i as usize].distance_sq(&receiver);
                             if d_sq <= old_sq.max(new_sq) && d_sq > old_sq.min(new_sq) {
                                 touched.push(i);
                             }
@@ -869,15 +787,7 @@ impl SparseInterference {
                 fading_obs::counter("core.sparse.reconcile_edits").add(touched.len() as u64);
                 for i in touched.drain(..) {
                     if r > old {
-                        let f = pair_factor(
-                            &self.channel,
-                            &self.senders,
-                            &self.receivers,
-                            &self.lengths,
-                            self.powers.as_deref(),
-                            i as usize,
-                            j,
-                        );
+                        let f = self.hashed_factor(i as usize, j, powers);
                         self.row_insert(i as usize, j as u32, f);
                     } else {
                         self.row_remove(i as usize, j as u32);
@@ -1002,8 +912,8 @@ enum ApplyPhase {
     TailRename,
     /// The per-link vector and hash swap-removes.
     SwapRemove,
-    /// Pushing new geometry, the envelope reconcile, the new links'
-    /// radii and cuts, and the exactness flag.
+    /// Pushing the new lengths, the envelope reconcile, and the new
+    /// links' radii and cuts.
     Reconcile,
     /// Inserting each new receiver into the rows of its senders.
     ColWire,
@@ -1041,21 +951,21 @@ fn apply_hists() -> &'static [fading_obs::Histogram; APPLY_PHASES] {
     })
 }
 
-/// `f_{i,j}` from geometry — the single code path both the stored build
-/// and on-demand lookups share (and the same one the dense build uses),
-/// so every value is bit-identical across backends.
+/// `f_{i,j}` from the positions of sender `i` and receiver `j` and the
+/// length `d_jj` of link `j` — the single code path both the stored
+/// build and on-demand lookups share (and the same one the dense build
+/// uses), so every value is bit-identical across backends.
 #[inline]
 fn pair_factor(
     channel: &RayleighChannel,
-    senders: &[Point2],
-    receivers: &[Point2],
-    lengths: &[f64],
+    sender: &Point2,
+    receiver: &Point2,
+    d_jj: f64,
     powers: Option<&[f64]>,
     i: usize,
     j: usize,
 ) -> f64 {
-    let d_ij = senders[i].distance(&receivers[j]);
-    let d_jj = lengths[j];
+    let d_ij = sender.distance(receiver);
     match powers {
         None => channel.interference_factor(d_ij, d_jj),
         Some(p) => channel.interference_factor_scaled(d_ij, d_jj, p[i], p[j]),
@@ -1065,7 +975,7 @@ fn pair_factor(
 /// Per-receiver truncation radius and certified cut: the distance at
 /// which the worst-case factor onto a receiver of length `d_jj` drops
 /// to `τ`, clamped to the instance diameter (⇒ exhaustive, cut 0). The
-/// single code path `build_with_powers` and the in-place mutation
+/// single code path `build` and the in-place mutation
 /// reconcile share, so mutated radii are bit-identical to fresh ones.
 #[inline]
 fn truncation_for(
@@ -1088,8 +998,8 @@ fn truncation_for(
 /// The maximum power scale of a profile — `1.0` for uniform power
 /// **and for an empty profile** (a zero-link store with explicit
 /// powers previously poisoned the envelope with `fold`'s `f64::MIN`
-/// identity). The single code path `build_with_powers` and
-/// `refresh_envelope` share, so mutate ≡ rebuild holds bit for bit.
+/// identity). The single code path `build` and `refresh_envelope`
+/// share, so mutate ≡ rebuild holds bit for bit.
 #[inline]
 fn max_power_scale(powers: Option<&[f64]>) -> f64 {
     match powers {
@@ -1170,18 +1080,18 @@ fn seek(row: &[u32], j: u32, n: usize) -> usize {
     lo + row[lo..hi].partition_point(|&x| x < j)
 }
 
-/// Diameter of the bounding box of all senders and receivers — an upper
-/// bound on any sender→receiver distance, hence the "store everything"
-/// radius cap.
-fn instance_diameter(senders: &[Point2], receivers: &[Point2]) -> f64 {
+/// Diameter of the bounding box of all link endpoints — an upper bound
+/// on any sender→receiver distance, hence the "store everything" radius
+/// cap.
+fn instance_diameter<'a>(endpoints: impl IntoIterator<Item = &'a Point2>) -> f64 {
     let mut min = Point2::new(f64::INFINITY, f64::INFINITY);
     let mut max = Point2::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for p in senders.iter().chain(receivers) {
+    for p in endpoints {
         min = Point2::new(min.x.min(p.x), min.y.min(p.y));
         max = Point2::new(max.x.max(p.x), max.y.max(p.y));
     }
-    if senders.is_empty() && receivers.is_empty() {
-        return 1.0;
+    if min.x > max.x {
+        return 1.0; // no endpoints
     }
     // Straight corner-to-corner distance; `Rect::new` would reject the
     // degenerate boxes real mutations produce (a single link, or every
@@ -1209,10 +1119,11 @@ mod tests {
     ) -> (LinkSet, InterferenceMatrix, SparseInterference) {
         let links = UniformGenerator::paper(n).generate(seed);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let dense = InterferenceMatrix::build(&links, &channel);
+        let dense = InterferenceMatrix::build(&links, &channel, None);
         let sparse = SparseInterference::build(
             &links,
             &channel,
+            None,
             gamma_eps(0.01),
             SparseConfig { tail_rtol: rtol },
         );
@@ -1225,7 +1136,7 @@ mod tests {
         for i in links.ids() {
             for j in links.ids() {
                 assert_eq!(
-                    sparse.factor(i, j).to_bits(),
+                    sparse.factor(i, j, None).to_bits(),
                     dense.factor(i, j).to_bits(),
                     "f({i},{j})"
                 );
@@ -1240,7 +1151,7 @@ mod tests {
         // link, so the sparse store degenerates to an exact CSR: every
         // pair stored, all cuts zero.
         let (_, dense, sparse) = paper_pair(50, 10, SparseConfig::certified().tail_rtol);
-        assert!(sparse.is_exact());
+        assert_eq!(sparse.max_tail_cut(), 0.0);
         assert_eq!(sparse.stored_factors(), dense.stored_factors());
     }
 
@@ -1249,7 +1160,7 @@ mod tests {
         // A coarse cut on a spread-out instance must actually prune, and
         // every pruned factor must be below its receiver's cut.
         let (links, dense, sparse) = paper_pair(80, 11, 0.5);
-        assert!(!sparse.is_exact(), "0.5·γ_ε must truncate");
+        assert!(sparse.max_tail_cut() > 0.0, "0.5·γ_ε must truncate");
         assert!(sparse.stored_factors() < dense.stored_factors());
         for i in links.ids() {
             let mut stored = vec![false; links.len()];
@@ -1302,9 +1213,10 @@ mod tests {
                 links.push(Link::new(LinkId(2 + k as u32), s, r, 1.0));
             }
             let links = LinkSet::new(fading_geom::Rect::square(2e4), links);
-            SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default())
+            let config = SparseConfig::default();
+            SparseInterference::build(&links, &channel, None, gamma_eps(0.01), config)
         };
-        let r = store(&[]).truncation_radius(LinkId(0));
+        let r = store(&[]).radius[0];
         let probes: Vec<Point2> = (0..4000)
             .map(|k| {
                 let (theta, d) = (k as f64 * 1.5707e-3, r * (1.0 + (k % 7) as f64 * 1e-16));
@@ -1312,12 +1224,12 @@ mod tests {
             })
             .collect();
         let s = store(&probes);
-        assert_eq!(s.truncation_radius(LinkId(0)), r);
+        assert_eq!(s.radius[0], r);
         let (mut omitted, mut past_cut) = (0, 0);
         for k in 0..probes.len() {
             let i = LinkId(2 + k as u32);
             if let Some(bound) = s.omitted_bound(i, LinkId(0)) {
-                let f = s.factor(i, LinkId(0));
+                let f = s.factor(i, LinkId(0), None);
                 assert!(f <= bound, "f({i}, 0) = {f} exceeds {bound}");
                 omitted += 1;
                 past_cut += usize::from(f > s.tail_cut(LinkId(0)));
@@ -1334,29 +1246,12 @@ mod tests {
     }
 
     #[test]
-    fn in_and_out_iteration_are_transposes() {
-        let (links, _, sparse) = paper_pair(60, 12, 0.3);
-        let n = links.len();
-        let mut from_out = vec![vec![]; n];
-        let mut from_in = vec![vec![]; n];
-        for i in links.ids() {
-            sparse.for_each_out(i, &mut |j, f| from_out[j.index()].push((i, f)));
-            sparse.for_each_in(i, &mut |j, f| from_in[i.index()].push((j, f)));
-        }
-        for j in 0..n {
-            from_out[j].sort_by_key(|&(i, _)| i);
-            from_in[j].sort_by_key(|&(i, _)| i);
-            assert_eq!(from_out[j], from_in[j], "receiver {j}");
-        }
-    }
-
-    #[test]
     fn power_scales_honored() {
         let links = UniformGenerator::paper(30).generate(13);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let powers: Vec<f64> = (0..30).map(|i| 0.5 + (i % 5) as f64 * 0.5).collect();
-        let dense = InterferenceMatrix::build_with_powers(&links, &channel, Some(&powers));
-        let sparse = SparseInterference::build_with_powers(
+        let dense = InterferenceMatrix::build(&links, &channel, Some(&powers));
+        let sparse = SparseInterference::build(
             &links,
             &channel,
             Some(&powers),
@@ -1365,52 +1260,42 @@ mod tests {
         );
         for i in links.ids() {
             for j in links.ids() {
-                assert_eq!(sparse.factor(i, j).to_bits(), dense.factor(i, j).to_bits());
+                assert_eq!(
+                    sparse.factor(i, j, Some(&powers)).to_bits(),
+                    dense.factor(i, j).to_bits()
+                );
             }
         }
-    }
-
-    #[test]
-    fn far_field_bound_is_zero_when_exhaustive_and_positive_otherwise() {
-        let (_, _, exact) = paper_pair(20, 14, SparseConfig::DEFAULT_TAIL_RTOL);
-        assert_eq!(exact.far_field_packing_bound(LinkId(0), 10.0), 0.0);
-        let (_, _, truncated) = paper_pair(80, 14, 0.5);
-        let j = (0..truncated.len())
-            .map(|j| LinkId(j as u32))
-            .find(|&j| truncated.tail_cut(j) > 0.0)
-            .expect("0.5·γ_ε must truncate somewhere");
-        let b = truncated.far_field_packing_bound(j, 10.0);
-        assert!(b > 0.0 && b.is_finite());
-        // Tighter separation ⇒ more far senders fit ⇒ larger bound.
-        assert!(truncated.far_field_packing_bound(j, 5.0) > b);
     }
 
     #[test]
     fn empty_and_singleton_instances() {
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let empty = LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
-        let s =
-            SparseInterference::build(&empty, &channel, gamma_eps(0.01), SparseConfig::default());
+        let config = SparseConfig::default();
+        let s = SparseInterference::build(&empty, &channel, None, gamma_eps(0.01), config);
         assert!(s.is_empty());
         assert_eq!(s.stored_factors(), 0);
 
         let one = UniformGenerator::paper(1).generate(15);
-        let s = SparseInterference::build(&one, &channel, gamma_eps(0.01), SparseConfig::default());
+        let s = SparseInterference::build(&one, &channel, None, gamma_eps(0.01), config);
         assert_eq!(s.len(), 1);
         assert_eq!(s.stored_factors(), 0);
-        assert_eq!(s.factor(LinkId(0), LinkId(0)), 0.0);
+        assert_eq!(s.factor(LinkId(0), LinkId(0), None), 0.0);
     }
 
-    /// Fresh build over the same geometry, for mutation-parity checks.
-    fn rebuild_of(s: &SparseInterference) -> SparseInterference {
+    /// Fresh build over the same geometry under `powers`, for
+    /// mutation-parity checks.
+    fn rebuild_of(s: &SparseInterference, powers: Option<&[f64]>) -> SparseInterference {
+        let (senders, receivers) = (s.sender_hash.points(), s.receiver_hash.points());
         let links: Vec<fading_net::Link> = (0..s.n)
-            .map(|i| fading_net::Link::new(LinkId(i as u32), s.senders[i], s.receivers[i], 1.0))
+            .map(|i| fading_net::Link::new(LinkId(i as u32), senders[i], receivers[i], 1.0))
             .collect();
         let region = fading_geom::Rect::square(1e6);
-        SparseInterference::build_with_powers(
+        SparseInterference::build(
             &LinkSet::new(region, links),
             &s.channel,
-            s.powers.as_deref(),
+            powers,
             s.tau / s.tail_rtol,
             SparseConfig {
                 tail_rtol: s.tail_rtol,
@@ -1430,20 +1315,21 @@ mod tests {
             let mut s = SparseInterference::build(
                 &head,
                 &channel,
+                None,
                 gamma_eps(0.01),
                 SparseConfig { tail_rtol: rtol },
             );
             for t in 60..90 {
                 let l = full.link(LinkId(t));
-                s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
+                s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)], None);
                 if t % 9 == 0 || t == 89 {
-                    assert_eq!(s, rebuild_of(&s), "rtol {rtol} after add {t}");
+                    assert_eq!(s, rebuild_of(&s, None), "rtol {rtol} after add {t}");
                 }
             }
             // Interleave removals (interior, tail, repeated) with adds.
             for k in [3u32, 88, 0, 40, 40] {
-                s.apply_batch(&[LinkId(k)], &[]);
-                assert_eq!(s, rebuild_of(&s), "rtol {rtol} after remove {k}");
+                s.apply_batch(&[LinkId(k)], &[], None);
+                assert_eq!(s, rebuild_of(&s, None), "rtol {rtol} after remove {k}");
             }
         }
     }
@@ -1457,41 +1343,50 @@ mod tests {
         // envelope actually moves.
         let links = UniformGenerator::paper(70).generate(18);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let powers: Vec<f64> = (0..70).map(|i| 0.5 + (i % 4) as f64 * 0.25).collect();
-        let mut s = SparseInterference::build_with_powers(
+        let mut powers: Vec<f64> = (0..70).map(|i| 0.5 + (i % 4) as f64 * 0.25).collect();
+        let mut s = SparseInterference::build(
             &links,
             &channel,
             Some(&powers),
             gamma_eps(0.01),
             SparseConfig { tail_rtol: 0.5 },
         );
-        assert!(!s.is_exact(), "0.5·γ_ε must truncate");
+        assert!(s.max_tail_cut() > 0.0, "0.5·γ_ε must truncate");
         let extra = UniformGenerator::paper(80).generate(19);
         let l = extra.link(LinkId(75));
+        // The problem commits its power scales before the store.
+        powers.push(4.0);
         s.apply_batch(
             &[],
             &[LinkSpec::new(l.sender, l.receiver).with_power_scale(4.0)],
+            Some(&powers),
         );
-        assert_eq!(s, rebuild_of(&s), "after high-power add");
-        s.apply_batch(&[LinkId(70)], &[]);
-        assert_eq!(s, rebuild_of(&s), "after high-power remove");
+        assert_eq!(s, rebuild_of(&s, Some(&powers)), "after high-power add");
+        powers.swap_remove(70);
+        s.apply_batch(&[LinkId(70)], &[], Some(&powers));
+        assert_eq!(s, rebuild_of(&s, Some(&powers)), "after high-power remove");
     }
 
     #[test]
     fn drain_and_refill() {
         let links = UniformGenerator::paper(25).generate(21);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let mut s =
-            SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default());
+        let mut s = SparseInterference::build(
+            &links,
+            &channel,
+            None,
+            gamma_eps(0.01),
+            SparseConfig::default(),
+        );
         while !s.is_empty() {
-            s.apply_batch(&[LinkId(s.len() as u32 / 2)], &[]);
+            s.apply_batch(&[LinkId(s.len() as u32 / 2)], &[], None);
         }
         assert!(s.is_empty());
         for i in 0..25 {
             let l = links.link(LinkId(i));
-            s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
+            s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)], None);
         }
-        assert_eq!(s, rebuild_of(&s));
+        assert_eq!(s, rebuild_of(&s, None));
         assert!(s.stored_factors() > 0);
     }
 
@@ -1512,6 +1407,7 @@ mod tests {
             let built = SparseInterference::build(
                 &head,
                 &channel,
+                None,
                 gamma_eps(0.01),
                 SparseConfig { tail_rtol: rtol },
             );
@@ -1524,15 +1420,15 @@ mod tests {
                 .collect();
             let mut sequential = built.clone();
             for &k in &removes {
-                sequential.apply_batch(&[k], &[]);
+                sequential.apply_batch(&[k], &[], None);
             }
             for spec in &specs {
-                sequential.apply_batch(&[], std::slice::from_ref(spec));
+                sequential.apply_batch(&[], std::slice::from_ref(spec), None);
             }
             let mut batched = built.clone();
-            batched.apply_batch(&removes, &specs);
+            batched.apply_batch(&removes, &specs, None);
             assert_eq!(batched, sequential, "rtol {rtol}");
-            assert_eq!(batched, rebuild_of(&batched), "rtol {rtol} vs fresh");
+            assert_eq!(batched, rebuild_of(&batched, None), "rtol {rtol} vs fresh");
         }
     }
 
@@ -1540,10 +1436,15 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let links = UniformGenerator::paper(30).generate(31);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let built =
-            SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default());
+        let built = SparseInterference::build(
+            &links,
+            &channel,
+            None,
+            gamma_eps(0.01),
+            SparseConfig::default(),
+        );
         let mut s = built.clone();
-        s.apply_batch(&[], &[]);
+        s.apply_batch(&[], &[], None);
         assert_eq!(s, built, "empty batch must not touch the store");
     }
 
@@ -1588,11 +1489,11 @@ mod tests {
         // it. (Surfaced by mutating an instance down to one link.)
         let s = [Point2::new(0.0, 5.0)];
         let r = [Point2::new(3.0, 5.0)];
-        assert_eq!(instance_diameter(&s, &r), 3.0);
+        assert_eq!(instance_diameter(s.iter().chain(&r)), 3.0);
         // Coincident endpoints and the empty set fall back to 1.
         let p = [Point2::new(2.0, 2.0)];
-        assert_eq!(instance_diameter(&p, &p), 1.0);
-        assert_eq!(instance_diameter(&[], &[]), 1.0);
+        assert_eq!(instance_diameter(p.iter().chain(&p)), 1.0);
+        assert_eq!(instance_diameter(&[] as &[Point2]), 1.0);
     }
 
     #[test]
@@ -1606,7 +1507,7 @@ mod tests {
         assert_eq!(max_power_scale(Some(&[0.5, 2.0])), 2.0);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let empty = LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
-        let mut s = SparseInterference::build_with_powers(
+        let mut s = SparseInterference::build(
             &empty,
             &channel,
             Some(&[]),
@@ -1616,12 +1517,14 @@ mod tests {
         assert_eq!(s.max_scale, 1.0);
         // Grow from empty with powered links; must equal a fresh build.
         let links = UniformGenerator::paper(6).generate(23);
+        let mut powers = Vec::new();
         for i in 0..6 {
             let l = links.link(LinkId(i));
             let spec = LinkSpec::new(l.sender, l.receiver).with_power_scale(1.0 + i as f64 * 0.5);
-            s.apply_batch(&[], &[spec]);
+            powers.push(spec.power_scale);
+            s.apply_batch(&[], &[spec], Some(&powers));
         }
-        assert_eq!(s, rebuild_of(&s));
+        assert_eq!(s, rebuild_of(&s, Some(&powers)));
     }
 
     #[test]
@@ -1712,6 +1615,7 @@ mod tests {
         SparseInterference::build(
             &links,
             &channel,
+            None,
             gamma_eps(0.01),
             SparseConfig { tail_rtol: 0.0 },
         );

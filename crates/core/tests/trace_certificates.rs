@@ -14,34 +14,31 @@
 //!    scheduler returns the untraced schedule, for every scope kind and
 //!    backend, so the trace certifies the loop that actually runs.
 //!
-//! The trace ring is process-global, so every test that records a
-//! trace serializes on [`LOCK`].
+//! Every trace is recorded through a [`fading_obs::ThreadCapture`],
+//! which collects only the calling thread's blocks, so tests running
+//! concurrently cannot write into each other's traces.
 
 use fading_core::algo::{ApproxDiversity, ApproxLogN, Ldp, Rle};
 use fading_core::{verify_schedule, BackendChoice, Problem, SchedCtx, Schedule, Scheduler, Scope};
 use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
 use fading_obs::{ElimCause, Trace, TraceEvent};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn traced_run(problem: &Problem, scheduler: &dyn Scheduler) -> (Schedule, Trace) {
     traced_run_in(problem, scheduler, Scope::all(), &mut SchedCtx::new())
 }
 
-/// One traced `schedule_in` call over `scope` with the caller's ctx.
+/// One traced `schedule_in` call over `scope` with the caller's ctx,
+/// traced on the calling thread only.
 fn traced_run_in(
     problem: &Problem,
     scheduler: &dyn Scheduler,
     scope: Scope<'_>,
     ctx: &mut SchedCtx,
 ) -> (Schedule, Trace) {
-    fading_obs::set_tracing(true);
-    let _ = fading_obs::take_trace();
+    let capture = fading_obs::ThreadCapture::begin();
     let schedule = scheduler.schedule_in(problem, scope, ctx);
-    fading_obs::set_tracing(false);
-    (schedule, fading_obs::take_trace())
+    (schedule, capture.finish())
 }
 
 /// The four schedulers that emit decision traces.
@@ -80,7 +77,6 @@ fn grid_problem(i: u64) -> Problem {
 
 #[test]
 fn replay_accepts_64_instances_across_alpha_backends_and_powers() {
-    let _guard = LOCK.lock().unwrap();
     for i in 0..64u64 {
         let problem = grid_problem(i);
         for scheduler in traced_schedulers() {
@@ -110,7 +106,6 @@ fn replay_accepts_64_instances_across_alpha_backends_and_powers() {
 
 #[test]
 fn tracing_never_changes_the_schedule() {
-    let _guard = LOCK.lock().unwrap();
     // n = 1000 dense runs RLE's untraced debits through the full-row
     // kernel until survivors fall below a quarter, then the compacted
     // walk; the traced run must agree across that crossover.
@@ -167,7 +162,6 @@ fn tracing_never_changes_the_schedule() {
 
 #[test]
 fn same_seed_produces_byte_identical_traces() {
-    let _guard = LOCK.lock().unwrap();
     let run = || {
         let links = UniformGenerator::paper(120).generate(77);
         let problem = Problem::paper(links, 3.0);
@@ -193,7 +187,6 @@ fn same_seed_produces_byte_identical_traces() {
 
 #[test]
 fn golden_rle_trace_is_stable() {
-    let _guard = LOCK.lock().unwrap();
     // The golden file pins the JSONL schema and the scheduler's
     // decision sequence; a diff means either the record format or RLE
     // itself changed. Regenerate deliberately with
@@ -241,7 +234,6 @@ proptest! {
     /// produce) is caught.
     #[test]
     fn replay_accepts_genuine_and_rejects_tampered(seed in 0u64..10_000, n in 40usize..140) {
-        let _guard = LOCK.lock().unwrap();
         let links = UniformGenerator::paper(n).generate(seed);
         let problem = Problem::paper(links, 3.0);
 

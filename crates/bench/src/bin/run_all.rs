@@ -28,7 +28,7 @@ const BINS: &[&str] = &[
 ];
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = fading_bench::flags::parse_env(&[&[fading_bench::flags::QUICK]]).flag("quick");
     let exe_dir = std::env::current_exe()
         .expect("own path")
         .parent()

@@ -1,26 +1,21 @@
-//! Shared plumbing for the figure-regeneration binaries.
-//!
-//! Every binary accepts `--quick` (small grids, for smoke-testing the
-//! pipeline), `--csv`/`--json` (also emit machine-readable output next
-//! to the text table, under `results/`), `--progress` (live sweep
-//! progress on stderr), `--quiet` (suppress progress and write
-//! chatter), `--metrics-out <path>` (write a
-//! [`fading_obs::RunManifest`] with metrics and span timings after the
-//! run), and `--trace-out <path>` (write the schedulers' decision
-//! trace as JSONL; the file is hashed into the manifest's artifacts).
+//! Shared plumbing for the figure-regeneration binaries, which all take
+//! the [`flags::FIGURE`] and [`flags::OBSERVABILITY`] flags (see
+//! `fig5a --help`).
 
 pub mod alloc;
+pub mod flags;
 pub mod gates;
 pub mod report;
 pub mod schema;
 
 use fading_core::{AlgoId, BackendChoice, Scheduler};
 use fading_sim::{ExperimentConfig, ResultTable};
+use flags::{Args, FIGURE, OBSERVABILITY};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Parsed command-line options shared by all figure binaries.
-#[derive(Debug, Clone, PartialEq)]
+/// The typed view of a figure binary's command line.
+#[derive(Debug, Clone)]
 pub struct Cli {
     /// Use the reduced grid for a fast smoke run.
     pub quick: bool,
@@ -41,24 +36,15 @@ pub struct Cli {
     /// Algorithms to sweep (`--algos ldp,rle,…`); `None` keeps each
     /// figure's own default panel.
     pub algos: Option<Vec<AlgoId>>,
+    /// The parsed command line behind the fields.
+    args: Args,
     /// When the run started (for the manifest's wall time).
     started: Instant,
 }
 
 impl Default for Cli {
     fn default() -> Self {
-        Self {
-            quick: false,
-            csv: false,
-            json: false,
-            progress: false,
-            quiet: false,
-            metrics_out: None,
-            trace_out: None,
-            interference: BackendChoice::Dense,
-            algos: None,
-            started: Instant::now(),
-        }
+        Self::parse_from(Vec::new()).expect("the empty command line is valid")
     }
 }
 
@@ -67,60 +53,35 @@ impl Cli {
     /// flags are an error, not a warning — a typo'd flag must not
     /// silently run the full paper grid.
     pub fn parse_from<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, String> {
-        let mut cli = Self::default();
-        let mut it = argv.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => cli.quick = true,
-                "--csv" => cli.csv = true,
-                "--json" => cli.json = true,
-                "--progress" => cli.progress = true,
-                "--quiet" => cli.quiet = true,
-                "--metrics-out" => {
-                    let path = it.next().ok_or("--metrics-out is missing its path")?;
-                    cli.metrics_out = Some(PathBuf::from(path));
-                }
-                "--trace-out" => {
-                    let path = it.next().ok_or("--trace-out is missing its path")?;
-                    cli.trace_out = Some(PathBuf::from(path));
-                }
-                "--interference" => {
-                    let name = it.next().ok_or("--interference is missing its backend")?;
-                    cli.interference = BackendChoice::parse(&name)?;
-                }
-                "--algos" => {
-                    let csv = it.next().ok_or("--algos is missing its id list")?;
-                    let ids = csv
-                        .split(',')
-                        .map(|name| name.trim().parse::<AlgoId>())
-                        .collect::<Result<Vec<_>, _>>()?;
-                    cli.algos = Some(ids);
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
-        }
-        Ok(cli)
+        let args = flags::parse("figure", &[FIGURE, OBSERVABILITY], argv).map_err(|e| e.message)?;
+        Self::view(args)
     }
 
-    /// Parses `std::env::args`, exiting with a usage message on error,
-    /// and arms the progress reporter.
+    fn view(args: Args) -> Result<Self, String> {
+        Ok(Self {
+            quick: args.flag("quick"),
+            csv: args.flag("csv"),
+            json: args.flag("json"),
+            progress: args.flag("progress"),
+            quiet: args.flag("quiet"),
+            metrics_out: args.get("metrics-out").map(PathBuf::from),
+            trace_out: args.get("trace-out").map(PathBuf::from),
+            interference: BackendChoice::parse(args.require("interference")?)?,
+            algos: args.get("algos").map(flags::parse_algos).transpose()?,
+            args,
+            started: Instant::now(),
+        })
+    }
+
+    /// Parses `std::env::args`, exiting with the usage on `--help` or an
+    /// error, and arms progress and tracing.
     pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(cli) => {
-                fading_obs::set_progress(cli.progress && !cli.quiet);
-                if cli.trace_out.is_some() {
-                    fading_obs::set_tracing(true);
-                    let _ = fading_obs::take_trace(); // start from an empty ring
-                }
-                cli
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: {e}\nusage: [--quick] [--csv] [--json] [--progress] [--quiet] [--metrics-out <path>] [--trace-out <path>] [--interference dense|sparse|auto] [--algos <id,id,…>]"
-                );
-                std::process::exit(2);
-            }
-        }
+        let cli = Self::view(flags::parse_env(&[FIGURE, OBSERVABILITY])).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
+        cli.args.arm();
+        cli
     }
 
     /// The scheduler panel to sweep: `--algos` when given, otherwise
@@ -153,65 +114,37 @@ impl Cli {
         println!();
         print!("{}", table.render_text());
         let dir = PathBuf::from("results");
-        if self.csv || self.json {
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-                return;
-            }
-        }
-        if self.csv {
-            let path = dir.join(format!("{name}.csv"));
-            if let Err(e) = std::fs::write(&path, table.render_csv()) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else if !self.quiet {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        if self.json {
-            let path = dir.join(format!("{name}.json"));
-            if let Err(e) = std::fs::write(&path, table.to_json()) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else if !self.quiet {
-                eprintln!("wrote {}", path.display());
+        let copies = [("csv", self.csv), ("json", self.json)];
+        for (ext, _) in copies.into_iter().filter(|&(_, wanted)| wanted) {
+            let path = dir.join(format!("{name}.{ext}"));
+            let text = if ext == "csv" {
+                table.render_csv()
+            } else {
+                table.to_json()
+            };
+            match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, text)) {
+                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+                Ok(()) if !self.quiet => eprintln!("wrote {}", path.display()),
+                Ok(()) => {}
             }
         }
         self.write_manifest(name);
     }
 
-    /// Writes the run manifest (config, metrics, spans) if
-    /// `--metrics-out` was given. Binaries with custom output (the
-    /// extension experiments) call this directly instead of [`emit`].
+    /// Writes the `--trace-out` trace and the `--metrics-out` manifest
+    /// (announced on stderr); exits 1 if either cannot be written.
+    /// Binaries with custom output (the extension experiments) call
+    /// this directly instead of [`emit`].
     ///
     /// [`emit`]: Cli::emit
     pub fn write_manifest(&self, name: &str) {
-        if let Some(trace_path) = &self.trace_out {
-            fading_obs::set_tracing(false);
-            let trace = fading_obs::take_trace();
-            if let Err(e) = trace.write(trace_path) {
-                eprintln!("warning: cannot write {}: {e}", trace_path.display());
-            } else if !self.quiet {
-                eprintln!(
-                    "wrote {} trace events to {}",
-                    trace.events.len(),
-                    trace_path.display()
-                );
-            }
-        }
-        let Some(path) = &self.metrics_out else {
-            return;
-        };
-        let mut builder = fading_obs::ManifestBuilder::new(name)
-            .started_at(self.started)
-            .seed(self.config().seed)
-            .config_kv("quick", self.quick);
-        if let Some(trace_path) = &self.trace_out {
-            builder = builder.artifact("trace", trace_path);
-        }
-        let manifest = builder.finish();
-        if let Err(e) = manifest.write(path) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else if !self.quiet {
-            eprintln!("wrote {}", path.display());
+        let seed = self.config().seed;
+        let finished = self
+            .args
+            .finish(name, self.started, seed, &[], &mut std::io::stderr());
+        if let Err(e) = finished {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     }
 }

@@ -11,21 +11,21 @@
 //! offending bench and threshold), 2 fingerprint mismatch (would-be
 //! regressions reported as warnings). See `docs/bench-report.md`.
 
-use crate::args::Args;
 use crate::commands::CmdEffects;
+use fading_bench::flags::Args;
 use fading_bench::gates::{GateConfig, Status, Verdict};
 use fading_bench::report::{run_report, ReportOptions};
 use fading_bench::schema::{latest_report_path, today_utc, BenchReport};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 pub fn bench_report(
     args: &Args,
-    out: &mut dyn std::io::Write,
+    out: &mut dyn Write,
     effects: &mut CmdEffects,
 ) -> Result<(), String> {
-    let quiet = args.flag("quiet");
     let check = args.flag("check");
-    let dir = PathBuf::from(args.get("dir").unwrap_or("."));
+    let dir = PathBuf::from(args.require("dir")?);
     let out_path = match args.get("out") {
         Some(path) => PathBuf::from(path),
         // A check run must never drop its fresh numbers into the
@@ -42,10 +42,7 @@ pub fn bench_report(
     let current = match args.get("from") {
         Some(path) => BenchReport::load(Path::new(path))?,
         None => {
-            if !quiet {
-                writeln!(out, "running bench suite (this takes a minute)...")
-                    .map_err(|e| e.to_string())?;
-            }
+            args.say(out, "running bench suite (this takes a minute)...".into())?;
             run_report(&ReportOptions {
                 quick: args.flag("quick"),
                 filter: args.get("filter").map(String::from),
@@ -94,16 +91,12 @@ pub fn bench_report(
         effects
             .artifacts
             .push(("bench-report".to_string(), out_path.clone()));
-        if !quiet {
-            writeln!(
-                out,
-                "wrote {} metrics to {} ({})",
-                current.metrics.len(),
-                out_path.display(),
-                current.fingerprint.describe()
-            )
-            .map_err(|e| e.to_string())?;
-        }
+        let (metrics, fingerprint) = (current.metrics.len(), current.fingerprint.describe());
+        let path = out_path.display();
+        args.say(
+            out,
+            format!("wrote {metrics} metrics to {path} ({fingerprint})"),
+        )?;
     }
 
     let Some(baseline) = baseline else {
@@ -118,38 +111,23 @@ pub fn bench_report(
         effects
             .artifacts
             .push(("bench-diff".to_string(), PathBuf::from(path)));
-        if !quiet {
-            writeln!(out, "wrote diff table to {path}").map_err(|e| e.to_string())?;
-        }
+        args.say(out, format!("wrote diff table to {path}"))?;
     }
     if !check {
         return Ok(());
     }
+    let baseline = baseline_path.as_deref().unwrap_or(Path::new("?")).display();
     match diff.verdict() {
-        Verdict::Clean => {
-            writeln!(
-                out,
-                "bench-report check: clean against {}",
-                baseline_path.as_deref().unwrap_or(Path::new("?")).display()
-            )
-            .map_err(|e| e.to_string())?;
-            Ok(())
-        }
+        Verdict::Clean => outln!(out, "bench-report check: clean against {baseline}"),
         Verdict::Regression => Err(format!(
-            "bench-report check failed against {}:\n  {}",
-            baseline_path.as_deref().unwrap_or(Path::new("?")).display(),
+            "bench-report check failed against {baseline}:\n  {}",
             diff.failures().join("\n  ")
         )),
         Verdict::FingerprintWarning => {
-            writeln!(
-                out,
-                "bench-report check: fingerprint mismatch — {} would-be regression(s) \
-                 reported as warnings, not failures:",
-                diff.with_status(Status::Regressed).count()
-            )
-            .map_err(|e| e.to_string())?;
+            let regressed = diff.with_status(Status::Regressed).count();
+            outln!(out, "bench-report check: fingerprint mismatch — {regressed} would-be regression(s) reported as warnings, not failures:")?;
             for line in diff.failures() {
-                writeln!(out, "  warning: {line}").map_err(|e| e.to_string())?;
+                outln!(out, "  warning: {line}")?;
             }
             effects.exit_code = 2;
             Ok(())

@@ -1,13 +1,11 @@
 //! The CLI subcommands, separated from `main` for testability.
 
-use crate::args::Args;
+use fading_bench::flags::Args;
 use fading_core::{BackendChoice, FeasibilityReport, Problem, Schedule, Scheduler};
 use fading_net::{instance_stats, io, RateModel, UniformGenerator};
 use fading_sim::simulate_many;
+use std::io::Write;
 use std::path::Path;
-
-/// Flags accepted by every subcommand (observability plumbing).
-const GLOBAL_FLAGS: &[&str] = &["metrics-out", "trace-out", "prom-out", "progress", "quiet"];
 
 /// Side effects a subcommand reports back to the shared [`run`]
 /// wrapper: files it produced (hashed into the `--metrics-out`
@@ -22,349 +20,67 @@ pub struct CmdEffects {
     pub artifacts: Vec<(String, std::path::PathBuf)>,
 }
 
-/// Rejects any option not in `allowed` (or [`GLOBAL_FLAGS`]), so a
-/// typo'd flag fails loudly instead of silently using a default.
-fn reject_unknown_flags(args: &Args, allowed: &[&str]) -> Result<(), String> {
-    for key in args.options.keys() {
-        if !allowed.contains(&key.as_str()) && !GLOBAL_FLAGS.contains(&key.as_str()) {
-            return Err(format!(
-                "unknown option --{key} for `{}`; see `fading help`",
-                args.command
-            ));
-        }
-    }
-    Ok(())
-}
+/// A subcommand's body: reads its flags, writes its output to `out`,
+/// and reports its side effects.
+pub type Run = fn(&Args, &mut dyn Write, &mut CmdEffects) -> Result<(), String>;
 
 /// Runs a parsed command, writing human output to `out`.
 ///
-/// Every subcommand also honors `--progress` (throttled stderr
-/// progress), `--quiet` (suppress progress and manifest chatter),
-/// `--trace-out <path>` (write the schedulers' decision trace as
-/// JSONL after a successful run), and `--metrics-out <path>` (write a
-/// [`fading_obs::RunManifest`] JSON after a successful run; trace
-/// files land in its `artifacts` list with their content hash).
-pub fn run(args: &Args, out: &mut dyn std::io::Write) -> Result<i32, String> {
+/// `--help` (and the `help` command) prints the help. Every subcommand
+/// also honors the observability flags: progress, the decision trace,
+/// the Prometheus snapshot and the run manifest, written after a
+/// successful run.
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
+    let Some(cmd) = crate::args::command(&args.command).filter(|_| !args.help) else {
+        write!(out, "{}", crate::args::help(&args.command)).map_err(|e| e.to_string())?;
+        return Ok(0);
+    };
     let started = std::time::Instant::now();
-    let quiet = args.flag("quiet");
-    fading_obs::set_progress(args.flag("progress") && !quiet);
-    let trace_out = args.get("trace-out");
-    if trace_out.is_some() {
-        fading_obs::set_tracing(true);
-        let _ = fading_obs::take_trace(); // start from an empty ring
-    }
+    args.arm();
     let mut effects = CmdEffects::default();
-    let dispatched = dispatch(args, out, &mut effects);
-    if trace_out.is_some() {
-        fading_obs::set_tracing(false);
+    if let Err(e) = (cmd.run)(args, out, &mut effects) {
+        args.disarm();
+        return Err(e);
     }
-    dispatched?;
-    if let Some(path) = trace_out {
-        let trace = fading_obs::take_trace();
-        trace.write(Path::new(path))?;
-        if !quiet {
-            writeln!(out, "wrote {} trace events to {path}", trace.events.len())
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    if let Some(path) = args.get("prom-out") {
-        let text = fading_obs::render_prometheus(&fading_obs::snapshot());
-        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        effects.artifacts.push(("prometheus".into(), path.into()));
-        if !quiet {
-            writeln!(out, "wrote prometheus metrics to {path}").map_err(|e| e.to_string())?;
-        }
-    }
-    if let Some(path) = args.get("metrics-out") {
-        let mut builder = fading_obs::ManifestBuilder::new(&args.command)
-            .started_at(started)
-            .seed(args.get_or("seed", 0).unwrap_or(0));
-        for (key, value) in &args.options {
-            builder = builder.config_kv(key, value);
-        }
-        if let Some(trace_path) = trace_out {
-            builder = builder.artifact("trace", Path::new(trace_path));
-        }
-        for (kind, artifact_path) in &effects.artifacts {
-            builder = builder.artifact(kind, artifact_path);
-        }
-        builder.finish().write(Path::new(path))?;
-        if !quiet {
-            writeln!(out, "wrote metrics manifest to {path}").map_err(|e| e.to_string())?;
-        }
-    }
+    let seed = if args.declares("seed") {
+        args.value("seed")?
+    } else {
+        0
+    };
+    args.finish(&args.command, started, seed, &effects.artifacts, out)?;
     Ok(effects.exit_code)
 }
 
-fn dispatch(
-    args: &Args,
-    out: &mut dyn std::io::Write,
-    effects: &mut CmdEffects,
-) -> Result<(), String> {
-    match args.command.as_str() {
-        "generate" => {
-            reject_unknown_flags(
-                args,
-                &["n", "out", "side", "len-lo", "len-hi", "seed", "rate"],
-            )?;
-            generate(args, out)
-        }
-        "stats" => {
-            reject_unknown_flags(args, &["instance"])?;
-            stats(args, out)
-        }
-        "schedule" => {
-            reject_unknown_flags(
-                args,
-                &[
-                    "instance",
-                    "algo",
-                    "alpha",
-                    "eps",
-                    "out",
-                    "interference",
-                    "tail-rtol",
-                ],
-            )?;
-            schedule(args, out)
-        }
-        "simulate" => {
-            reject_unknown_flags(
-                args,
-                &[
-                    "instance",
-                    "schedule",
-                    "alpha",
-                    "eps",
-                    "trials",
-                    "seed",
-                    "interference",
-                    "tail-rtol",
-                ],
-            )?;
-            simulate(args, out)
-        }
-        "render" => {
-            reject_unknown_flags(
-                args,
-                &["instance", "out", "schedule", "width", "grid-cell", "disks"],
-            )?;
-            render(args, out)
-        }
-        "multislot" => {
-            reject_unknown_flags(
-                args,
-                &[
-                    "instance",
-                    "algo",
-                    "alpha",
-                    "eps",
-                    "interference",
-                    "tail-rtol",
-                ],
-            )?;
-            multislot(args, out)
-        }
-        "capacity" => {
-            reject_unknown_flags(
-                args,
-                &[
-                    "instance",
-                    "schedule",
-                    "alpha",
-                    "eps",
-                    "interference",
-                    "tail-rtol",
-                ],
-            )?;
-            capacity(args, out)
-        }
-        "explain" => {
-            reject_unknown_flags(
-                args,
-                &[
-                    "trace",
-                    "link",
-                    "budgets",
-                    "cascade",
-                    "block",
-                    "verify",
-                    "instance",
-                    "schedule",
-                    "alpha",
-                    "eps",
-                    "interference",
-                    "tail-rtol",
-                ],
-            )?;
-            crate::explain::explain(args, out)
-        }
-        "churn" => {
-            reject_unknown_flags(
-                args,
-                &[
-                    "n",
-                    "slots",
-                    "algo",
-                    "policy",
-                    "link-rate",
-                    "lifetime",
-                    "packet-prob",
-                    "frontier",
-                    "seed",
-                    "alpha",
-                    "eps",
-                    "interference",
-                    "tail-rtol",
-                    "side",
-                    "len-lo",
-                    "len-hi",
-                    "out",
-                    "series-out",
-                    "series-timings",
-                    "series-cadence",
-                    "flight-out",
-                    "flight-slots",
-                    "watch",
-                ],
-            )?;
-            churn(args, out, effects)
-        }
-        "bench-report" => {
-            reject_unknown_flags(
-                args,
-                &[
-                    "out", "dir", "from", "baseline", "gates", "filter", "diff-out", "check",
-                    "quick", "smoke",
-                ],
-            )?;
-            crate::bench_report::bench_report(args, out, effects)
-        }
-        "help" => write!(out, "{}", usage()).map_err(|e| e.to_string()),
-        other => Err(format!("unknown subcommand {other}\n\n{}", usage())),
-    }
-}
-
-/// The usage text.
-pub fn usage() -> String {
-    "fading — fading-resistant link scheduling (ICPP 2017 reproduction)
-
-USAGE:
-  fading generate --n <links> --out <file> [--side 500] [--len-lo 5]
-                  [--len-hi 20] [--seed 0] [--rate 1.0]
-  fading stats    --instance <file>
-  fading schedule --instance <file> --algo <name> [--alpha 3] [--eps 0.01]
-                  [--out <file>] [--interference dense|sparse|auto]
-  fading simulate --instance <file> --schedule <file> [--alpha 3]
-                  [--eps 0.01] [--trials 1000] [--seed 0]
-                  [--interference dense|sparse|auto]
-  fading render   --instance <file> --out <file.svg> [--schedule <file>]
-                  [--width 800] [--grid-cell <units>] [--disks <radius-factor>]
-  fading multislot --instance <file> --algo <name> [--alpha 3] [--eps 0.01]
-                  [--interference dense|sparse|auto]
-  fading capacity --instance <file> --schedule <file> [--alpha 3] [--eps 0.01]
-                  [--interference dense|sparse|auto]
-  fading explain  --trace <file.jsonl> [--link <id>] [--budgets]
-                  [--cascade <pick#>] [--block <idx>]
-                  [--verify --instance <file> [--schedule <file>]
-                   [--alpha 3] [--eps 0.01] [--interference dense|sparse|auto]]
-  fading churn    [--n 50] [--slots 200] [--algo greedy]
-                  [--policy maxweight|plain] [--link-rate 1.0]
-                  [--lifetime 50] [--packet-prob 0.2]
-                  [--frontier p1,p2,...] [--seed 0] [--alpha 3]
-                  [--eps 0.01] [--interference dense|sparse|auto]
-                  [--side 500] [--len-lo 5] [--len-hi 20] [--out <json>]
-                  [--series-out <file.jsonl>] [--series-timings]
-                  [--series-cadence 1] [--flight-out <dir>]
-                  [--flight-slots 64] [--watch]
-                  streaming run: links arrive (Poisson, --link-rate per
-                  slot) and depart (exponential --lifetime) while the
-                  engine patches the live problem in place; --frontier
-                  sweeps packet load and prints the stability table.
-                  --series-out streams one JSON line per slot
-                  (deterministic per seed; --series-timings appends the
-                  measured per-phase ns fields; --series-cadence thins
-                  the stream); --flight-out arms the flight recorder,
-                  which keeps the last --flight-slots slots + their
-                  decision traces and dumps a replayable post-mortem
-                  bundle into the directory when an anomaly fires
-                  (its capture is per-thread, so --trace-out still
-                  records every slot); --watch turns
-                  the progress line into a live slots/sec + phase-split
-                  + health view (see docs/telemetry.md)
-  fading bench-report [--out <BENCH_date.json>] [--dir <repo-root>]
-                  [--check] [--baseline <file>] [--gates <bench-gates.toml>]
-                  [--quick] [--smoke] [--filter <substr>] [--from <file>]
-                  [--diff-out <file>]
-                  runs the bench suite and writes a perf-trajectory
-                  ledger entry; --check diffs it against the newest
-                  committed BENCH_*.json and exits 0 (clean),
-                  1 (regression), or 2 (fingerprint mismatch: would-be
-                  regressions downgraded to warnings); --smoke runs the
-                  release smoke workloads (smoke.* wall-clock rows
-                  gated by bench-gates.toml [max]) instead of the
-                  micro suite — including the 10^5- and 10^6-link
-                  sparse-substrate builds with RLE+LDP end-to-end
-
-ALGORITHMS:
-  ldp | ldp-two-sided | rle | dls | greedy | random | exact | anneal |
-  approx-logn | approx-diversity
-
-INTERFERENCE BACKENDS (default dense):
-  dense   exact N×N factor matrix (the paper configuration)
-  sparse  spatial-hash truncated store; tune with --tail-rtol <frac>
-          (omitted factors stay below tail-rtol × γ_ε; default 1e-3)
-  auto    dense up to 4096 links, sparse above
-
-GLOBAL FLAGS (every subcommand):
-  --trace-out <file.jsonl>  write the schedulers' decision trace
-                            (inspect and replay with `fading explain`)
-  --metrics-out <file.json> write a run manifest (metrics, spans,
-                            artifact hashes)
-  --prom-out <file.prom>    write the metrics snapshot in Prometheus
-                            text exposition format
-  --progress                throttled progress on stderr
-  --quiet                   suppress progress and chatter
-  --help, -h                print this usage (same as `fading help`)
-"
-    .to_string()
-}
-
-fn load_instance(args: &Args) -> Result<fading_net::LinkSet, String> {
-    let path = args.require("instance")?;
+pub(crate) fn load_instance(path: &str) -> Result<fading_net::LinkSet, String> {
     io::load(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
+/// Reads the schedule JSON at `path`, rejecting ids outside the
+/// instance's `0..links`.
+pub(crate) fn load_schedule(path: &str, links: usize) -> Result<Schedule, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let schedule: Schedule =
+        serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    if let Some(bad) = schedule.iter().find(|id| id.index() >= links) {
+        return Err(format!(
+            "{path}: schedule references nonexistent link {bad}"
+        ));
+    }
+    Ok(schedule)
+}
+
 pub(crate) fn build_problem(args: &Args, links: fading_net::LinkSet) -> Result<Problem, String> {
-    let alpha: f64 = args.get_or("alpha", 3.0)?;
-    let eps: f64 = args.get_or("eps", 0.01)?;
-    if !alpha.is_finite() || alpha <= 2.0 {
-        return Err(format!("--alpha must be > 2, got {alpha}"));
-    }
-    if !eps.is_finite() || eps <= 0.0 || eps >= 1.0 {
-        return Err(format!("--eps must be in (0,1), got {eps}"));
-    }
-    Ok(
-        Problem::builder(links, fading_channel::ChannelParams::with_alpha(alpha))
-            .epsilon(eps)
-            .backend(parse_backend(args)?)
-            .build(),
-    )
+    let params = fading_channel::ChannelParams::with_alpha(args.value("alpha")?);
+    Ok(Problem::builder(links, params)
+        .epsilon(args.value("eps")?)
+        .backend(parse_backend(args)?)
+        .build())
 }
 
 /// Resolves `--interference` / `--tail-rtol` to a [`BackendChoice`].
 fn parse_backend(args: &Args) -> Result<BackendChoice, String> {
-    let mut backend = match args.get("interference") {
-        None => BackendChoice::Dense,
-        Some(name) => BackendChoice::parse(name)?,
-    };
-    if let Some(v) = args.get("tail-rtol") {
-        let tail_rtol: f64 = v
-            .parse()
-            .map_err(|e| format!("option --tail-rtol: cannot parse {v:?}: {e}"))?;
-        if !tail_rtol.is_finite() || tail_rtol <= 0.0 || tail_rtol > 1.0 {
-            return Err(format!("--tail-rtol must be in (0,1], got {tail_rtol}"));
-        }
+    let mut backend = BackendChoice::parse(args.require("interference")?)?;
+    if let Some(tail_rtol) = args.opt("tail-rtol")? {
         match &mut backend {
             BackendChoice::Sparse(config) => config.tail_rtol = tail_rtol,
             _ => return Err("--tail-rtol only applies with --interference sparse".into()),
@@ -380,24 +96,19 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
 }
 
 /// The uniform deployment geometry `generate` and `churn` both take
-/// from `--side/--len-lo/--len-hi`, rejected with a message unless the
-/// side is finite and positive and `0 < len-lo <= len-hi` are finite —
-/// anything else panics in the generator or never finishes placing
-/// links.
+/// from `--side/--len-lo/--len-hi` (each range-checked by the table),
+/// rejected with a message unless `len-lo <= len-hi < inf` — anything
+/// else panics in the generator or never finishes placing links.
 fn uniform_geometry(args: &Args, n: usize, rates: RateModel) -> Result<UniformGenerator, String> {
-    let side: f64 = args.get_or("side", 500.0)?;
-    let len_lo: f64 = args.get_or("len-lo", 5.0)?;
-    let len_hi: f64 = args.get_or("len-hi", 20.0)?;
-    if !(side.is_finite() && side > 0.0) {
-        return Err(format!("--side must be finite and > 0, got {side}"));
-    }
-    if !(len_lo > 0.0 && len_lo <= len_hi && len_hi.is_finite()) {
+    let len_lo: f64 = args.value("len-lo")?;
+    let len_hi: f64 = args.value("len-hi")?;
+    if !(len_lo <= len_hi && len_hi.is_finite()) {
         return Err(format!(
             "--len-lo and --len-hi must be finite with 0 < len-lo <= len-hi, got {len_lo} and {len_hi}"
         ));
     }
     Ok(UniformGenerator {
-        side,
+        side: args.value("side")?,
         n,
         len_lo,
         len_hi,
@@ -405,46 +116,35 @@ fn uniform_geometry(args: &Args, n: usize, rates: RateModel) -> Result<UniformGe
     })
 }
 
-fn generate(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let n: usize = args.get_or("n", 0)?;
-    if n == 0 {
-        return Err("--n must be a positive link count".into());
-    }
-    let rate: f64 = args.get_or("rate", 1.0)?;
-    if !(rate.is_finite() && rate > 0.0) {
-        return Err(format!("--rate must be finite and > 0, got {rate}"));
-    }
-    let gen = uniform_geometry(args, n, RateModel::Fixed(rate))?;
+pub(crate) fn generate(args: &Args, out: &mut dyn Write, _: &mut CmdEffects) -> Result<(), String> {
+    let rate = RateModel::Fixed(args.value("rate")?);
+    let gen = uniform_geometry(args, args.value("n")?, rate)?;
     let links = gen
-        .try_generate(args.get_or("seed", 0)?)
+        .try_generate(args.value("seed")?)
         .map_err(|e| e.to_string())?;
     let path = args.require("out")?;
     io::save(&links, Path::new(path)).map_err(|e| format!("cannot write {path}: {e}"))?;
-    writeln!(out, "wrote {} links to {path}", links.len()).map_err(|e| e.to_string())
+    outln!(out, "wrote {} links to {path}", links.len())
 }
 
-fn stats(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let links = load_instance(args)?;
+pub(crate) fn stats(args: &Args, out: &mut dyn Write, _: &mut CmdEffects) -> Result<(), String> {
+    let links = load_instance(args.require("instance")?)?;
     if links.is_empty() {
         return Err("instance is empty".into());
     }
     let s = instance_stats(&links);
-    writeln!(
-        out,
-        "links:             {}\ndensity:           {:.6} links/unit²\nlengths:           {:.2} .. {:.2} (mean {:.2})\nlength diversity:  g(L) = {}\nnearest sender:    {:.2} (mean)\ndistance spread Δ: {:.1}",
+    outln!(out, "links:             {}\ndensity:           {:.6} links/unit²\nlengths:           {:.2} .. {:.2} (mean {:.2})\nlength diversity:  g(L) = {}\nnearest sender:    {:.2} (mean)\ndistance spread Δ: {:.1}",
         s.n, s.density, s.min_length, s.max_length, s.mean_length, s.diversity,
-        s.mean_nearest_sender, s.distance_spread
-    )
-    .map_err(|e| e.to_string())
+        s.mean_nearest_sender, s.distance_spread)
 }
 
-fn schedule(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let links = load_instance(args)?;
+pub(crate) fn schedule(args: &Args, out: &mut dyn Write, _: &mut CmdEffects) -> Result<(), String> {
+    let links = load_instance(args.require("instance")?)?;
     let problem = build_problem(args, links)?;
     let scheduler = scheduler_by_name(args.require("algo")?)?;
     let schedule = scheduler.schedule(&problem);
     let report = FeasibilityReport::evaluate(&problem, &schedule);
-    writeln!(
+    outln!(
         out,
         "{}: scheduled {} of {} links (rate {:.2}), fading-feasible: {}",
         scheduler.name(),
@@ -452,80 +152,66 @@ fn schedule(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
         problem.len(),
         schedule.utility(&problem),
         report.is_feasible()
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     if let Some(path) = args.get("out") {
         let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        writeln!(out, "wrote schedule to {path}").map_err(|e| e.to_string())?;
+        outln!(out, "wrote schedule to {path}")?;
     }
     Ok(())
 }
 
-fn simulate(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let links = load_instance(args)?;
+pub(crate) fn simulate(args: &Args, out: &mut dyn Write, _: &mut CmdEffects) -> Result<(), String> {
+    let links = load_instance(args.require("instance")?)?;
     let problem = build_problem(args, links)?;
-    let sched_path = args.require("schedule")?;
-    let text = std::fs::read_to_string(sched_path)
-        .map_err(|e| format!("cannot read {sched_path}: {e}"))?;
-    let schedule: Schedule =
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse {sched_path}: {e}"))?;
-    if let Some(bad) = schedule.iter().find(|id| id.index() >= problem.len()) {
-        return Err(format!("schedule references nonexistent link {bad}"));
-    }
-    let trials: u64 = args.get_or("trials", 1000)?;
-    let stats = simulate_many(&problem, &schedule, trials, args.get_or("seed", 0)?);
-    writeln!(
-        out,
-        "{} links over {trials} Rayleigh slots:\n  failed/slot:     {:.4} ± {:.4}\n  throughput/slot: {:.3} ± {:.3}\n  budget (ε·|S|):  {:.3}",
+    let schedule = load_schedule(args.require("schedule")?, problem.len())?;
+    let trials: u64 = args.value("trials")?;
+    let stats = simulate_many(&problem, &schedule, trials, args.value("seed")?);
+    outln!(out, "{} links over {trials} Rayleigh slots:\n  failed/slot:     {:.4} ± {:.4}\n  throughput/slot: {:.3} ± {:.3}\n  budget (ε·|S|):  {:.3}",
         schedule.len(),
         stats.failed.mean,
         stats.failed.ci95,
         stats.throughput.mean,
         stats.throughput.ci95,
-        problem.epsilon() * schedule.len() as f64
-    )
-    .map_err(|e| e.to_string())
+        problem.epsilon() * schedule.len() as f64)
 }
 
-fn multislot(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let links = load_instance(args)?;
+pub(crate) fn multislot(
+    args: &Args,
+    out: &mut dyn Write,
+    _: &mut CmdEffects,
+) -> Result<(), String> {
+    let links = load_instance(args.require("instance")?)?;
     let problem = build_problem(args, links)?;
     let scheduler = scheduler_by_name(args.require("algo")?)?;
     let plan = fading_core::multislot::schedule_all(&problem, scheduler.as_ref());
     let bound = fading_core::multislot::conflict_clique_lower_bound(&problem);
-    writeln!(
+    outln!(
         out,
         "{}: {} links drained in {} slots (clique lower bound {bound})",
         scheduler.name(),
         problem.len(),
         plan.num_slots()
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     for (i, slot) in plan.slots().iter().enumerate() {
         let ids: Vec<String> = slot.iter().map(|id| id.to_string()).collect();
-        writeln!(out, "  slot {:>3}: {}", i + 1, ids.join(" ")).map_err(|e| e.to_string())?;
+        outln!(out, "  slot {:>3}: {}", i + 1, ids.join(" "))?;
     }
     Ok(())
 }
 
-fn capacity(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let links = load_instance(args)?;
+pub(crate) fn capacity(args: &Args, out: &mut dyn Write, _: &mut CmdEffects) -> Result<(), String> {
+    let links = load_instance(args.require("instance")?)?;
     let problem = build_problem(args, links)?;
-    let sched_path = args.require("schedule")?;
-    let text = std::fs::read_to_string(sched_path)
-        .map_err(|e| format!("cannot read {sched_path}: {e}"))?;
-    let schedule: Schedule =
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse {sched_path}: {e}"))?;
-    if let Some(bad) = schedule.iter().find(|id| id.index() >= problem.len()) {
-        return Err(format!("schedule references nonexistent link {bad}"));
-    }
-    writeln!(
+    let schedule = load_schedule(args.require("schedule")?, problem.len())?;
+    outln!(
         out,
         "{:<8} {:>10} {:>16} {:>18}",
-        "link", "success", "E[fail]/slot", "ergodic bit/s/Hz"
-    )
-    .map_err(|e| e.to_string())?;
+        "link",
+        "success",
+        "E[fail]/slot",
+        "ergodic bit/s/Hz"
+    )?;
     let mut total_cap = 0.0;
     for j in schedule.iter() {
         let d_jj = problem.links().length(j);
@@ -540,21 +226,19 @@ fn capacity(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
         if cap.is_finite() {
             total_cap += cap;
         }
-        writeln!(
+        outln!(
             out,
             "{:<8} {:>10.5} {:>16.5} {:>18.2}",
             j.to_string(),
             success,
             1.0 - success,
             cap
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
     }
-    writeln!(
+    outln!(
         out,
         "total ergodic Shannon throughput: {total_cap:.2} bit/s/Hz"
     )
-    .map_err(|e| e.to_string())
 }
 
 /// Streaming churn run: links arrive (Poisson) and depart (exponential
@@ -562,63 +246,40 @@ fn capacity(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
 /// and schedules every slot. With `--frontier p1,p2,...` it sweeps the
 /// packet arrival probability instead and prints the backlog-vs-load
 /// stability table.
-fn churn(
+pub(crate) fn churn(
     args: &Args,
-    out: &mut dyn std::io::Write,
+    out: &mut dyn Write,
     effects: &mut CmdEffects,
 ) -> Result<(), String> {
-    let n: usize = args.get_or("n", 50)?;
-    if n == 0 {
-        return Err("--n must be a positive seed population".into());
-    }
-    let geometry = uniform_geometry(args, n, RateModel::Fixed(1.0))?;
-    let seed: u64 = args.get_or("seed", 0)?;
+    let geometry = uniform_geometry(args, args.value("n")?, RateModel::Fixed(1.0))?;
+    let seed: u64 = args.value("seed")?;
     let links = geometry.try_generate(seed).map_err(|e| e.to_string())?;
     let problem = build_problem(args, links)?;
-    let scheduler = scheduler_by_name(args.get("algo").unwrap_or("greedy"))?;
-    let policy = match args.get("policy").unwrap_or("maxweight") {
-        "maxweight" => fading_sim::ServicePolicy::MaxWeight,
+    let scheduler = scheduler_by_name(args.require("algo")?)?;
+    let policy = match args.require("policy")? {
         "plain" => fading_sim::ServicePolicy::PlainRates,
-        other => return Err(format!("--policy must be maxweight or plain, got {other}")),
+        _ => fading_sim::ServicePolicy::MaxWeight,
     };
     let cfg = fading_sim::ChurnConfig {
-        slots: args.get_or("slots", 200)?,
-        link_arrival_rate: args.get_or("link-rate", 1.0)?,
-        mean_lifetime: args.get_or("lifetime", 50.0)?,
-        packet_prob: args.get_or("packet-prob", 0.2)?,
+        slots: args.value("slots")?,
+        link_arrival_rate: args.value("link-rate")?,
+        mean_lifetime: args.value("lifetime")?,
+        packet_prob: args.value("packet-prob")?,
         seed,
     };
-    if cfg.slots == 0 {
-        return Err("--slots must be positive".into());
-    }
-    if !cfg.link_arrival_rate.is_finite() || cfg.link_arrival_rate < 0.0 {
-        return Err(format!(
-            "--link-rate must be finite and >= 0, got {}",
-            cfg.link_arrival_rate
-        ));
-    }
-    if !cfg.mean_lifetime.is_finite() || cfg.mean_lifetime < 1.0 {
-        return Err(format!(
-            "--lifetime must be >= 1 slot, got {}",
-            cfg.mean_lifetime
-        ));
-    }
-    if !(0.0..=1.0).contains(&cfg.packet_prob) {
-        return Err(format!(
-            "--packet-prob must be in [0,1], got {}",
-            cfg.packet_prob
-        ));
-    }
     let series_out = args.get("series-out");
     let flight_out = args.get("flight-out");
     let watch = args.flag("watch");
-    let series_cadence: u64 = args.get_or("series-cadence", 1)?;
-    if series_cadence == 0 {
-        return Err("--series-cadence must be >= 1".into());
-    }
-    let flight_slots: usize = args.get_or("flight-slots", 64)?;
-    if flight_slots == 0 {
-        return Err("--flight-slots must be >= 1".into());
+    // Knobs of an output that is not being written would be silently
+    // ignored; refuse them instead.
+    for (knob, output, given) in [
+        ("series-timings", "series-out", series_out),
+        ("series-cadence", "series-out", series_out),
+        ("flight-slots", "flight-out", flight_out),
+    ] {
+        if args.given(knob) && given.is_none() {
+            return Err(format!("--{knob} only applies with --{output}"));
+        }
     }
     if watch {
         // The watch view is the progress line with a live phase split
@@ -633,17 +294,7 @@ fn churn(
                     .into(),
             );
         }
-        let probs: Vec<f64> = list
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse::<f64>()
-                    .map_err(|e| format!("--frontier: cannot parse {v:?}: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        if probs.is_empty() || probs.iter().any(|p| !(0.0..=1.0).contains(p)) {
-            return Err("--frontier needs comma-separated probabilities in [0,1]".into());
-        }
+        let probs = crate::args::parse_frontier(list)?;
         let frontier = fading_sim::stability_frontier(
             &problem,
             geometry,
@@ -652,34 +303,39 @@ fn churn(
             policy,
             &probs,
         );
-        writeln!(
+        outln!(
             out,
             "{} over {} slots (λ_link {}, E[life] {}):",
             scheduler.name(),
             cfg.slots,
             cfg.link_arrival_rate,
             cfg.mean_lifetime
-        )
-        .map_err(|e| e.to_string())?;
-        writeln!(
+        )?;
+        outln!(
             out,
             "{:>12} {:>10} {:>12} {:>12} {:>10}",
-            "packet-prob", "mean pop", "mean backlog", "max backlog", "delivered"
-        )
-        .map_err(|e| e.to_string())?;
+            "packet-prob",
+            "mean pop",
+            "mean backlog",
+            "max backlog",
+            "delivered"
+        )?;
         for (p, r) in &frontier {
-            writeln!(
+            outln!(
                 out,
                 "{:>12.3} {:>10.1} {:>12.1} {:>12} {:>10}",
-                p, r.mean_population, r.mean_backlog, r.max_backlog, r.packets_delivered
-            )
-            .map_err(|e| e.to_string())?;
+                p,
+                r.mean_population,
+                r.mean_backlog,
+                r.max_backlog,
+                r.packets_delivered
+            )?;
         }
         if let Some(path) = args.get("out") {
             let json = serde_json::to_string_pretty(&frontier).map_err(|e| e.to_string())?;
             std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
             effects.artifacts.push(("frontier".into(), path.into()));
-            writeln!(out, "wrote frontier to {path}").map_err(|e| e.to_string())?;
+            outln!(out, "wrote frontier to {path}")?;
         }
         return Ok(());
     }
@@ -689,10 +345,9 @@ fn churn(
     // TelemetryConfig and one arm() call (--watch alone arms the bare
     // timed path for the live phase split).
     let mut telemetry = fading_sim::TelemetryConfig::new();
-    let mut armed = watch;
     if let Some(path) = series_out {
         let series_cfg = fading_obs::SeriesConfig {
-            cadence: series_cadence,
+            cadence: args.value("series-cadence")?,
             timings: args.flag("series-timings"),
             ..Default::default()
         };
@@ -700,29 +355,22 @@ fn churn(
             series_cfg,
             Path::new(path),
         )?);
-        armed = true;
     }
     if let Some(dir) = flight_out {
         let flight_cfg = fading_obs::FlightConfig {
-            capacity: flight_slots,
+            capacity: args.value("flight-slots")?,
             ..Default::default()
         };
         telemetry = telemetry.flight(flight_cfg, Some(dir.into()));
-        armed = true;
     }
-    if armed {
+    if watch || series_out.is_some() || flight_out.is_some() {
         engine.arm(telemetry);
     }
     let result = engine.run(scheduler.as_ref(), policy);
-    writeln!(
-        out,
-        "{} over {} slots ({} policy):\n  links:   {} arrived, {} departed, mean population {:.1} (final {})\n  packets: {} arrived, {} delivered, {} abandoned, {} still queued\n  backlog: mean {:.1}, max {}\n  engine:  {:.0} slots/sec sustained",
+    outln!(out, "{} over {} slots ({} policy):\n  links:   {} arrived, {} departed, mean population {:.1} (final {})\n  packets: {} arrived, {} delivered, {} abandoned, {} still queued\n  backlog: mean {:.1}, max {}\n  engine:  {:.0} slots/sec sustained",
         scheduler.name(),
         result.slots,
-        match policy {
-            fading_sim::ServicePolicy::MaxWeight => "maxweight",
-            fading_sim::ServicePolicy::PlainRates => "plain",
-        },
+        args.require("policy")?,
         result.links_arrived,
         result.links_departed,
         result.mean_population,
@@ -733,9 +381,7 @@ fn churn(
         result.final_backlog,
         result.mean_backlog,
         result.max_backlog,
-        result.slots_per_sec
-    )
-    .map_err(|e| e.to_string())?;
+        result.slots_per_sec)?;
     if !result.conserves_packets() {
         return Err("internal error: packet conservation violated".into());
     }
@@ -743,11 +389,10 @@ fn churn(
         if let Some(path) = series_out {
             let recorded = tel.series().map_or(0, |s| s.recorded());
             effects.artifacts.push(("series".into(), path.into()));
-            writeln!(out, "wrote {recorded} slot records to {path}").map_err(|e| e.to_string())?;
+            outln!(out, "wrote {recorded} slot records to {path}")?;
         }
         if tel.health() != "ok" {
-            writeln!(out, "  health:  anomaly `{}` fired", tel.health())
-                .map_err(|e| e.to_string())?;
+            outln!(out, "  health:  anomaly `{}` fired", tel.health())?;
         }
         if let Some(dir) = tel.postmortem() {
             for name in [
@@ -762,47 +407,48 @@ fn churn(
                     effects.artifacts.push(("postmortem".into(), p));
                 }
             }
-            writeln!(out, "  post-mortem bundle at {}", dir.display())
-                .map_err(|e| e.to_string())?;
+            outln!(out, "  post-mortem bundle at {}", dir.display())?;
         }
     }
     if let Some(path) = args.get("out") {
         let json = serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         effects.artifacts.push(("churn".into(), path.into()));
-        writeln!(out, "wrote churn result to {path}").map_err(|e| e.to_string())?;
+        outln!(out, "wrote churn result to {path}")?;
     }
     Ok(())
 }
 
-fn render(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let links = load_instance(args)?;
-    let schedule: Option<Schedule> = match args.get("schedule") {
+/// Most cells `render --grid-cell` may draw, one SVG rect each.
+const MAX_GRID_CELLS: f64 = 100_000.0;
+
+/// `--grid-cell`, refused when its grid over `region` would need more
+/// than [`MAX_GRID_CELLS`] rects.
+fn grid_cell(region: &fading_geom::Rect, cell: Option<f64>) -> Result<Option<f64>, String> {
+    let (w, h) = (region.width(), region.height());
+    match cell {
+        Some(c) if (w / c).ceil() * (h / c).ceil() > MAX_GRID_CELLS => Err(format!(
+            "--grid-cell {c:?} would draw more than {MAX_GRID_CELLS} cells over the {w} × {h} region"
+        )),
+        _ => Ok(cell),
+    }
+}
+
+pub(crate) fn render(args: &Args, out: &mut dyn Write, _: &mut CmdEffects) -> Result<(), String> {
+    let links = load_instance(args.require("instance")?)?;
+    let schedule = match args.get("schedule") {
         None => None,
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Some(serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?)
-        }
+        Some(path) => Some(load_schedule(path, links.len())?),
     };
     let options = fading_viz::RenderOptions {
-        width_px: args.get_or("width", 800.0)?,
-        grid_cell: match args.get("grid-cell") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("--grid-cell: bad value {v}"))?,
-            ),
-        },
-        deletion_radius_factor: match args.get("disks") {
-            None => None,
-            Some(v) => Some(v.parse().map_err(|_| format!("--disks: bad value {v}"))?),
-        },
+        width_px: args.value("width")?,
+        grid_cell: grid_cell(links.region(), args.opt("grid-cell")?)?,
+        deletion_radius_factor: args.opt("disks")?,
     };
     let svg = fading_viz::render_instance(&links, schedule.as_ref(), &options);
     let path = args.require("out")?;
     std::fs::write(path, svg).map_err(|e| format!("cannot write {path}: {e}"))?;
-    writeln!(out, "rendered {} links to {path}", links.len()).map_err(|e| e.to_string())
+    outln!(out, "rendered {} links to {path}", links.len())
 }
 
 #[cfg(test)]
@@ -816,7 +462,7 @@ mod tests {
 
     /// Like [`run_line`] but also returns the success exit code.
     fn run_code(line: &str) -> Result<(i32, String), String> {
-        let args = parse(line.split_whitespace().map(String::from))?;
+        let args = parse(line.split_whitespace().map(String::from)).map_err(|e| e.message)?;
         let mut buf = Vec::new();
         let code = run(&args, &mut buf)?;
         Ok((code, String::from_utf8(buf).unwrap()))
@@ -923,11 +569,14 @@ mod tests {
         "--len-lo 30 --len-hi 20",
     ];
 
-    /// The geometry helper's verdict on a command line, called directly
-    /// so a regression fails here instead of hanging in the generator.
+    /// The verdict of the flag table and the geometry helper on a
+    /// command line, called directly so a regression fails here instead
+    /// of hanging in the generator.
     fn geometry_error(line: &str) -> String {
-        let args = parse(line.split_whitespace().map(String::from)).unwrap();
-        uniform_geometry(&args, 5, RateModel::Fixed(1.0)).unwrap_err()
+        parse(line.split_whitespace().map(String::from))
+            .map_err(|e| e.message)
+            .and_then(|args| uniform_geometry(&args, 5, RateModel::Fixed(1.0)).map(drop))
+            .unwrap_err()
     }
 
     #[test]
@@ -941,7 +590,7 @@ mod tests {
             assert!(err.contains("must be"), "{knobs}: {err}");
         }
         assert!(uniform_geometry(
-            &parse(["generate".to_string()]).unwrap(),
+            &parse(["generate", "--n", "5", "--out", &inst].map(String::from)).unwrap(),
             5,
             RateModel::Fixed(1.0)
         )
@@ -1241,6 +890,51 @@ mod tests {
     }
 
     #[test]
+    fn render_rejects_what_would_panic_or_never_finish() {
+        let inst = tmp("render_bad.json");
+        let bad = tmp("render_bad_schedule.json");
+        let svg = tmp("render_bad.svg");
+        run_line(&format!("generate --n 20 --out {inst}")).unwrap();
+        std::fs::write(&bad, r#"{"members":[0,999]}"#).unwrap();
+        for knobs in [
+            "--grid-cell 0".to_string(),
+            "--grid-cell -1".into(),
+            "--grid-cell nan".into(),
+            "--grid-cell inf".into(),
+            "--width 0".into(),
+            "--width nan".into(),
+            format!("--schedule {bad} --disks 2"),
+            format!("--schedule {bad}"),
+        ] {
+            let err = run_line(&format!("render --instance {inst} --out {svg} {knobs}"));
+            let err = err.unwrap_err();
+            assert!(
+                err.contains("--") || err.contains("nonexistent link"),
+                "{knobs}: {err}"
+            );
+        }
+        // A tiny positive cell would ask for ~10^16 rects: refused by
+        // the bound, checked here without rendering anything.
+        let region = fading_geom::Rect::square(500.0);
+        let err = grid_cell(&region, Some(5e-6)).unwrap_err();
+        assert!(err.contains("--grid-cell"), "{err}");
+        assert_eq!(grid_cell(&region, Some(125.0)), Ok(Some(125.0)));
+        assert_eq!(grid_cell(&region, None), Ok(None));
+    }
+
+    #[test]
+    fn churn_refuses_knobs_of_an_output_it_does_not_write() {
+        for (knob, needs) in [
+            ("--series-timings", "--series-out"),
+            ("--series-cadence 4", "--series-out"),
+            ("--flight-slots 8", "--flight-out"),
+        ] {
+            let err = run_line(&format!("churn --n 5 --slots 2 {knob}")).unwrap_err();
+            assert!(err.contains(needs), "{knob}: {err}");
+        }
+    }
+
+    #[test]
     fn help_prints_usage() {
         let out = run_line("help").unwrap();
         assert!(out.contains("USAGE"));
@@ -1500,6 +1194,49 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("no committed BENCH_"), "{err}");
         assert!(err.contains("fading_bench_report_nobase"), "{err}");
+    }
+
+    /// Runs every subcommand once with most of its flags, so each read
+    /// of a flag passes the table's `debug_assert!` that the command
+    /// declares it.
+    #[test]
+    fn every_subcommand_reads_only_declared_flags() {
+        let [inst, sched, trace, svg, series, base, cur] = [
+            "every_inst.json",
+            "every_sched.json",
+            "every_trace.jsonl",
+            "every.svg",
+            "every_series.jsonl",
+            "every_base.json",
+            "every_cur.json",
+        ]
+        .map(tmp);
+        let flight = tmp("every_flight");
+        synthetic_report(1_000.0)
+            .write(std::path::Path::new(&base))
+            .unwrap();
+        synthetic_report(1_000.0)
+            .write(std::path::Path::new(&cur))
+            .unwrap();
+        let lines = [
+            format!("generate --n 20 --seed 3 --side 400 --len-lo 4 --len-hi 16 --rate 1 --out {inst}"),
+            format!("stats --instance {inst}"),
+            format!("schedule --instance {inst} --algo rle --alpha 3 --eps 0.01 --interference sparse --tail-rtol 1e-3 --out {sched} --trace-out {trace}"),
+            format!("simulate --instance {inst} --schedule {sched} --trials 8 --seed 1"),
+            format!("render --instance {inst} --schedule {sched} --out {svg} --width 400 --grid-cell 100 --disks 2"),
+            format!("multislot --instance {inst} --algo greedy"),
+            format!("capacity --instance {inst} --schedule {sched}"),
+            format!("explain --trace {trace} --budgets --block 0 --cascade 1 --verify --instance {inst} --schedule {sched} --interference sparse"),
+            format!("churn --n 10 --slots 6 --algo greedy --policy plain --link-rate 1 --lifetime 20 --packet-prob 0.3 --series-out {series} --series-timings --series-cadence 2 --flight-out {flight} --flight-slots 8 --watch --quiet"),
+            format!("bench-report --from {cur} --baseline {base} --check --dir . --gates {}", tmp("every_gates.toml")),
+        ];
+        std::fs::write(tmp("every_gates.toml"), "").unwrap();
+        for line in &lines {
+            run_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        let ran: Vec<&str> = lines.iter().filter_map(|l| l.split(' ').next()).collect();
+        let declared: Vec<&str> = crate::args::COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(ran, declared);
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! given the original instance — whether the trace replays to the
 //! exact schedule it claims (`--verify`).
 
-use crate::args::Args;
+use crate::commands::CmdEffects;
+use fading_bench::flags::Args;
 use fading_obs::{ElimCause, Trace, TraceEvent};
-use std::path::Path;
+use std::io::Write;
 
 /// Entry point for the `explain` subcommand.
-pub fn explain(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> {
+pub fn explain(args: &Args, out: &mut dyn Write, _: &mut CmdEffects) -> Result<(), String> {
     let path = args.require("trace")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = Trace::from_jsonl(&text)?;
@@ -22,22 +23,24 @@ pub fn explain(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> 
     let blocks = trace.blocks();
 
     let mut did_something = false;
-    if let Some(link) = args.get("link") {
-        let link: u32 = link
-            .parse()
-            .map_err(|e| format!("option --link: cannot parse {link:?}: {e}"))?;
+    if let Some(link) = args.opt("link")? {
         explain_link(&blocks, link, out)?;
         did_something = true;
     }
+    let block_idx: usize = args.value("block")?;
+    let block = || {
+        let len = blocks.len();
+        blocks
+            .get(block_idx)
+            .copied()
+            .ok_or_else(|| format!("--block {block_idx}: trace has only {len} blocks"))
+    };
     if args.flag("budgets") {
-        explain_budgets(&blocks, args.get_or("block", 0usize)?, out)?;
+        explain_budgets(block()?, block_idx, out)?;
         did_something = true;
     }
-    if let Some(pick) = args.get("cascade") {
-        let pick: usize = pick
-            .parse()
-            .map_err(|e| format!("option --cascade: cannot parse {pick:?}: {e}"))?;
-        explain_cascade(&blocks, args.get_or("block", 0usize)?, pick, out)?;
+    if let Some(pick) = args.opt("cascade")? {
+        explain_cascade(block()?, block_idx, pick, out)?;
         did_something = true;
     }
     if args.flag("verify") {
@@ -48,10 +51,6 @@ pub fn explain(args: &Args, out: &mut dyn std::io::Write) -> Result<(), String> 
         summarize(&trace, &blocks, out)?;
     }
     Ok(())
-}
-
-fn w(out: &mut dyn std::io::Write, s: String) -> Result<(), String> {
-    writeln!(out, "{s}").map_err(|e| e.to_string())
 }
 
 /// Header fields of a block, normalized across the three block kinds.
@@ -91,43 +90,32 @@ fn cause_name(cause: ElimCause) -> &'static str {
 
 /// One-line-per-block overview: scheduler, picks, eliminations by
 /// cause, debits.
-fn summarize(
-    trace: &Trace,
-    blocks: &[&[TraceEvent]],
-    out: &mut dyn std::io::Write,
-) -> Result<(), String> {
+fn summarize(trace: &Trace, blocks: &[&[TraceEvent]], out: &mut dyn Write) -> Result<(), String> {
     if !trace.is_complete() {
-        w(
+        outln!(
             out,
-            format!(
-                "warning: ring buffer dropped {} events; the trace head is truncated",
-                trace.dropped
-            ),
+            "warning: ring buffer dropped {} events; the trace head is truncated",
+            trace.dropped
         )?;
     }
     for (i, block) in blocks.iter().enumerate() {
         match block.first() {
             Some(TraceEvent::SlotStart { slot, backlog }) => {
-                w(
-                    out,
-                    format!("block {i}: slot {slot} start (backlog {backlog})"),
-                )?;
+                outln!(out, "block {i}: slot {slot} start (backlog {backlog})")?;
                 continue;
             }
             Some(TraceEvent::SlotEnd { slot, links }) => {
-                w(
+                outln!(
                     out,
-                    format!(
-                        "block {i}: slot {slot} end ({} links committed)",
-                        links.len()
-                    ),
+                    "block {i}: slot {slot} end ({} links committed)",
+                    links.len()
                 )?;
                 continue;
             }
             _ => {}
         }
         let Some(h) = header(block) else {
-            w(out, format!("block {i}: {} unheaded events", block.len()))?;
+            outln!(out, "block {i}: {} unheaded events", block.len())?;
             continue;
         };
         let mut picks = 0usize;
@@ -143,17 +131,15 @@ fn summarize(
                 _ => {}
             }
         }
-        w(
+        outln!(
             out,
-            format!(
-                "block {i}: {} — {picks} picks, eliminations: {} radius, {} budget, \
+            "block {i}: {} — {picks} picks, eliminations: {} radius, {} budget, \
                  {} color, {} class; {debits} budget debits",
-                h.scheduler,
-                by_cause[ElimCause::Radius as usize],
-                by_cause[ElimCause::BudgetExceeded as usize],
-                by_cause[ElimCause::ColorConflict as usize],
-                by_cause[ElimCause::ClassFiltered as usize],
-            ),
+            h.scheduler,
+            by_cause[ElimCause::Radius as usize],
+            by_cause[ElimCause::BudgetExceeded as usize],
+            by_cause[ElimCause::ColorConflict as usize],
+            by_cause[ElimCause::ClassFiltered as usize]
         )?;
     }
     Ok(())
@@ -162,11 +148,7 @@ fn summarize(
 /// Why was link `link` scheduled or dropped? Scans every block the
 /// link appears in, reporting the deciding rule and — for budget
 /// decisions — the ledger state at that moment.
-fn explain_link(
-    blocks: &[&[TraceEvent]],
-    link: u32,
-    out: &mut dyn std::io::Write,
-) -> Result<(), String> {
+fn explain_link(blocks: &[&[TraceEvent]], link: u32, out: &mut dyn Write) -> Result<(), String> {
     let mut found = false;
     for (i, block) in blocks.iter().enumerate() {
         let Some(h) = header(block) else { continue };
@@ -190,12 +172,10 @@ fn explain_link(
                             ),
                             None => String::new(),
                         };
-                        w(
+                        outln!(
                             out,
-                            format!(
-                                "block {i}: link {link} PICKED by {} (pick #{pick_no}){budget_note}",
-                                h.scheduler
-                            ),
+                            "block {i}: link {link} PICKED by {} (pick #{pick_no}){budget_note}",
+                            h.scheduler
                         )?;
                     }
                 }
@@ -219,12 +199,10 @@ fn explain_link(
                         ),
                         None => String::new(),
                     };
-                    w(
+                    outln!(
                         out,
-                        format!(
-                            "block {i}: link {link} ELIMINATED{by_note} — rule {}{budget_note}",
-                            cause_name(*cause)
-                        ),
+                        "block {i}: link {link} ELIMINATED{by_note} — rule {}{budget_note}",
+                        cause_name(*cause)
                     )?;
                 }
                 _ => {}
@@ -239,16 +217,10 @@ fn explain_link(
 
 /// Budget utilization per receiver for one elimination block.
 fn explain_budgets(
-    blocks: &[&[TraceEvent]],
+    block: &[TraceEvent],
     block_idx: usize,
-    out: &mut dyn std::io::Write,
+    out: &mut dyn Write,
 ) -> Result<(), String> {
-    let block = blocks.get(block_idx).ok_or_else(|| {
-        format!(
-            "--block {block_idx}: trace has only {} blocks",
-            blocks.len()
-        )
-    })?;
     let Some(TraceEvent::ElimStart {
         scheduler,
         threshold,
@@ -264,7 +236,7 @@ fn explain_budgets(
     // receiver → (used, debits, fate)
     let mut ledgers: std::collections::BTreeMap<u32, (f64, usize, &'static str)> =
         std::collections::BTreeMap::new();
-    for e in *block {
+    for e in block {
         match e {
             TraceEvent::BudgetDebit {
                 receiver, factor, ..
@@ -287,32 +259,30 @@ fn explain_budgets(
             _ => {}
         }
     }
-    w(
+    outln!(
         out,
-        format!(
-            "{scheduler}: budget {budget:.6}, threshold c₂·budget {threshold:.6}; \
+        "{scheduler}: budget {budget:.6}, threshold c₂·budget {threshold:.6}; \
              {} receivers debited",
-            ledgers.values().filter(|(_, d, _)| *d > 0).count()
-        ),
+        ledgers.values().filter(|(_, d, _)| *d > 0).count()
     )?;
-    w(
+    outln!(
         out,
-        format!(
-            "{:<8} {:>12} {:>8} {:>12} {:>10}  fate",
-            "receiver", "used", "debits", "remaining", "used%"
-        ),
+        "{:<8} {:>12} {:>8} {:>12} {:>10}  fate",
+        "receiver",
+        "used",
+        "debits",
+        "remaining",
+        "used%"
     )?;
     for (receiver, (used, debits, fate)) in &ledgers {
         if *debits == 0 {
             continue;
         }
-        w(
+        outln!(
             out,
-            format!(
-                "{receiver:<8} {used:>12.6} {debits:>8} {:>12.6} {:>9.1}%  {fate}",
-                threshold - used,
-                100.0 * used / threshold
-            ),
+            "{receiver:<8} {used:>12.6} {debits:>8} {:>12.6} {:>9.1}%  {fate}",
+            threshold - used,
+            100.0 * used / threshold
         )?;
     }
     Ok(())
@@ -321,27 +291,18 @@ fn explain_budgets(
 /// The elimination cascade triggered by pick number `pick_no`
 /// (1-based) of one block.
 fn explain_cascade(
-    blocks: &[&[TraceEvent]],
+    block: &[TraceEvent],
     block_idx: usize,
     pick_no: usize,
-    out: &mut dyn std::io::Write,
+    out: &mut dyn Write,
 ) -> Result<(), String> {
-    let block = blocks.get(block_idx).ok_or_else(|| {
-        format!(
-            "--block {block_idx}: trace has only {} blocks",
-            blocks.len()
-        )
-    })?;
     let h = header(block).ok_or_else(|| format!("block {block_idx} has no scheduler header"))?;
-    if pick_no == 0 {
-        return Err("--cascade counts picks from 1".to_string());
-    }
     let mut current = 0usize;
     let mut in_target = false;
     let mut eliminated: Vec<String> = Vec::new();
     let mut debits = 0usize;
     let mut picked: Option<u32> = None;
-    for e in *block {
+    for e in block {
         match e {
             TraceEvent::Pick { link } => {
                 current += 1;
@@ -372,16 +333,14 @@ fn explain_cascade(
             "block {block_idx} has only {current} picks; --cascade {pick_no} is out of range"
         ));
     };
-    w(
+    outln!(
         out,
-        format!(
-            "{}: pick #{pick_no} = link {picked} eliminated {} links, debited {debits} ledgers",
-            h.scheduler,
-            eliminated.len()
-        ),
+        "{}: pick #{pick_no} = link {picked} eliminated {} links, debited {debits} ledgers",
+        h.scheduler,
+        eliminated.len()
     )?;
     for line in eliminated {
-        w(out, format!("  {line}"))?;
+        outln!(out, "  {line}")?;
     }
     Ok(())
 }
@@ -389,19 +348,15 @@ fn explain_cascade(
 /// Replays the trace against the original instance and reports the
 /// certificate; with `--schedule`, additionally requires the replayed
 /// schedule to equal the stored one.
-fn verify(args: &Args, trace: &Trace, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let links = {
-        let path = args.require("instance").map_err(|e| {
-            format!("{e} (--verify replays the trace against the original instance)")
-        })?;
-        fading_net::io::load(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?
-    };
+fn verify(args: &Args, trace: &Trace, out: &mut dyn Write) -> Result<(), String> {
+    let path = args
+        .require("instance")
+        .map_err(|e| format!("{e} (--verify replays the trace against the original instance)"))?;
+    let links = crate::commands::load_instance(path)?;
     let problem = crate::commands::build_problem(args, links)?;
     let certs = fading_core::replay_trace(&problem, trace)?;
     if let Some(path) = args.get("schedule") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let expected: fading_core::Schedule =
-            serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        let expected = crate::commands::load_schedule(path, problem.len())?;
         let last = certs.last().expect("replay_trace returns ≥1 certificate");
         if last.schedule != expected {
             return Err(format!(
@@ -412,22 +367,20 @@ fn verify(args: &Args, trace: &Trace, out: &mut dyn std::io::Write) -> Result<()
         }
     }
     for cert in &certs {
-        w(
+        outln!(
             out,
-            format!(
-                "VERIFIED {}: {} links replayed from {} picks, {} eliminations, \
+            "VERIFIED {}: {} links replayed from {} picks, {} eliminations, \
                  {} debits; γ_ε ledger {}",
-                cert.scheduler,
-                cert.schedule.len(),
-                cert.picks,
-                cert.eliminations,
-                cert.debits,
-                if cert.ledger_checked {
-                    "audited (Corollary 3.1 holds)"
-                } else {
-                    "not claimed"
-                }
-            ),
+            cert.scheduler,
+            cert.schedule.len(),
+            cert.picks,
+            cert.eliminations,
+            cert.debits,
+            if cert.ledger_checked {
+                "audited (Corollary 3.1 holds)"
+            } else {
+                "not claimed"
+            }
         )?;
     }
     Ok(())

@@ -1,9 +1,16 @@
 //! `fading` — the command-line front end.
 //!
-//! See `fading help` (or [`commands::usage`]) for the subcommands:
+//! See `fading help` (or [`args::usage`]) for the subcommands:
 //! generate instances, inspect them, schedule with any algorithm in the
 //! workspace, Monte-Carlo the result, and maintain the perf-trajectory
 //! ledger (`bench-report`).
+
+/// `writeln!` to a command's output, with the I/O error as a message.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(|e| e.to_string())
+    };
+}
 
 mod args;
 mod bench_report;
@@ -20,14 +27,14 @@ static GLOBAL_ALLOC: fading_bench::alloc::CountingAlloc = fading_bench::alloc::C
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        print!("{}", commands::usage());
+        print!("{}", args::usage());
         std::process::exit(2);
     }
     let parsed = match args::parse(argv) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+            eprintln!("error: {}", e.message);
+            std::process::exit(e.code);
         }
     };
     let mut stdout = std::io::stdout();

@@ -12,7 +12,7 @@
 //! baseline, and agree on per-op medians up to noise.
 
 use crate::schema::{BenchReport, MachineFingerprint, MetricKind, MetricRecord};
-use fading_core::algo::{GreedyRate, Ldp, Rle};
+use fading_core::algo::{ApproxDiversity, GreedyRate, Ldp, Rle};
 use fading_core::{
     BackendChoice, LinkSpec, MutationBatch, Problem, SchedCtx, Scheduler, Scope, SparseConfig,
 };
@@ -420,11 +420,42 @@ fn substrate_benches(rec: &mut Recorder) {
     }
 
     // The Monte-Carlo batch behind every figure cell: 1000 trials of
-    // the same RLE schedule, mean gains tabulated once per call.
-    if rec.wants("monte_carlo/rle/300x1000") {
+    // the same schedule, mean gains tabulated once per call. RLE's ~13
+    // receivers are certified from their signal draw almost always;
+    // ApproxDiversity's ~67, the fading-susceptible baseline, from a
+    // heavy-first prefix of their interferers about half the time. The
+    // keystream blocks and uniforms one trial reads are deterministic:
+    // reading every row in order, or in the wrong order, shows there.
+    let schedulers: [(&str, &dyn Scheduler); 2] = [
+        ("rle", &Rle::new()),
+        ("approx_diversity", &ApproxDiversity::new()),
+    ];
+    for (name, scheduler) in schedulers {
+        let time_id = format!("monte_carlo/{name}/300x1000");
+        let blocks_id = format!("mc.keystream_blocks_per_trial.{name}.300");
+        // ApproxDiversity's open rows are where the draws go.
+        let draws_id =
+            (name == "approx_diversity").then(|| format!("mc.draws_per_trial.{name}.300"));
+        let ids = [Some(&time_id), Some(&blocks_id), draws_id.as_ref()];
+        if !ids.into_iter().flatten().any(|id| rec.wants(id)) {
+            continue;
+        }
         let problem = Problem::paper(UniformGenerator::paper(300).generate(1), 3.0);
-        let schedule = Rle::new().schedule(&problem);
-        rec.time("monte_carlo/rle/300x1000", || {
+        let schedule = scheduler.schedule(&problem);
+        let blocks = fading_obs::counter!("sim.slot.keystream_blocks");
+        let draws = fading_obs::counter!("channel.rayleigh.draws");
+        let before = (blocks.value(), draws.value());
+        black_box(fading_sim::simulate_many(&problem, &schedule, 1000, 5));
+        let per_trial = |now: u64, then: u64| (now - then) as f64 / 1000.0;
+        rec.derived(
+            &blocks_id,
+            MetricKind::Ratio,
+            per_trial(blocks.value(), before.0),
+        );
+        if let Some(id) = &draws_id {
+            rec.derived(id, MetricKind::Ratio, per_trial(draws.value(), before.1));
+        }
+        rec.time(&time_id, || {
             black_box(fading_sim::simulate_many(&problem, &schedule, 1000, 5));
         });
     }
@@ -440,6 +471,38 @@ fn substrate_benches(rec: &mut Recorder) {
             }
             black_box(acc);
         });
+    }
+
+    // Reading an instance file: `net::io::load`'s decode, in ns per
+    // byte of the JSON at two sizes. `scaling.io_load.exponent` is the
+    // log-log slope of the decode time over the file size between them;
+    // a decode that turns quadratic again reads near 2.
+    let sizes = [1000usize, 4000];
+    let io_ids = sizes.map(|n| format!("io_load/ns_per_byte/{n}"));
+    if io_ids.iter().any(|id| rec.wants(id)) || rec.wants("scaling.io_load.exponent") {
+        let mut points = Vec::new();
+        for (n, id) in sizes.into_iter().zip(&io_ids) {
+            let text = fading_net::io::to_json(&UniformGenerator::paper(n).generate(1));
+            let bytes = text.len() as f64;
+            let m = measure_ns(rec.samples, rec.target, || {
+                black_box(fading_net::io::from_json(black_box(&text)).expect("a valid instance"));
+            });
+            points.push((bytes.ln(), m.median_ns.ln()));
+            rec.timed(
+                id,
+                Measurement {
+                    median_ns: m.median_ns / bytes,
+                    ci95_ns: m.ci95_ns / bytes,
+                    samples: m.samples,
+                },
+            );
+        }
+        let [(x0, y0), (x1, y1)] = [points[0], points[1]];
+        rec.derived(
+            "scaling.io_load.exponent",
+            MetricKind::Exponent,
+            (y1 - y0) / (x1 - x0),
+        );
     }
 
     if rec.wants("queueing/greedy/100x50") {

@@ -35,10 +35,11 @@ pub trait FadingLaw: Sync {
     /// `Some(mean')` when the draw of pair `pair` is
     /// `Exponential::with_mean(mean').from_uniform(U)` of one uniform
     /// `U = rng.gen()`, with `mean'` non-decreasing in `mean`; `None`
-    /// for a law that draws otherwise. For such a law the kernel
-    /// buffers each receiver's uniforms and decides its SINR test from
-    /// an upper bound on the interference, summing exactly only the
-    /// rows the bound leaves open.
+    /// for a law that draws otherwise. A law answers alike for every
+    /// pair. For such a law the kernel reads each receiver's uniforms
+    /// by stream position and decides its SINR test from an upper bound
+    /// on the interference, summing exactly only the rows the bound
+    /// leaves open.
     fn exponential_mean(
         &self,
         realization: &Self::Realization,
@@ -49,15 +50,17 @@ pub trait FadingLaw: Sync {
     /// `Some(c)` when every pair's
     /// [`exponential_mean`](Self::exponential_mean) is at most `c·mean`
     /// in every realization. The kernel then certifies a receiver from
-    /// its signal draw alone when even the largest draws the uniform
-    /// allows of all its interferers cannot break it, and seeks the RNG
-    /// past their uniforms. `None` (the default) draws every row.
+    /// its signal draw and a prefix of its interferers' draws when even
+    /// the largest draws the uniform allows of the rest cannot break
+    /// it, and never reads the rest. `None` (the default) reads every
+    /// row.
     fn mean_multiplier(&self) -> Option<f64> {
         None
     }
 
     /// Records how many gain draws one realization of the kernel made:
-    /// `k²` for a `k`-link schedule, less the interferer draws of rows
-    /// certified from their signal alone. The default records nothing.
+    /// the uniforms it read, `k²` for a `k`-link schedule less those of
+    /// the interferers a certificate left unread. The default records
+    /// nothing.
     fn count_draws(&self, _draws: u64) {}
 }

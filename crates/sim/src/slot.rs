@@ -13,43 +13,54 @@
 //! its backlogged links, so the mean gains carry the true transmit
 //! powers (see `docs/residual.md`).
 //!
-//! **Certified verdicts.** A realization is one kernel, `realize`: for
-//! each scheduled receiver in schedule order it draws the signal, then
-//! the interferers (schedule order, skipping itself), from one RNG.
-//! Most callers need only the verdict `X_j ≥ γ_th`, which a
-//! fading-aware schedule clears by a wide margin almost everywhere
-//! (Thm 3.1). When the law draws `mean'·(−ln(1−U))` from one uniform
-//! ([`FadingLaw::exponential_mean`]: Rayleigh, shadowed Rayleigh), a
-//! verdict caller draws the signal exactly and then decides the row in
-//! the cheapest of three tiers that settles it:
+//! **Certified verdicts.** A realization is one kernel, `realize`. Its
+//! draws follow one stream order: for each scheduled receiver in
+//! schedule order the signal's uniform, then its interferers' (schedule
+//! order, skipping itself), so every row takes exactly `k` words of the
+//! RNG whether they are read or not. Most callers need only the verdict
+//! `X_j ≥ γ_th`, which a fading-aware schedule clears by a wide margin
+//! almost everywhere (Thm 3.1). When the law draws `mean'·(−ln(1−U))`
+//! from one uniform ([`FadingLaw::exponential_mean`]: Rayleigh,
+//! shadowed Rayleigh), a verdict caller reads only the uniforms a
+//! verdict needs, by stream position (`RngCore::peek_u64`, which
+//! computes just the ChaCha blocks that hold them on `StdRng`), and
+//! decides each row by one certificate over a growing prefix of its
+//! interferers (`docs/THEORY.md` §7.2):
 //!
-//! 1. **The signal alone** (Rayleigh, whose
-//!    [`mean_multiplier`](FadingLaw::mean_multiplier) is 1). The 53-bit
-//!    uniform caps every `−ln(1−U)` at `53·ln 2`, so with `M̄_j` at least
-//!    the sum of the interferers' means, a receiver with
-//!    `signal / (N₀ + E_MAX_UP·M̄_j·(1 + CERT_SLACK)) ≥ γ_th` succeeds
-//!    whatever they draw, and the RNG seeks past their `k − 1` uniforms
-//!    (`RngCore::skip_u64`, `O(1)` on `StdRng`). `M̄_j` is a table's row
-//!    sum; a streamed slot takes it from the stored interference factors
-//!    (`m_jj·(e^{F̄_j} − 1)/γ_th`, one walk of the scheduled senders' rows
-//!    per slot, `product_bounds`), then retries a receiver left open with
-//!    the geometric mean bounds. `sim.slot.signal_certified` counts these.
-//! 2. **The interference bound.** The row's uniforms are buffered in
-//!    stream order and the interference bounded by `B = Σ_i m̄_i·Ē_i`,
-//!    with `m̄_i` at least the exact mean (`mean_bound`; the tabulated
-//!    mean itself) and `Ē_i ≥ −ln(1−U_i)` read off the bits of `1−U_i`
-//!    (`neg_ln_bound`, no logarithm), under the same test.
-//! 3. **The exact sum.** The buffered uniforms go through the same
-//!    inverse transform and the same `KahanSum` in `sinr_of` as the draws
-//!    would have. `sim.slot.exact_rows` counts these rows.
+//! * **The prefix certificate.** With the signal drawn exactly and the
+//!   interferers of a prefix `D` drawn, the interference is at most
+//!   `Σ_{i∈D} m̄_i·Ē_i + E_MAX_UP·c·Σ_{i∉D} m̄_i` (plus `f64::MIN_POSITIVE`
+//!   per interferer), where `m̄_i` bounds the exact mean, `Ē_i ≥
+//!   −ln(1−U_i)` is read off the bits of `1−U_i` (`neg_ln_bound`, no
+//!   logarithm), `c` is the law's
+//!   [`mean_multiplier`](FadingLaw::mean_multiplier) and `E_MAX_UP`
+//!   caps `−ln(1−U)` of a 53-bit uniform. A receiver with
+//!   `signal / (N₀ + bound·(1 + CERT_SLACK)) ≥ γ_th` succeeds. The
+//!   empty prefix tests the signal alone against each bound the row
+//!   has on its interferers' mean sum (`sim.slot.signal_certified`). A table's open rows then draw their
+//!   interferers one keystream block at a time, the block with the
+//!   heaviest mean sum first, one round across all open rows per block
+//!   (`sim.slot.prefix_certified`), until the last block completes the
+//!   row. A law without a multiplier (shadowed Rayleigh) tests only the
+//!   full prefix, and a streamed row only the empty and the full ones,
+//!   in stream order, so its signal-certified and exact-row counts are
+//!   the slot's own.
+//! * **The exact sum**, the fallback: a row no prefix certifies goes
+//!   through the same inverse transform and the same `KahanSum` in
+//!   `sinr_of` as drawing every uniform would (`sim.slot.exact_rows`).
 //!
-//! Each bound dominates its exact counterpart and `CERT_SLACK` covers
-//! the rounding, so a certified receiver's exact SINR clears `γ_th` too,
-//! and every verdict and the RNG stream are bit-identical to summing
-//! every row (`docs/THEORY.md` §7). Callers that need the SINR
-//! ([`realized_sinrs`], `sinr_histogram`) and laws with other draws
-//! (Nakagami's rejection takes a variable number of uniforms) sum every
-//! row.
+//! A streamed slot's signal certificate bounds `Σ m_ij` by the stored
+//! interference factors (`m_jj·(e^{F̄_j} − 1)/γ_th`, one walk of the
+//! scheduled senders' rows per slot, `product_bounds`), then retries a
+//! receiver left open with the geometric mean bounds; a table's uses its
+//! row sums. Each bound dominates its exact counterpart and
+//! `CERT_SLACK` covers the rounding, so a certified receiver's exact
+//! SINR clears `γ_th` too, and every verdict is bit-identical to
+//! summing every row. The realization then seeks the RNG past its `k²`
+//! uniforms, where drawing them all would have left it. Callers that
+//! need the SINR ([`realized_sinrs`], `sinr_histogram`) and laws with
+//! other draws (Nakagami's rejection takes a variable number of
+//! uniforms) draw and sum every row in order.
 //!
 //! **Where mean gains come from.** `GainTable` computes all `|S|×|S|`
 //! means once per (problem, schedule), and many-trial callers
@@ -65,6 +76,8 @@ use fading_geom::Point2;
 use fading_math::Exponential;
 use fading_net::LinkId;
 use rand::Rng;
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Outcome of one slot realization.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,14 +160,22 @@ trait GainRows {
     /// Entry `j` of [`Self::row`]`(j)`: the desired signal's exact mean.
     fn signal(&self, j: usize) -> Exponential;
 
-    /// Upper bounds on the means of [`Self::row`]`(j)` as `f64`s, in
-    /// schedule order (entry `j` is unused).
-    fn mean_bounds(&self, j: usize) -> impl Iterator<Item = f64> + '_;
+    /// An upper bound on the mean of [`Self::row`]`(j)[i]` as an `f64`.
+    fn mean_bound(&self, j: usize, i: usize) -> f64;
 
     /// Upper bounds on the exact sum of [`Self::row`]`(j)`'s interferer
     /// means (entry `j` left out), cheapest first; each is computed
     /// only when the one before it fails to certify the receiver.
     fn interference_means(&self, j: usize) -> impl Iterator<Item = f64> + '_;
+
+    /// Stage `s` of receiver `j`'s heavy-first prefixes: the block of
+    /// [`BLOCK_DRAWS`] stream positions whose interferers it draws, and
+    /// an upper bound on the sum of the means still undrawn after it.
+    /// The last stage completes the row; `None` past it. Rows kept in
+    /// stream order have none.
+    fn stage(&self, _j: usize, _s: usize) -> Option<(usize, f64)> {
+        None
+    }
 }
 
 /// Most entries a [`GainTable`] allocates: 2^22 (32 MiB), i.e.
@@ -170,9 +191,12 @@ pub(crate) struct GainTable<'a> {
     problem: &'a Problem,
     ids: &'a [LinkId],
     /// `None` past [`MAX_TABLE_ENTRIES`]: each trial streams its rows.
-    /// Otherwise the gains and each row's [`sum_up`] of its interferer
-    /// means.
-    gains: Option<(Vec<Exponential>, Vec<f64>)>,
+    /// Otherwise the gains, each row's [`sum_up`] of its interferer
+    /// means and its [`HeavyFirst`] stages.
+    gains: Option<(Vec<Exponential>, Vec<f64>, HeavyFirst)>,
+    /// Realizations' buffers, one per worker at a time, so the trials
+    /// of a batch allocate nothing and the table frees them all.
+    scratch: Mutex<Vec<Scratch>>,
 }
 
 impl<'a> GainTable<'a> {
@@ -187,6 +211,7 @@ impl<'a> GainTable<'a> {
     }
 
     fn with_cap(problem: &'a Problem, schedule: &'a Schedule, max_entries: usize) -> Self {
+        counters();
         let ids = schedule.ids();
         let k = ids.len();
         let gains = k
@@ -202,13 +227,20 @@ impl<'a> GainTable<'a> {
                     .enumerate()
                     .map(|(j, row)| sum_up(interferers(j, row.iter().map(Exponential::mean))))
                     .collect();
-                (gains, sums)
+                let heavy = HeavyFirst::new(k, &gains);
+                (gains, sums, heavy)
             });
         Self {
             problem,
             ids,
             gains,
+            scratch: Mutex::default(),
         }
+    }
+
+    /// The pool of realizations' buffers.
+    fn scratch(&self) -> MutexGuard<'_, Vec<Scratch>> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs one realization under `law`, reporting whether each
@@ -243,29 +275,101 @@ impl<'a> GainTable<'a> {
         each: impl FnMut(LinkId, RowOutcome),
     ) {
         match &self.gains {
-            Some((gains, sums)) => {
+            Some((gains, sums, heavy)) => {
                 let mut rows = TableRows {
                     k: self.ids.len(),
                     gains,
                     sums,
+                    heavy,
                 };
-                realize(self.problem, self.ids, &mut rows, law, resolve, rng, each);
+                realize(self, &mut rows, law, resolve, rng, each);
             }
             None => {
                 let certify = resolve == Resolve::Verdicts && law.mean_multiplier().is_some();
                 let mut rows = StreamRows::new(self.problem, self.ids, certify);
-                realize(self.problem, self.ids, &mut rows, law, resolve, rng, each);
+                realize(self, &mut rows, law, resolve, rng, each);
             }
         }
     }
 }
 
+/// Uniforms per ChaCha block: 16 words, two per `next_u64`. A fresh
+/// `StdRng`'s realization starts on a block boundary, so positions
+/// `8b .. 8b + 8` share block `b`, and reading one of them computes
+/// all eight.
+const BLOCK_DRAWS: usize = 8;
+
+/// Each tabulated row's interferers, grouped by the keystream block
+/// their uniforms share, heaviest group first: stage `s` of a row draws
+/// its `s`-th heaviest block (`docs/THEORY.md` §7.2), and the last, the
+/// lightest, completes the row. Computed once per table and shared by
+/// every trial.
+///
+/// Blocks, not single interferers: a scattered uniform costs a whole
+/// block, and a block's eight uniforms cost no more than one, so a
+/// block's mean sum is what one read buys.
+struct HeavyFirst {
+    /// Each stage's block (its first position `/ BLOCK_DRAWS`); row `j`'s
+    /// stages are `at[j]..at[j + 1]`.
+    blocks: Vec<u32>,
+    /// Each stage's [`sum_up`] of the means it leaves undrawn.
+    undrawn: Vec<f64>,
+    at: Vec<u32>,
+}
+
+impl HeavyFirst {
+    /// The stages of the `k×k` row-major `gains`.
+    fn new(k: usize, gains: &[Exponential]) -> Self {
+        let blocks_of = |j: usize| {
+            let interferers = interferer_positions(k, j);
+            interferers.start / BLOCK_DRAWS..interferers.end.div_ceil(BLOCK_DRAWS)
+        };
+        let stages: usize = (0..k).map(|j| blocks_of(j).len()).sum();
+        let mut heavy = Self {
+            blocks: Vec::with_capacity(stages),
+            undrawn: Vec::with_capacity(stages),
+            at: Vec::with_capacity(k + 1),
+        };
+        heavy.at.push(0);
+        let mut row: Vec<(u32, f64)> = Vec::new();
+        for (j, means) in gains.chunks(k.max(1)).enumerate() {
+            let interferers = interferer_positions(k, j);
+            // The naive sum of block `g`'s interferer means.
+            let weight = |g: usize| {
+                let (lo, hi) = (g * BLOCK_DRAWS, (g + 1) * BLOCK_DRAWS);
+                let at = lo.max(interferers.start)..hi.min(interferers.end);
+                at.map(|p| means[interferer(k, j, p)].mean())
+                    .fold(0.0, |a, b| a + b)
+            };
+            row.clear();
+            row.extend(blocks_of(j).map(|g| (g as u32, weight(g))));
+            row.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            // Each stage's undrawn sum: the lighter blocks' weights added
+            // lightest first, a naive sum of their means in one more
+            // order.
+            let first = heavy.blocks.len();
+            let mut rest = 0.0;
+            for &(g, w) in row.iter().rev() {
+                heavy.blocks.push(g);
+                heavy.undrawn.push(rest * (1.0 + CERT_SLACK));
+                rest += w;
+            }
+            heavy.blocks[first..].reverse();
+            heavy.undrawn[first..].reverse();
+            heavy.at.push(heavy.blocks.len() as u32);
+        }
+        heavy
+    }
+}
+
 /// Rows read out of a tabulated `|S|×|S|` slice; the bounds are the
-/// exact means, and each row's interferer sum is the table's.
+/// exact means, each row's interferer sum is the table's, and its
+/// interferers are drawn heaviest first.
 struct TableRows<'t> {
     k: usize,
     gains: &'t [Exponential],
     sums: &'t [f64],
+    heavy: &'t HeavyFirst,
 }
 
 impl GainRows for TableRows<'_> {
@@ -280,15 +384,24 @@ impl GainRows for TableRows<'_> {
     }
 
     #[inline]
-    fn mean_bounds(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
-        self.gains[j * self.k..(j + 1) * self.k]
-            .iter()
-            .map(Exponential::mean)
+    fn mean_bound(&self, j: usize, i: usize) -> f64 {
+        self.gains[j * self.k + i].mean()
     }
 
     #[inline]
     fn interference_means(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
         std::iter::once(self.sums[j])
+    }
+
+    #[inline]
+    fn stage(&self, j: usize, s: usize) -> Option<(usize, f64)> {
+        let HeavyFirst {
+            blocks,
+            undrawn,
+            at,
+        } = self.heavy;
+        let at = at[j] as usize + s;
+        (at < self.heavy.at[j + 1] as usize).then(|| (blocks[at] as usize, undrawn[at]))
     }
 }
 
@@ -347,19 +460,25 @@ impl GainRows for StreamRows<'_> {
     }
 
     #[inline]
-    fn mean_bounds(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
-        let params = self.problem.params();
+    fn mean_bound(&self, j: usize, i: usize) -> f64 {
         let rx = self.problem.links().link(self.ids[j]).receiver;
-        self.senders
-            .iter()
-            .map(move |(tx, power)| mean_bound(params, *power, tx.distance(&rx)))
+        let (tx, power) = self.senders[i];
+        mean_bound(self.problem.params(), power, tx.distance(&rx))
     }
 
     /// The slot's product bound, then the sum of the geometric
-    /// [`mean_bounds`](GainRows::mean_bounds).
+    /// [`mean_bound`](GainRows::mean_bound)s.
     #[inline]
     fn interference_means(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
-        let geometric = move || sum_up(interferers(j, self.mean_bounds(j)));
+        let geometric = move || {
+            let params = self.problem.params();
+            let rx = self.problem.links().link(self.ids[j]).receiver;
+            let bounds = self.senders.iter();
+            sum_up(interferers(
+                j,
+                bounds.map(|(tx, power)| mean_bound(params, *power, tx.distance(&rx))),
+            ))
+        };
         std::iter::once(self.products[j]).chain(std::iter::once_with(geometric))
     }
 }
@@ -494,14 +613,16 @@ fn exact_mean(problem: &Problem, ids: &[LinkId], j: usize, i: usize) -> Exponent
 /// Relative slack on the interference bound: `2^−20`.
 ///
 /// A row is certified when `signal / (N₀ + B̂·(1 + CERT_SLACK)) ≥ γ_th`,
-/// where `B̂` is the naive (recursive) sum of the `k−1` bound terms
-/// `b_i`. Each `b_i` is at least the exact kernel's term `t_i` (see
-/// [`mean_bound`] and [`neg_ln_bound`]; `fl(x·y)` is monotone), so the
-/// slack covers the two sums' rounding only. With `u = 2^−53`, all
-/// terms non-negative and `T = Σ t_i ≤ Σ b_i`:
+/// where `B̂` is the naive sum of the `k−1` bound terms `b_i`, in any
+/// order and grouping (a prefix's drawn terms, then its undrawn
+/// allowance). Each `b_i` is at least the exact kernel's term `t_i`
+/// (see [`mean_bound`], [`neg_ln_bound`] and [`worst_interference`];
+/// `fl(x·y)` is monotone), so the slack covers the two sums' rounding
+/// only. With `u = 2^−53`, all terms non-negative and
+/// `T = Σ t_i ≤ Σ b_i`:
 ///
-/// * the naive sum loses at most a factor `(1−u)^{k−2}`:
-///   `B̂ ≥ (1 − k·u)·T`;
+/// * a naive sum of `k−1` terms, in any order, makes `k−2` additions
+///   and loses at most a factor `(1−u)^{k−2}`: `B̂ ≥ (1 − k·u)·T`;
 /// * the exact kernel's Neumaier sum gains at most
 ///   `T̂ ≤ (1 + 2u + O(k·u²))·T` (Higham, *Accuracy and Stability of
 ///   Numerical Algorithms*, §4.3);
@@ -601,100 +722,338 @@ fn worst_interference(c: f64, means: f64, others: usize) -> f64 {
     E_MAX_UP * c * means + others as f64 * f64::MIN_POSITIVE
 }
 
-/// The realization kernel: start a realization of `law`, then for each
-/// scheduled receiver in schedule order draw its signal and then its
-/// interferers (schedule order, skipping itself) from `rng`, and hand
-/// `each` the receiver's outcome. Under [`Resolve::Verdicts`] and a law
-/// with an [`exponential_mean`](FadingLaw::exponential_mean), a row is
-/// decided in up to three tiers, cheapest first:
+/// Words a realization draws ahead per chunk of rows on a generator
+/// without random access (128 KiB, or one row if a row is longer); on
+/// one with it, a chunk's signals are fetched in one batch.
+const CHUNK_WORDS: usize = 1 << 14;
+
+/// The uniform `rng.gen::<f64>()` makes of the word `word`: its top 53
+/// bits times `2^−53` (the `Standard` distribution).
+#[inline]
+fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The stream positions of receiver `j`'s interferers in a `k`-link
+/// realization: its row starts with the signal at `j·k`, then one
+/// uniform per interferer in schedule order, skipping `j`.
+#[inline]
+fn interferer_positions(k: usize, j: usize) -> Range<usize> {
+    j * k + 1..(j + 1) * k
+}
+
+/// The sender whose uniform is at position `p` of receiver `j`'s
+/// [`interferer_positions`].
+#[inline]
+fn interferer(k: usize, j: usize, p: usize) -> usize {
+    let q = p - (j * k + 1);
+    q + usize::from(q >= j)
+}
+
+/// One realization's uniforms by stream position: position `p` is what
+/// the `p`-th `next_u64` after the law began the realization returns.
 ///
-/// 1. with a [`mean_multiplier`](FadingLaw::mean_multiplier), from the
-///    signal draw alone against the [`worst_interference`] of each of
-///    the row's [`interference_means`](GainRows::interference_means); a
-///    certified row seeks `rng` past its interferers' uniforms;
-/// 2. from the interference bound on the row's buffered uniforms;
-/// 3. by the exact sum over those buffered uniforms.
+/// On a generator with random access (`RngCore::peek_u64`) only the
+/// positions read are computed, and [`finish`](Self::finish) seeks past
+/// the realization. Any other generator is drawn in order, one chunk of
+/// rows at a time, into a buffer the reads come from. Either way the
+/// RNG ends where drawing every uniform would leave it.
+struct Keystream<'r, R: ?Sized> {
+    rng: &'r mut R,
+    /// Without random access, the loaded chunk's words and its first
+    /// position.
+    drawn: Option<(Vec<u64>, usize)>,
+    /// Keystream blocks computed: as reported by random access, or the
+    /// 8-word blocks the buffered draws span.
+    blocks: u64,
+}
+
+impl<'r, R: Rng + ?Sized> Keystream<'r, R> {
+    fn new(rng: &'r mut R) -> Self {
+        let random_access = rng.peek_u64(&[], &mut []).is_some();
+        Self {
+            rng,
+            drawn: (!random_access).then(|| (Vec::new(), 0)),
+            blocks: 0,
+        }
+    }
+
+    /// Makes positions `lo..hi` readable (the next chunk of rows).
+    fn load(&mut self, lo: usize, hi: usize) {
+        if let Some((words, first)) = &mut self.drawn {
+            words.clear();
+            words.extend((lo..hi).map(|_| self.rng.next_u64()));
+            *first = lo;
+            self.blocks += (hi - lo).div_ceil(8) as u64;
+        }
+    }
+
+    /// Sets `out` to the words at the positions of `runs`, run after
+    /// run, which the last [`load`](Self::load) covers.
+    fn fetch(&mut self, runs: &[Range<u64>], out: &mut Vec<u64>) {
+        out.clear();
+        match &self.drawn {
+            None => {
+                out.resize(
+                    runs.iter()
+                        .map(|run| run.end.saturating_sub(run.start) as usize)
+                        .sum(),
+                    0,
+                );
+                let blocks = self.rng.peek_u64(runs, out);
+                self.blocks += blocks.expect("a generator with random access") as u64;
+            }
+            Some((words, first)) => {
+                let at = |p: u64| p as usize - first;
+                out.extend(
+                    runs.iter()
+                        .flat_map(|run| &words[at(run.start)..at(run.end.max(run.start))]),
+                );
+            }
+        }
+    }
+
+    /// Leaves the RNG past the realization's `total` words.
+    fn finish(self, total: usize) -> u64 {
+        if self.drawn.is_none() {
+            self.rng.skip_u64(total as u64);
+        }
+        self.blocks
+    }
+}
+
+/// The kernel's counters: rows summed exactly, certified from the
+/// signal, certified by a partial prefix, and keystream blocks computed.
+/// A table resolves them before it allocates anything: a registration
+/// is a long-lived allocation, and one placed above a table or a
+/// realization's buffers kept the heap from shrinking (+0.6 MB peak RSS
+/// on the paper-figure runs).
+fn counters() -> [&'static fading_obs::Counter; 4] {
+    [
+        fading_obs::counter!("sim.slot.exact_rows"),
+        fading_obs::counter!("sim.slot.signal_certified"),
+        fading_obs::counter!("sim.slot.prefix_certified"),
+        fading_obs::counter!("sim.slot.keystream_blocks"),
+    ]
+}
+
+/// The buffers of [`realize`], reused across a table's realizations.
+#[derive(Default)]
+struct Scratch {
+    outcomes: Vec<RowOutcome>,
+    open: Vec<OpenRow>,
+    runs: Vec<Range<u64>>,
+    words: Vec<u64>,
+    kept: Vec<u64>,
+}
+
+/// A receiver whose verdict the prefixes drawn so far leave open.
+struct OpenRow {
+    j: usize,
+    /// Where its drawn uniforms are kept: `kept[slot·(k − 1)..]`, at
+    /// their offsets in the row.
+    slot: usize,
+    signal: f64,
+    /// The naive sum of the drawn interferers' bound terms.
+    drawn: f64,
+    /// How many interferers that sum covers.
+    count: usize,
+}
+
+/// The realization kernel: start a realization of `law`, then hand
+/// `each` every scheduled receiver's outcome, in schedule order.
 ///
-/// Otherwise every row draws and sums exactly.
+/// Under [`Resolve::Verdicts`] and a law with an
+/// [`exponential_mean`](FadingLaw::exponential_mean) it works through
+/// the rows one chunk at a time, reading the uniforms of a
+/// [`Keystream`] by position:
+///
+/// 1. every row's signal in one batch, and with a
+///    [`mean_multiplier`](FadingLaw::mean_multiplier) the empty prefix's
+///    certificate (the [`worst_interference`] of each of the row's
+///    [`interference_means`](GainRows::interference_means));
+/// 2. with a multiplier, each [`stage`](GainRows::stage) of the rows
+///    still open in one batch, and its prefix's certificate, until a
+///    row's last stage completes it;
+/// 3. each row still open: unless its stages drew it whole, the whole
+///    row and the full prefix's certificate; then the exact sum.
+///
+/// Otherwise every row draws from `rng` in stream order and sums
+/// exactly.
 fn realize<L: FadingLaw, R: Rng + ?Sized>(
-    problem: &Problem,
-    ids: &[LinkId],
+    table: &GainTable,
     rows: &mut impl GainRows,
     law: &L,
     resolve: Resolve,
     rng: &mut R,
     mut each: impl FnMut(LinkId, RowOutcome),
 ) {
-    let params = problem.params();
+    let (params, ids) = (table.problem.params(), table.ids);
     let k = ids.len();
     let others = k.saturating_sub(1);
-    // Registered before any scratch is allocated: a registration is a
-    // long-lived allocation, and one placed above a realization's
-    // buffers kept the heap from shrinking (+0.6 MB peak RSS on the
-    // paper-figure runs).
-    let exact_counter = fading_obs::counter!("sim.slot.exact_rows");
-    let signal_counter = fading_obs::counter!("sim.slot.signal_certified");
+    let [exact_counter, signal_counter, prefix_counter, blocks_counter] = counters();
     let state = law.begin(k, rng);
-    let multiplier = law
-        .mean_multiplier()
-        .filter(|_| resolve == Resolve::Verdicts);
-    let mut uniforms = vec![0.0; k];
-    let (mut exact_rows, mut signal_certified) = (0u64, 0u64);
-    for (j, &rx) in ids.iter().enumerate() {
-        let diagonal = j * k + j;
-        let signal_mean = match resolve {
-            Resolve::Verdicts => law.exponential_mean(&state, rows.signal(j).mean(), diagonal),
-            Resolve::Sinrs => None,
-        };
-        let Some(signal_mean) = signal_mean else {
+    let exponential =
+        resolve == Resolve::Verdicts && k > 0 && law.exponential_mean(&state, 1.0, 0).is_some();
+    if !exponential {
+        for (j, &rx) in ids.iter().enumerate() {
             let row = rows.row(j);
-            let signal = law.draw(&state, &row[j], diagonal, rng);
+            let signal = law.draw(&state, &row[j], j * k + j, rng);
             let interference = (0..k)
                 .filter(|&i| i != j)
                 .map(|i| law.draw(&state, &row[i], i * k + j, rng));
             each(rx, RowOutcome::Exact(sinr_of(params, signal, interference)));
-            continue;
-        };
-        let signal = Exponential::with_mean(signal_mean).from_uniform(rng.gen());
-        if let Some(c) = multiplier {
-            let worst = |means| worst_interference(c, means, others);
-            if rows
-                .interference_means(j)
-                .any(|m| certified(params, signal, worst(m)))
-            {
-                rng.skip_u64(others as u64);
+        }
+        law.count_draws((k * k) as u64);
+        return;
+    }
+    let multiplier = law.mean_multiplier();
+    // The bound term of the draw of pair `pair` with mean bound `mean`
+    // off the word `word`.
+    let term = |mean: f64, pair: usize, word: u64| {
+        let mean = law.exponential_mean(&state, mean, pair);
+        mean.unwrap_or(f64::INFINITY) * neg_ln_bound(1.0 - unit_f64(word))
+    };
+    let mut stream = Keystream::new(rng);
+    let chunk = (CHUNK_WORDS / k).clamp(1, k);
+    let Scratch {
+        mut outcomes,
+        mut open,
+        mut runs,
+        mut words,
+        mut kept,
+    } = table.scratch().pop().unwrap_or_default();
+    let (mut exact_rows, mut signal_certified, mut prefix_certified) = (0u64, 0u64, 0u64);
+    let mut draws = 0u64;
+    for lo in (0..k).step_by(chunk) {
+        let hi = (lo + chunk).min(k);
+        stream.load(lo * k, hi * k);
+        runs.clear();
+        runs.extend((lo..hi).map(|j| (j * k) as u64..(j * k + 1) as u64));
+        stream.fetch(&runs, &mut words);
+        outcomes.clear();
+        open.clear();
+        for (j, &word) in (lo..hi).zip(&words) {
+            let mean = law.exponential_mean(&state, rows.signal(j).mean(), j * k + j);
+            let signal = Exponential::with_mean(mean.expect("an exponential law"))
+                .from_uniform(unit_f64(word));
+            outcomes.push(RowOutcome::Certified);
+            let alone = multiplier.is_some_and(|c| {
+                let worst = |means| worst_interference(c, means, others);
+                rows.interference_means(j)
+                    .any(|m| certified(params, signal, worst(m)))
+            });
+            if alone {
                 signal_certified += 1;
-                each(rx, RowOutcome::Certified);
-                continue;
+                draws += 1;
+            } else {
+                open.push(OpenRow {
+                    j,
+                    slot: open.len(),
+                    signal,
+                    drawn: 0.0,
+                    count: 0,
+                });
             }
         }
-        let mut bound = 0.0;
-        for (i, (mean, u)) in rows.mean_bounds(j).zip(&mut uniforms).enumerate() {
-            if i != j {
-                *u = rng.gen();
-                let mean = law.exponential_mean(&state, mean, i * k + j);
-                bound += mean.unwrap_or(f64::INFINITY) * neg_ln_bound(1.0 - *u);
+        kept.resize(open.len() * others, 0);
+        if let Some(c) = multiplier {
+            // The positions of the interferers in block `g` of row `j`.
+            let block = |j: usize, g: usize| {
+                let interferers = interferer_positions(k, j);
+                (g * BLOCK_DRAWS).max(interferers.start)
+                    ..((g + 1) * BLOCK_DRAWS).min(interferers.end)
+            };
+            for s in 0.. {
+                runs.clear();
+                for row in &open {
+                    if let Some((g, _)) = rows.stage(row.j, s) {
+                        let at = block(row.j, g);
+                        runs.push(at.start as u64..at.end as u64);
+                    }
+                }
+                if runs.is_empty() {
+                    break;
+                }
+                stream.fetch(&runs, &mut words);
+                let mut read = &words[..];
+                open.retain_mut(|row| {
+                    let j = row.j;
+                    let Some((g, undrawn)) = rows.stage(j, s) else {
+                        return true;
+                    };
+                    let at = block(j, g);
+                    let (drawn, rest) = read.split_at(at.len());
+                    read = rest;
+                    let first = at.start - (j * k + 1);
+                    kept[row.slot * others + first..][..at.len()].copy_from_slice(drawn);
+                    row.count += at.len();
+                    let mut sum = row.drawn;
+                    for (q, &word) in (first..).zip(drawn) {
+                        let i = q + usize::from(q >= j);
+                        sum += term(rows.mean_bound(j, i), i * k + j, word);
+                    }
+                    row.drawn = sum;
+                    let bound = sum + worst_interference(c, undrawn, others);
+                    let decided = certified(params, row.signal, bound);
+                    if decided {
+                        prefix_certified += u64::from(row.count < others);
+                        draws += 1 + row.count as u64;
+                    }
+                    !decided
+                });
             }
         }
-        if certified(params, signal, bound) {
-            each(rx, RowOutcome::Certified);
-            continue;
+        for row in &open {
+            let j = row.j;
+            draws += k as u64;
+            let words = if row.count == others {
+                // The stages drew the whole row, and its last one was the
+                // full prefix's certificate.
+                &kept[row.slot * others..][..others]
+            } else {
+                let at = interferer_positions(k, j);
+                runs.clear();
+                runs.push(at.start as u64..at.end as u64);
+                stream.fetch(&runs, &mut words);
+                // The full prefix leaves nothing undrawn.
+                let bound = (0..k)
+                    .filter(|&i| i != j)
+                    .zip(&words)
+                    .fold(0.0, |sum, (i, &word)| {
+                        sum + term(rows.mean_bound(j, i), i * k + j, word)
+                    });
+                if certified(params, row.signal, bound) {
+                    continue;
+                }
+                &words[..]
+            };
+            exact_rows += 1;
+            let gains = rows.row(j);
+            let interference = (0..k).filter(|&i| i != j).zip(words).map(|(i, &word)| {
+                let mean = law.exponential_mean(&state, gains[i].mean(), i * k + j);
+                Exponential::with_mean(mean.expect("an exponential law"))
+                    .from_uniform(unit_f64(word))
+            });
+            outcomes[j - lo] = RowOutcome::Exact(sinr_of(params, row.signal, interference));
         }
-        exact_rows += 1;
-        let row = rows.row(j);
-        let interference = (0..k).filter(|&i| i != j).map(|i| {
-            let mean = law.exponential_mean(&state, row[i].mean(), i * k + j);
-            Exponential::with_mean(mean.expect("an exponential law")).from_uniform(uniforms[i])
-        });
-        each(rx, RowOutcome::Exact(sinr_of(params, signal, interference)));
+        for (j, outcome) in (lo..hi).zip(outcomes.drain(..)) {
+            each(ids[j], outcome);
+        }
     }
-    law.count_draws((k * k) as u64 - signal_certified * others as u64);
-    if resolve == Resolve::Verdicts {
-        exact_counter.add(exact_rows);
-        signal_counter.add(signal_certified);
-    }
+    table.scratch().push(Scratch {
+        outcomes,
+        open,
+        runs,
+        words,
+        kept,
+    });
+    blocks_counter.add(stream.finish(k * k));
+    law.count_draws(draws);
+    exact_counter.add(exact_rows);
+    signal_counter.add(signal_certified);
+    prefix_counter.add(prefix_certified);
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1046,13 +1405,29 @@ mod tests {
         }
     }
 
-    /// Replays `words` cyclically as `next_u64` draws and counts the
-    /// seeks, which it overrides (one word per skipped draw).
+    /// Replays `words` cyclically as `next_u64` draws, with random
+    /// access to them unless `sequential`. Counts the seeks, which it
+    /// overrides (one word per skipped draw), and records the positions
+    /// it was asked for (from the start of the script).
     #[derive(Clone)]
     struct Script {
         words: Vec<u64>,
         at: usize,
         seeks: usize,
+        sequential: bool,
+        peeked: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl Script {
+        fn new(words: Vec<u64>, sequential: bool) -> Self {
+            Self {
+                words,
+                at: 0,
+                seeks: 0,
+                sequential,
+                peeked: Default::default(),
+            }
+        }
     }
 
     impl rand::RngCore for Script {
@@ -1070,6 +1445,17 @@ mod tests {
         fn skip_u64(&mut self, n: u64) {
             self.at += n as usize;
             self.seeks += 1;
+        }
+        fn peek_u64(&self, runs: &[Range<u64>], out: &mut [u64]) -> Option<usize> {
+            if self.sequential {
+                return None;
+            }
+            for (o, p) in out.iter_mut().zip(runs.iter().flat_map(Clone::clone)) {
+                let at = self.at + p as usize;
+                self.peeked.borrow_mut().push(at);
+                *o = self.words[at % self.words.len()];
+            }
+            Some(0)
         }
     }
 
@@ -1091,7 +1477,7 @@ mod tests {
             let table = GainTable::new(&p, &s);
             let stream = StreamRows::new(&p, s.ids(), true);
             let table_sum = table.gains.as_ref().unwrap().1[0];
-            for means in [table_sum, stream.products[0]] {
+            for (means, tabulated) in [(table_sum, true), (stream.products[0], false)] {
                 let signal = |n: u64| stream.signal(0).from_uniform(n as f64 * pow2(-53));
                 let worst = worst_interference(1.0, means, 1);
                 let passes = |n: u64| certified(p.params(), signal(n), worst);
@@ -1106,22 +1492,136 @@ mod tests {
                     };
                 }
                 assert!(lo > 0 && !passes(lo - 1));
-                let script = Script {
-                    words: vec![lo << 11, u64::MAX],
-                    at: 0,
-                    seeks: 0,
-                };
+                let script = Script::new(vec![lo << 11, u64::MAX], false);
                 let want = oracle_slot(&p, &s, &mut script.clone());
                 let mut streamed = script.clone();
                 assert_same(&simulate_slot(&p, &s, &mut streamed), &want);
                 let mut tabled = script.clone();
                 assert_same(&table_slot(&p, &s, MAX_TABLE_ENTRIES, &mut tabled), &want);
                 assert!(want.successes.contains(&LinkId(0)), "α {alpha}");
+                // The path whose certificate set the signal word never
+                // reads receiver 0's interferer (word 1); both seek once,
+                // past the slot.
+                let certified = if tabulated { &tabled } else { &streamed };
+                let peeked = certified.peeked.borrow();
+                assert!(!peeked.contains(&1), "α {alpha}: read {peeked:?}");
                 for rng in [&streamed, &tabled] {
-                    assert!(rng.seeks >= 1, "α {alpha}: certified from the signal");
-                    assert_eq!(rng.at, 4);
+                    assert_eq!((rng.seeks, rng.at), (1, 4));
                 }
             }
+        }
+    }
+
+    /// ApproxDiversity's schedule of 300 paper links at path-loss
+    /// exponent `alpha`: the fading-susceptible baseline, whose rows the
+    /// signal alone rarely certifies.
+    fn approx_diversity(alpha: f64, seed: u64) -> (Problem, Schedule) {
+        use fading_core::{algo::ApproxDiversity, Scheduler};
+        let p = Problem::paper(UniformGenerator::paper(300).generate(seed), alpha);
+        let s = ApproxDiversity::new().schedule(&p);
+        (p, s)
+    }
+
+    #[test]
+    fn heavy_first_prefixes_keep_exact_verdicts_and_the_stream() {
+        let prefix = fading_obs::counter!("sim.slot.prefix_certified");
+        for (alpha, seed) in [(3.0, 1), (4.0, 2)] {
+            let (p, s) = approx_diversity(alpha, seed);
+            assert!(s.len() > 4 * BLOCK_DRAWS, "α {alpha}: {} links", s.len());
+            let before = prefix.value();
+            for rng_seed in 0..20 {
+                let mut want = seeded_rng(rng_seed);
+                let mut got = seeded_rng(rng_seed);
+                for _ in 0..2 {
+                    let oracle = oracle_slot(&p, &s, &mut want);
+                    assert_same(&table_slot(&p, &s, MAX_TABLE_ENTRIES, &mut got), &oracle);
+                }
+                assert_eq!(want.gen::<u64>(), got.gen::<u64>(), "α {alpha}");
+            }
+            assert!(
+                prefix.value() > before,
+                "α {alpha}: no partial prefix certified"
+            );
+        }
+    }
+
+    #[test]
+    fn largest_interferer_draws_keep_exact_heavy_first_verdicts() {
+        // Every interferer draws `u64::MAX` (53·ln 2 times its mean, the
+        // most the undrawn allowance covers), and the signal's
+        // `−ln(1 − U)` sweeps 10^−3 … 36 in 5% steps, so each receiver's
+        // certificate is tested just above and just below its edge at
+        // every prefix. With random access and without.
+        for (alpha, seed) in [(3.0, 3), (4.0, 4)] {
+            let (p, s) = approx_diversity(alpha, seed);
+            let k = s.len();
+            for g in 0..=215 {
+                let u = -(-1e-3 * 1.05f64.powi(g)).exp_m1();
+                let mut words = vec![u64::MAX; k];
+                words[0] = ((u * (1u64 << 53) as f64) as u64) << 11;
+                for sequential in [false, true] {
+                    let script = Script::new(words.clone(), sequential);
+                    let mut want = script.clone();
+                    let oracle = oracle_slot(&p, &s, &mut want);
+                    let mut got = script.clone();
+                    assert_same(&table_slot(&p, &s, MAX_TABLE_ENTRIES, &mut got), &oracle);
+                    assert_eq!((got.at, want.at), (k * k, k * k), "α {alpha} step {g}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heavy_first_stages_take_each_row_heaviest_block_first() {
+        let (p, s) = approx_diversity(3.0, 5);
+        let k = s.len();
+        let table = GainTable::new(&p, &s);
+        let (gains, sums, heavy) = table.gains.as_ref().unwrap();
+        let rows = TableRows {
+            k,
+            gains,
+            sums,
+            heavy,
+        };
+        for j in 0..k {
+            let interferers = interferer_positions(k, j);
+            // Row `j`'s interferer positions in block `g`, and their means.
+            let members = |g: usize| {
+                let at = g * BLOCK_DRAWS..(g + 1) * BLOCK_DRAWS;
+                interferers.clone().filter(move |p| at.contains(p))
+            };
+            let mean = |p: usize| gains[j * k + interferer(k, j, p)].mean();
+            let weight = |g: usize| members(g).map(mean).sum::<f64>();
+            let mut rest: Vec<usize> = interferers.clone().map(|p| p / BLOCK_DRAWS).collect();
+            rest.dedup();
+            for s in 0.. {
+                let Some((g, undrawn)) = rows.stage(j, s) else {
+                    break;
+                };
+                // The heaviest block not drawn yet, and an undrawn
+                // allowance that covers the rest of the row.
+                let at = rest
+                    .iter()
+                    .position(|&r| r == g)
+                    .expect("a block of the row, once");
+                rest.remove(at);
+                assert!(rest.iter().all(|&r| weight(r) <= weight(g)));
+                let exact = fading_math::KahanSum::sum_iter(
+                    rest.iter().flat_map(|&r| members(r)).map(mean),
+                );
+                assert!(undrawn >= exact && undrawn <= exact * (1.0 + 2.0 * CERT_SLACK));
+            }
+            // The stages cover the row.
+            assert!(rest.is_empty(), "row {j}");
+        }
+    }
+
+    #[test]
+    fn unit_f64_is_the_standard_uniform() {
+        let words = [0, 1, 1 << 11, u64::MAX, 0x0123_4567_89ab_cdef];
+        let mut script = Script::new(words.to_vec(), true);
+        for w in words {
+            assert_eq!(unit_f64(w).to_bits(), script.gen::<f64>().to_bits());
         }
     }
 

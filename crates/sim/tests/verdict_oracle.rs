@@ -9,11 +9,13 @@
 //! dense random subsets (most are infeasible, so failures are common)
 //! under power scales, ambient noise and several thresholds, and the
 //! RLE, LDP and GreedyRate schedules whose receivers the signal draw
-//! alone mostly certifies: under seeded draws, and under scripted ones
-//! that give every interferer the largest draw the uniform allows.
+//! alone mostly certifies, and ApproxDiversity's, whose receivers
+//! `simulate_many` mostly certifies from a heavy-first prefix of their
+//! interferers: under seeded draws, and under scripted ones that give
+//! every interferer the largest draw the uniform allows.
 
 use fading_channel::ChannelParams;
-use fading_core::algo::{GreedyRate, Ldp, Rle};
+use fading_core::algo::{ApproxDiversity, GreedyRate, Ldp, Rle};
 use fading_core::{BackendChoice, Problem, Schedule, Scheduler, SparseConfig};
 use fading_math::{seeded_rng, split_seed, OnlineStats};
 use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
@@ -150,16 +152,22 @@ proptest! {
     }
 }
 
-/// RLE, LDP and GreedyRate schedules of 300 paper links at α 3 and 4,
-/// on the dense store, the default sparse store and a coarse sparse
-/// store (`tail_rtol = 1`) whose receivers omit many interferers.
+/// RLE, LDP, GreedyRate and ApproxDiversity schedules of 300 paper
+/// links at α 3 and 4, on the dense store, the default sparse store and
+/// a coarse sparse store (`tail_rtol = 1`) whose receivers omit many
+/// interferers.
 fn scheduled_cases() -> Vec<(String, Problem, Schedule)> {
     let backends = [
         BackendChoice::Dense,
         BackendChoice::Sparse(SparseConfig::default()),
         BackendChoice::Sparse(SparseConfig { tail_rtol: 1.0 }),
     ];
-    let schedulers: [&dyn Scheduler; 3] = [&Rle::new(), &Ldp::new(), &GreedyRate];
+    let schedulers: [&dyn Scheduler; 4] = [
+        &Rle::new(),
+        &Ldp::new(),
+        &GreedyRate,
+        &ApproxDiversity::new(),
+    ];
     let mut cases = Vec::new();
     for (seed, alpha) in [(3, 3.0), (4, 4.0)] {
         let links = UniformGenerator::paper(300).generate(seed);
@@ -210,6 +218,27 @@ fn scheduler_schedules_certify_from_the_signal_and_keep_exact_verdicts() {
         // Other tests add to the counter too, but a tier that never
         // fires leaves it still here.
         assert!(certified.value() > before, "{name}: nothing certified");
+    }
+}
+
+#[test]
+fn approx_diversity_monte_carlo_certifies_from_prefixes_and_equals_the_exact_loop() {
+    // `simulate_many` tabulates the gains, so its open receivers draw
+    // their interferers heaviest block first; the per-trial loop sums
+    // every row exactly off the same streams.
+    let prefix = fading_obs::counter!("sim.slot.prefix_certified");
+    for (seed, alpha) in [(5, 3.0), (6, 4.0)] {
+        let p = Problem::paper(UniformGenerator::paper(300).generate(seed), alpha);
+        let s = ApproxDiversity::new().schedule(&p);
+        let before = prefix.value();
+        assert_eq!(
+            format!("{:?}", simulate_many(&p, &s, 40, seed)),
+            format!("{:?}", per_trial_oracle(&p, &s, 40, seed)),
+            "α {alpha}"
+        );
+        // Other tests add to the counter too, but a stage that never
+        // certifies leaves it still here.
+        assert!(prefix.value() > before, "α {alpha}: no prefix certified");
     }
 }
 

@@ -17,8 +17,9 @@ use fading_core::{
     BackendChoice, LinkSpec, MutationBatch, Problem, SchedCtx, Scheduler, Scope, SparseConfig,
 };
 use fading_geom::Point2;
-use fading_net::{RateModel, TopologyGenerator, UniformGenerator};
+use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
 use rand::Rng;
+use rayon::prelude::*;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -330,11 +331,11 @@ fn substrate_benches(rec: &mut Recorder) {
         }
         let links = scaled(n).generate(7);
         rec.time(&format!("interference_build/dense/{n}"), || {
-            black_box(
-                Problem::builder(links.clone(), params)
-                    .backend(BackendChoice::Dense)
-                    .build(),
-            );
+            let problem = Problem::builder(links.clone(), params)
+                .backend(BackendChoice::Dense)
+                .build();
+            read_every_row(&problem);
+            black_box(problem);
         });
         rec.time(&format!("interference_build/sparse/{n}"), || {
             black_box(
@@ -354,7 +355,7 @@ fn substrate_benches(rec: &mut Recorder) {
             let sum_all = |p: &Problem| {
                 let mut total = 0.0f64;
                 for i in p.links().ids() {
-                    if let Some(row) = p.factors().dense_row(i) {
+                    if let Some(row) = p.dense_row(i) {
                         total += fading_core::kernel::row_sum(row);
                     } else {
                         let (_, fact) = p
@@ -370,6 +371,7 @@ fn substrate_benches(rec: &mut Recorder) {
             let dense = Problem::builder(links.clone(), params)
                 .backend(BackendChoice::Dense)
                 .build();
+            read_every_row(&dense);
             rec.time(&format!("interference_row_sum/dense/{n}"), || {
                 black_box(sum_all(&dense));
             });
@@ -508,6 +510,8 @@ fn substrate_benches(rec: &mut Recorder) {
     if rec.wants("queueing/greedy/100x50") {
         let geometry = UniformGenerator::paper(100);
         let problem = Problem::paper(geometry.generate(8), 3.0);
+        // The timed clone carries every row evaluated.
+        read_every_row(&problem);
         let cfg = fixed_population(0.05, 50, 1);
         rec.time("queueing/greedy/100x50", || {
             black_box(
@@ -516,6 +520,14 @@ fn substrate_benches(rec: &mut Recorder) {
             );
         });
     }
+}
+
+/// Reads every dense row of `problem` (a no-op on the sparse store),
+/// spread across rayon workers as a whole-matrix build spreads them.
+fn read_every_row(problem: &Problem) {
+    (0..problem.len() as u32).into_par_iter().for_each(|i| {
+        black_box(problem.dense_row(LinkId(i)));
+    });
 }
 
 /// The queueing model as an engine config: a fixed population (no link

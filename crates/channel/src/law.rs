@@ -58,9 +58,10 @@ pub trait FadingLaw: Sync {
         None
     }
 
-    /// Records how many gain draws one realization of the kernel made:
-    /// the uniforms it read, `k²` for a `k`-link schedule less those of
-    /// the interferers a certificate left unread. The default records
-    /// nothing.
+    /// Records how many gain draws a run of the kernel's realizations
+    /// made (one worker's trials, added once when the run ends): the
+    /// uniforms they read, `k²` per realization of a `k`-link schedule
+    /// less those of the interferers a certificate left unread. The
+    /// default records nothing.
     fn count_draws(&self, _draws: u64) {}
 }

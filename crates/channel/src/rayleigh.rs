@@ -124,8 +124,9 @@ impl FadingLaw for RayleighChannel {
         Some(1.0)
     }
 
-    /// One counter increment per realization, so the Monte-Carlo hot
-    /// loop never touches the registry per draw.
+    /// One counter increment per run of realizations, so the
+    /// Monte-Carlo hot loop never touches the registry per draw or per
+    /// trial.
     fn count_draws(&self, draws: u64) {
         fading_obs::counter!("channel.rayleigh.draws").add(draws);
     }

@@ -77,15 +77,14 @@ impl<'p> State<'p> {
         debug_assert!(!self.selected[id.index()]);
         self.selected[id.index()] = true;
         self.utility += self.weight(id);
-        if let Some(row) = self.problem.factors().dense_row(id) {
+        if let Some(row) = self.problem.dense_row(id) {
             for (sum, f) in self.sums.iter_mut().zip(row) {
                 *sum += f;
             }
         } else {
             let sums = &mut self.sums;
-            self.problem
-                .factors()
-                .for_each_out(id, &mut |j, f| sums[j.index()] += f);
+            let sparse = self.problem.factors().as_sparse().expect("a sparse store");
+            sparse.for_each_out(id, &mut |j, f| sums[j.index()] += f);
         }
     }
 
@@ -93,15 +92,14 @@ impl<'p> State<'p> {
         debug_assert!(self.selected[id.index()]);
         self.selected[id.index()] = false;
         self.utility -= self.weight(id);
-        if let Some(row) = self.problem.factors().dense_row(id) {
+        if let Some(row) = self.problem.dense_row(id) {
             for (sum, f) in self.sums.iter_mut().zip(row) {
                 *sum -= f;
             }
         } else {
             let sums = &mut self.sums;
-            self.problem
-                .factors()
-                .for_each_out(id, &mut |j, f| sums[j.index()] -= f);
+            let sparse = self.problem.factors().as_sparse().expect("a sparse store");
+            sparse.for_each_out(id, &mut |j, f| sums[j.index()] -= f);
         }
     }
 

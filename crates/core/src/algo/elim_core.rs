@@ -279,7 +279,7 @@ fn run<const TRACED: bool>(
                 }
             }
         };
-        if let Some(row) = problem.factors().dense_row(i) {
+        if let Some(row) = problem.dense_row(i) {
             // Crossover: the `retain` below leaves exactly the ascending
             // survivors successive retains would have, so switching
             // needs no rebuild.

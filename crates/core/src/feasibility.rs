@@ -196,7 +196,7 @@ impl<'a> InterferenceAccumulator<'a> {
     /// Adds sender `i` to the selection, updating every candidate's sum
     /// and every resolved member sum.
     pub fn select(&mut self, i: LinkId) {
-        if let Some(row) = self.problem.factors().dense_row(i) {
+        if let Some(row) = self.problem.dense_row(i) {
             match self.scope.list() {
                 None => {
                     for (sum, f) in self.sums.iter_mut().zip(row) {
@@ -211,9 +211,8 @@ impl<'a> InterferenceAccumulator<'a> {
             }
         } else {
             let sums = &mut *self.sums;
-            self.problem
-                .factors()
-                .for_each_out(i, &mut |j, f| sums[j.index()] += f);
+            let sparse = self.problem.factors().as_sparse().expect("a sparse store");
+            sparse.for_each_out(i, &mut |j, f| sums[j.index()] += f);
         }
         for (&j, exact) in self.selected.iter().zip(&mut self.exact) {
             if let Some(sum) = exact {

@@ -4,172 +4,201 @@
 //! (Eq. (17)): `ln(1 + γ_th (d_jj/d_ij)^α)` for `i ≠ j` and `0` on the
 //! diagonal. Two backends provide these values:
 //!
-//! * [`InterferenceMatrix`] — the dense `N×N` matrix, precomputed once
-//!   per instance (in parallel across rows for large instances). Exact
-//!   and exhaustive; `O(N²)` time and memory, the right choice at
-//!   paper sizes (`N ≤ ~4k`).
+//! * [`InterferenceMatrix`] — the dense `N×N` matrix, one row per
+//!   sender, each evaluated on its first read. Exact and exhaustive;
+//!   `O(N)` per row read and `O(N²)` if every row is read, the right
+//!   choice at paper sizes (`N ≤ ~4k`), where a schedule reads only
+//!   the rows of the few senders it picks.
 //! * [`SparseInterference`] — a spatial-hash truncated store holding
 //!   only near-field factors, with a certified per-receiver bound on
 //!   every discarded factor. `O(N·k)` memory for `k` stored neighbors
 //!   per receiver — the unlock for `10⁵`-link instances. See
 //!   [`crate::sparse`] for the truncation error budget.
 //!
-//! [`InterferenceBackend`] is the enum [`Problem`] stores and the one
-//! read interface to stored factors every solver uses; dispatch is
-//! static (a `match`), so the dense hot paths keep their slice-based
-//! loops via [`InterferenceBackend::dense_row`]. The exact scalar
-//! lookup is [`Problem::factor`]: the sparse store recomputes a factor
-//! from its own geometry and the problem's power scales.
+//! [`InterferenceBackend`] is the enum [`Problem`] stores; dispatch is
+//! static (a `match`). Neither backend copies the problem's geometry:
+//! a dense row fill and a sparse recomputation read the links, channel
+//! and power scales the [`Problem`] hands them. Readers take dense
+//! rows through [`Problem::dense_row`] (a contiguous slice, so hot
+//! loops keep their slice walks) and sparse rows through
+//! [`SparseInterference::row_slices`]. The exact scalar lookup is
+//! [`Problem::factor`]. Every factor of either backend is one
+//! [`pair_factor`] evaluation, so all of them are bit-identical
+//! whatever the read order or thread count.
 //!
 //! [`Problem`]: crate::problem::Problem
 //! [`Problem::factor`]: crate::problem::Problem::factor
+//! [`Problem::dense_row`]: crate::problem::Problem::dense_row
 
 use crate::sparse::SparseInterference;
 use fading_channel::RayleighChannel;
 use fading_net::{LinkId, LinkSet};
-use rayon::prelude::*;
+use std::sync::OnceLock;
 
-/// Row-major `N×N` matrix of interference factors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterferenceMatrix {
-    n: usize,
-    /// `data[i * n + j] = f_{i,j}`.
-    data: Vec<f64>,
+/// `f_{i,j}` for sender `i` at distance `d_ij` from receiver `j`, whose
+/// link has length `d_jj` (both from `Point2::distance`), with per-link
+/// power scales (`None` = uniform): the one expression behind every
+/// factor of both backends.
+#[inline]
+pub(crate) fn pair_factor(
+    channel: &RayleighChannel,
+    d_ij: f64,
+    d_jj: f64,
+    powers: Option<&[f64]>,
+    i: usize,
+    j: usize,
+) -> f64 {
+    match powers {
+        None => channel.interference_factor(d_ij, d_jj),
+        Some(p) => channel.interference_factor_scaled(d_ij, d_jj, p[i], p[j]),
+    }
 }
 
-/// Instances below this size are built sequentially; the rayon
-/// fork-join overhead only pays off once rows get expensive.
-pub(crate) const PARALLEL_THRESHOLD: usize = 64;
+/// Row `i` over `links`, in lanes: every receiver's link length into
+/// the row, every distance from sender `i` into a second lane, then each
+/// factor in place. Taking the square roots apart from the
+/// transcendental calls keeps their latency off the factors' path.
+fn fill(links: &LinkSet, channel: &RayleighChannel, powers: Option<&[f64]>, i: usize) -> Vec<f64> {
+    let all = links.links();
+    let s = all[i].sender;
+    let d_ij: Vec<f64> = all.iter().map(|l| s.distance(&l.receiver)).collect();
+    let mut row: Vec<f64> = all.iter().map(|l| l.length()).collect();
+    for (j, (f, &d)) in row.iter_mut().zip(&d_ij).enumerate() {
+        *f = if j == i {
+            0.0
+        } else {
+            pair_factor(channel, d, *f, powers, i, j)
+        };
+    }
+    row
+}
+
+/// `f_{i,j}` over `links` (`0` on the diagonal).
+#[inline]
+fn entry(links: &LinkSet, ch: &RayleighChannel, p: Option<&[f64]>, i: usize, j: usize) -> f64 {
+    if i == j {
+        return 0.0;
+    }
+    let (tx, rx) = (&links.links()[i], &links.links()[j]);
+    pair_factor(ch, tx.sender.distance(&rx.receiver), rx.length(), p, i, j)
+}
+
+/// The `core.dense.rows_filled` counter. [`InterferenceMatrix::build`]
+/// resolves it before the first fill: a registration is a long-lived
+/// allocation, and one placed among a cell's buffers moves the heap.
+fn rows_filled() -> &'static fading_obs::Counter {
+    fading_obs::counter!("core.dense.rows_filled")
+}
+
+/// The dense `N×N` matrix of interference factors: row `i` holds
+/// sender `i`'s factors on every receiver and is evaluated on its
+/// first read ([`row`](Self::row)).
+///
+/// A fill evaluates the row sequentially from the geometry the caller
+/// passes (the owning problem's links, channel and power scales) and
+/// runs no rayon work, so a worker blocked on a row another worker is
+/// filling waits on plain sequential code. `Clone` carries the filled
+/// rows. Equality is the owning [`Problem`](crate::Problem)'s: a row's
+/// content does not depend on when it was read.
+#[derive(Debug, Clone)]
+pub struct InterferenceMatrix {
+    /// `rows[i][j] = f_{i,j}`, once row `i` has been read.
+    rows: Vec<OnceLock<Vec<f64>>>,
+}
 
 impl InterferenceMatrix {
-    /// Computes all pairwise factors for `links` under `channel`, with
-    /// optional per-link power scales (`scale_i × P` for sender `i`);
-    /// `None` means uniform power, the paper's model. Theorem 3.1 and
-    /// Corollary 3.1 hold verbatim with the generalized factors.
+    /// The matrix for `links`, with optional per-link power scales
+    /// (`scale_i × P` for sender `i`); `None` means uniform power, the
+    /// paper's model. Theorem 3.1 and Corollary 3.1 hold verbatim with
+    /// the generalized factors. No factor is evaluated here; each row
+    /// is on its first read.
     ///
     /// # Panics
     /// Panics if `powers` is provided with the wrong length or a
     /// non-positive entry.
-    pub fn build(links: &LinkSet, channel: &RayleighChannel, powers: Option<&[f64]>) -> Self {
-        let n = links.len();
-        if n == 0 {
-            return Self {
-                n,
-                data: Vec::new(),
-            };
-        }
+    pub fn build(links: &LinkSet, powers: Option<&[f64]>) -> Self {
         if let Some(p) = powers {
-            assert_eq!(p.len(), n, "power vector length mismatch");
+            assert_eq!(p.len(), links.len(), "power vector length mismatch");
             assert!(
                 p.iter().all(|&s| s.is_finite() && s > 0.0),
                 "power scales must be positive"
             );
         }
-        let mut data = vec![0.0; n * n];
-        // SoA views of the receiver geometry, hoisted out of the row
-        // loop: the distance lane streams rx/ry/d_jj contiguously
-        // instead of striding through the AoS link array. Each d_rr
-        // entry is `links.length(j)` evaluated through the same code
-        // path, so the hoist is bit-transparent.
-        let all = links.links();
-        let rx: Vec<f64> = all.iter().map(|l| l.receiver.x).collect();
-        let ry: Vec<f64> = all.iter().map(|l| l.receiver.y).collect();
-        let d_rr: Vec<f64> = all.iter().map(|l| l.length()).collect();
-        // One shared row closure for both branches: the parallel and
-        // sequential paths must compute byte-identical rows (the
-        // PARALLEL_THRESHOLD regression tests below pin this). Each row
-        // is processed in cache blocks: a branch-free distance lane the
-        // autovectorizer keeps in SIMD registers (sub/mul/add/sqrt are
-        // IEEE-exact, so every d matches `sender_receiver_distance` bit
-        // for bit), then the scalar transcendental pass over the same
-        // block while it is still in L1 (`powf`/`ln_1p` are libm calls
-        // whose expression must stay exactly the channel's).
-        const BLOCK: usize = 64;
-        let fill_row = |i: usize, row: &mut [f64]| {
-            let s = all[i].sender;
-            let mut dist = [0.0f64; BLOCK];
-            let mut j0 = 0usize;
-            while j0 < n {
-                let w = (n - j0).min(BLOCK);
-                for (k, d) in dist[..w].iter_mut().enumerate() {
-                    let dx = s.x - rx[j0 + k];
-                    let dy = s.y - ry[j0 + k];
-                    *d = (dx * dx + dy * dy).sqrt();
-                }
-                for (k, slot) in row[j0..j0 + w].iter_mut().enumerate() {
-                    let j = j0 + k;
-                    if i != j {
-                        *slot = match powers {
-                            None => channel.interference_factor(dist[k], d_rr[j]),
-                            Some(p) => {
-                                channel.interference_factor_scaled(dist[k], d_rr[j], p[i], p[j])
-                            }
-                        };
-                    }
-                }
-                j0 += w;
-            }
-        };
-        if n >= PARALLEL_THRESHOLD {
-            data.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| fill_row(i, row));
-        } else {
-            for (i, row) in data.chunks_mut(n).enumerate() {
-                fill_row(i, row);
-            }
+        rows_filled();
+        Self {
+            rows: (0..links.len()).map(|_| OnceLock::new()).collect(),
         }
-        Self { n, data }
     }
 
     /// Number of links `N`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Whether the matrix is empty.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.rows.is_empty()
     }
 
-    /// The factor `f_{i,j}` of sender `i` on receiver `j`.
+    /// Row `sender`: its factors on every receiver, evaluated from
+    /// `links`, `channel` and `powers` on the first read (which counts
+    /// one `core.dense.rows_filled`). The geometry must be the one the
+    /// matrix was built and patched for.
     #[inline]
-    pub fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        self.data[sender.index() * self.n + receiver.index()]
+    pub fn row(
+        &self,
+        sender: LinkId,
+        links: &LinkSet,
+        channel: &RayleighChannel,
+        powers: Option<&[f64]>,
+    ) -> &[f64] {
+        let i = sender.index();
+        self.rows[i].get_or_init(|| {
+            rows_filled().incr();
+            fill(links, channel, powers, i)
+        })
     }
 
-    /// Row `i`: the factors of sender `i` on every receiver.
+    /// Row `sender` if it has been read, without filling it.
     #[inline]
-    pub fn row(&self, sender: LinkId) -> &[f64] {
-        let i = sender.index();
-        &self.data[i * self.n..(i + 1) * self.n]
+    pub fn filled_row(&self, sender: LinkId) -> Option<&[f64]> {
+        self.rows[sender.index()].get().map(Vec::as_slice)
     }
 
-    /// Calls `f(receiver, factor)` for every off-diagonal factor of
-    /// `sender`.
-    pub fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let i = sender.index();
-        for (j, &v) in self.row(sender).iter().enumerate() {
-            if j != i {
-                f(LinkId(j as u32), v);
-            }
-        }
+    /// How many rows have been read.
+    pub fn rows_filled(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
     }
 
-    /// Number of stored off-diagonal factors, `N·(N−1)`.
-    pub fn stored_factors(&self) -> u64 {
-        let n = self.n as u64;
-        n.saturating_mul(n.saturating_sub(1))
+    /// Whether every factor of `self` and `other`, two matrices over
+    /// the same geometry, agrees bit for bit: a row read in either is
+    /// compared with the other's (or with a fresh evaluation), and a
+    /// row read in neither is the same evaluation on both sides.
+    pub(crate) fn same_factors(
+        &self,
+        other: &Self,
+        links: &LinkSet,
+        channel: &RayleighChannel,
+        powers: Option<&[f64]>,
+    ) -> bool {
+        let bits = |row: &[f64]| row.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let fresh = |i: usize| {
+            let row = (0..links.len()).map(|j| entry(links, channel, powers, i, j));
+            row.map(f64::to_bits).collect::<Vec<_>>()
+        };
+        self.len() == other.len()
+            && (0..self.len()).all(|i| match (self.rows[i].get(), other.rows[i].get()) {
+                (None, None) => true,
+                (Some(a), Some(b)) => bits(a) == bits(b),
+                (Some(row), None) | (None, Some(row)) => bits(row) == fresh(i),
+            })
     }
 
     /// Grows the matrix in place to cover `links` (the *extended* link
-    /// set; the first `self.len()` links must be unchanged). Existing
-    /// entries are kept verbatim; only the new rows and the new columns
-    /// of old rows are evaluated — `O(N·a)` transcendentals for `a`
-    /// appended links instead of the full `O(N²)` rebuild. Every entry
-    /// is a pure per-pair formula evaluation, so the result is
-    /// bit-identical to [`build`](Self::build) over the extended set.
+    /// set; the first `self.len()` links must be unchanged). The new
+    /// rows start unread; each read row gains its new columns, the only
+    /// factors evaluated. Returns how many were.
     ///
     /// # Panics
     /// Panics if `links` is smaller than the current matrix or `powers`
@@ -180,61 +209,31 @@ impl InterferenceMatrix {
         channel: &RayleighChannel,
         powers: Option<&[f64]>,
     ) -> u64 {
-        let n = self.n;
-        let m = links.len();
+        let (n, m) = (self.len(), links.len());
         assert!(m >= n, "append cannot shrink the matrix");
         if let Some(p) = powers {
             assert_eq!(p.len(), m, "power vector length mismatch");
         }
-        if m == n {
-            return 0;
-        }
-        // Re-layout rows for the wider stride, back to front so the
-        // moves never overlap destructively; new slots are filled below.
-        self.data.resize(m * m, 0.0);
-        for i in (1..n).rev() {
-            self.data.copy_within(i * n..(i + 1) * n, i * m);
-        }
-        let entry = |i: usize, j: usize| -> f64 {
-            if i == j {
-                return 0.0;
-            }
-            let d_ij = links.sender_receiver_distance(LinkId(i as u32), LinkId(j as u32));
-            let d_jj = links.length(LinkId(j as u32));
-            match powers {
-                None => channel.interference_factor(d_ij, d_jj),
-                Some(p) => channel.interference_factor_scaled(d_ij, d_jj, p[i], p[j]),
-            }
-        };
-        // New columns of old rows, then the new rows in full.
-        for i in 0..n {
-            for j in n..m {
-                self.data[i * m + j] = entry(i, j);
+        let mut cells = 0;
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if let Some(row) = row.get_mut() {
+                row.extend((n..m).map(|j| entry(links, channel, powers, i, j)));
+                cells += (m - n) as u64;
             }
         }
-        for i in n..m {
-            for j in 0..m {
-                self.data[i * m + j] = entry(i, j);
-            }
-        }
-        self.n = m;
-        (2 * n as u64 + (m - n) as u64) * (m - n) as u64
+        self.rows.resize_with(m, OnceLock::new);
+        cells
     }
 
     /// Removes a strictly-descending batch of links in place, each with
     /// `Vec::swap_remove` semantics: row and column `n−1` move into slot
-    /// `k`, matching [`LinkSet::swap_remove`]'s renumbering. No factor
-    /// is recomputed — surviving entries are moved bit-for-bit, so the
-    /// result equals a fresh build over the mutated link set. Every
-    /// move is performed in the original stride with only the logical
-    /// size shrinking, and the matrix is compacted to the final
-    /// narrower stride **once**: a batch of `r` removals costs one
-    /// `O(n²)` compaction total instead of `r` of them.
+    /// `k`, matching [`LinkSet::swap_remove`]'s renumbering. Unread rows
+    /// stay unread, and read rows move their entries bit for bit, so
+    /// the result equals a fresh build over the mutated link set.
     ///
     /// # Panics
     /// Panics if `ids` is not strictly descending or out of bounds.
     pub fn swap_remove_batch(&mut self, ids: &[LinkId]) {
-        let n = self.n;
         assert!(
             ids.windows(2).all(|w| w[0] > w[1]),
             "batch removals must be strictly descending"
@@ -242,26 +241,14 @@ impl InterferenceMatrix {
         let Some(&first) = ids.first() else {
             return;
         };
-        assert!(first.index() < n, "link index out of bounds");
-        let mut m = n; // logical size; the stride stays n until the end
+        assert!(first.index() < self.len(), "link index out of bounds");
         for &id in ids {
             let k = id.index();
-            m -= 1;
-            // Column m → column k for every surviving row plus row m
-            // itself (whose entry lands on the new diagonal as the old
-            // zero diagonal entry).
-            for r in 0..=m {
-                self.data[r * n + k] = self.data[r * n + m];
+            self.rows.swap_remove(k);
+            for row in self.rows.iter_mut().filter_map(OnceLock::get_mut) {
+                row.swap_remove(k);
             }
-            // Row m → row k, columns already remapped.
-            self.data.copy_within(m * n..m * n + m, k * n);
         }
-        // One compaction to the final stride.
-        for r in 1..m {
-            self.data.copy_within(r * n..r * n + m, r * m);
-        }
-        self.data.truncate(m * m);
-        self.n = m;
     }
 }
 
@@ -270,79 +257,42 @@ impl InterferenceMatrix {
 ///
 /// The contract every solver relies on:
 ///
-/// * [`Problem::factor`] is **exact** for *both* backends — the sparse
-///   backend recomputes unstored factors from its hashed positions and
-///   the problem's power scales through the same channel code path, so
-///   the value is bit-identical to the dense entry. Scalar lookups
-///   never see truncation error.
-/// * [`for_each_out`](Self::for_each_out) (and the sparse store's
-///   [`row_slices`](SparseInterference::row_slices)) walk only *stored*
-///   factors. Under the dense backend that is every off-diagonal pair;
-///   under the sparse backend every *omitted* factor onto a receiver
-///   `j` is at most [`cut_bound`](Self::cut_bound)`(j)`, the cut
+/// * [`Problem::factor`] is **exact** for *both* backends — the dense
+///   backend reads its (filled on demand) row, and the sparse backend
+///   recomputes unstored factors from its hashed positions and the
+///   problem's power scales through the same [`pair_factor`], so the
+///   value is bit-identical across backends. Scalar lookups never see
+///   truncation error.
+/// * [`Problem::dense_row`] and the sparse store's
+///   [`row_slices`](SparseInterference::row_slices) walk only *stored*
+///   factors. Under the dense backend that is every pair; under the
+///   sparse backend every *omitted* factor onto a receiver `j` is at
+///   most [`cut_bound`](Self::cut_bound)`(j)`, the cut
 ///   [`tail_cut`](Self::tail_cut)`(j)` plus a relative
 ///   [`CUT_RTOL`](crate::sparse::CUT_RTOL) of rounding slack, so a sum
 ///   over a selection `S` accumulated from stored factors is a lower
 ///   bound within `|S| · cut_bound(j)` of the true sum (see
 ///   [`within_budget_certified`](crate::feasibility::within_budget_certified)).
 ///
-/// An enum rather than a trait object so `Problem` keeps
-/// `Clone`/`PartialEq` and hot loops dispatch statically; the dense
-/// fast path stays a contiguous slice via [`dense_row`].
+/// An enum rather than a trait object so `Problem` keeps `Clone` and
+/// hot loops dispatch statically.
 ///
 /// [`Problem`]: crate::problem::Problem
 /// [`Problem::factor`]: crate::problem::Problem::factor
-/// [`dense_row`]: InterferenceBackend::dense_row
+/// [`Problem::dense_row`]: crate::problem::Problem::dense_row
 // One backend lives per `Problem` (never in collections), so the
 // variant size gap is irrelevant and boxing would only add a pointer
 // hop to every factor lookup.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum InterferenceBackend {
-    /// Exhaustive `N×N` matrix.
+    /// Exhaustive `N×N` matrix, rows filled on first read.
     Dense(InterferenceMatrix),
     /// Spatial-hash truncated near-field store.
     Sparse(SparseInterference),
 }
 
 impl InterferenceBackend {
-    /// Number of links `N`.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Dense(m) => m.len(),
-            Self::Sparse(s) => s.len(),
-        }
-    }
-
-    /// Whether the backend covers no links.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The dense row of `sender`, when the backend is dense — lets hot
-    /// loops keep their auto-vectorized slice walks with no indirect
-    /// calls. Sparse callers fall back to [`for_each_out`].
-    ///
-    /// [`for_each_out`]: InterferenceBackend::for_each_out
-    #[inline]
-    pub fn dense_row(&self, sender: LinkId) -> Option<&[f64]> {
-        match self {
-            Self::Dense(m) => Some(m.row(sender)),
-            Self::Sparse(_) => None,
-        }
-    }
-
-    /// Calls `f(receiver, factor)` for every *stored* out-factor of
-    /// `sender` (dense: all `j ≠ sender`).
-    #[inline]
-    pub fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        match self {
-            Self::Dense(m) => m.for_each_out(sender, f),
-            Self::Sparse(s) => s.for_each_out(sender, f),
-        }
-    }
-
     /// The truncation cut of `receiver` (`0` ⇒ iteration is
     /// exhaustive for it; always under the dense backend).
     #[inline]
@@ -354,8 +304,8 @@ impl InterferenceBackend {
     }
 
     /// Certified upper bound on any single factor onto `receiver` that
-    /// the iteration methods omit (see
-    /// [`SparseInterference::cut_bound`]; `0` under the dense backend).
+    /// the stored rows omit (see [`SparseInterference::cut_bound`]; `0`
+    /// under the dense backend).
     #[inline]
     pub fn cut_bound(&self, receiver: LinkId) -> f64 {
         match self {
@@ -375,19 +325,19 @@ impl InterferenceBackend {
         }
     }
 
-    /// Number of stored off-diagonal factors (dense: `N·(N−1)`).
-    pub fn stored_factors(&self) -> u64 {
-        match self {
-            Self::Dense(m) => m.stored_factors(),
-            Self::Sparse(s) => s.stored_factors(),
-        }
-    }
-
     /// Backend name for logs and manifests.
     pub fn name(&self) -> &'static str {
         match self {
             Self::Dense(_) => "dense",
             Self::Sparse(_) => "sparse",
+        }
+    }
+
+    /// The dense matrix, when dense.
+    pub fn as_dense(&self) -> Option<&InterferenceMatrix> {
+        match self {
+            Self::Dense(m) => Some(m),
+            Self::Sparse(_) => None,
         }
     }
 
@@ -406,143 +356,134 @@ mod tests {
     use fading_channel::ChannelParams;
     use fading_net::{TopologyGenerator, UniformGenerator};
 
-    fn build(n: usize, seed: u64) -> (LinkSet, InterferenceMatrix) {
-        let links = UniformGenerator::paper(n).generate(seed);
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let m = InterferenceMatrix::build(&links, &channel, None);
-        (links, m)
+    /// A matrix with the geometry its rows are read from.
+    struct Fixture {
+        links: LinkSet,
+        channel: RayleighChannel,
+        powers: Option<Vec<f64>>,
+        m: InterferenceMatrix,
+    }
+
+    impl Fixture {
+        fn new(links: LinkSet, powers: Option<Vec<f64>>) -> Self {
+            let m = InterferenceMatrix::build(&links, powers.as_deref());
+            Self {
+                links,
+                channel: RayleighChannel::new(ChannelParams::paper_defaults()),
+                powers,
+                m,
+            }
+        }
+
+        fn paper(n: usize, seed: u64) -> Self {
+            Self::new(UniformGenerator::paper(n).generate(seed), None)
+        }
+
+        fn row(&self, i: LinkId) -> &[f64] {
+            self.m
+                .row(i, &self.links, &self.channel, self.powers.as_deref())
+        }
+
+        /// The per-pair formula.
+        fn formula(&self, i: LinkId, j: LinkId) -> f64 {
+            if i == j {
+                return 0.0;
+            }
+            let (d_ij, d_jj) = (
+                self.links.sender_receiver_distance(i, j),
+                self.links.length(j),
+            );
+            match &self.powers {
+                None => self.channel.interference_factor(d_ij, d_jj),
+                Some(p) => {
+                    self.channel
+                        .interference_factor_scaled(d_ij, d_jj, p[i.index()], p[j.index()])
+                }
+            }
+        }
+
+        /// Every read row against the formula, and the matrix against a
+        /// fresh one over the same geometry.
+        fn assert_fresh(&self, label: &str) {
+            assert_eq!(self.m.len(), self.links.len(), "{label}");
+            for i in self.links.ids() {
+                if let Some(row) = self.m.filled_row(i) {
+                    for j in self.links.ids() {
+                        assert_eq!(
+                            row[j.index()].to_bits(),
+                            self.formula(i, j).to_bits(),
+                            "{label}: f({i},{j})"
+                        );
+                    }
+                }
+            }
+            let fresh = InterferenceMatrix::build(&self.links, self.powers.as_deref());
+            let powers = self.powers.as_deref();
+            assert!(
+                self.m
+                    .same_factors(&fresh, &self.links, &self.channel, powers),
+                "{label}"
+            );
+        }
     }
 
     #[test]
     fn diagonal_is_zero() {
-        let (links, m) = build(30, 1);
-        for id in links.ids() {
-            assert_eq!(m.factor(id, id), 0.0);
+        let f = Fixture::paper(30, 1);
+        for id in f.links.ids() {
+            assert_eq!(f.row(id)[id.index()], 0.0);
         }
     }
 
     #[test]
     fn entries_match_direct_formula() {
-        let (links, m) = build(20, 2);
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        for i in links.ids() {
-            for j in links.ids() {
-                if i == j {
-                    continue;
-                }
-                let d_ij = links.sender_receiver_distance(i, j);
-                let d_jj = links.length(j);
-                let expect = channel.interference_factor(d_ij, d_jj);
-                assert_eq!(m.factor(i, j), expect, "f({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        // 100 links crosses PARALLEL_THRESHOLD; rebuild a 100-link
-        // instance and check entries against the scalar formula.
-        let (links, m) = build(100, 3);
-        assert_eq!(m.len(), 100);
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        for i in links.ids().step_by(7) {
-            for j in links.ids().step_by(11) {
-                if i == j {
-                    continue;
-                }
-                let expect = channel
-                    .interference_factor(links.sender_receiver_distance(i, j), links.length(j));
-                assert_eq!(m.factor(i, j), expect);
-            }
-        }
-    }
-
-    #[test]
-    fn build_is_identical_across_the_parallel_threshold() {
-        // Regression pin: crossing PARALLEL_THRESHOLD must not change a
-        // single bit of the output. n = 63 builds sequentially, n = 64
-        // switches to rayon, n = 65 stays parallel; all three must match
-        // an entry-by-entry scalar rebuild exactly.
-        assert_eq!(PARALLEL_THRESHOLD, 64);
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        for n in [
-            PARALLEL_THRESHOLD - 1,
-            PARALLEL_THRESHOLD,
-            PARALLEL_THRESHOLD + 1,
-        ] {
+        // Uniform and power-scaled, at sizes around the 64 links where
+        // the sparse build switches to rayon.
+        for n in [20, 63, 64, 65] {
             let links = UniformGenerator::paper(n).generate(20170714);
-            let m = InterferenceMatrix::build(&links, &channel, None);
-            for i in links.ids() {
-                for j in links.ids() {
-                    let expect = if i == j {
-                        0.0
-                    } else {
-                        channel.interference_factor(
-                            links.sender_receiver_distance(i, j),
-                            links.length(j),
-                        )
-                    };
-                    assert!(
-                        m.factor(i, j).to_bits() == expect.to_bits(),
-                        "n={n}: f({i},{j}) = {} differs from scalar {expect}",
-                        m.factor(i, j)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn powered_build_is_identical_across_the_parallel_threshold() {
-        // Same pin for the power-scaled branch of the shared closure.
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        for n in [
-            PARALLEL_THRESHOLD - 1,
-            PARALLEL_THRESHOLD,
-            PARALLEL_THRESHOLD + 1,
-        ] {
-            let links = UniformGenerator::paper(n).generate(42);
             let powers: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
-            let m = InterferenceMatrix::build(&links, &channel, Some(&powers));
-            for i in links.ids() {
-                for j in links.ids() {
-                    let expect = if i == j {
-                        0.0
-                    } else {
-                        channel.interference_factor_scaled(
-                            links.sender_receiver_distance(i, j),
-                            links.length(j),
-                            powers[i.index()],
-                            powers[j.index()],
-                        )
-                    };
-                    assert!(
-                        m.factor(i, j).to_bits() == expect.to_bits(),
-                        "n={n}: scaled f({i},{j}) mismatch"
-                    );
+            for f in [
+                Fixture::new(links.clone(), None),
+                Fixture::new(links, Some(powers)),
+            ] {
+                for i in f.links.ids() {
+                    for j in f.links.ids() {
+                        assert_eq!(
+                            f.row(i)[j.index()].to_bits(),
+                            f.formula(i, j).to_bits(),
+                            "n={n}: f({i},{j})"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn row_slices_align_with_factor() {
-        let (links, m) = build(15, 4);
-        for i in links.ids() {
-            let row = m.row(i);
-            for j in links.ids() {
-                assert_eq!(row[j.index()], m.factor(i, j));
-            }
-        }
+    fn rows_fill_once_on_first_read() {
+        let f = Fixture::paper(40, 2);
+        assert_eq!(f.m.rows_filled(), 0);
+        assert!(f.m.filled_row(LinkId(3)).is_none());
+        let first = f.row(LinkId(3)).as_ptr();
+        assert_eq!(
+            f.row(LinkId(3)).as_ptr(),
+            first,
+            "a second read reuses the row"
+        );
+        f.row(LinkId(7));
+        assert_eq!(f.m.rows_filled(), 2);
+        assert_eq!(f.m.filled_row(LinkId(3)), Some(f.row(LinkId(3))));
+        // A clone carries the read rows.
+        assert_eq!(f.m.clone().rows_filled(), 2);
     }
 
     #[test]
     fn all_factors_are_positive_off_diagonal() {
-        let (links, m) = build(40, 5);
-        for i in links.ids() {
-            for j in links.ids() {
+        let f = Fixture::paper(40, 5);
+        for i in f.links.ids() {
+            for j in f.links.ids() {
                 if i != j {
-                    assert!(m.factor(i, j) > 0.0, "f({i},{j}) must be positive");
+                    assert!(f.row(i)[j.index()] > 0.0, "f({i},{j}) must be positive");
                 }
             }
         }
@@ -550,112 +491,119 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let links = LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let m = InterferenceMatrix::build(&links, &channel, None);
-        assert!(m.is_empty());
-        assert_eq!(m.stored_factors(), 0);
+        let f = Fixture::new(LinkSet::new(fading_geom::Rect::square(1.0), vec![]), None);
+        assert!(f.m.is_empty());
+        assert_eq!(f.m.rows_filled(), 0);
     }
 
     #[test]
-    fn dense_model_iteration_matches_rows() {
-        let (links, m) = build(12, 6);
-        for i in links.ids() {
-            let mut seen = vec![];
-            m.for_each_out(i, &mut |j, f| seen.push((j, f)));
-            assert_eq!(seen.len(), links.len() - 1);
-            for (j, f) in seen {
-                assert_ne!(j, i, "diagonal must be skipped");
-                assert_eq!(f, m.factor(i, j));
-            }
-        }
-        assert_eq!(m.stored_factors(), 12 * 11);
-        let backend = InterferenceBackend::Dense(m);
-        for j in links.ids() {
-            assert_eq!(backend.tail_cut(j), 0.0);
-            assert_eq!(backend.cut_bound(j), 0.0);
-        }
+    #[should_panic(expected = "power scales must be positive")]
+    fn rejects_non_positive_power_scales() {
+        let links = UniformGenerator::paper(3).generate(1);
+        InterferenceMatrix::build(&links, Some(&[1.0, 0.0, 1.0]));
     }
 
     #[test]
     fn append_matches_fresh_build() {
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        // Cross PARALLEL_THRESHOLD so the fresh reference build takes
-        // the rayon path while append fills scalar — must still match
-        // bit for bit.
         let full = UniformGenerator::paper(70).generate(8);
         let head = {
             let keep: Vec<LinkId> = (0..50).map(LinkId).collect();
             full.restrict(&keep).0
         };
-        let mut m = InterferenceMatrix::build(&head, &channel, None);
-        let added = m.append(&full, &channel, None);
-        assert_eq!(added, 70 * 70 - 50 * 50);
-        let fresh = InterferenceMatrix::build(&full, &channel, None);
-        assert_eq!(m, fresh);
-        // Power-scaled variant.
         let powers: Vec<f64> = (0..70).map(|i| 0.5 + (i % 5) as f64 * 0.375).collect();
-        let mut m = InterferenceMatrix::build(&head, &channel, Some(&powers[..50]));
-        m.append(&full, &channel, Some(&powers));
-        assert_eq!(m, InterferenceMatrix::build(&full, &channel, Some(&powers)));
+        for powers in [None, Some(powers)] {
+            let mut f = Fixture::new(head.clone(), powers.as_ref().map(|p| p[..50].to_vec()));
+            // Rows read before the append gain their new columns; the
+            // others, and the new rows, stay unread.
+            for i in [0u32, 17, 49] {
+                f.row(LinkId(i));
+            }
+            f.links = full.clone();
+            f.powers = powers;
+            let cells = f.m.append(&f.links, &f.channel, f.powers.as_deref());
+            assert_eq!(cells, 3 * 20);
+            assert_eq!(f.m.rows_filled(), 3);
+            f.assert_fresh("append");
+            f.row(LinkId(60));
+            f.assert_fresh("append, then a new row read");
+        }
     }
 
     #[test]
     fn swap_remove_matches_fresh_build() {
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let mut links = UniformGenerator::paper(40).generate(9);
-        let mut m = InterferenceMatrix::build(&links, &channel, None);
-        // Interior, tail, and repeated one-link removals.
-        for k in [7u32, 38, 0, 20] {
-            m.swap_remove_batch(&[LinkId(k)]);
-            links.swap_remove(LinkId(k));
-            assert_eq!(
-                m,
-                InterferenceMatrix::build(&links, &channel, None),
-                "k={k}"
-            );
+        let mut f = Fixture::paper(40, 9);
+        for i in [7u32, 39, 0, 20, 33] {
+            f.row(LinkId(i));
         }
-        // Drain to empty.
-        while !m.is_empty() {
-            m.swap_remove_batch(&[LinkId(m.len() as u32 - 1)]);
+        // A read row removed (7) with the read tail (39) moved into its
+        // hole, that moved row removed in turn (7 again), the unread
+        // tail removed (37), then two more read rows (0, 20).
+        for k in [7u32, 7, 37, 0, 20] {
+            f.m.swap_remove_batch(&[LinkId(k)]);
+            f.links.swap_remove(LinkId(k));
+            f.assert_fresh(&format!("k={k}"));
         }
-        assert!(m.is_empty());
+        while !f.m.is_empty() {
+            let last = LinkId(f.m.len() as u32 - 1);
+            f.m.swap_remove_batch(&[last]);
+            f.links.swap_remove(last);
+        }
+        assert!(f.m.is_empty());
     }
 
     #[test]
     fn swap_remove_batch_matches_sequential() {
-        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let links = UniformGenerator::paper(40).generate(9);
-        let built = InterferenceMatrix::build(&links, &channel, None);
-        // Interior, tail, and head in one batch (descending), against
-        // the same removals as a chain of one-link batches.
+        let f = Fixture::paper(40, 9);
+        for i in [38u32, 5, 7, 39] {
+            f.row(LinkId(i));
+        }
         let ids = [LinkId(38), LinkId(20), LinkId(7), LinkId(0)];
-        let mut sequential = built.clone();
+        let mut sequential = f.m.clone();
         for &id in &ids {
             sequential.swap_remove_batch(&[id]);
         }
-        let mut batched = built.clone();
+        let mut batched = f.m.clone();
         batched.swap_remove_batch(&ids);
-        assert_eq!(batched, sequential);
-        // Empty batch is a no-op; a full drain truncates to zero.
+        let mut links = f.links.clone();
+        for &id in &ids {
+            links.swap_remove(id);
+        }
+        assert_eq!(batched.rows_filled(), sequential.rows_filled());
+        for i in links.ids() {
+            assert_eq!(batched.filled_row(i), sequential.filled_row(i), "row {i}");
+        }
+        assert!(batched.same_factors(&sequential, &links, &f.channel, None));
+        // Empty batch is a no-op; a full drain empties it.
         batched.swap_remove_batch(&[]);
-        assert_eq!(batched, sequential);
+        assert_eq!(batched.len(), links.len());
         let all: Vec<LinkId> = (0..batched.len() as u32).rev().map(LinkId).collect();
         batched.swap_remove_batch(&all);
         assert!(batched.is_empty());
     }
 
     #[test]
+    fn same_factors_sees_a_wrong_read_row() {
+        let f = Fixture::paper(12, 4);
+        let fresh = f.m.clone();
+        f.row(LinkId(2));
+        assert!(f.m.same_factors(&fresh, &f.links, &f.channel, None));
+        let mut wrong = f.m.clone();
+        wrong.rows[2].get_mut().expect("read")[5] += 1e-12;
+        assert!(!wrong.same_factors(&fresh, &f.links, &f.channel, None));
+        assert!(!fresh.same_factors(&wrong, &f.links, &f.channel, None));
+    }
+
+    #[test]
     fn backend_enum_delegates_to_dense() {
-        let (links, m) = build(10, 7);
-        let backend = InterferenceBackend::Dense(m.clone());
-        assert_eq!(backend.len(), 10);
+        let f = Fixture::paper(10, 7);
+        let backend = InterferenceBackend::Dense(f.m.clone());
         assert_eq!(backend.name(), "dense");
         assert!(backend.as_sparse().is_none());
-        for i in links.ids() {
-            assert_eq!(backend.dense_row(i), Some(m.row(i)));
+        assert!(backend.as_dense().is_some());
+        for i in f.links.ids() {
             assert_eq!(backend.cut_bound(i), 0.0);
-            for j in links.ids() {
+            assert_eq!(backend.tail_cut(i), 0.0);
+            for j in f.links.ids() {
                 assert_eq!(backend.omitted_bound(i, j), None);
             }
         }

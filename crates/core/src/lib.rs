@@ -9,8 +9,9 @@
 //! reliability target under concurrent senders `P` iff
 //! `Σ_{i∈P\{j}} f_{i,j} ≤ γ_ε`, with interference factors
 //! `f_{i,j} = ln(1 + γ_th (d_jj/d_ij)^α)` served by an
-//! [`interference::InterferenceBackend`]: either the dense precomputed
-//! [`interference::InterferenceMatrix`] (the paper-scale default) or
+//! [`interference::InterferenceBackend`]: either the dense
+//! [`interference::InterferenceMatrix`], whose rows are evaluated on
+//! first read (the paper-scale default), or
 //! the spatial-hash truncated [`sparse::SparseInterference`] with a
 //! certified tail budget (the `10⁵`-link scale path; see
 //! `docs/interference.md`).

@@ -118,22 +118,31 @@ pub struct Problem {
 
 /// Content equality — everything except the [`stamp`](Problem::stamp)
 /// identity and the external handles (two independently built but
-/// bit-identical instances compare equal).
+/// bit-identical instances compare equal). Which dense rows have been
+/// read does not matter: every row read on either side is compared bit
+/// for bit, and a row read on neither is the same evaluation of the
+/// same geometry.
 impl PartialEq for Problem {
     fn eq(&self, other: &Self) -> bool {
         self.links == other.links
             && self.channel == other.channel
             && self.epsilon == other.epsilon
             && self.gamma_eps == other.gamma_eps
-            && self.factors == other.factors
             && self.power_scales == other.power_scales
+            && match (&self.factors, &other.factors) {
+                (InterferenceBackend::Dense(a), InterferenceBackend::Dense(b)) => {
+                    a.same_factors(b, &self.links, &self.channel, self.power_scales.as_deref())
+                }
+                (InterferenceBackend::Sparse(a), InterferenceBackend::Sparse(b)) => a == b,
+                _ => false,
+            }
     }
 }
 
 impl Problem {
-    /// Builds an instance with the dense backend; precomputes the `N×N`
-    /// interference matrix. For non-default backends, power scales, or
-    /// ε, use [`Problem::builder`].
+    /// Builds an instance with the dense backend, whose `N×N`
+    /// interference rows are evaluated on first read. For non-default
+    /// backends, power scales, or ε, use [`Problem::builder`].
     ///
     /// # Panics
     /// Panics if `epsilon` is outside `(0, 1)`.
@@ -166,7 +175,7 @@ impl Problem {
         let powers = power_scales.as_deref();
         let factors = match backend.resolve(links.len()) {
             BackendChoice::Dense => {
-                InterferenceBackend::Dense(InterferenceMatrix::build(&links, &channel, powers))
+                InterferenceBackend::Dense(InterferenceMatrix::build(&links, powers))
             }
             BackendChoice::Sparse(config) => InterferenceBackend::Sparse(
                 SparseInterference::build(&links, &channel, powers, gamma_eps, config),
@@ -199,8 +208,9 @@ impl Problem {
     /// `Vec::swap_remove` semantics: the current tail link takes the
     /// vacated id. New links then take dense ids `n..n+k` in spec
     /// order. The interference state is *patched*, not rebuilt: the
-    /// dense matrix moves surviving entries bit-for-bit and evaluates
-    /// only the new rows/columns; the sparse CSR gets targeted row
+    /// dense matrix touches only the rows already read, moving their
+    /// surviving entries bit-for-bit and evaluating their new columns
+    /// (new rows start unread); the sparse CSR gets targeted row
     /// edits, the new links' rows/columns via spatial-hash gathers, and
     /// one envelope reconcile, with certified cuts only ever re-derived
     /// by the build formula (so truncation bounds stay true and
@@ -359,8 +369,8 @@ impl Problem {
 
     /// Commits validated removals (descending, deduplicated dense ids)
     /// and adds in one transaction: links, power scales, and position
-    /// index first, then **one** backend patch pass (dense: batched
-    /// column/row gather plus one relayout append; sparse: one
+    /// index first, then **one** backend patch pass (dense: the read
+    /// rows' swap-removes and new columns; sparse: one
     /// deferred-reconcile [`SparseInterference::apply_batch`] reading
     /// the committed power scales), then a single stamp bump.
     /// Infallible — callers validate first.
@@ -539,15 +549,36 @@ impl Problem {
     }
 
     /// Interference factor `f_{i,j}` (Eq. (17)) — exact under every
-    /// backend (`0` on the diagonal): the dense matrix entry, or the
-    /// sparse store's recomputation under this instance's power scales.
+    /// backend (`0` on the diagonal): the entry of the dense row
+    /// [`dense_row`](Self::dense_row) reads, or the sparse store's
+    /// recomputation under this instance's power scales.
     #[inline]
     pub fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
         match &self.factors {
-            InterferenceBackend::Dense(m) => m.factor(sender, receiver),
+            InterferenceBackend::Dense(_) => {
+                self.dense_row(sender).expect("a dense store")[receiver.index()]
+            }
             InterferenceBackend::Sparse(s) => {
                 s.factor(sender, receiver, self.power_scales.as_deref())
             }
+        }
+    }
+
+    /// Row `sender` of the dense matrix — its factors on every receiver,
+    /// evaluated from this instance's links, channel and power scales on
+    /// the first read — so hot loops keep their slice walks. `None`
+    /// under the sparse backend, whose rows are
+    /// [`row_slices`](SparseInterference::row_slices).
+    #[inline]
+    pub fn dense_row(&self, sender: LinkId) -> Option<&[f64]> {
+        match &self.factors {
+            InterferenceBackend::Dense(m) => Some(m.row(
+                sender,
+                &self.links,
+                &self.channel,
+                self.power_scales.as_deref(),
+            )),
+            InterferenceBackend::Sparse(_) => None,
         }
     }
 
@@ -606,7 +637,8 @@ impl ProblemBuilder {
         self
     }
 
-    /// Builds the instance, precomputing the interference state.
+    /// Builds the instance and its interference store: the sparse CSR
+    /// in full, the dense matrix with every row left for its first read.
     ///
     /// # Panics
     /// Panics if `epsilon` is outside `(0, 1)`, or on power-scale
@@ -634,7 +666,6 @@ mod tests {
         assert_eq!(p.len(), 25);
         assert_eq!(p.epsilon(), 0.01);
         assert_eq!(p.params().alpha, 3.0);
-        assert_eq!(p.factors().len(), 25);
         assert_eq!(p.factors().name(), "dense");
         assert!((p.gamma_eps() - (1.0f64 / 0.99).ln()).abs() < 1e-12);
         assert_eq!(p.links(), &links);
@@ -646,7 +677,7 @@ mod tests {
         let p = Problem::paper(links, 3.0);
         for i in p.links().ids() {
             for j in p.links().ids() {
-                let row = p.factors().dense_row(i).expect("dense backend");
+                let row = p.dense_row(i).expect("dense backend");
                 assert_eq!(p.factor(i, j), row[j.index()]);
             }
         }

@@ -38,13 +38,17 @@
 //! that computes a factor.
 
 use crate::feasibility::BUDGET_RTOL;
-use crate::interference::PARALLEL_THRESHOLD;
+use crate::interference::pair_factor;
 use crate::mutate::LinkSpec;
 use fading_channel::RayleighChannel;
 use fading_geom::{Point2, SpatialHash};
 use fading_net::{LinkId, LinkSet};
 use fading_obs::PhaseTimer;
 use rayon::prelude::*;
+
+/// Instances below this size are built sequentially; the rayon
+/// fork-join overhead only pays off once gathers get expensive.
+const PARALLEL_THRESHOLD: usize = 64;
 
 /// Relative slack on the per-receiver cut: an omitted factor is at most
 /// `tail_cut(j) · (1 + CUT_RTOL)`. The radius formula rounds, so a
@@ -255,15 +259,8 @@ impl SparseInterference {
             sender_hash.for_each_in_radius(&receivers[j], radius[j], |i| {
                 if i as usize != j {
                     let i = i as usize;
-                    let f = pair_factor(
-                        channel,
-                        &senders[i],
-                        &receivers[j],
-                        lengths[j],
-                        powers,
-                        i,
-                        j,
-                    );
+                    let d_ij = senders[i].distance(&receivers[j]);
+                    let f = pair_factor(channel, d_ij, lengths[j], powers, i, j);
                     found.push((i as u32, f));
                 }
             });
@@ -386,15 +383,8 @@ impl SparseInterference {
     /// `f_{i,j}` between two hashed links.
     #[inline]
     fn hashed_factor(&self, i: usize, j: usize, powers: Option<&[f64]>) -> f64 {
-        pair_factor(
-            &self.channel,
-            &self.sender_hash.points()[i],
-            &self.receiver_hash.points()[j],
-            self.lengths[j],
-            powers,
-            i,
-            j,
-        )
+        let d_ij = self.sender_hash.points()[i].distance(&self.receiver_hash.points()[j]);
+        pair_factor(&self.channel, d_ij, self.lengths[j], powers, i, j)
     }
 
     /// Stored out-factors of `sender` (every omitted receiver `j` has
@@ -666,15 +656,8 @@ impl SparseInterference {
                 .for_each_in_radius(&receiver, self.radius[t], |i| col.push(i));
             for i in col.drain(..) {
                 let i = i as usize;
-                let f = pair_factor(
-                    &self.channel,
-                    &self.sender_hash.points()[i],
-                    &receiver,
-                    self.lengths[t],
-                    powers,
-                    i,
-                    t,
-                );
+                let d_it = self.sender_hash.points()[i].distance(&receiver);
+                let f = pair_factor(&self.channel, d_it, self.lengths[t], powers, i, t);
                 self.row_insert(i, t as u32, f);
             }
             laps.lap(ApplyPhase::ColWire as usize);
@@ -699,15 +682,8 @@ impl SparseInterference {
             let lo = self.arena_receivers.len();
             for &j in &hits {
                 let j = j as usize;
-                let f = pair_factor(
-                    &self.channel,
-                    &sender,
-                    &self.receiver_hash.points()[j],
-                    self.lengths[j],
-                    powers,
-                    t,
-                    j,
-                );
+                let d_tj = sender.distance(&self.receiver_hash.points()[j]);
+                let f = pair_factor(&self.channel, d_tj, self.lengths[j], powers, t, j);
                 self.arena_receivers.push(j as u32);
                 self.arena_factors.push(f);
             }
@@ -951,27 +927,6 @@ fn apply_hists() -> &'static [fading_obs::Histogram; APPLY_PHASES] {
     })
 }
 
-/// `f_{i,j}` from the positions of sender `i` and receiver `j` and the
-/// length `d_jj` of link `j` — the single code path both the stored
-/// build and on-demand lookups share (and the same one the dense build
-/// uses), so every value is bit-identical across backends.
-#[inline]
-fn pair_factor(
-    channel: &RayleighChannel,
-    sender: &Point2,
-    receiver: &Point2,
-    d_jj: f64,
-    powers: Option<&[f64]>,
-    i: usize,
-    j: usize,
-) -> f64 {
-    let d_ij = sender.distance(receiver);
-    match powers {
-        None => channel.interference_factor(d_ij, d_jj),
-        Some(p) => channel.interference_factor_scaled(d_ij, d_jj, p[i], p[j]),
-    }
-}
-
 /// Per-receiver truncation radius and certified cut: the distance at
 /// which the worst-case factor onto a receiver of length `d_jj` drops
 /// to `τ`, clamped to the instance diameter (⇒ exhaustive, cut 0). The
@@ -1107,19 +1062,15 @@ fn instance_diameter<'a>(endpoints: impl IntoIterator<Item = &'a Point2>) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interference::InterferenceMatrix;
+    use crate::Problem;
     use fading_channel::ChannelParams;
     use fading_math::gamma_eps;
     use fading_net::{TopologyGenerator, UniformGenerator};
 
-    fn paper_pair(
-        n: usize,
-        seed: u64,
-        rtol: f64,
-    ) -> (LinkSet, InterferenceMatrix, SparseInterference) {
+    fn paper_pair(n: usize, seed: u64, rtol: f64) -> (LinkSet, Problem, SparseInterference) {
         let links = UniformGenerator::paper(n).generate(seed);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
-        let dense = InterferenceMatrix::build(&links, &channel, None);
+        let dense = Problem::builder(links.clone(), channel.params).build();
         let sparse = SparseInterference::build(
             &links,
             &channel,
@@ -1152,7 +1103,10 @@ mod tests {
         // pair stored, all cuts zero.
         let (_, dense, sparse) = paper_pair(50, 10, SparseConfig::certified().tail_rtol);
         assert_eq!(sparse.max_tail_cut(), 0.0);
-        assert_eq!(sparse.stored_factors(), dense.stored_factors());
+        assert_eq!(
+            sparse.stored_factors(),
+            (dense.len() * (dense.len() - 1)) as u64
+        );
     }
 
     #[test]
@@ -1161,7 +1115,7 @@ mod tests {
         // every pruned factor must be below its receiver's cut.
         let (links, dense, sparse) = paper_pair(80, 11, 0.5);
         assert!(sparse.max_tail_cut() > 0.0, "0.5·γ_ε must truncate");
-        assert!(sparse.stored_factors() < dense.stored_factors());
+        assert!(sparse.stored_factors() < (links.len() * (links.len() - 1)) as u64);
         for i in links.ids() {
             let mut stored = vec![false; links.len()];
             sparse.for_each_out(i, &mut |j, f| {
@@ -1250,7 +1204,9 @@ mod tests {
         let links = UniformGenerator::paper(30).generate(13);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let powers: Vec<f64> = (0..30).map(|i| 0.5 + (i % 5) as f64 * 0.5).collect();
-        let dense = InterferenceMatrix::build(&links, &channel, Some(&powers));
+        let dense = Problem::builder(links.clone(), channel.params)
+            .power_scales(powers.clone())
+            .build();
         let sparse = SparseInterference::build(
             &links,
             &channel,

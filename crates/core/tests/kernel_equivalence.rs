@@ -111,7 +111,6 @@ fn reference_rle_picks(p: &Problem, c1: f64, c2: f64) -> Vec<u32> {
             }
         }
         let row = p
-            .factors()
             .dense_row(i)
             .expect("reference requires the dense backend");
         for j in 0..n {

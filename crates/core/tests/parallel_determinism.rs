@@ -38,7 +38,6 @@ fn build_artifacts(links: &LinkSet) -> Artifacts {
         .ids()
         .flat_map(|i| {
             dense
-                .factors()
                 .dense_row(i)
                 .unwrap()
                 .iter()

@@ -46,12 +46,11 @@ pub fn convergence_trace(
     let mut out = Vec::with_capacity(checkpoints.len());
     let mut next = 0usize;
     let table = GainTable::new(problem, schedule);
+    let mut trials = table.trials(problem.channel());
     for t in 0..total {
         let mut rng = seeded_rng(split_seed(base_seed, t));
         let mut failed = 0usize;
-        table.verdicts_under(problem.channel(), &mut rng, |_, success| {
-            failed += usize::from(!success)
-        });
+        trials.verdicts(&mut rng, |_, success| failed += usize::from(!success));
         stats.push(failed as f64);
         if t + 1 == checkpoints[next] {
             out.push(TracePoint {

@@ -13,7 +13,7 @@
 //! and worker, so a trial costs only its `|S|²` draws (schedules past
 //! 2048 links stream their rows instead, to bound memory).
 
-use crate::slot::GainTable;
+use crate::slot::{GainTable, Trials};
 use fading_channel::FadingLaw;
 use fading_core::{Problem, Schedule};
 use fading_math::{seeded_rng, split_seed, OnlineStats, Summary};
@@ -74,10 +74,10 @@ pub fn simulate_many_under<L: FadingLaw>(
 ) -> MonteCarloStats {
     assert!(trials > 0, "at least one trial is required");
     let table = GainTable::new(problem, schedule);
-    let one = |t: u64| {
+    let one = |trials: &mut Trials<L>, t: u64| {
         let mut rng = seeded_rng(split_seed(base_seed, t));
         let (mut failed, mut delivered_rate) = (0.0, 0.0);
-        table.verdicts_under(law, &mut rng, |j, success| {
+        trials.verdicts(&mut rng, |j, success| {
             if success {
                 delivered_rate += problem.rate(j);
             } else {
@@ -90,7 +90,10 @@ pub fn simulate_many_under<L: FadingLaw>(
     let mut throughput = OnlineStats::new();
     for lo in (0..trials).step_by(TRIALS_PER_BLOCK as usize) {
         let hi = trials.min(lo + TRIALS_PER_BLOCK);
-        let outcomes: Vec<(f64, f64)> = (lo..hi).into_par_iter().map(one).collect();
+        let outcomes: Vec<(f64, f64)> = (lo..hi)
+            .into_par_iter()
+            .map_init(|| table.trials(law), one)
+            .collect();
         for (f, d) in outcomes {
             failed.push(f);
             throughput.push(d);

@@ -152,9 +152,10 @@ pub fn sinr_histogram(
 ) -> Histogram {
     let mut hist = Histogram::new(lo_db, hi_db, bins);
     let table = GainTable::new(problem, schedule);
+    let mut run = table.trials(problem.channel());
     for t in 0..trials {
         let mut rng = seeded_rng(split_seed(seed, t));
-        table.sinrs(&mut rng, |_, sinr| {
+        run.sinrs(&mut rng, |_, sinr| {
             if sinr.is_finite() && sinr > 0.0 {
                 hist.record(10.0 * sinr.log10());
             }

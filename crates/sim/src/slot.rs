@@ -77,7 +77,6 @@ use fading_math::Exponential;
 use fading_net::LinkId;
 use rand::Rng;
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Outcome of one slot realization.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,8 +107,8 @@ pub fn simulate_slot<R: Rng + ?Sized>(
         failures: Vec::new(),
         delivered_rate: 0.0,
     };
-    let law = problem.channel();
-    GainTable::streaming(problem, schedule).verdicts_under(law, rng, |j, success| {
+    let table = GainTable::streaming(problem, schedule);
+    table.trials(problem.channel()).verdicts(rng, |j, success| {
         if success {
             out.successes.push(j);
             out.delivered_rate += problem.rate(j);
@@ -127,7 +126,10 @@ pub fn realized_sinrs<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<(LinkId, f64)> {
     let mut out = Vec::with_capacity(schedule.len());
-    GainTable::streaming(problem, schedule).sinrs(rng, |j, sinr| out.push((j, sinr)));
+    let table = GainTable::streaming(problem, schedule);
+    table
+        .trials(problem.channel())
+        .sinrs(rng, |j, sinr| out.push((j, sinr)));
     out
 }
 
@@ -194,9 +196,6 @@ pub(crate) struct GainTable<'a> {
     /// Otherwise the gains, each row's [`sum_up`] of its interferer
     /// means and its [`HeavyFirst`] stages.
     gains: Option<(Vec<Exponential>, Vec<f64>, HeavyFirst)>,
-    /// Realizations' buffers, one per worker at a time, so the trials
-    /// of a batch allocate nothing and the table frees them all.
-    scratch: Mutex<Vec<Scratch>>,
 }
 
 impl<'a> GainTable<'a> {
@@ -234,63 +233,106 @@ impl<'a> GainTable<'a> {
             problem,
             ids,
             gains,
-            scratch: Mutex::default(),
         }
     }
 
-    /// The pool of realizations' buffers.
-    fn scratch(&self) -> MutexGuard<'_, Vec<Scratch>> {
-        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
+    /// A run of realizations under `law`, for one worker: see
+    /// [`Trials`].
+    pub(crate) fn trials<'t, L: FadingLaw>(&'t self, law: &'t L) -> Trials<'t, 'a, L> {
+        Trials {
+            table: self,
+            law,
+            scratch: Scratch::default(),
+        }
     }
+}
 
-    /// Runs one realization under `law`, reporting whether each
-    /// receiver succeeded, in schedule order.
-    pub(crate) fn verdicts_under<L: FadingLaw, R: Rng + ?Sized>(
-        &self,
-        law: &L,
+/// One worker's run of realizations of a [`GainTable`] under one law
+/// (`simulate_many` starts one per rayon chunk of its trials). Its
+/// buffers serve every trial of the run, so the trials allocate
+/// nothing, and it tallies the kernel's counters and the law's draws
+/// locally and adds each total once, when dropped: a trial takes no
+/// lock and touches no shared counter.
+pub(crate) struct Trials<'t, 'a, L: FadingLaw> {
+    table: &'t GainTable<'a>,
+    law: &'t L,
+    scratch: Scratch,
+}
+
+impl<L: FadingLaw> Trials<'_, '_, L> {
+    /// Runs one realization, reporting whether each receiver
+    /// succeeded, in schedule order.
+    pub(crate) fn verdicts<R: Rng + ?Sized>(
+        &mut self,
         rng: &mut R,
         mut each: impl FnMut(LinkId, bool),
     ) {
-        self.realize(law, Resolve::Verdicts, rng, |j, o| match o {
+        self.realize(Resolve::Verdicts, rng, |j, o| match o {
             RowOutcome::Exact(o) => each(j, o.success),
             RowOutcome::Certified => each(j, true),
         });
     }
 
-    /// Runs one Rayleigh realization, reporting each receiver's
-    /// realized SINR in schedule order.
-    pub(crate) fn sinrs<R: Rng + ?Sized>(&self, rng: &mut R, mut each: impl FnMut(LinkId, f64)) {
-        let law = self.problem.channel();
-        self.realize(law, Resolve::Sinrs, rng, |j, o| match o {
+    /// Runs one realization, reporting each receiver's realized SINR
+    /// in schedule order.
+    pub(crate) fn sinrs<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        mut each: impl FnMut(LinkId, f64),
+    ) {
+        self.realize(Resolve::Sinrs, rng, |j, o| match o {
             RowOutcome::Exact(o) => each(j, o.sinr),
             RowOutcome::Certified => unreachable!("Resolve::Sinrs sums every row"),
         });
     }
 
-    fn realize<L: FadingLaw, R: Rng + ?Sized>(
-        &self,
-        law: &L,
+    fn realize<R: Rng + ?Sized>(
+        &mut self,
         resolve: Resolve,
         rng: &mut R,
         each: impl FnMut(LinkId, RowOutcome),
     ) {
-        match &self.gains {
+        let (table, scratch) = (self.table, &mut self.scratch);
+        match &table.gains {
             Some((gains, sums, heavy)) => {
                 let mut rows = TableRows {
-                    k: self.ids.len(),
+                    k: table.ids.len(),
                     gains,
                     sums,
                     heavy,
                 };
-                realize(self, &mut rows, law, resolve, rng, each);
+                realize(table, &mut rows, self.law, resolve, rng, scratch, each);
             }
             None => {
-                let certify = resolve == Resolve::Verdicts && law.mean_multiplier().is_some();
-                let mut rows = StreamRows::new(self.problem, self.ids, certify);
-                realize(self, &mut rows, law, resolve, rng, each);
+                let certify = resolve == Resolve::Verdicts && self.law.mean_multiplier().is_some();
+                let mut rows = StreamRows::new(table.problem, table.ids, certify);
+                realize(table, &mut rows, self.law, resolve, rng, scratch, each);
             }
         }
     }
+}
+
+impl<L: FadingLaw> Drop for Trials<'_, '_, L> {
+    fn drop(&mut self) {
+        let [exact, signal, prefix, blocks] = counters();
+        let tally = self.scratch.tally;
+        blocks.add(tally.keystream_blocks);
+        self.law.count_draws(tally.draws);
+        exact.add(tally.exact_rows);
+        signal.add(tally.signal_certified);
+        prefix.add(tally.prefix_certified);
+    }
+}
+
+/// What a [`Trials`] run adds to the kernel's counters and the law's
+/// draw count when it ends.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    exact_rows: u64,
+    signal_certified: u64,
+    prefix_certified: u64,
+    keystream_blocks: u64,
+    draws: u64,
 }
 
 /// Uniforms per ChaCha block: 16 words, two per `next_u64`. A fresh
@@ -561,7 +603,7 @@ fn product_bounds(problem: &Problem, ids: &[LinkId], senders: &[(Point2, f64)]) 
         }
         None => {
             for &tx in ids {
-                let row = factors.dense_row(tx).expect("a dense store");
+                let row = problem.dense_row(tx).expect("a dense store");
                 for (j, rx) in ids.iter().enumerate().filter(|&(_, &rx)| rx != tx) {
                     sums[j] += row[rx.index()];
                     stored[j] += 1;
@@ -837,7 +879,8 @@ fn counters() -> [&'static fading_obs::Counter; 4] {
     ]
 }
 
-/// The buffers of [`realize`], reused across a table's realizations.
+/// The buffers of [`realize`], reused across a [`Trials`] run, and the
+/// counts the run has yet to add.
 #[derive(Default)]
 struct Scratch {
     outcomes: Vec<RowOutcome>,
@@ -845,6 +888,7 @@ struct Scratch {
     runs: Vec<Range<u64>>,
     words: Vec<u64>,
     kept: Vec<u64>,
+    tally: Tally,
 }
 
 /// A receiver whose verdict the prefixes drawn so far leave open.
@@ -879,19 +923,19 @@ struct OpenRow {
 ///    row and the full prefix's certificate; then the exact sum.
 ///
 /// Otherwise every row draws from `rng` in stream order and sums
-/// exactly.
+/// exactly. The counts go to `scratch`'s tally.
 fn realize<L: FadingLaw, R: Rng + ?Sized>(
     table: &GainTable,
     rows: &mut impl GainRows,
     law: &L,
     resolve: Resolve,
     rng: &mut R,
+    scratch: &mut Scratch,
     mut each: impl FnMut(LinkId, RowOutcome),
 ) {
     let (params, ids) = (table.problem.params(), table.ids);
     let k = ids.len();
     let others = k.saturating_sub(1);
-    let [exact_counter, signal_counter, prefix_counter, blocks_counter] = counters();
     let state = law.begin(k, rng);
     let exponential =
         resolve == Resolve::Verdicts && k > 0 && law.exponential_mean(&state, 1.0, 0).is_some();
@@ -904,7 +948,7 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
                 .map(|i| law.draw(&state, &row[i], i * k + j, rng));
             each(rx, RowOutcome::Exact(sinr_of(params, signal, interference)));
         }
-        law.count_draws((k * k) as u64);
+        scratch.tally.draws += (k * k) as u64;
         return;
     }
     let multiplier = law.mean_multiplier();
@@ -922,9 +966,8 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
         mut runs,
         mut words,
         mut kept,
-    } = table.scratch().pop().unwrap_or_default();
-    let (mut exact_rows, mut signal_certified, mut prefix_certified) = (0u64, 0u64, 0u64);
-    let mut draws = 0u64;
+        mut tally,
+    } = std::mem::take(scratch);
     for lo in (0..k).step_by(chunk) {
         let hi = (lo + chunk).min(k);
         stream.load(lo * k, hi * k);
@@ -944,8 +987,8 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
                     .any(|m| certified(params, signal, worst(m)))
             });
             if alone {
-                signal_certified += 1;
-                draws += 1;
+                tally.signal_certified += 1;
+                tally.draws += 1;
             } else {
                 open.push(OpenRow {
                     j,
@@ -997,8 +1040,8 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
                     let bound = sum + worst_interference(c, undrawn, others);
                     let decided = certified(params, row.signal, bound);
                     if decided {
-                        prefix_certified += u64::from(row.count < others);
-                        draws += 1 + row.count as u64;
+                        tally.prefix_certified += u64::from(row.count < others);
+                        tally.draws += 1 + row.count as u64;
                     }
                     !decided
                 });
@@ -1006,7 +1049,7 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
         }
         for row in &open {
             let j = row.j;
-            draws += k as u64;
+            tally.draws += k as u64;
             let words = if row.count == others {
                 // The stages drew the whole row, and its last one was the
                 // full prefix's certificate.
@@ -1028,7 +1071,7 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
                 }
                 &words[..]
             };
-            exact_rows += 1;
+            tally.exact_rows += 1;
             let gains = rows.row(j);
             let interference = (0..k).filter(|&i| i != j).zip(words).map(|(i, &word)| {
                 let mean = law.exponential_mean(&state, gains[i].mean(), i * k + j);
@@ -1041,18 +1084,15 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
             each(ids[j], outcome);
         }
     }
-    table.scratch().push(Scratch {
+    tally.keystream_blocks += stream.finish(k * k);
+    *scratch = Scratch {
         outcomes,
         open,
         runs,
         words,
         kept,
-    });
-    blocks_counter.add(stream.finish(k * k));
-    law.count_draws(draws);
-    exact_counter.add(exact_rows);
-    signal_counter.add(signal_certified);
-    prefix_counter.add(prefix_certified);
+        tally,
+    };
 }
 #[cfg(test)]
 mod tests {
@@ -1209,18 +1249,15 @@ mod tests {
             failures: Vec::new(),
             delivered_rate: 0.0,
         };
-        GainTable::with_cap(problem, schedule, max_entries).verdicts_under(
-            problem.channel(),
-            rng,
-            |j, success| {
-                if success {
-                    out.successes.push(j);
-                    out.delivered_rate += problem.rate(j);
-                } else {
-                    out.failures.push(j);
-                }
-            },
-        );
+        let table = GainTable::with_cap(problem, schedule, max_entries);
+        table.trials(problem.channel()).verdicts(rng, |j, success| {
+            if success {
+                out.successes.push(j);
+                out.delivered_rate += problem.rate(j);
+            } else {
+                out.failures.push(j);
+            }
+        });
         out
     }
 
@@ -1269,6 +1306,7 @@ mod tests {
                 prop_assert_eq!(sinr_bits(&streamed), want.clone());
                 let mut tabulated = Vec::new();
                 GainTable::new(&p, &s)
+                    .trials(p.channel())
                     .sinrs(&mut seeded_rng(rng_seed), |j, sinr| tabulated.push((j, sinr)));
                 prop_assert_eq!(sinr_bits(&tabulated), want);
                 // Consecutive slots off one stream: both paths consume

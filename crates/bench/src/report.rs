@@ -106,20 +106,11 @@ impl Recorder {
 
     /// Times `f` under the id, if the filter admits it.
     fn time<F: FnMut()>(&mut self, id: &str, f: F) {
-        if !self.wants(id) {
-            return;
+        if self.wants(id) {
+            let _span = fading_obs::span!("bench.report.measure");
+            let m = measure_ns(self.samples, self.target, f);
+            self.timed(id, m);
         }
-        let _span = fading_obs::span!("bench.report.measure");
-        let m = measure_ns(self.samples, self.target, f);
-        fading_obs::counter!("bench.report.benches").incr();
-        self.metrics.push(MetricRecord {
-            id: id.to_string(),
-            kind: MetricKind::NsPerOp,
-            value: m.median_ns,
-            ci95: m.ci95_ns,
-            samples: m.samples,
-            lower_is_better: true,
-        });
     }
 
     /// Records an externally collected timing, if the filter admits it
@@ -1129,30 +1120,44 @@ fn smoke_large_n(rec: &mut Recorder) -> Result<(), String> {
         .backend(BackendChoice::Sparse(SparseConfig::default()))
         .build();
     let build_s = build_started.elapsed().as_secs_f64();
+    sparse_substrate(&problem, "large-N", "100k")?;
+    rec.derived("smoke.large_n.build_s", MetricKind::Seconds, build_s);
+    rec.derived(
+        "smoke.large_n.wall_s",
+        MetricKind::Seconds,
+        started.elapsed().as_secs_f64(),
+    );
+    Ok(())
+}
+
+/// The checks both sparse-substrate smokes make of their problem, named
+/// `tag` in the errors, at `n` links: the store stays under the 1 GB
+/// budget and truncates, RLE picks more than 1000 links, and a sample
+/// of 256 of them is exactly feasible (factors recompute exactly
+/// regardless of truncation).
+fn sparse_substrate(problem: &Problem, tag: &str, n: &str) -> Result<(), String> {
     let model = problem
         .factors()
         .as_sparse()
-        .ok_or("large-N smoke must run on the sparse backend")?;
+        .ok_or(format!("{tag} smoke must run on the sparse backend"))?;
     let storage = model.storage_bytes();
     if storage >= 1_000_000_000 {
         return Err(format!(
-            "large-N smoke: interference storage is {storage} B, over the 1 GB budget"
+            "{tag} smoke: interference storage is {storage} B, over the 1 GB budget"
         ));
     }
     if model.max_tail_cut() <= 0.0 {
-        return Err(
-            "large-N smoke: instance was stored exhaustively, truncation unexercised".into(),
-        );
+        return Err(format!(
+            "{tag} smoke: instance was stored exhaustively, truncation unexercised"
+        ));
     }
-    let schedule = Rle::new().schedule(&problem);
+    let schedule = Rle::new().schedule(problem);
     if schedule.len() <= 1_000 {
         return Err(format!(
-            "large-N smoke: RLE picked only {} links at N = 100k",
+            "{tag} smoke: RLE picked only {} links at N = {n}",
             schedule.len()
         ));
     }
-    // Exact feasibility on a sample of receivers; factors recompute
-    // exactly regardless of truncation.
     let members: Vec<_> = schedule.iter().collect();
     let budget = problem.gamma_eps();
     let step = (members.len() / 256).max(1);
@@ -1164,17 +1169,55 @@ fn smoke_large_n(rec: &mut Recorder) -> Result<(), String> {
             .sum();
         if !fading_core::feasibility::within_budget(sum, budget) {
             return Err(format!(
-                "large-N smoke: receiver {j} exceeds γ_ε: {sum} > {budget}"
+                "{tag} smoke: receiver {j} exceeds γ_ε: {sum} > {budget}"
             ));
         }
     }
-    rec.derived("smoke.large_n.build_s", MetricKind::Seconds, build_s);
-    rec.derived(
-        "smoke.large_n.wall_s",
-        MetricKind::Seconds,
-        started.elapsed().as_secs_f64(),
-    );
     Ok(())
+}
+
+/// One engine smoke, named `tag` in the errors: runs `cfg` from
+/// `problem` and `gen` under GreedyRate + MaxWeight and returns its
+/// wall seconds. It fails unless packets were delivered `over` the
+/// horizon at `n` links and conserved, and, with `churn`, unless links
+/// both arrived and departed.
+fn engine_smoke(
+    tag: &str,
+    over: &str,
+    n: &str,
+    churn: bool,
+    problem: Problem,
+    gen: UniformGenerator,
+    cfg: fading_sim::ChurnConfig,
+) -> Result<f64, String> {
+    let started = Instant::now();
+    let result = fading_sim::ChurnEngine::new(problem, gen, cfg)
+        .run(&GreedyRate, fading_sim::ServicePolicy::MaxWeight);
+    let wall_s = started.elapsed().as_secs_f64();
+    if churn && (result.links_arrived == 0 || result.links_departed == 0) {
+        return Err(format!(
+            "{tag} smoke: no topology churn {over} ({} arrived, {} departed)",
+            result.links_arrived, result.links_departed
+        ));
+    }
+    if result.packets_delivered == 0 {
+        return Err(format!("{tag} smoke: nothing delivered {over} at n = {n}"));
+    }
+    if !result.conserves_packets() {
+        let (arrived, delivered) = (result.packets_arrived, result.packets_delivered);
+        return Err(if churn {
+            format!(
+                "{tag} smoke: packet conservation violated ({arrived} arrived != {delivered} delivered + {} abandoned + {} queued)",
+                result.packets_abandoned, result.final_backlog
+            )
+        } else {
+            format!(
+                "{tag} smoke: packet conservation violated ({arrived} arrived, {delivered} delivered, {} queued)",
+                result.final_backlog
+            )
+        });
+    }
+    Ok(wall_s)
 }
 
 /// The queueing loop (the engine over a fixed population) at n = 2000
@@ -1192,19 +1235,16 @@ fn smoke_queueing(rec: &mut Recorder) -> Result<(), String> {
     )
     .backend(BackendChoice::Dense)
     .build();
-    let started = Instant::now();
-    let result = fading_sim::ChurnEngine::new(problem, geometry, fixed_population(0.2, 200, 3))
-        .run(&GreedyRate, fading_sim::ServicePolicy::MaxWeight);
-    let wall_s = started.elapsed().as_secs_f64();
-    if result.packets_delivered == 0 {
-        return Err("queueing smoke: nothing delivered in 200 slots at n = 2000".into());
-    }
-    if !result.conserves_packets() {
-        return Err(format!(
-            "queueing smoke: packet conservation violated ({} arrived, {} delivered, {} queued)",
-            result.packets_arrived, result.packets_delivered, result.final_backlog
-        ));
-    }
+    let cfg = fixed_population(0.2, 200, 3);
+    let wall_s = engine_smoke(
+        "queueing",
+        "in 200 slots",
+        "2000",
+        false,
+        problem,
+        geometry,
+        cfg,
+    )?;
     rec.derived("smoke.queueing.wall_s", MetricKind::Seconds, wall_s);
     Ok(())
 }
@@ -1282,28 +1322,7 @@ fn smoke_churn(rec: &mut Recorder) -> Result<(), String> {
         packet_prob: 0.2,
         seed: 11,
     };
-    let started = Instant::now();
-    let result = fading_sim::ChurnEngine::new(problem, gen, cfg)
-        .run(&GreedyRate, fading_sim::ServicePolicy::MaxWeight);
-    let wall_s = started.elapsed().as_secs_f64();
-    if result.links_arrived == 0 || result.links_departed == 0 {
-        return Err(format!(
-            "churn smoke: no topology churn over 200 slots ({} arrived, {} departed)",
-            result.links_arrived, result.links_departed
-        ));
-    }
-    if result.packets_delivered == 0 {
-        return Err("churn smoke: nothing delivered over 200 slots at n = 2000".into());
-    }
-    if !result.conserves_packets() {
-        return Err(format!(
-            "churn smoke: packet conservation violated ({} arrived != {} delivered + {} abandoned + {} queued)",
-            result.packets_arrived,
-            result.packets_delivered,
-            result.packets_abandoned,
-            result.final_backlog
-        ));
-    }
+    let wall_s = engine_smoke("churn", "over 200 slots", "2000", true, problem, gen, cfg)?;
     rec.derived("smoke.churn.wall_s", MetricKind::Seconds, wall_s);
     Ok(())
 }
@@ -1333,28 +1352,15 @@ fn smoke_churn_100k(rec: &mut Recorder) -> Result<(), String> {
         packet_prob: 0.001,
         seed: 13,
     };
-    let started = Instant::now();
-    let result = fading_sim::ChurnEngine::new(problem, gen, cfg)
-        .run(&GreedyRate, fading_sim::ServicePolicy::MaxWeight);
-    let wall_s = started.elapsed().as_secs_f64();
-    if result.links_arrived == 0 || result.links_departed == 0 {
-        return Err(format!(
-            "churn 100k smoke: no topology churn over 50 slots ({} arrived, {} departed)",
-            result.links_arrived, result.links_departed
-        ));
-    }
-    if result.packets_delivered == 0 {
-        return Err("churn 100k smoke: nothing delivered over 50 slots at n = 100 000".into());
-    }
-    if !result.conserves_packets() {
-        return Err(format!(
-            "churn 100k smoke: packet conservation violated ({} arrived != {} delivered + {} abandoned + {} queued)",
-            result.packets_arrived,
-            result.packets_delivered,
-            result.packets_abandoned,
-            result.final_backlog
-        ));
-    }
+    let wall_s = engine_smoke(
+        "churn 100k",
+        "over 50 slots",
+        "100 000",
+        true,
+        problem,
+        gen,
+        cfg,
+    )?;
     rec.derived("smoke.churn_100k.wall_s", MetricKind::Seconds, wall_s);
     Ok(())
 }
@@ -1377,48 +1383,10 @@ fn smoke_million(rec: &mut Recorder) -> Result<(), String> {
         .backend(BackendChoice::Sparse(SparseConfig { tail_rtol: 0.1 }))
         .build();
     let build_s = build_started.elapsed().as_secs_f64();
-    let model = problem
-        .factors()
-        .as_sparse()
-        .ok_or("million smoke must run on the sparse backend")?;
-    let storage = model.storage_bytes();
-    if storage >= 1_000_000_000 {
-        return Err(format!(
-            "million smoke: interference storage is {storage} B, over the 1 GB budget"
-        ));
-    }
-    if model.max_tail_cut() <= 0.0 {
-        return Err(
-            "million smoke: instance was stored exhaustively, truncation unexercised".into(),
-        );
-    }
-    let rle_schedule = Rle::new().schedule(&problem);
-    if rle_schedule.len() <= 1_000 {
-        return Err(format!(
-            "million smoke: RLE picked only {} links at N = 10⁶",
-            rle_schedule.len()
-        ));
-    }
+    sparse_substrate(&problem, "million", "10⁶")?;
     let ldp_schedule = Ldp::new().schedule(&problem);
     if ldp_schedule.is_empty() {
         return Err("million smoke: LDP scheduled nothing at N = 10⁶".into());
-    }
-    // Exact feasibility on a sample of RLE receivers; factors
-    // recompute exactly regardless of truncation.
-    let members: Vec<_> = rle_schedule.iter().collect();
-    let budget = problem.gamma_eps();
-    let step = (members.len() / 256).max(1);
-    for &j in members.iter().step_by(step) {
-        let sum: f64 = members
-            .iter()
-            .filter(|&&i| i != j)
-            .map(|&i| problem.factor(i, j))
-            .sum();
-        if !fading_core::feasibility::within_budget(sum, budget) {
-            return Err(format!(
-                "million smoke: receiver {j} exceeds γ_ε: {sum} > {budget}"
-            ));
-        }
     }
     rec.derived("smoke.million.build_s", MetricKind::Seconds, build_s);
     rec.derived(

@@ -732,6 +732,8 @@ mod tests {
         assert!(text.contains("# TYPE"), "{text}");
         // The armed run registered the phase histograms globally.
         assert!(text.contains("churn_slot_ns"), "{text}");
+        // The engine resolved its drop counter before any drop.
+        assert!(text.contains("sim_churn_arrivals_unplaced"), "{text}");
         let body = std::fs::read_to_string(&manifest).unwrap();
         let m: fading_obs::RunManifest = serde_json::from_str(&body).unwrap();
         assert!(m.artifacts.iter().any(|a| a.kind == "series"));

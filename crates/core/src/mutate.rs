@@ -107,6 +107,16 @@ impl MutationBatch {
         self.adds[slot] = spec;
     }
 
+    /// Drops the queued add at `slot`; the adds after it move down one
+    /// slot (e.g. the churn engine giving up on an arrival that no
+    /// resample could place).
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn drop_add(&mut self, slot: usize) {
+        self.adds.remove(slot);
+    }
+
     /// The queued removals (external ids, as queued).
     pub fn removes(&self) -> &[u64] {
         &self.removes

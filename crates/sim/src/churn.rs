@@ -341,6 +341,13 @@ impl TelemetryConfig {
     }
 }
 
+/// Arrivals dropped because 100 resamples could not place them
+/// (`sim.churn.arrivals_unplaced`). The engine resolves it when built,
+/// so the counter reaches the metrics output even while it reads 0.
+fn arrivals_unplaced() -> &'static fading_obs::Counter {
+    fading_obs::counter!("sim.churn.arrivals_unplaced")
+}
+
 /// A long-running scheduling engine over a live, churning instance.
 ///
 /// Owns the mutable [`Problem`] (with its stable link handles), all
@@ -401,6 +408,7 @@ impl ChurnEngine {
             "packet probability must be in [0,1]"
         );
         assert!(cfg.slots > 0, "need at least one slot");
+        arrivals_unplaced();
         let n0 = problem.len();
         let mut churn_rng = seeded_rng(split_seed(cfg.seed, 0));
         let packet_rng = seeded_rng(split_seed(cfg.seed, 1));
@@ -526,8 +534,7 @@ impl ChurnEngine {
             }
         }
         let link_departures = self.departing.len() as u32;
-        let arrivals = poisson(self.cfg.link_arrival_rate, &mut self.churn_rng);
-        for _ in 0..arrivals {
+        for _ in 0..poisson(self.cfg.link_arrival_rate, &mut self.churn_rng) {
             let departs_at = exponential_departure(t, self.cfg.mean_lifetime, &mut self.churn_rng);
             let spec = sample_spec(&self.geometry, &mut self.churn_rng);
             self.batch.add(spec);
@@ -540,15 +547,26 @@ impl ChurnEngine {
         // slot, the external handles renumbered inside the same
         // transaction.
         // Coordinate collisions are measure-zero but possible under
-        // adversarial seeds; resample exactly the rejected slot.
+        // adversarial seeds; resample exactly the rejected slot. An
+        // arrival that 100 resamples cannot place (a region too small to
+        // hold distinct links) is dropped from the slot.
         if !self.batch.is_empty() {
-            let mut tries = 0;
+            let (mut rejected, mut tries) = (usize::MAX, 0);
             loop {
                 match self.problem.apply(&self.batch) {
                     Ok(_) => break,
                     Err(MutationError::InvalidAdd { slot, .. }) => {
+                        if slot != rejected {
+                            (rejected, tries) = (slot, 0);
+                        }
+                        if tries == 100 {
+                            self.batch.drop_add(slot);
+                            self.arrival_departs.remove(slot);
+                            arrivals_unplaced().incr();
+                            rejected = usize::MAX;
+                            continue;
+                        }
                         tries += 1;
-                        assert!(tries < 100, "could not place an arriving link");
                         let spec = sample_spec(&self.geometry, &mut self.churn_rng);
                         self.batch.replace_add(slot, spec);
                     }
@@ -565,11 +583,12 @@ impl ChurnEngine {
                     departs_at,
                 }));
             debug_assert_eq!(self.states.len(), self.problem.len());
+            let arrivals = self.arrival_departs.len() as u64;
             if link_departures > 0 {
                 fading_obs::counter!("sim.churn.link_departures").add(link_departures as u64);
             }
             if arrivals > 0 {
-                fading_obs::counter!("sim.churn.link_arrivals").add(arrivals as u64);
+                fading_obs::counter!("sim.churn.link_arrivals").add(arrivals);
             }
         }
         timer.lap(PH_COMMIT);
@@ -647,7 +666,7 @@ impl ChurnEngine {
         self.slot = t + 1;
         let out = ChurnSlot {
             slot: t,
-            link_arrivals: arrivals,
+            link_arrivals: self.arrival_departs.len() as u32,
             link_departures,
             population: self.problem.len() as u32,
             scheduled,
@@ -660,7 +679,7 @@ impl ChurnEngine {
             let rec = SlotRecord {
                 slot: t,
                 population: out.population as u64,
-                arrivals: arrivals as u64,
+                arrivals: out.link_arrivals as u64,
                 departures: link_departures as u64,
                 backlogged: backlogged_count as u64,
                 scheduled: scheduled as u64,
@@ -1014,6 +1033,38 @@ mod tests {
 
     fn engine(c: ChurnConfig) -> ChurnEngine {
         engine_sized(40, c)
+    }
+
+    #[test]
+    fn arrivals_no_resample_can_place_are_dropped() {
+        // A field 10^−323 wide holds only a few distinct subnormal
+        // points, so almost every arrival collides with a live link in
+        // all of its resamples.
+        let geometry = UniformGenerator {
+            side: 1e-323,
+            ..UniformGenerator::paper(1)
+        };
+        let problem =
+            Problem::builder(geometry.generate(1), ChannelParams::with_alpha(3.0)).build();
+        let c = ChurnConfig {
+            link_arrival_rate: 20.0,
+            mean_lifetime: 1000.0,
+            ..cfg(10)
+        };
+        let unplaced = arrivals_unplaced();
+        let before = unplaced.value();
+        let mut e = ChurnEngine::new(problem, geometry, c);
+        let mut population = e.population() as u64;
+        for _ in 0..10 {
+            let slot = e.step(&GreedyRate, ServicePolicy::PlainRates);
+            population =
+                population + u64::from(slot.link_arrivals) - u64::from(slot.link_departures);
+            // Only placed arrivals count, and each has a live link.
+            assert_eq!(population, e.population() as u64);
+            assert_eq!(slot.population as u64, population);
+        }
+        // Other tests add to the counter too, but none drops an arrival.
+        assert!(unplaced.value() > before, "no arrival was dropped");
     }
 
     fn problem(n: usize, seed: u64) -> Problem {

@@ -13,41 +13,47 @@
 //! its backlogged links, so the mean gains carry the true transmit
 //! powers (see `docs/residual.md`).
 //!
-//! **Certified verdicts.** A realization is one kernel, `realize`. Its
-//! draws follow one stream order: for each scheduled receiver in
-//! schedule order the signal's uniform, then its interferers' (schedule
-//! order, skipping itself), so every row takes exactly `k` words of the
-//! RNG whether they are read or not. Most callers need only the verdict
-//! `X_j ≥ γ_th`, which a fading-aware schedule clears by a wide margin
-//! almost everywhere (Thm 3.1). When the law draws `mean'·(−ln(1−U))`
-//! from one uniform ([`FadingLaw::exponential_mean`]: Rayleigh,
-//! shadowed Rayleigh), a verdict caller reads only the uniforms a
-//! verdict needs, by stream position (`RngCore::peek_u64`, which
-//! computes just the ChaCha blocks that hold them on `StdRng`), and
-//! decides each row by one certificate over a growing prefix of its
-//! interferers (`docs/THEORY.md` §7.2):
+//! **Two paths.** A realization's draws follow one stream order: for
+//! each scheduled receiver in schedule order the signal's uniform, then
+//! its interferers' (schedule order, skipping itself), so every row
+//! takes exactly `k` words of the RNG whether they are read or not.
 //!
-//! * **The prefix certificate.** With the signal drawn exactly and the
-//!   interferers of a prefix `D` drawn, the interference is at most
-//!   `Σ_{i∈D} m̄_i·Ē_i + E_MAX_UP·c·Σ_{i∉D} m̄_i` (plus `f64::MIN_POSITIVE`
-//!   per interferer), where `m̄_i` bounds the exact mean, `Ē_i ≥
-//!   −ln(1−U_i)` is read off the bits of `1−U_i` (`neg_ln_bound`, no
-//!   logarithm), `c` is the law's
-//!   [`mean_multiplier`](FadingLaw::mean_multiplier) and `E_MAX_UP`
-//!   caps `−ln(1−U)` of a 53-bit uniform. A receiver with
-//!   `signal / (N₀ + bound·(1 + CERT_SLACK)) ≥ γ_th` succeeds. The
-//!   empty prefix tests the signal alone against each bound the row
-//!   has on its interferers' mean sum (`sim.slot.signal_certified`). A table's open rows then draw their
-//!   interferers one keystream block at a time, the block with the
-//!   heaviest mean sum first, one round across all open rows per block
-//!   (`sim.slot.prefix_certified`), until the last block completes the
-//!   row. A law without a multiplier (shadowed Rayleigh) tests only the
-//!   full prefix, and a streamed row only the empty and the full ones,
-//!   in stream order, so its signal-certified and exact-row counts are
-//!   the slot's own.
-//! * **The exact sum**, the fallback: a row no prefix certifies goes
-//!   through the same inverse transform and the same `KahanSum` in
-//!   `sinr_of` as drawing every uniform would (`sim.slot.exact_rows`).
+//! * **The keyed path** (`keyed`) serves verdict callers under a law
+//!   that draws `mean'·(−ln(1−U))` from one uniform
+//!   ([`FadingLaw::exponential_mean`]: Rayleigh, shadowed Rayleigh). A
+//!   verdict `X_j ≥ γ_th` is all they need, and a fading-aware schedule
+//!   clears it by a wide margin almost everywhere (Thm 3.1). It reads
+//!   only the uniforms a verdict needs, by stream position
+//!   (`RngCore::peek_u64`, which computes just the ChaCha blocks that
+//!   hold them on `StdRng`), decides each row by one certificate over a
+//!   growing prefix of its interferers (`docs/THEORY.md` §7.2), and
+//!   seeks the RNG past its `k²` words, where drawing them all would
+//!   have left it.
+//! * **The in-order loop** (`in_order`) draws and sums every row: for
+//!   callers that need the SINR ([`realized_sinrs`], `sinr_histogram`),
+//!   for laws with other draws (Nakagami's rejection takes a variable
+//!   number of uniforms), and for a generator without random access,
+//!   whose first `peek_u64` (the signals' fetch) returns `None`.
+//!
+//! **The prefix certificate.** With the signal drawn exactly and the
+//! interferers of a prefix `D` drawn, the interference is at most
+//! `Σ_{i∈D} m̄_i·Ē_i + E_MAX_UP·c·Σ_{i∉D} m̄_i` (plus `f64::MIN_POSITIVE`
+//! per interferer), where `m̄_i` bounds the exact mean, `Ē_i ≥
+//! −ln(1−U_i)` is read off the bits of `1−U_i` (`neg_ln_bound`, no
+//! logarithm), `c` is the law's
+//! [`mean_multiplier`](FadingLaw::mean_multiplier) and `E_MAX_UP` caps
+//! `−ln(1−U)` of a 53-bit uniform. A receiver with
+//! `signal / (N₀ + bound·(1 + CERT_SLACK)) ≥ γ_th` succeeds. With a
+//! multiplier, the empty prefix tests the signal alone against each
+//! bound the row has on its interferers' mean sum
+//! (`sim.slot.signal_certified`). Then, one round across the open rows
+//! per stage, a tabulated row under a multiplier draws its interferers
+//! one keystream block at a time, heaviest mean sum first
+//! (`sim.slot.prefix_certified`), until its last block completes it;
+//! every other row has one stage, the whole row in stream order. A row
+//! no prefix certifies is summed exactly from the uniforms its stages
+//! kept, through the same inverse transform and `KahanSum` in `sinr_of`
+//! as drawing every uniform would (`sim.slot.exact_rows`).
 //!
 //! A streamed slot's signal certificate bounds `Σ m_ij` by the stored
 //! interference factors (`m_jj·(e^{F̄_j} − 1)/γ_th`, one walk of the
@@ -56,11 +62,7 @@
 //! row sums. Each bound dominates its exact counterpart and
 //! `CERT_SLACK` covers the rounding, so a certified receiver's exact
 //! SINR clears `γ_th` too, and every verdict is bit-identical to
-//! summing every row. The realization then seeks the RNG past its `k²`
-//! uniforms, where drawing them all would have left it. Callers that
-//! need the SINR ([`realized_sinrs`], `sinr_histogram`) and laws with
-//! other draws (Nakagami's rejection takes a variable number of
-//! uniforms) draw and sum every row in order.
+//! summing every row.
 //!
 //! **Where mean gains come from.** `GainTable` computes all `|S|×|S|`
 //! means once per (problem, schedule), and many-trial callers
@@ -133,27 +135,7 @@ pub fn realized_sinrs<R: Rng + ?Sized>(
     out
 }
 
-/// How much of each receiver's outcome a realization resolves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolve {
-    /// Only the verdict: certified from a bound where the law allows,
-    /// summed exactly where the bounds leave it open.
-    Verdicts,
-    /// Every row's realized SINR, summed exactly.
-    Sinrs,
-}
-
-/// One receiver's result in one realization.
-#[derive(Debug, Clone, Copy)]
-enum RowOutcome {
-    /// The realized SINR, summed exactly.
-    Exact(SinrOutcome),
-    /// A success certified by a bound (on the signal alone or on the
-    /// interference); no SINR was summed.
-    Certified,
-}
-
-/// A source of per-receiver mean gains for [`realize`].
+/// A source of per-receiver mean gains for a realization.
 trait GainRows {
     /// Receiver `ids[j]`'s exact row: one exponential per scheduled
     /// sender, in schedule order; entry `j` is the desired signal.
@@ -170,14 +152,18 @@ trait GainRows {
     /// only when the one before it fails to certify the receiver.
     fn interference_means(&self, j: usize) -> impl Iterator<Item = f64> + '_;
 
-    /// Stage `s` of receiver `j`'s heavy-first prefixes: the block of
-    /// [`BLOCK_DRAWS`] stream positions whose interferers it draws, and
-    /// an upper bound on the sum of the means still undrawn after it.
-    /// The last stage completes the row; `None` past it. Rows kept in
-    /// stream order have none.
-    fn stage(&self, _j: usize, _s: usize) -> Option<(usize, f64)> {
-        None
-    }
+    /// Stage `s` of receiver `j`'s prefixes: the stream positions of the
+    /// interferers it draws, and an upper bound on the sum of the means
+    /// still undrawn after it. The last stage completes the row; `None`
+    /// past it.
+    fn stage(&self, j: usize, s: usize) -> Option<(Range<usize>, f64)>;
+}
+
+/// The one stage of a row kept in stream order: stage 0 draws all of
+/// receiver `j`'s interferers and leaves nothing undrawn.
+#[inline]
+fn whole_row(k: usize, j: usize, s: usize) -> Option<(Range<usize>, f64)> {
+    (s == 0 && k > 1).then(|| (interferer_positions(k, j), 0.0))
 }
 
 /// Most entries a [`GainTable`] allocates: 2^22 (32 MiB), i.e.
@@ -261,52 +247,48 @@ pub(crate) struct Trials<'t, 'a, L: FadingLaw> {
 
 impl<L: FadingLaw> Trials<'_, '_, L> {
     /// Runs one realization, reporting whether each receiver
-    /// succeeded, in schedule order.
+    /// succeeded, in schedule order: on the keyed path where the law
+    /// and the generator allow it, otherwise in order.
     pub(crate) fn verdicts<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
-        mut each: impl FnMut(LinkId, bool),
+        each: impl FnMut(LinkId, bool),
     ) {
-        self.realize(Resolve::Verdicts, rng, |j, o| match o {
-            RowOutcome::Exact(o) => each(j, o.success),
-            RowOutcome::Certified => each(j, true),
-        });
+        let (table, law, scratch) = (self.table, self.law, &mut self.scratch);
+        let k = table.ids.len();
+        let certify = law.mean_multiplier().is_some();
+        let state = law.begin(k, rng);
+        match &table.gains {
+            Some(gains) => {
+                let mut rows = TableRows::new(k, gains, certify);
+                realize(table, &mut rows, law, &state, rng, scratch, each);
+            }
+            None => {
+                let mut rows = StreamRows::new(table.problem, table.ids, certify);
+                realize(table, &mut rows, law, &state, rng, scratch, each);
+            }
+        }
     }
 
-    /// Runs one realization, reporting each receiver's realized SINR
-    /// in schedule order.
+    /// Runs one realization in order, reporting each receiver's
+    /// realized SINR in schedule order.
     pub(crate) fn sinrs<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         mut each: impl FnMut(LinkId, f64),
     ) {
-        self.realize(Resolve::Sinrs, rng, |j, o| match o {
-            RowOutcome::Exact(o) => each(j, o.sinr),
-            RowOutcome::Certified => unreachable!("Resolve::Sinrs sums every row"),
-        });
-    }
-
-    fn realize<R: Rng + ?Sized>(
-        &mut self,
-        resolve: Resolve,
-        rng: &mut R,
-        each: impl FnMut(LinkId, RowOutcome),
-    ) {
-        let (table, scratch) = (self.table, &mut self.scratch);
+        let (table, law, tally) = (self.table, self.law, &mut self.scratch.tally);
+        let k = table.ids.len();
+        let state = law.begin(k, rng);
+        let each = |j, o: SinrOutcome| each(j, o.sinr);
         match &table.gains {
-            Some((gains, sums, heavy)) => {
-                let mut rows = TableRows {
-                    k: table.ids.len(),
-                    gains,
-                    sums,
-                    heavy,
-                };
-                realize(table, &mut rows, self.law, resolve, rng, scratch, each);
+            Some(gains) => {
+                let mut rows = TableRows::new(k, gains, false);
+                in_order(table, &mut rows, law, &state, rng, tally, each);
             }
             None => {
-                let certify = resolve == Resolve::Verdicts && self.law.mean_multiplier().is_some();
-                let mut rows = StreamRows::new(table.problem, table.ids, certify);
-                realize(table, &mut rows, self.law, resolve, rng, scratch, each);
+                let mut rows = StreamRows::new(table.problem, table.ids, false);
+                in_order(table, &mut rows, law, &state, rng, tally, each);
             }
         }
     }
@@ -375,12 +357,10 @@ impl HeavyFirst {
         heavy.at.push(0);
         let mut row: Vec<(u32, f64)> = Vec::new();
         for (j, means) in gains.chunks(k.max(1)).enumerate() {
-            let interferers = interferer_positions(k, j);
             // The naive sum of block `g`'s interferer means.
             let weight = |g: usize| {
-                let (lo, hi) = (g * BLOCK_DRAWS, (g + 1) * BLOCK_DRAWS);
-                let at = lo.max(interferers.start)..hi.min(interferers.end);
-                at.map(|p| means[interferer(k, j, p)].mean())
+                block(k, j, g)
+                    .map(|p| means[interferer(k, j, p)].mean())
                     .fold(0.0, |a, b| a + b)
             };
             row.clear();
@@ -404,14 +384,36 @@ impl HeavyFirst {
     }
 }
 
+/// The positions of receiver `j`'s interferers in keystream block `g`.
+#[inline]
+fn block(k: usize, j: usize, g: usize) -> Range<usize> {
+    let interferers = interferer_positions(k, j);
+    (g * BLOCK_DRAWS).max(interferers.start)..((g + 1) * BLOCK_DRAWS).min(interferers.end)
+}
+
 /// Rows read out of a tabulated `|S|×|S|` slice; the bounds are the
-/// exact means, each row's interferer sum is the table's, and its
-/// interferers are drawn heaviest first.
+/// exact means, each row's interferer sum is the table's, and with
+/// `heavy` its interferers are drawn heaviest block first.
 struct TableRows<'t> {
     k: usize,
     gains: &'t [Exponential],
     sums: &'t [f64],
-    heavy: &'t HeavyFirst,
+    heavy: Option<&'t HeavyFirst>,
+}
+
+impl<'t> TableRows<'t> {
+    /// The rows of a table's `(gains, sums, stages)`; `heavy` (a law
+    /// with a multiplier) draws them in the [`HeavyFirst`] stages,
+    /// otherwise whole.
+    fn new(k: usize, table: &'t (Vec<Exponential>, Vec<f64>, HeavyFirst), heavy: bool) -> Self {
+        let (gains, sums, stages) = table;
+        Self {
+            k,
+            gains,
+            sums,
+            heavy: heavy.then_some(stages),
+        }
+    }
 }
 
 impl GainRows for TableRows<'_> {
@@ -436,21 +438,25 @@ impl GainRows for TableRows<'_> {
     }
 
     #[inline]
-    fn stage(&self, j: usize, s: usize) -> Option<(usize, f64)> {
-        let HeavyFirst {
+    fn stage(&self, j: usize, s: usize) -> Option<(Range<usize>, f64)> {
+        let Some(HeavyFirst {
             blocks,
             undrawn,
             at,
-        } = self.heavy;
-        let at = at[j] as usize + s;
-        (at < self.heavy.at[j + 1] as usize).then(|| (blocks[at] as usize, undrawn[at]))
+        }) = self.heavy
+        else {
+            return whole_row(self.k, j, s);
+        };
+        let stage = at[j] as usize + s;
+        (stage < at[j + 1] as usize)
+            .then(|| (block(self.k, j, blocks[stage] as usize), undrawn[stage]))
     }
 }
 
 /// Rows computed per receiver: bounds from geometry, and one scratch
 /// row of exact means filled only for a row the bound leaves open. A
 /// realization allocates `|S|` entries (and, on the sparse store, one
-/// id-to-position map), not `|S|²`.
+/// id-to-position map), not `|S|²`. Each row is one whole-row stage.
 struct StreamRows<'a> {
     problem: &'a Problem,
     ids: &'a [LinkId],
@@ -522,6 +528,11 @@ impl GainRows for StreamRows<'_> {
             ))
         };
         std::iter::once(self.products[j]).chain(std::iter::once_with(geometric))
+    }
+
+    #[inline]
+    fn stage(&self, j: usize, s: usize) -> Option<(Range<usize>, f64)> {
+        whole_row(self.ids.len(), j, s)
     }
 }
 
@@ -764,9 +775,9 @@ fn worst_interference(c: f64, means: f64, others: usize) -> f64 {
     E_MAX_UP * c * means + others as f64 * f64::MIN_POSITIVE
 }
 
-/// Words a realization draws ahead per chunk of rows on a generator
-/// without random access (128 KiB, or one row if a row is longer); on
-/// one with it, a chunk's signals are fetched in one batch.
+/// Stream positions per chunk of rows (16 Ki, or one row if a row is
+/// longer): a chunk's signals are read in one batch, and its open rows'
+/// kept uniforms take at most 128 KiB.
 const CHUNK_WORDS: usize = 1 << 14;
 
 /// The uniform `rng.gen::<f64>()` makes of the word `word`: its top 53
@@ -792,78 +803,6 @@ fn interferer(k: usize, j: usize, p: usize) -> usize {
     q + usize::from(q >= j)
 }
 
-/// One realization's uniforms by stream position: position `p` is what
-/// the `p`-th `next_u64` after the law began the realization returns.
-///
-/// On a generator with random access (`RngCore::peek_u64`) only the
-/// positions read are computed, and [`finish`](Self::finish) seeks past
-/// the realization. Any other generator is drawn in order, one chunk of
-/// rows at a time, into a buffer the reads come from. Either way the
-/// RNG ends where drawing every uniform would leave it.
-struct Keystream<'r, R: ?Sized> {
-    rng: &'r mut R,
-    /// Without random access, the loaded chunk's words and its first
-    /// position.
-    drawn: Option<(Vec<u64>, usize)>,
-    /// Keystream blocks computed: as reported by random access, or the
-    /// 8-word blocks the buffered draws span.
-    blocks: u64,
-}
-
-impl<'r, R: Rng + ?Sized> Keystream<'r, R> {
-    fn new(rng: &'r mut R) -> Self {
-        let random_access = rng.peek_u64(&[], &mut []).is_some();
-        Self {
-            rng,
-            drawn: (!random_access).then(|| (Vec::new(), 0)),
-            blocks: 0,
-        }
-    }
-
-    /// Makes positions `lo..hi` readable (the next chunk of rows).
-    fn load(&mut self, lo: usize, hi: usize) {
-        if let Some((words, first)) = &mut self.drawn {
-            words.clear();
-            words.extend((lo..hi).map(|_| self.rng.next_u64()));
-            *first = lo;
-            self.blocks += (hi - lo).div_ceil(8) as u64;
-        }
-    }
-
-    /// Sets `out` to the words at the positions of `runs`, run after
-    /// run, which the last [`load`](Self::load) covers.
-    fn fetch(&mut self, runs: &[Range<u64>], out: &mut Vec<u64>) {
-        out.clear();
-        match &self.drawn {
-            None => {
-                out.resize(
-                    runs.iter()
-                        .map(|run| run.end.saturating_sub(run.start) as usize)
-                        .sum(),
-                    0,
-                );
-                let blocks = self.rng.peek_u64(runs, out);
-                self.blocks += blocks.expect("a generator with random access") as u64;
-            }
-            Some((words, first)) => {
-                let at = |p: u64| p as usize - first;
-                out.extend(
-                    runs.iter()
-                        .flat_map(|run| &words[at(run.start)..at(run.end.max(run.start))]),
-                );
-            }
-        }
-    }
-
-    /// Leaves the RNG past the realization's `total` words.
-    fn finish(self, total: usize) -> u64 {
-        if self.drawn.is_none() {
-            self.rng.skip_u64(total as u64);
-        }
-        self.blocks
-    }
-}
-
 /// The kernel's counters: rows summed exactly, certified from the
 /// signal, certified by a partial prefix, and keystream blocks computed.
 /// A table resolves them before it allocates anything: a registration
@@ -879,11 +818,11 @@ fn counters() -> [&'static fading_obs::Counter; 4] {
     ]
 }
 
-/// The buffers of [`realize`], reused across a [`Trials`] run, and the
+/// The buffers of [`keyed`], reused across a [`Trials`] run, and the
 /// counts the run has yet to add.
 #[derive(Default)]
 struct Scratch {
-    outcomes: Vec<RowOutcome>,
+    verdicts: Vec<bool>,
     open: Vec<OpenRow>,
     runs: Vec<Range<u64>>,
     words: Vec<u64>,
@@ -904,83 +843,126 @@ struct OpenRow {
     count: usize,
 }
 
-/// The realization kernel: start a realization of `law`, then hand
-/// `each` every scheduled receiver's outcome, in schedule order.
-///
-/// Under [`Resolve::Verdicts`] and a law with an
-/// [`exponential_mean`](FadingLaw::exponential_mean) it works through
-/// the rows one chunk at a time, reading the uniforms of a
-/// [`Keystream`] by position:
+/// The realization kernel for verdicts: hand `each` whether every
+/// scheduled receiver succeeded, in schedule order, from a realization
+/// of `law` begun at `state`. It takes the [`keyed`] path, and the
+/// [`in_order`] loop where the law has no
+/// [`exponential_mean`](FadingLaw::exponential_mean) or `rng` no random
+/// access. The counts go to `scratch`'s tally.
+fn realize<L: FadingLaw, R: Rng + ?Sized>(
+    table: &GainTable,
+    rows: &mut impl GainRows,
+    law: &L,
+    state: &L::Realization,
+    rng: &mut R,
+    scratch: &mut Scratch,
+    mut each: impl FnMut(LinkId, bool),
+) {
+    let exponential = !table.ids.is_empty() && law.exponential_mean(state, 1.0, 0).is_some();
+    if !(exponential && keyed(table, rows, law, state, rng, scratch, &mut each)) {
+        in_order(table, rows, law, state, rng, &mut scratch.tally, |j, o| {
+            each(j, o.success)
+        });
+    }
+}
+
+/// Every receiver's realized SINR, drawn and summed in stream order.
+fn in_order<L: FadingLaw, R: Rng + ?Sized>(
+    table: &GainTable,
+    rows: &mut impl GainRows,
+    law: &L,
+    state: &L::Realization,
+    rng: &mut R,
+    tally: &mut Tally,
+    mut each: impl FnMut(LinkId, SinrOutcome),
+) {
+    let (params, ids) = (table.problem.params(), table.ids);
+    let k = ids.len();
+    for (j, &rx) in ids.iter().enumerate() {
+        let row = rows.row(j);
+        let signal = law.draw(state, &row[j], j * k + j, rng);
+        let interference = (0..k)
+            .filter(|&i| i != j)
+            .map(|i| law.draw(state, &row[i], i * k + j, rng));
+        each(rx, sinr_of(params, signal, interference));
+    }
+    tally.draws += (k * k) as u64;
+}
+
+/// Sets `words` to the uniforms at the positions of `runs`, run after
+/// run, counted from where the realization began, and returns the
+/// keystream blocks that took; `None`, reading nothing, on a generator
+/// without random access.
+fn peek<R: Rng + ?Sized>(rng: &R, runs: &[Range<u64>], words: &mut Vec<u64>) -> Option<u64> {
+    words.clear();
+    words.resize(
+        runs.iter().map(|run| (run.end - run.start) as usize).sum(),
+        0,
+    );
+    rng.peek_u64(runs, words).map(|blocks| blocks as u64)
+}
+
+/// The keyed path for a law with an
+/// [`exponential_mean`](FadingLaw::exponential_mean), one chunk of rows
+/// at a time, reading uniforms by stream position:
 ///
 /// 1. every row's signal in one batch, and with a
 ///    [`mean_multiplier`](FadingLaw::mean_multiplier) the empty prefix's
 ///    certificate (the [`worst_interference`] of each of the row's
 ///    [`interference_means`](GainRows::interference_means));
-/// 2. with a multiplier, each [`stage`](GainRows::stage) of the rows
-///    still open in one batch, and its prefix's certificate, until a
-///    row's last stage completes it;
-/// 3. each row still open: unless its stages drew it whole, the whole
-///    row and the full prefix's certificate; then the exact sum.
+/// 2. each [`stage`](GainRows::stage) of the rows still open in one
+///    batch, and its prefix's certificate, until a row's last stage
+///    completes it;
+/// 3. each row still open: the exact sum of the uniforms its stages
+///    kept.
 ///
-/// Otherwise every row draws from `rng` in stream order and sums
-/// exactly. The counts go to `scratch`'s tally.
-fn realize<L: FadingLaw, R: Rng + ?Sized>(
+/// Then it seeks `rng` past the realization's `k²` words. Returns
+/// `false`, having read and moved nothing, when the first batch finds
+/// no random access.
+fn keyed<L: FadingLaw, R: Rng + ?Sized>(
     table: &GainTable,
     rows: &mut impl GainRows,
     law: &L,
-    resolve: Resolve,
+    state: &L::Realization,
     rng: &mut R,
     scratch: &mut Scratch,
-    mut each: impl FnMut(LinkId, RowOutcome),
-) {
+    each: &mut impl FnMut(LinkId, bool),
+) -> bool {
     let (params, ids) = (table.problem.params(), table.ids);
     let k = ids.len();
-    let others = k.saturating_sub(1);
-    let state = law.begin(k, rng);
-    let exponential =
-        resolve == Resolve::Verdicts && k > 0 && law.exponential_mean(&state, 1.0, 0).is_some();
-    if !exponential {
-        for (j, &rx) in ids.iter().enumerate() {
-            let row = rows.row(j);
-            let signal = law.draw(&state, &row[j], j * k + j, rng);
-            let interference = (0..k)
-                .filter(|&i| i != j)
-                .map(|i| law.draw(&state, &row[i], i * k + j, rng));
-            each(rx, RowOutcome::Exact(sinr_of(params, signal, interference)));
-        }
-        scratch.tally.draws += (k * k) as u64;
-        return;
-    }
+    let others = k - 1;
     let multiplier = law.mean_multiplier();
     // The bound term of the draw of pair `pair` with mean bound `mean`
     // off the word `word`.
     let term = |mean: f64, pair: usize, word: u64| {
-        let mean = law.exponential_mean(&state, mean, pair);
+        let mean = law.exponential_mean(state, mean, pair);
         mean.unwrap_or(f64::INFINITY) * neg_ln_bound(1.0 - unit_f64(word))
     };
-    let mut stream = Keystream::new(rng);
     let chunk = (CHUNK_WORDS / k).clamp(1, k);
     let Scratch {
-        mut outcomes,
-        mut open,
-        mut runs,
-        mut words,
-        mut kept,
-        mut tally,
-    } = std::mem::take(scratch);
+        verdicts,
+        open,
+        runs,
+        words,
+        kept,
+        tally,
+    } = scratch;
     for lo in (0..k).step_by(chunk) {
         let hi = (lo + chunk).min(k);
-        stream.load(lo * k, hi * k);
         runs.clear();
         runs.extend((lo..hi).map(|j| (j * k) as u64..(j * k + 1) as u64));
-        stream.fetch(&runs, &mut words);
-        outcomes.clear();
+        let Some(blocks) = peek(rng, runs, words) else {
+            assert_eq!(lo, 0, "random access lost mid-realization");
+            return false;
+        };
+        tally.keystream_blocks += blocks;
+        verdicts.clear();
         open.clear();
-        for (j, &word) in (lo..hi).zip(&words) {
-            let mean = law.exponential_mean(&state, rows.signal(j).mean(), j * k + j);
+        for (j, &word) in (lo..hi).zip(words.iter()) {
+            let mean = law.exponential_mean(state, rows.signal(j).mean(), j * k + j);
             let signal = Exponential::with_mean(mean.expect("an exponential law"))
                 .from_uniform(unit_f64(word));
-            outcomes.push(RowOutcome::Certified);
+            verdicts.push(true);
             let alone = multiplier.is_some_and(|c| {
                 let worst = |means| worst_interference(c, means, others);
                 rows.interference_means(j)
@@ -1000,99 +982,63 @@ fn realize<L: FadingLaw, R: Rng + ?Sized>(
             }
         }
         kept.resize(open.len() * others, 0);
-        if let Some(c) = multiplier {
-            // The positions of the interferers in block `g` of row `j`.
-            let block = |j: usize, g: usize| {
-                let interferers = interferer_positions(k, j);
-                (g * BLOCK_DRAWS).max(interferers.start)
-                    ..((g + 1) * BLOCK_DRAWS).min(interferers.end)
-            };
-            for s in 0.. {
-                runs.clear();
-                for row in &open {
-                    if let Some((g, _)) = rows.stage(row.j, s) {
-                        let at = block(row.j, g);
-                        runs.push(at.start as u64..at.end as u64);
-                    }
+        for s in 0.. {
+            runs.clear();
+            for row in open.iter() {
+                if let Some((at, _)) = rows.stage(row.j, s) {
+                    runs.push(at.start as u64..at.end as u64);
                 }
-                if runs.is_empty() {
-                    break;
-                }
-                stream.fetch(&runs, &mut words);
-                let mut read = &words[..];
-                open.retain_mut(|row| {
-                    let j = row.j;
-                    let Some((g, undrawn)) = rows.stage(j, s) else {
-                        return true;
-                    };
-                    let at = block(j, g);
-                    let (drawn, rest) = read.split_at(at.len());
-                    read = rest;
-                    let first = at.start - (j * k + 1);
-                    kept[row.slot * others + first..][..at.len()].copy_from_slice(drawn);
-                    row.count += at.len();
-                    let mut sum = row.drawn;
-                    for (q, &word) in (first..).zip(drawn) {
-                        let i = q + usize::from(q >= j);
-                        sum += term(rows.mean_bound(j, i), i * k + j, word);
-                    }
-                    row.drawn = sum;
-                    let bound = sum + worst_interference(c, undrawn, others);
-                    let decided = certified(params, row.signal, bound);
-                    if decided {
-                        tally.prefix_certified += u64::from(row.count < others);
-                        tally.draws += 1 + row.count as u64;
-                    }
-                    !decided
-                });
             }
+            if runs.is_empty() {
+                break;
+            }
+            tally.keystream_blocks += peek(rng, runs, words).expect("random access");
+            let mut read = &words[..];
+            open.retain_mut(|row| {
+                let j = row.j;
+                let Some((at, undrawn)) = rows.stage(j, s) else {
+                    return true;
+                };
+                let (drawn, rest) = read.split_at(at.len());
+                read = rest;
+                let first = at.start - (j * k + 1);
+                kept[row.slot * others + first..][..at.len()].copy_from_slice(drawn);
+                row.count += at.len();
+                let mut sum = row.drawn;
+                for (p, &word) in at.zip(drawn) {
+                    let i = interferer(k, j, p);
+                    sum += term(rows.mean_bound(j, i), i * k + j, word);
+                }
+                row.drawn = sum;
+                let rest = multiplier.map_or(0.0, |c| worst_interference(c, undrawn, others));
+                let decided = certified(params, row.signal, sum + rest);
+                if decided {
+                    tally.prefix_certified += u64::from(row.count < others);
+                    tally.draws += 1 + row.count as u64;
+                }
+                !decided
+            });
         }
-        for row in &open {
+        // The last stage completed every row still open.
+        for row in open.iter() {
             let j = row.j;
             tally.draws += k as u64;
-            let words = if row.count == others {
-                // The stages drew the whole row, and its last one was the
-                // full prefix's certificate.
-                &kept[row.slot * others..][..others]
-            } else {
-                let at = interferer_positions(k, j);
-                runs.clear();
-                runs.push(at.start as u64..at.end as u64);
-                stream.fetch(&runs, &mut words);
-                // The full prefix leaves nothing undrawn.
-                let bound = (0..k)
-                    .filter(|&i| i != j)
-                    .zip(&words)
-                    .fold(0.0, |sum, (i, &word)| {
-                        sum + term(rows.mean_bound(j, i), i * k + j, word)
-                    });
-                if certified(params, row.signal, bound) {
-                    continue;
-                }
-                &words[..]
-            };
             tally.exact_rows += 1;
+            let words = &kept[row.slot * others..][..others];
             let gains = rows.row(j);
             let interference = (0..k).filter(|&i| i != j).zip(words).map(|(i, &word)| {
-                let mean = law.exponential_mean(&state, gains[i].mean(), i * k + j);
+                let mean = law.exponential_mean(state, gains[i].mean(), i * k + j);
                 Exponential::with_mean(mean.expect("an exponential law"))
                     .from_uniform(unit_f64(word))
             });
-            outcomes[j - lo] = RowOutcome::Exact(sinr_of(params, row.signal, interference));
+            verdicts[j - lo] = sinr_of(params, row.signal, interference).success;
         }
-        for (j, outcome) in (lo..hi).zip(outcomes.drain(..)) {
-            each(ids[j], outcome);
+        for (j, &verdict) in (lo..hi).zip(verdicts.iter()) {
+            each(ids[j], verdict);
         }
     }
-    tally.keystream_blocks += stream.finish(k * k);
-    *scratch = Scratch {
-        outcomes,
-        open,
-        runs,
-        words,
-        kept,
-        tally,
-    };
+    rng.skip_u64((k * k) as u64);
+    true
 }
 #[cfg(test)]
 mod tests {
@@ -1444,13 +1390,15 @@ mod tests {
     }
 
     /// Replays `words` cyclically as `next_u64` draws, with random
-    /// access to them unless `sequential`. Counts the seeks, which it
-    /// overrides (one word per skipped draw), and records the positions
-    /// it was asked for (from the start of the script).
+    /// access to them unless `sequential`. Counts the draws and the
+    /// seeks, which it overrides (one word per skipped draw), and
+    /// records the positions it served by random access (from the
+    /// start of the script).
     #[derive(Clone)]
     struct Script {
         words: Vec<u64>,
         at: usize,
+        draws: usize,
         seeks: usize,
         sequential: bool,
         peeked: std::cell::RefCell<Vec<usize>>,
@@ -1461,10 +1409,18 @@ mod tests {
             Self {
                 words,
                 at: 0,
+                draws: 0,
                 seeks: 0,
                 sequential,
                 peeked: Default::default(),
             }
+        }
+
+        /// `(draws, seeks, position)`: a realization of a `k`-link slot
+        /// on the keyed path leaves `(0, 1, k²)`, one in order
+        /// `(k², 0, k²)`.
+        fn moves(&self) -> (usize, usize, usize) {
+            (self.draws, self.seeks, self.at)
         }
     }
 
@@ -1475,6 +1431,7 @@ mod tests {
         fn next_u64(&mut self) -> u64 {
             let word = self.words[self.at % self.words.len()];
             self.at += 1;
+            self.draws += 1;
             word
         }
         fn fill_bytes(&mut self, _: &mut [u8]) {
@@ -1497,6 +1454,35 @@ mod tests {
         }
     }
 
+    /// The smallest 53-bit uniform numerator `n` that `passes`, for a
+    /// test monotone in `n` that the largest one passes.
+    fn smallest_passing(passes: impl Fn(u64) -> bool) -> u64 {
+        let (mut lo, mut hi) = (0u64, (1 << 53) - 1);
+        assert!(passes(hi), "certifiable at all");
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            (lo, hi) = if passes(mid) {
+                (lo, mid)
+            } else {
+                (mid + 1, hi)
+            };
+        }
+        assert!(lo > 0 && !passes(lo - 1));
+        lo
+    }
+
+    /// Links 0 and 1 of a 40-link instance at path-loss exponent
+    /// `alpha`, with power scales and noise `10^−9`, scheduled together.
+    fn two_links(alpha: f64, seed: u64) -> (Problem, Schedule) {
+        let p = Problem::builder(
+            UniformGenerator::paper(40).generate(seed),
+            ChannelParams::new(alpha, 1.0, 1.0, 1e-9),
+        )
+        .power_scales((0..40).map(|i| [0.5, 2.0, 1.0][i % 3]).collect())
+        .build();
+        (p, Schedule::from_ids([LinkId(0), LinkId(1)]))
+    }
+
     #[test]
     fn a_signal_just_above_the_certificate_survives_the_largest_draw() {
         // Two links; each receiver draws its signal word, then its one
@@ -1505,31 +1491,14 @@ mod tests {
         // certificate accepts, from the table's row sum and from the
         // stream's product bound.
         for (alpha, seed) in [(3.0, 1), (4.0, 2), (2.5, 3)] {
-            let p = Problem::builder(
-                UniformGenerator::paper(40).generate(seed),
-                ChannelParams::new(alpha, 1.0, 1.0, 1e-9),
-            )
-            .power_scales((0..40).map(|i| [0.5, 2.0, 1.0][i % 3]).collect())
-            .build();
-            let s = Schedule::from_ids([LinkId(0), LinkId(1)]);
+            let (p, s) = two_links(alpha, seed);
             let table = GainTable::new(&p, &s);
             let stream = StreamRows::new(&p, s.ids(), true);
             let table_sum = table.gains.as_ref().unwrap().1[0];
             for (means, tabulated) in [(table_sum, true), (stream.products[0], false)] {
                 let signal = |n: u64| stream.signal(0).from_uniform(n as f64 * pow2(-53));
                 let worst = worst_interference(1.0, means, 1);
-                let passes = |n: u64| certified(p.params(), signal(n), worst);
-                let (mut lo, mut hi) = (0u64, (1 << 53) - 1);
-                assert!(passes(hi), "α {alpha}: certifiable at all");
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    (lo, hi) = if passes(mid) {
-                        (lo, mid)
-                    } else {
-                        (mid + 1, hi)
-                    };
-                }
-                assert!(lo > 0 && !passes(lo - 1));
+                let lo = smallest_passing(|n| certified(p.params(), signal(n), worst));
                 let script = Script::new(vec![lo << 11, u64::MAX], false);
                 let want = oracle_slot(&p, &s, &mut script.clone());
                 let mut streamed = script.clone();
@@ -1538,15 +1507,55 @@ mod tests {
                 assert_same(&table_slot(&p, &s, MAX_TABLE_ENTRIES, &mut tabled), &want);
                 assert!(want.successes.contains(&LinkId(0)), "α {alpha}");
                 // The path whose certificate set the signal word never
-                // reads receiver 0's interferer (word 1); both seek once,
-                // past the slot.
+                // reads receiver 0's interferer (word 1); both take the
+                // keyed path: no draws, one seek past the slot.
                 let certified = if tabulated { &tabled } else { &streamed };
                 let peeked = certified.peeked.borrow();
                 assert!(!peeked.contains(&1), "α {alpha}: read {peeked:?}");
                 for rng in [&streamed, &tabled] {
-                    assert_eq!((rng.seeks, rng.at), (1, 4));
+                    assert_eq!(rng.moves(), (0, 1, 4));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_streamed_open_row_is_decided_by_its_whole_row_stage() {
+        // Receiver 0's signal word is the largest that none of its
+        // streamed bounds certifies, and its interferer draws zero
+        // (`1 − U = 1`), so its one stage, the whole row, certifies it.
+        // Receiver 1 draws the largest signal and a zero interferer.
+        for (alpha, seed) in [(3.0, 1), (4.0, 2), (2.5, 3)] {
+            let (p, s) = two_links(alpha, seed);
+            let rows = StreamRows::new(&p, s.ids(), true);
+            let signal = |n: u64| rows.signal(0).from_uniform(n as f64 * pow2(-53));
+            let lo = smallest_passing(|n| {
+                let worst = |means| worst_interference(1.0, means, 1);
+                rows.interference_means(0)
+                    .any(|m| certified(p.params(), signal(n), worst(m)))
+            });
+            let script = Script::new(vec![(lo - 1) << 11, 0, u64::MAX, 0], false);
+            let want = oracle_slot(&p, &s, &mut script.clone());
+            assert!(want.successes.contains(&LinkId(0)), "α {alpha}");
+            let mut rng = script.clone();
+            let table = GainTable::streaming(&p, &s);
+            let mut trials = table.trials(p.channel());
+            let mut successes = Vec::new();
+            trials.verdicts(&mut rng, |j, success| {
+                if success {
+                    successes.push(j);
+                }
+            });
+            assert_eq!(successes, want.successes, "α {alpha}");
+            let tally = trials.scratch.tally;
+            assert_eq!((tally.exact_rows, tally.prefix_certified), (0, 0));
+            // Receiver 0's signal and interferer words, read once each.
+            let peeked = rng.peeked.borrow();
+            for q in [0, 1] {
+                let reads = peeked.iter().filter(|&&at| at == q).count();
+                assert_eq!(reads, 1, "α {alpha}: read {peeked:?}");
+            }
+            assert_eq!(rng.moves(), (0, 1, 4));
         }
     }
 
@@ -1603,7 +1612,18 @@ mod tests {
                     let oracle = oracle_slot(&p, &s, &mut want);
                     let mut got = script.clone();
                     assert_same(&table_slot(&p, &s, MAX_TABLE_ENTRIES, &mut got), &oracle);
-                    assert_eq!((got.at, want.at), (k * k, k * k), "α {alpha} step {g}");
+                    // Random access takes the keyed path, a sequential
+                    // script the in-order loop.
+                    let moves = if sequential {
+                        (k * k, 0, k * k)
+                    } else {
+                        (0, 1, k * k)
+                    };
+                    assert_eq!(got.moves(), moves, "α {alpha} step {g}");
+                    assert_eq!(want.at, k * k);
+                    if sequential {
+                        assert!(got.peeked.borrow().is_empty());
+                    }
                 }
             }
         }
@@ -1614,13 +1634,8 @@ mod tests {
         let (p, s) = approx_diversity(3.0, 5);
         let k = s.len();
         let table = GainTable::new(&p, &s);
-        let (gains, sums, heavy) = table.gains.as_ref().unwrap();
-        let rows = TableRows {
-            k,
-            gains,
-            sums,
-            heavy,
-        };
+        let rows = TableRows::new(k, table.gains.as_ref().unwrap(), true);
+        let gains = rows.gains;
         for j in 0..k {
             let interferers = interferer_positions(k, j);
             // Row `j`'s interferer positions in block `g`, and their means.
@@ -1633,16 +1648,18 @@ mod tests {
             let mut rest: Vec<usize> = interferers.clone().map(|p| p / BLOCK_DRAWS).collect();
             rest.dedup();
             for s in 0.. {
-                let Some((g, undrawn)) = rows.stage(j, s) else {
+                let Some((at, undrawn)) = rows.stage(j, s) else {
                     break;
                 };
+                let g = at.start / BLOCK_DRAWS;
+                assert!(at.clone().eq(members(g)), "row {j} stage {s}: {at:?}");
                 // The heaviest block not drawn yet, and an undrawn
                 // allowance that covers the rest of the row.
-                let at = rest
+                let once = rest
                     .iter()
                     .position(|&r| r == g)
                     .expect("a block of the row, once");
-                rest.remove(at);
+                rest.remove(once);
                 assert!(rest.iter().all(|&r| weight(r) <= weight(g)));
                 let exact = fading_math::KahanSum::sum_iter(
                     rest.iter().flat_map(|&r| members(r)).map(mean),

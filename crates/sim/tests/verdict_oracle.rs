@@ -23,6 +23,7 @@ use fading_sim::{realized_sinrs, simulate_many, simulate_slot, MonteCarloStats};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::RngCore;
+use std::ops::Range;
 
 const ALPHAS: [f64; 5] = [2.5, 3.0, 4.0, 4.5, 6.0];
 
@@ -242,9 +243,11 @@ fn approx_diversity_monte_carlo_certifies_from_prefixes_and_equals_the_exact_loo
     }
 }
 
-/// Replays `words` cyclically as `next_u64` draws. A `k`-word script
-/// gives every receiver of a `k`-link schedule the same draws, its
-/// signal's first. Seeks draw and discard (the trait's default).
+/// Replays `words` cyclically as `next_u64` draws, with random access
+/// to them, so `simulate_slot` takes its keyed path and `realized_sinrs`
+/// its in-order loop. A `k`-word script gives every receiver of a
+/// `k`-link schedule the same draws, its signal's first. Seeks draw and
+/// discard (the trait's default).
 #[derive(Clone)]
 struct Script {
     words: Vec<u64>,
@@ -262,6 +265,12 @@ impl RngCore for Script {
     }
     fn fill_bytes(&mut self, _: &mut [u8]) {
         unimplemented!("the kernel draws whole words")
+    }
+    fn peek_u64(&self, runs: &[Range<u64>], out: &mut [u64]) -> Option<usize> {
+        for (o, p) in out.iter_mut().zip(runs.iter().flat_map(Clone::clone)) {
+            *o = self.words[(self.at + p as usize) % self.words.len()];
+        }
+        Some(0)
     }
 }
 

@@ -426,10 +426,19 @@ fn substrate_benches(rec: &mut Recorder) {
     for (name, scheduler) in schedulers {
         let time_id = format!("monte_carlo/{name}/300x1000");
         let blocks_id = format!("mc.keystream_blocks_per_trial.{name}.300");
-        // ApproxDiversity's open rows are where the draws go.
-        let draws_id =
-            (name == "approx_diversity").then(|| format!("mc.draws_per_trial.{name}.300"));
-        let ids = [Some(&time_id), Some(&blocks_id), draws_id.as_ref()];
+        // ApproxDiversity's open rows are where the draws go, and its
+        // failing rows are where the failure certificate fires.
+        let open_ids = (name == "approx_diversity").then(|| {
+            [
+                format!("mc.draws_per_trial.{name}.300"),
+                format!("mc.failure_certified_per_trial.{name}.300"),
+            ]
+        });
+        let [draws_id, failed_id] = match &open_ids {
+            Some([draws, failed]) => [Some(draws), Some(failed)],
+            None => [None, None],
+        };
+        let ids = [Some(&time_id), Some(&blocks_id), draws_id, failed_id];
         if !ids.into_iter().flatten().any(|id| rec.wants(id)) {
             continue;
         }
@@ -437,7 +446,8 @@ fn substrate_benches(rec: &mut Recorder) {
         let schedule = scheduler.schedule(&problem);
         let blocks = fading_obs::counter!("sim.slot.keystream_blocks");
         let draws = fading_obs::counter!("channel.rayleigh.draws");
-        let before = (blocks.value(), draws.value());
+        let failed = fading_obs::counter!("sim.slot.failure_certified");
+        let before = (blocks.value(), draws.value(), failed.value());
         black_box(fading_sim::simulate_many(&problem, &schedule, 1000, 5));
         let per_trial = |now: u64, then: u64| (now - then) as f64 / 1000.0;
         rec.derived(
@@ -445,8 +455,12 @@ fn substrate_benches(rec: &mut Recorder) {
             MetricKind::Ratio,
             per_trial(blocks.value(), before.0),
         );
-        if let Some(id) = &draws_id {
+        if let Some(id) = draws_id {
             rec.derived(id, MetricKind::Ratio, per_trial(draws.value(), before.1));
+        }
+        if let Some(id) = failed_id {
+            let certified = per_trial(failed.value(), before.2);
+            rec.derived_dir(id, MetricKind::Ratio, certified, false);
         }
         rec.time(&time_id, || {
             black_box(fading_sim::simulate_many(&problem, &schedule, 1000, 5));

@@ -301,9 +301,9 @@ impl SparseInterference {
         }
 
         let pairs = (n as u64).saturating_mul(n.saturating_sub(1) as u64);
-        fading_obs::counter("core.sparse.builds").incr();
-        fading_obs::counter("core.sparse.factors_stored").add(total as u64);
-        fading_obs::counter("core.sparse.factors_pruned").add(pairs - total as u64);
+        fading_obs::counter!("core.sparse.builds").incr();
+        fading_obs::counter!("core.sparse.factors_stored").add(total as u64);
+        fading_obs::counter!("core.sparse.factors_pruned").add(pairs - total as u64);
         fading_obs::gauge("core.sparse.build_ms").set(started.elapsed().as_secs_f64() * 1e3);
         fading_obs::gauge("core.sparse.tail_cut_max").set(cut.iter().copied().fold(0.0, f64::max));
         let neighborhood = fading_obs::histogram(
@@ -760,7 +760,7 @@ impl SparseInterference {
                             }
                         }
                     });
-                fading_obs::counter("core.sparse.reconcile_edits").add(touched.len() as u64);
+                fading_obs::counter!("core.sparse.reconcile_edits").add(touched.len() as u64);
                 for i in touched.drain(..) {
                     if r > old {
                         let f = self.hashed_factor(i as usize, j, powers);
@@ -837,7 +837,7 @@ impl SparseInterference {
     /// Moves row `i` to the arena tail with doubled capacity, stranding
     /// its old extent (counted toward lazy compaction).
     fn relocate(&mut self, i: usize) {
-        fading_obs::counter("core.sparse.row_relocations").incr();
+        fading_obs::counter!("core.sparse.row_relocations").incr();
         let lo = self.row_start[i];
         let len = self.row_len[i] as usize;
         let cap = grown_row_cap(self.row_cap[i], self.row_len[i], self.n);
@@ -858,7 +858,7 @@ impl SparseInterference {
         if self.dead == 0 || self.dead * 2 <= self.arena_receivers.len() {
             return false;
         }
-        fading_obs::counter("core.sparse.compactions").incr();
+        fading_obs::counter!("core.sparse.compactions").incr();
         let live: usize = self.row_len.iter().map(|&l| l as usize).sum();
         let mut recv = Vec::with_capacity(live);
         let mut fact = Vec::with_capacity(live);

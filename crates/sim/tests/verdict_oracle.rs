@@ -14,16 +14,16 @@
 //! interferers: under seeded draws, and under scripted ones that give
 //! every interferer the largest draw the uniform allows.
 
-use fading_channel::ChannelParams;
+use fading_channel::{sinr_of, ChannelParams, FadingLaw, NakagamiChannel, ShadowedRayleigh};
 use fading_core::algo::{ApproxDiversity, GreedyRate, Ldp, Rle};
 use fading_core::{BackendChoice, Problem, Schedule, Scheduler, SparseConfig};
-use fading_math::{seeded_rng, split_seed, OnlineStats};
+use fading_math::{seeded_rng, split_seed, Exponential, OnlineStats};
 use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
+use fading_sim::monte_carlo::simulate_many_under;
 use fading_sim::{realized_sinrs, simulate_many, simulate_slot, MonteCarloStats};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use std::ops::Range;
 
 const ALPHAS: [f64; 5] = [2.5, 3.0, 4.0, 4.5, 6.0];
 
@@ -244,8 +244,9 @@ fn approx_diversity_monte_carlo_certifies_from_prefixes_and_equals_the_exact_loo
 }
 
 /// Replays `words` cyclically as `next_u64` draws, with random access
-/// to them, so `simulate_slot` takes its keyed path and `realized_sinrs`
-/// its in-order loop. A `k`-word script gives every receiver of a
+/// to them by block (draw `q` is 32-bit words `2q` and `2q + 1` of a
+/// stream cut into 16-word blocks), so `simulate_slot` takes its keyed
+/// path and `realized_sinrs` its in-order loop. A `k`-word script gives every receiver of a
 /// `k`-link schedule the same draws, its signal's first. Seeks draw and
 /// discard (the trait's default).
 #[derive(Clone)]
@@ -266,11 +267,18 @@ impl RngCore for Script {
     fn fill_bytes(&mut self, _: &mut [u8]) {
         unimplemented!("the kernel draws whole words")
     }
-    fn peek_u64(&self, runs: &[Range<u64>], out: &mut [u64]) -> Option<usize> {
-        for (o, p) in out.iter_mut().zip(runs.iter().flat_map(Clone::clone)) {
-            *o = self.words[(self.at + p as usize) % self.words.len()];
+    fn block_offset(&self) -> Option<usize> {
+        Some(2 * self.at % 16)
+    }
+    fn peek_blocks(&self, blocks: &[u64], out: &mut [[u32; 16]]) -> Option<usize> {
+        for (block, &b) in out.iter_mut().zip(blocks) {
+            let first = 16 * (2 * self.at / 16 + b as usize);
+            for (w, word) in block.iter_mut().enumerate() {
+                let x = first + w;
+                *word = (self.words[x / 2 % self.words.len()] >> (32 * (x % 2))) as u32;
+            }
         }
-        Some(0)
+        Some(blocks.len())
     }
 }
 
@@ -302,5 +310,159 @@ fn largest_interferer_draws_keep_exact_verdicts() {
             );
             assert_eq!(got, want, "{name}, signal word {signal:#x}");
         }
+    }
+}
+
+/// `simulate_many_under`'s statistics from a sequential exact loop
+/// under `law`: trial `t` begins the law's realization on
+/// `split_seed(base_seed, t)`, then draws every pair in stream order
+/// (each receiver's signal, then its interferers in schedule order) and
+/// sums every row.
+fn law_oracle<L: FadingLaw>(
+    p: &Problem,
+    s: &Schedule,
+    law: &L,
+    trials: u64,
+    base_seed: u64,
+) -> MonteCarloStats {
+    let (ids, links) = (s.ids(), p.links());
+    let k = ids.len();
+    let mean = |j: usize, i: usize| {
+        let d = if i == j {
+            links.length(ids[j])
+        } else {
+            links.sender_receiver_distance(ids[i], ids[j])
+        };
+        Exponential::with_mean(p.params().mean_gain(d) * p.power_scale(ids[i]))
+    };
+    let mut failed = OnlineStats::new();
+    let mut throughput = OnlineStats::new();
+    for t in 0..trials {
+        let mut rng = seeded_rng(split_seed(base_seed, t));
+        let state = law.begin(k, &mut rng);
+        let (mut f, mut d) = (0.0, 0.0);
+        for (j, &rx) in ids.iter().enumerate() {
+            let signal = law.draw(&state, &mean(j, j), j * k + j, &mut rng);
+            let interference: Vec<f64> = (0..k)
+                .filter(|&i| i != j)
+                .map(|i| law.draw(&state, &mean(j, i), i * k + j, &mut rng))
+                .collect();
+            if sinr_of(p.params(), signal, interference).success {
+                d += p.rate(rx);
+            } else {
+                f += 1.0;
+            }
+        }
+        failed.push(f);
+        throughput.push(d);
+    }
+    MonteCarloStats {
+        scheduled: s.len(),
+        scheduled_rate: s.utility(p),
+        failed: failed.summary(),
+        throughput: throughput.summary(),
+    }
+}
+
+#[test]
+fn shadowed_and_nakagami_monte_carlo_equal_the_exact_loop() {
+    // Shadowing draws its factors first, so its realizations start
+    // mid-block and take the table's whole-row stages; Nakagami has no
+    // exponential mean and runs the in-order loop.
+    for (seed, alpha) in [(5, 3.0), (6, 4.0)] {
+        let p = Problem::paper(UniformGenerator::paper(300).generate(seed), alpha);
+        let shadowed = ShadowedRayleigh::new(*p.params(), 6.0);
+        let nakagami = NakagamiChannel::new(*p.params(), 2.0);
+        for s in [ApproxDiversity::new().schedule(&p), Rle::new().schedule(&p)] {
+            assert_eq!(
+                format!("{:?}", simulate_many_under(&p, &s, &shadowed, 6, seed)),
+                format!("{:?}", law_oracle(&p, &s, &shadowed, 6, seed)),
+                "shadowed, α {alpha}"
+            );
+            assert_eq!(
+                format!("{:?}", simulate_many_under(&p, &s, &nakagami, 3, seed)),
+                format!("{:?}", law_oracle(&p, &s, &nakagami, 3, seed)),
+                "Nakagami, α {alpha}"
+            );
+        }
+    }
+}
+
+#[test]
+fn failure_certified_rows_keep_exact_verdicts() {
+    // The whole packed field at once: most receivers fail, and the drawn
+    // lower bound decides many of them without an exact sum.
+    let failed = fading_obs::counter!("sim.slot.failure_certified");
+    for (seed, noise_frac) in [(11, 0.0), (12, 0.5)] {
+        let (p, ids) = instance(seed, 3.0, 1.0, noise_frac, &[0.5, 1.0, 2.0]);
+        let s = Schedule::from_ids(ids);
+        let before = failed.value();
+        assert_eq!(
+            format!("{:?}", simulate_many(&p, &s, 16, seed)),
+            format!("{:?}", per_trial_oracle(&p, &s, 16, seed)),
+            "seed {seed}"
+        );
+        for rng_seed in 0..4 {
+            let [got, want] = both_verdicts(&p, &s, &seeded_rng(rng_seed));
+            assert_eq!(got, want, "seed {seed}, rng seed {rng_seed}");
+        }
+        // Other tests add to the counter too, but a certificate that
+        // never fires leaves it still here.
+        assert!(failed.value() > before, "seed {seed}: no failure certified");
+    }
+}
+
+#[test]
+fn realizations_started_mid_block_keep_exact_verdicts() {
+    // 0 to 17 prior 32-bit draws start the realization at every word of
+    // its first block, odd offsets (where a uniform straddles two
+    // blocks) and even ones, and in a refilled buffer.
+    for (name, p, s) in scheduled_cases().into_iter().step_by(3) {
+        for prior in 0..=17u64 {
+            let mut rng = seeded_rng(prior);
+            for _ in 0..prior {
+                rng.next_u32();
+            }
+            let [got, want] = both_verdicts(&p, &s, &rng);
+            assert_eq!(got, want, "{name}, {prior} prior words");
+            let (mut a, mut b) = (rng.clone(), rng.clone());
+            simulate_slot(&p, &s, &mut a);
+            realized_sinrs(&p, &s, &mut b);
+            assert_eq!(a.next_u64(), b.next_u64(), "{name}, {prior} prior words");
+        }
+    }
+}
+
+#[test]
+fn schedules_shorter_than_a_block_keep_exact_verdicts() {
+    // Below 8 links several signals share one keystream block.
+    let (p, ids) = instance(7, 3.0, 1.0, 0.05, &[1.0, 2.0]);
+    for k in 1..8 {
+        let s = Schedule::from_ids(ids[..k].iter().copied());
+        assert_eq!(
+            format!("{:?}", simulate_many(&p, &s, 24, k as u64)),
+            format!("{:?}", per_trial_oracle(&p, &s, 24, k as u64)),
+            "k = {k}"
+        );
+        for rng_seed in 0..8 {
+            let [got, want] = both_verdicts(&p, &s, &seeded_rng(rng_seed));
+            assert_eq!(got, want, "k = {k}, rng seed {rng_seed}");
+        }
+    }
+}
+
+#[test]
+fn the_largest_table_and_the_smallest_streamed_schedule_equal_the_exact_loop() {
+    // 2048 links is the largest schedule a gain table holds; at 2049
+    // every trial streams its rows.
+    let p = Problem::paper(UniformGenerator::paper(2049).generate(8), 3.0);
+    let ids: Vec<LinkId> = p.links().ids().collect();
+    for k in [2048, 2049] {
+        let s = Schedule::from_ids(ids[..k].iter().copied());
+        assert_eq!(
+            format!("{:?}", simulate_many(&p, &s, 1, 9)),
+            format!("{:?}", per_trial_oracle(&p, &s, 1, 9)),
+            "k = {k}"
+        );
     }
 }
